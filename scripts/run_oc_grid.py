@@ -60,7 +60,7 @@ def main(argv=None) -> int:
     rows = ["scenario,hypothesis,stage,method,cum_rejection,se"]
 
     for label, base in scenario_grid(args.n_per_arm):
-        design = build_design(base, grid_points=1001)
+        design = build_design(base)
         null_scenario = replace(base, beta_w=null_beta_w(base))
         cal = calibrate_analysis_times(
             null_scenario, replicates=args.calibration_replicates, seed=args.seed,

@@ -47,7 +47,7 @@ def main(argv=None) -> int:
     dataset = to_columns(generate_trial(scenario, args.seed))
 
     sf = SpendingFunction(0.05, "power", rho=3.0, sidedness="two_sided")
-    design = boundaries(sf, scenario.target_info_fractions, grid_points=1001)
+    design = boundaries(sf, scenario.target_info_fractions)
     state = MonitoringState(design=design, total_information=args.total_info, method="adjusted")
 
     print(f"{'year':>5} {'info':>9} {'IF':>7} {'boundary':>9} {'z':>8}  decision")

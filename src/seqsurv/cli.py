@@ -66,7 +66,7 @@ def _cmd_design(args: argparse.Namespace) -> int:
     sidedness = {"1": "one_sided_upper", "2": "two_sided"}.get(args.sides, args.sides)
     sf = spending_from_text(args.spending, args.alpha, sidedness)
     fractions = [float(v) for v in args.info_fractions.split(",")]
-    design = boundaries(sf, fractions, grid_points=args.grid_points)
+    design = boundaries(sf, fractions)
     print(_format_design_table(design))
     if args.out:
         Path(args.out).write_text(design_to_text(design), encoding="utf-8")
@@ -127,7 +127,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario_path = Path(args.scenario)
     scenario = scenario_from_text(scenario_path.read_text(encoding="utf-8"))
-    design = build_design(scenario, grid_points=args.grid_points)
+    design = build_design(scenario)
     methods = tuple(m.strip() for m in args.methods.split(","))
     calibration = calibrate_analysis_times(
         scenario,
@@ -181,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_design.add_argument("--sides", default="2", help="2, 1, one_sided_upper, one_sided_lower")
     p_design.add_argument("--spending", default="power:3", help="power:RHO, obf, pocock, custom:IF:A;...")
     p_design.add_argument("--info-fractions", required=True, help="comma-separated, increasing, ending at 1")
-    p_design.add_argument("--grid-points", type=int, default=4001)
     p_design.add_argument("--out", default=None, help="write the design file here")
     p_design.set_defaults(func=_cmd_design)
 
@@ -202,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--methods", default="adjusted", help="comma-separated subset of adjusted,km,cox")
     p_sim.add_argument("--workers", type=int, default=1)
     p_sim.add_argument("--calibration-replicates", type=int, default=400)
-    p_sim.add_argument("--grid-points", type=int, default=1001)
     p_sim.add_argument("--out", default=None, help="write the OC CSV here")
     p_sim.add_argument("--plot-data", default=None, help="write per-stage plot data here")
     p_sim.set_defaults(func=_cmd_simulate)

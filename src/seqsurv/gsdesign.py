@@ -3,8 +3,9 @@
 Sequential statistics with independent-increment information follow a
 multivariate normal law with Corr(Z_k, Z_l) = sqrt(IF_k / IF_l) for k <= l.
 Boundaries are found by propagating the continuation sub-density across
-stages on a Simpson grid and solving each stage's critical value so the
-stagewise crossing probability matches the spending increment.
+stages on the Jennison-Turnbull quadrature mesh and solving each stage's
+critical value, by safeguarded Newton, so the stagewise crossing probability
+matches the spending increment.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
 TWO_SIDED = "two_sided"
@@ -22,7 +23,14 @@ ONE_SIDED_UPPER = "one_sided_upper"
 ONE_SIDED_LOWER = "one_sided_lower"
 SIDEDNESS = (TWO_SIDED, ONE_SIDED_UPPER, ONE_SIDED_LOWER)
 
-_TAIL_SDS = 8.0       # continuation grids truncate this many SDs from the stage mean
+# Mesh size of the Jennison-Turnbull grid (at most 12r - 3 nodes per stage).
+# At gsDesign's r = 18 a zero-spending stage's final boundary is off by about
+# 1e-6; r = 32 brings it to 1e-7.
+_GRID_R = 32
+_GRID_RULE = f"jt:{_GRID_R}"   # recorded in design files; replay must match it
+_C_MAX = 40.0         # boundary magnitudes are solved in [0, _C_MAX]
+_C_TOL = 1e-14        # absolute tolerance of the boundary solve
+_MAX_SOLVE_ITER = 200
 _MIN_IF_STEP = 1e-9   # information fractions closer than this are rejected
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -90,12 +98,34 @@ def spend(sf: SpendingFunction, info_fraction: float) -> float:
     return float(np.interp(t, fracs, alphas))
 
 
-def _simpson_weights(a: float, b: float, npoints: int) -> np.ndarray:
-    h = (b - a) / (npoints - 1)
-    w = np.full(npoints, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return w * (h / 3.0)
+def _jt_offsets(r: int) -> np.ndarray:
+    """Jennison-Turnbull mesh in SD units around the stage mean (6r - 1 nodes):
+    log-spaced beyond 3 SD out to 3 + 4 log r, linear with spacing 3/(2r) inside."""
+    i = np.arange(1, 6 * r, dtype=np.float64)
+    return np.where(
+        i < r,
+        -3.0 - 4.0 * np.log(r / i),
+        np.where(i <= 5 * r, -3.0 + 3.0 * (i - r) / (2.0 * r), 3.0 + 4.0 * np.log(r / (6 * r - i))),
+    )
+
+
+def _jt_mesh(offsets: np.ndarray, mu: float, lower: float, upper: float):
+    """Simpson nodes and weights on the mesh centred at ``mu``, trimmed to
+    [lower, upper]; None when nothing of the mesh lies inside."""
+    x = mu + offsets
+    lo, hi = max(lower, x[0]), min(upper, x[-1])
+    if hi <= lo:
+        return None
+    x = np.concatenate(([lo], x[(x > lo) & (x < hi)], [hi]))
+    nodes = np.empty(2 * x.size - 1)
+    nodes[0::2] = x
+    nodes[1::2] = 0.5 * (x[:-1] + x[1:])
+    sixth = np.diff(x) / 6.0
+    weights = np.zeros(nodes.size)
+    weights[1::2] = 4.0 * sixth
+    weights[:-1:2] += sixth
+    weights[2::2] += sixth
+    return nodes, weights
 
 
 class _Propagator:
@@ -103,103 +133,104 @@ class _Propagator:
 
     Tracks the (defective) density of Z_k restricted to the event that no
     earlier boundary was crossed.  ``drift`` is the expected Z at information
-    fraction 1, so E[Z_k] = drift * sqrt(IF_k).
+    fraction 1, so E[Z_k] = drift * sqrt(IF_k).  Before the first stage the
+    density is a point mass at 0 with information fraction 0.
     """
 
-    def __init__(self, sidedness: str, drift: float = 0.0, grid_points: int = 4001):
+    def __init__(self, sidedness: str, drift: float = 0.0, r: int = _GRID_R):
         if sidedness not in SIDEDNESS:
             raise ValueError(f"sidedness must be one of {SIDEDNESS}")
-        if grid_points < 3:
-            raise ValueError("grid_points must be at least 3")
         self.sidedness = sidedness
         self.drift = float(drift)
-        self.grid_points = grid_points if grid_points % 2 == 1 else grid_points + 1
-        self.prev_if: float | None = None
-        self._x: np.ndarray | None = None     # grid over the continuation region
-        self._wg: np.ndarray | None = None    # Simpson weights times sub-density
-        self.dead = False                     # continuation region collapsed
+        self._offsets = _jt_offsets(r)
+        self.prev_if = 0.0
+        self._x = np.zeros(1)      # nodes of the continuation region
+        self._wg = np.ones(1)      # quadrature weights times sub-density
+        self.dead = False          # continuation region collapsed
 
-    def _tails(self, if_k: float, c: float) -> tuple[np.ndarray, np.ndarray]:
-        """Upper/lower stagewise tail probabilities conditional on each grid point."""
+    def _increment(self, if_k: float) -> tuple[np.ndarray, float, float]:
+        """Mean of S_k - each node's S_(k-1), increment SD, and dz/dS at stage k."""
+        if if_k <= self.prev_if + _MIN_IF_STEP:
+            raise ValueError("information fractions must be strictly increasing")
         delta = if_k - self.prev_if
-        denom = math.sqrt(delta)
-        s_prev = self._x * math.sqrt(self.prev_if)
-        mu_inc = self.drift * delta
-        upper = norm.sf((c * math.sqrt(if_k) - s_prev - mu_inc) / denom)
-        lower = norm.cdf((-c * math.sqrt(if_k) - s_prev - mu_inc) / denom)
-        return upper, lower
+        centre = self._x * math.sqrt(self.prev_if) + self.drift * delta
+        return centre, math.sqrt(delta), math.sqrt(if_k)
+
+    def _crossing(self, if_k: float, c: float) -> tuple[float, float]:
+        """Stagewise crossing probability at boundary magnitude ``c`` and its
+        derivative in ``c`` (minus the continuation density at the boundary)."""
+        centre, sd, root = self._increment(if_k)
+        upper_arg = (c * root - centre) / sd
+        lower_arg = (-c * root - centre) / sd
+        prob, density = 0.0, 0.0
+        if self.sidedness != ONE_SIDED_LOWER:
+            prob += float(self._wg @ ndtr(-upper_arg))
+            density += float(self._wg @ _phi(upper_arg))
+        if self.sidedness != ONE_SIDED_UPPER:
+            prob += float(self._wg @ ndtr(lower_arg))
+            density += float(self._wg @ _phi(lower_arg))
+        return prob, -density * root / sd
 
     def stage_crossing(self, if_k: float, c: float) -> float:
         """P(first crossing happens at this stage) for boundary magnitude ``c``."""
-        if self.dead:
+        if self.dead or not math.isfinite(c):
             return 0.0
-        if not math.isfinite(c):
-            return 0.0
-        mu = self.drift * math.sqrt(if_k)
-        if self.prev_if is None:
-            upper = norm.sf(c - mu)
-            lower = norm.cdf(-c - mu)
-        else:
-            if if_k <= self.prev_if + _MIN_IF_STEP:
-                raise ValueError("information fractions must be strictly increasing")
-            up, lo = self._tails(if_k, c)
-            upper = float(self._wg @ up)
-            lower = float(self._wg @ lo)
-        if self.sidedness == TWO_SIDED:
-            return upper + lower
-        if self.sidedness == ONE_SIDED_UPPER:
-            return upper
-        return lower
+        return self._crossing(if_k, c)[0]
 
     def solve_boundary(self, if_k: float, increment: float) -> float:
-        """Boundary magnitude whose stagewise crossing equals the spending increment."""
+        """Boundary magnitude whose stagewise crossing equals the spending increment.
+
+        Newton on c, kept inside a shrinking bracket of [0, _C_MAX] and
+        replaced by bisection whenever it would leave the bracket or fails to
+        halve the previous step.  It starts from the marginal normal quantile,
+        which is the exact answer at the first stage without drift.
+        """
         if increment <= 0.0 or self.dead:
             return math.inf
-        if self.prev_if is None and self.drift == 0.0:
-            if self.sidedness == TWO_SIDED:
-                return float(norm.ppf(1.0 - increment / 2.0))
-            return float(norm.ppf(1.0 - increment))
-        f = lambda c: self.stage_crossing(if_k, c) - increment
-        lo, hi = 0.0, 40.0
-        if f(lo) <= 0.0:
+        tail = increment / 2.0 if self.sidedness == TWO_SIDED else increment
+        quantile = float(ndtri(1.0 - tail))
+        if self.prev_if == 0.0 and self.drift == 0.0:
+            return quantile
+        if self._crossing(if_k, 0.0)[0] <= increment:
             # even a zero boundary cannot spend this much; reject everything
             return 0.0
-        return float(brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200))
+        lo, hi = 0.0, _C_MAX
+        c = min(max(quantile, lo), hi)
+        step = step_before = hi - lo
+        for _ in range(_MAX_SOLVE_ITER):
+            prob, slope = self._crossing(if_k, c)
+            f = prob - increment
+            if f == 0.0:
+                return c
+            if f > 0.0:
+                lo = c
+            else:
+                hi = c
+            newton = c - f / slope if slope < 0.0 else math.nan
+            if lo < newton < hi and abs(f) < 0.5 * abs(step_before * slope):
+                step_before, step = step, c - newton
+                c = newton
+            else:
+                step_before, step = step, 0.5 * (hi - lo)
+                c = lo + step
+            if abs(step) <= _C_TOL or hi - lo <= _C_TOL:
+                return c
+        raise RuntimeError(f"boundary solve did not converge in {_MAX_SOLVE_ITER} iterations")
 
     def advance(self, if_k: float, c: float) -> None:
-        """Restrict to the continuation region at this stage and move the grid."""
+        """Restrict to the continuation region at this stage and move the mesh."""
         if self.dead:
             return
-        mu = self.drift * math.sqrt(if_k)
-        upper_bound = min(c, mu + _TAIL_SDS) if math.isfinite(c) else mu + _TAIL_SDS
-        if self.sidedness == ONE_SIDED_UPPER:
-            lower_bound = mu - _TAIL_SDS
-        elif self.sidedness == ONE_SIDED_LOWER:
-            lower_bound = max(-c, mu - _TAIL_SDS) if math.isfinite(c) else mu - _TAIL_SDS
-            upper_bound = mu + _TAIL_SDS
-        else:
-            lower_bound = max(-c, mu - _TAIL_SDS) if math.isfinite(c) else mu - _TAIL_SDS
-        if upper_bound <= lower_bound:
+        lower = -math.inf if self.sidedness == ONE_SIDED_UPPER else -c
+        upper = math.inf if self.sidedness == ONE_SIDED_LOWER else c
+        mesh = _jt_mesh(self._offsets, self.drift * math.sqrt(if_k), lower, upper)
+        if mesh is None:
             self.dead = True
             self.prev_if = if_k
             return
-        y = np.linspace(lower_bound, upper_bound, self.grid_points)
-        w = _simpson_weights(lower_bound, upper_bound, self.grid_points)
-        if self.prev_if is None:
-            g = _phi(y - mu)
-        else:
-            delta = if_k - self.prev_if
-            denom = math.sqrt(delta)
-            scale = math.sqrt(if_k) / denom
-            s_prev = self._x * math.sqrt(self.prev_if)
-            mu_inc = self.drift * delta
-            g = np.empty_like(y)
-            chunk = 256
-            s_next = y * math.sqrt(if_k)
-            for start in range(0, y.size, chunk):
-                stop = min(start + chunk, y.size)
-                kern = _phi((s_next[start:stop, None] - s_prev[None, :] - mu_inc) / denom)
-                g[start:stop] = kern @ self._wg * scale
+        y, w = mesh
+        centre, sd, root = self._increment(if_k)
+        g = _phi((y[:, None] * root - centre[None, :]) / sd) @ self._wg * (root / sd)
         self._x = y
         self._wg = w * g
         self.prev_if = if_k
@@ -212,15 +243,15 @@ class GSDesign:
     ``critical_values`` are boundary magnitudes: a two-sided design rejects
     when |z| >= c_k, a one-sided upper (lower) design when z >= c_k
     (z <= -c_k).  ``alpha_spent`` is cumulative; the final stage always spends
-    the full budget.  ``grid_points`` records the integration resolution so
-    monitoring can reproduce design boundaries exactly.
+    the full budget.  Boundaries are solved on one fixed Jennison-Turnbull
+    mesh (``grid = jt:32`` in design files), the same one monitoring uses, so
+    monitoring reproduces them exactly.
     """
 
     spending: SpendingFunction
     info_fractions: tuple[float, ...]
     critical_values: tuple[float, ...]
     alpha_spent: tuple[float, ...]
-    grid_points: int = 4001
 
     @property
     def n_stages(self) -> int:
@@ -243,22 +274,22 @@ def _validate_fractions(info_fractions: Sequence[float]) -> tuple[float, ...]:
     return fracs
 
 
-def boundaries(
-    sf: SpendingFunction,
-    info_fractions: Sequence[float],
-    grid_points: int = 4001,
-) -> GSDesign:
+def boundaries(sf: SpendingFunction, info_fractions: Sequence[float]) -> GSDesign:
     """Solve the per-stage critical values for a spending function and schedule.
 
     The final stage spends whatever remains of the total budget, so designs
     whose last information fraction falls short of 1 still exhaust alpha.
     """
+    return _solve_boundaries(sf, info_fractions, _GRID_R)
+
+
+def _solve_boundaries(sf: SpendingFunction, info_fractions: Sequence[float], r: int) -> GSDesign:
     fracs = _validate_fractions(info_fractions)
     k_stages = len(fracs)
     cumulative = [spend(sf, f) for f in fracs]
     cumulative[-1] = sf.total_alpha
 
-    prop = _Propagator(sf.sidedness, drift=0.0, grid_points=grid_points)
+    prop = _Propagator(sf.sidedness, drift=0.0, r=r)
     crit: list[float] = []
     spent: list[float] = []
     previous = 0.0
@@ -276,7 +307,6 @@ def boundaries(
         info_fractions=fracs,
         critical_values=tuple(crit),
         alpha_spent=tuple(spent),
-        grid_points=grid_points,
     )
 
 
@@ -286,7 +316,7 @@ def crossing_probabilities(design: GSDesign, drift: float = 0.0) -> np.ndarray:
     ``drift`` is the expected standardized statistic at full information; 0
     recovers the spending increments.
     """
-    prop = _Propagator(design.spending.sidedness, drift=drift, grid_points=design.grid_points)
+    prop = _Propagator(design.spending.sidedness, drift=drift)
     probs = np.zeros(design.n_stages)
     for k, f in enumerate(design.info_fractions):
         probs[k] = prop.stage_crossing(f, design.critical_values[k])
@@ -316,12 +346,12 @@ class SequentialMonitor:
     """
 
     def __init__(self, design: GSDesign, total_information: float):
-        if total_information <= 0:
-            raise ValueError("total_information must be positive")
+        if not (math.isfinite(total_information) and total_information > 0):
+            raise ValueError(f"total_information must be finite and positive, got {total_information!r}")
         self.design = design
         self.total_information = float(total_information)
         self.results: list[StageResult] = []
-        self._prop = _Propagator(design.spending.sidedness, 0.0, design.grid_points)
+        self._prop = _Propagator(design.spending.sidedness)
         self._spent = 0.0
 
     @property
@@ -329,6 +359,10 @@ class SequentialMonitor:
         return bool(self.results) and self.results[-1].decision != "continue"
 
     def step(self, info_level: float, z: float) -> StageResult:
+        if not (math.isfinite(info_level) and info_level > 0.0):
+            raise ValueError(f"information level must be finite and positive, got {info_level!r}")
+        if not math.isfinite(z):
+            raise ValueError(f"statistic must be finite, got {z!r}")
         if self.finished:
             raise ValueError(
                 f"monitoring already ended with decision {self.results[-1].decision!r}"
@@ -344,7 +378,7 @@ class SequentialMonitor:
         raw_if = info_level / self.total_information
         clamped = raw_if >= 1.0
         info_fraction = min(raw_if, 1.0)
-        prev_if = self._prop.prev_if or 0.0
+        prev_if = self._prop.prev_if
         if info_fraction <= prev_if + _MIN_IF_STEP:
             raise ValueError(
                 f"observed information fraction {info_fraction:g} does not exceed "
@@ -466,6 +500,12 @@ def spending_from_text(text: str, total_alpha: float, sidedness: str) -> Spendin
     raise ValueError(f"unknown spending specification {text!r}")
 
 
+_DESIGN_KEYS = (
+    "stages", "alpha", "sidedness", "spending", "info_fractions", "critical_values",
+    "alpha_spent", "grid",
+)
+
+
 def design_to_text(design: GSDesign) -> str:
     lines = [
         f"stages = {design.n_stages}",
@@ -475,7 +515,7 @@ def design_to_text(design: GSDesign) -> str:
         "info_fractions = " + ",".join(repr(f) for f in design.info_fractions),
         "critical_values = " + ",".join(repr(c) for c in design.critical_values),
         "alpha_spent = " + ",".join(repr(a) for a in design.alpha_spent),
-        f"grid_points = {design.grid_points}",
+        f"grid = {_GRID_RULE}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -495,6 +535,12 @@ def _parse_kv(text: str) -> dict[str, str]:
 
 def design_from_text(text: str) -> GSDesign:
     kv = _parse_kv(text)
+    unknown = sorted(set(kv) - set(_DESIGN_KEYS))
+    if unknown:
+        raise ValueError(
+            f"design file has unknown key {unknown[0]!r}; a design written by another "
+            f"version must be re-created, since boundaries replay only on grid = {_GRID_RULE}"
+        )
     try:
         alpha = float(kv["alpha"])
         sidedness = kv["sidedness"]
@@ -502,9 +548,11 @@ def design_from_text(text: str) -> GSDesign:
         fractions = tuple(float(x) for x in kv["info_fractions"].split(","))
         critical = tuple(float(x) for x in kv["critical_values"].split(","))
         spent = tuple(float(x) for x in kv["alpha_spent"].split(","))
-        grid_points = int(kv.get("grid_points", "4001"))
+        grid = kv["grid"]
     except KeyError as exc:
         raise ValueError(f"design file is missing key {exc.args[0]!r}") from None
+    if grid != _GRID_RULE:
+        raise ValueError(f"design file key 'grid' is {grid!r}; this version replays only {_GRID_RULE!r}")
     if not len(fractions) == len(critical) == len(spent):
         raise ValueError("design file: schedule arrays have inconsistent lengths")
     return GSDesign(
@@ -512,7 +560,6 @@ def design_from_text(text: str) -> GSDesign:
         info_fractions=fractions,
         critical_values=critical,
         alpha_spent=spent,
-        grid_points=grid_points,
     )
 
 
@@ -552,6 +599,8 @@ def state_from_text(text: str) -> MonitoringState:
         raise ValueError("state file: missing design block") from None
     design = design_from_text("\n".join(lines[start + 1 : end]))
     kv = _parse_kv("\n".join(lines[:start]))
+    if "total_information" not in kv:
+        raise ValueError("state file is missing key 'total_information'")
     state = MonitoringState(
         design=design,
         total_information=float(kv["total_information"]),

@@ -119,7 +119,7 @@ def null_beta_w(scenario: Scenario) -> float:
     return -scenario.alpha1 * math.log(scenario.tau)
 
 
-def build_design(scenario: Scenario, grid_points: int = 4001) -> GSDesign:
+def build_design(scenario: Scenario) -> GSDesign:
     """Boundaries for the scenario's spending family and planned schedule."""
     sf = SpendingFunction(
         total_alpha=scenario.total_alpha,
@@ -127,7 +127,7 @@ def build_design(scenario: Scenario, grid_points: int = 4001) -> GSDesign:
         rho=scenario.spending_rho,
         sidedness=scenario.sidedness,
     )
-    return boundaries(sf, scenario.target_info_fractions, grid_points=grid_points)
+    return boundaries(sf, scenario.target_info_fractions)
 
 
 def _rng(seed: int, replicate: int) -> np.random.Generator:

@@ -34,7 +34,7 @@ def ph_alt_effect():
     Shared between the power-ordering acceptance criterion and the replay
     check of the calibration itself.
     """
-    design = build_design(PH_ALT_BASE, grid_points=801)
+    design = build_design(PH_ALT_BASE)
     cal = calibrate_analysis_times(
         PH_ALT_BASE, replicates=300, seed=303, grid_size=11,
         methods=("adjusted", "km"), workers=WORKERS,

@@ -184,7 +184,7 @@ NPH_NULL = Scenario(
 
 @pytest.fixture(scope="session")
 def nph_null_oc():
-    design = build_design(NPH_NULL, grid_points=801)
+    design = build_design(NPH_NULL)
     cal = calibrate_analysis_times(
         NPH_NULL, replicates=300, seed=202, grid_size=11,
         methods=("adjusted", "km", "cox"), workers=WORKERS,
@@ -200,7 +200,7 @@ def test_criterion_4_type_one_error_nph(nph_null_oc):
     ok = 0.035 <= final <= 0.065
     stagewise = nph_null_oc.cumulative_rejection["adjusted"]
     # spending bound at every stage, within Monte Carlo noise
-    design = build_design(NPH_NULL, grid_points=801)
+    design = build_design(NPH_NULL)
     for k, rate in enumerate(stagewise):
         se = nph_null_oc.standard_errors["adjusted"][k]
         budget = design.alpha_spent[k] + 3 * max(se, 1e-4)
@@ -284,7 +284,7 @@ def test_criterion_7_boundary_engine_against_oracles():
         sf = SpendingFunction(
             alpha, family, rho=float(rng.uniform(0.5, 4.0)), sidedness=sided[int(rng.integers(0, 3))]
         )
-        design = boundaries(sf, fracs, grid_points=1001)
+        design = boundaries(sf, fracs)
         probs = crossing_probabilities(design, 0.0)
         increments = np.diff(np.concatenate(([0.0], design.alpha_spent)))
         gap = float(np.max(np.abs(probs - increments)))
@@ -332,7 +332,7 @@ def test_criterion_8_simulation_determinism(tmp_path):
         code = cli_main([
             "simulate", str(scenario_file), "--replicates", "80", "--seed", "17",
             "--workers", workers, "--calibration-replicates", "30",
-            "--grid-points", "401", "--out", str(out),
+            "--out", str(out),
         ])
         assert code == 0
         outputs.append(out.read_bytes())

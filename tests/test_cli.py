@@ -31,7 +31,7 @@ def test_design_command_three_stage_table(tmp_path, capsys):
     out = tmp_path / "design.txt"
     code = main([
         "design", "--alpha", "0.05", "--sides", "2", "--spending", "power:3",
-        "--info-fractions", "0.5,0.75,1", "--grid-points", "1001", "--out", str(out),
+        "--info-fractions", "0.5,0.75,1", "--out", str(out),
     ])
     assert code == EXIT_OK
     table = capsys.readouterr().out
@@ -71,7 +71,7 @@ def test_analyze_mirrored_arms_continue(tmp_path, capsys):
     write_csv(data, records)
     design_file = tmp_path / "design.txt"
     main(["design", "--alpha", "0.05", "--spending", "power:3",
-          "--info-fractions", "0.5,1", "--grid-points", "801", "--out", str(design_file)])
+          "--info-fractions", "0.5,1", "--out", str(design_file)])
     state = tmp_path / "state.txt"
     code = main([
         "analyze", str(data), "--design", str(design_file), "--t0", "1.0", "--u", "3.0",
@@ -95,6 +95,21 @@ def test_analyze_requires_total_info_on_fresh_state(tmp_path, capsys):
     assert code == EXIT_ERROR
 
 
+def test_analyze_state_without_total_information_is_an_error(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    write_csv(data, [SubjectRecord("a", 0, 0.0, 1.0, True, ()),
+                     SubjectRecord("b", 1, 0.0, 1.0, True, ())])
+    design_file = tmp_path / "design.txt"
+    main(["design", "--alpha", "0.05", "--info-fractions", "1", "--out", str(design_file)])
+    state = tmp_path / "state.txt"
+    state.write_text("method = km\ndesign_begin\n" + design_file.read_text() + "design_end\n")
+    code = main(["analyze", str(data), "--design", str(design_file), "--t0", "0.5",
+                 "--u", "2.0", "--method", "km", "--state", str(state)])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "total_information" in err
+
+
 def huge_effect_records(seed=0):
     sc = Scenario(n0=150, n1=150, tau=1.0, alpha0=1.0, beta_w=-2.5,
                   covariate_scheme="normal1", phi=0.3, accrual=1.0)
@@ -104,8 +119,7 @@ def huge_effect_records(seed=0):
 def test_analyze_huge_effect_rejects_at_stage_one(tmp_path, capsys):
     # pick a replicate whose first-stage statistic clears the boundary
     design = build_design(
-        Scenario(n0=2, n1=2, tau=1.0, k_analyses=2, target_info_fractions=(0.5, 1.0)),
-        grid_points=801,
+        Scenario(n0=2, n1=2, tau=1.0, k_analyses=2, target_info_fractions=(0.5, 1.0))
     )
     chosen = None
     for seed in range(20):
@@ -120,7 +134,7 @@ def test_analyze_huge_effect_rejects_at_stage_one(tmp_path, capsys):
     write_csv(data, chosen[0])
     design_file = tmp_path / "design.txt"
     main(["design", "--alpha", "0.05", "--spending", "power:3",
-          "--info-fractions", "0.5,1", "--grid-points", "801", "--out", str(design_file)])
+          "--info-fractions", "0.5,1", "--out", str(design_file)])
     state = tmp_path / "state.txt"
     code = main([
         "analyze", str(data), "--design", str(design_file), "--t0", "1.0", "--u", "2.0",
@@ -148,7 +162,7 @@ def test_analyze_stage_regression_rejected(tmp_path, capsys):
     write_csv(data, records)
     design_file = tmp_path / "design.txt"
     main(["design", "--alpha", "0.05", "--info-fractions", "0.5,1",
-          "--grid-points", "801", "--out", str(design_file)])
+          "--out", str(design_file)])
     state = tmp_path / "state.txt"
     assert main([
         "analyze", str(data), "--design", str(design_file), "--t0", "1.0", "--u", "3.0",
@@ -171,7 +185,7 @@ def test_analyze_method_mismatch_rejected(tmp_path, capsys):
     write_csv(data, records)
     design_file = tmp_path / "design.txt"
     main(["design", "--alpha", "0.05", "--info-fractions", "0.5,1",
-          "--grid-points", "801", "--out", str(design_file)])
+          "--out", str(design_file)])
     state = tmp_path / "state.txt"
     main(["analyze", str(data), "--design", str(design_file), "--t0", "1.0", "--u", "2.0",
           "--method", "km", "--state", str(state), "--total-info", "1000"])
@@ -184,7 +198,7 @@ def simulate_args(tmp_path, scenario_file, out, seed="7", workers="1"):
     return [
         "simulate", str(scenario_file), "--replicates", "40", "--seed", seed,
         "--workers", workers, "--calibration-replicates", "20",
-        "--grid-points", "401", "--out", str(out),
+        "--out", str(out),
     ]
 
 
@@ -206,7 +220,7 @@ def test_simulate_near_nominal_alpha_small(tmp_path, capsys):
     plot = tmp_path / "plot.csv"
     code = main([
         "simulate", str(scenario_file), "--replicates", "150", "--seed", "3",
-        "--calibration-replicates", "40", "--grid-points", "401", "--out", str(out),
+        "--calibration-replicates", "40", "--out", str(out),
         "--plot-data", str(plot),
     ])
     assert code == EXIT_OK

@@ -4,9 +4,11 @@ import pytest
 from seqsurv import (
     DegenerateDataError,
     FitOptions,
+    Scenario,
     SeparationError,
     SubjectRecord,
     fit_mple,
+    generate_columns,
     log_partial_likelihood,
     observed_information,
     partial_score,
@@ -249,3 +251,21 @@ def test_risk_set_sums_normalized(hand_snapshot):
     for sums_i in sums:
         for v in sums_i.v:
             assert np.linalg.eigvalsh(v).min() >= -1e-12
+
+
+def test_fit_converges_on_day_rounded_ties():
+    # a 4000-subject trial recorded in whole days: near the optimum the full
+    # Newton step changes the log likelihood (about -1.5e4) only by rounding
+    # noise, which must not trigger step halving until max_iter runs out
+    sc = Scenario(
+        n0=2000, n1=2000, tau=2.0, alpha0=1.0, alpha1=0.0, beta_w=0.0,
+        covariate_scheme="bernoulli2", phi=0.4, accrual=6.0, censor_rate=0.01,
+    )
+    cols = generate_columns(sc, 1859167399)
+    days = cols._replace(
+        entry=np.rint(cols.entry * 365.25),
+        time_on_study=np.maximum(1.0, np.ceil(cols.time_on_study * 365.25)),
+    )
+    fit = fit_mple(snapshot(days, 2192.0))
+    assert fit.converged and fit.final_score_norm <= 1e-8
+    assert fit.iterations <= 10

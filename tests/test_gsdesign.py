@@ -21,6 +21,7 @@ from seqsurv import (
     state_to_text,
 )
 from oracles import gs_crossing_by_simulation
+from seqsurv.gsdesign import _GRID_R, _solve_boundaries
 
 
 def power3(alpha=0.05, sides="two_sided"):
@@ -157,9 +158,11 @@ def test_boundaries_shrink_when_alpha_grows():
 
 
 def test_grid_refinement_stability():
+    # the Jennison-Turnbull mesh at its size r against one twice as fine
     sf = power3()
-    coarse = boundaries(sf, [0.4, 0.7, 1.0], grid_points=2001)
-    fine = boundaries(sf, [0.4, 0.7, 1.0], grid_points=4001)
+    coarse = _solve_boundaries(sf, [0.4, 0.7, 1.0], _GRID_R)
+    fine = _solve_boundaries(sf, [0.4, 0.7, 1.0], 2 * _GRID_R)
+    assert coarse == boundaries(sf, [0.4, 0.7, 1.0])
     for a, b in zip(coarse.critical_values, fine.critical_values):
         assert abs(a - b) < 1e-5
 
@@ -292,9 +295,31 @@ def test_design_text_roundtrip():
         SpendingFunction(0.025, "obf_like", sidedness="one_sided_upper"),
         SpendingFunction(0.05, "custom", table=((0.5, 0.01), (1.0, 0.05))),
     ):
-        d = boundaries(sf, [0.5, 1.0], grid_points=1001)
+        d = boundaries(sf, [0.5, 1.0])
         revived = design_from_text(design_to_text(d))
         assert revived == d
+
+
+@pytest.mark.parametrize(
+    "legacy, key",
+    [("grid_points = 4001", "grid_points"), ("grid = jt:18", "grid")],
+)
+def test_design_text_rejects_other_grid_rules(legacy, key):
+    text = design_to_text(boundaries(power3(), [0.5, 1.0]))
+    assert "grid = jt:32\n" in text
+    with pytest.raises(ValueError, match=f"key '{key}'"):
+        design_from_text(text.replace("grid = jt:32", legacy))
+
+
+@pytest.mark.parametrize(
+    "info_level, z",
+    [(100.0, math.nan), (math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (-5.0, 1.0), (50.0, -math.inf)],
+)
+def test_monitor_rejects_non_finite_input(info_level, z):
+    mon = SequentialMonitor(boundaries(power3(), [0.5, 0.75, 1.0]), total_information=100.0)
+    with pytest.raises(ValueError, match="finite"):
+        mon.step(info_level, z)
+    assert mon.results == []
 
 
 def test_design_text_rejects_garbage():

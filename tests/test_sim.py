@@ -179,7 +179,7 @@ def test_calibration_curve_is_monotone_output():
 
 def test_run_oc_deterministic_across_workers_and_runs():
     sc = base_scenario(n0=50, n1=50)
-    design = build_design(sc, grid_points=401)
+    design = build_design(sc)
     cal = calibrate_analysis_times(sc, replicates=30, seed=8, grid_size=5, methods=("adjusted", "km"))
     oc1 = run_oc(sc, design, ("adjusted", "km"), replicates=60, seed=8, calibration=cal, workers=1)
     oc2 = run_oc(sc, design, ("adjusted", "km"), replicates=60, seed=8, calibration=cal, workers=2)
@@ -189,7 +189,7 @@ def test_run_oc_deterministic_across_workers_and_runs():
 
 def test_run_oc_cumulative_rejection_nondecreasing():
     sc = base_scenario(n0=80, n1=80, beta_w=-0.6)
-    design = build_design(sc, grid_points=401)
+    design = build_design(sc)
     cal = calibrate_analysis_times(sc, replicates=40, seed=9, grid_size=5)
     oc = run_oc(sc, design, ("adjusted",), replicates=80, seed=9, calibration=cal)
     cum = oc.cumulative_rejection["adjusted"]
@@ -202,7 +202,7 @@ def test_run_oc_cumulative_rejection_nondecreasing():
 def test_run_oc_requires_matching_stage_counts():
     sc = base_scenario()
     design = build_design(Scenario(**{**sc.__dict__, "k_analyses": 2,
-                                      "target_info_fractions": (0.5, 1.0)}), grid_points=401)
+                                      "target_info_fractions": (0.5, 1.0)}))
     cal = calibrate_analysis_times(sc, replicates=10, seed=1, grid_size=5)
     with pytest.raises(ValueError, match="stages"):
         run_oc(sc, design, ("adjusted",), replicates=10, seed=1, calibration=cal)
@@ -237,7 +237,7 @@ def test_scenario_text_errors_carry_line_numbers():
 def test_calibrate_effect_null_power_target_returns_null_value():
     sc = base_scenario(n0=80, n1=80, alpha0=2.0, alpha1=-1.0)
     sc = Scenario(**{**sc.__dict__, "beta_w": null_beta_w(sc)})
-    design = build_design(sc, grid_points=401)
+    design = build_design(sc)
     cal = calibrate_analysis_times(sc, replicates=60, seed=14, grid_size=5)
     effect = calibrate_effect(
         sc, sc.total_alpha, design, calibration=cal, replicates=400,
@@ -249,7 +249,7 @@ def test_calibrate_effect_null_power_target_returns_null_value():
 
 def test_calibrate_effect_bracketing_is_monotone():
     sc = base_scenario(n0=80, n1=80)
-    design = build_design(sc, grid_points=401)
+    design = build_design(sc)
     cal = calibrate_analysis_times(sc, replicates=60, seed=15, grid_size=5)
     effect = calibrate_effect(
         sc, 0.6, design, calibration=cal, replicates=400, tolerance=0.03,
@@ -275,7 +275,7 @@ def test_calibrated_effect_replays_to_target_power(ph_alt_effect):
 
 def test_oc_csv_layout():
     sc = base_scenario(n0=40, n1=40)
-    design = build_design(sc, grid_points=401)
+    design = build_design(sc)
     cal = calibrate_analysis_times(sc, replicates=20, seed=12, grid_size=5)
     oc = run_oc(sc, design, ("adjusted",), replicates=20, seed=12, calibration=cal)
     lines = oc_to_csv(oc).splitlines()
