@@ -21,14 +21,13 @@ from .adjusted import (
 from .comparators import CoxWaldResult, KMComparison, KMEstimate, cox_wald, km_compare, km_fit
 from .cox import (
     FitOptions,
+    RiskSets,
     StepFunction,
     StratifiedCoxFit,
-    StratumRiskSums,
     fit_mple,
     log_partial_likelihood,
     observed_information,
     partial_score,
-    risk_set_sums,
 )
 from .data import (
     Columns,

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .cox import FitOptions, StratifiedCoxFit, _prepare_strata, _risk_sums_raw, fit_mple
+from .cox import FitOptions, StratifiedCoxFit, fit_mple
 from .data import Snapshot
 from .errors import DegenerateDataError
 
@@ -77,47 +77,35 @@ class VarianceComponents:
 def variance_components(fit: StratifiedCoxFit, snap: Snapshot, t0: float) -> VarianceComponents:
     """Evaluate every variance ingredient at the fitted coefficients.
 
-    Event sums run over (0, t0], inclusive of events at exactly t0; pooled
-    averages run over all subjects in the snapshot.
+    Event sums run over (0, t0], inclusive of events at exactly t0, and
+    reuse the risk-set sums the fit carries; pooled averages run over all
+    subjects in ``snap``, the snapshot the fit was made on.
     """
     if t0 > fit.calendar_time:
         raise ValueError(
             f"survival time {t0:g} exceeds the fit's calendar horizon {fit.calendar_time:g}"
         )
-    p = snap.n_covariates
     n = snap.n
     beta = fit.beta_hat
-    strata = _prepare_strata(snap)
-
-    cumhaz_var = np.zeros(2)
-    cumhaz_grad = np.zeros((2, p))
+    risk_sets, sums = fit.risk_sets, fit.event_sums
+    # the fit guarantees positive, finite risk-set sums at beta_hat
+    jump = risk_sets.dn / sums.r0
     lam_t0 = np.zeros(2)
-    for i, st in enumerate(strata):
-        if st.event_times.size == 0:
-            continue
-        k = int(np.searchsorted(st.event_times, t0, side="right"))
-        if k == 0:
-            continue
-        _, r0, r1 = _risk_sums_raw(st, beta)
-        r0 = r0[:k]
-        r1 = r1[:k]
-        if np.any(r0 <= 0.0):
-            raise DegenerateDataError(f"stratum {i}: empty risk set at an event time before t0")
-        dn = st.dn[:k]
-        lam_t0[i] = float(np.sum(dn / r0))
-        cumhaz_var[i] = st.size * float(np.sum(dn / r0**2))
-        cumhaz_grad[i] = (dn[:, None] * r1 / r0[:, None] ** 2).sum(axis=0)
+    cumhaz_var = np.zeros(2)
+    cumhaz_grad = np.zeros((2, snap.n_covariates))
+    for i, groups in enumerate(risk_sets.groups):
+        k = int(np.searchsorted(risk_sets.event_times[groups], t0, side="right"))
+        g = slice(groups.start, groups.start + k)
+        lam_t0[i] = jump[g].sum()
+        cumhaz_var[i] = risk_sets.sizes[i] * float(np.sum(jump[g] / sums.r0[g]))
+        cumhaz_grad[i] = (jump[g] / sums.r0[g]) @ sums.r1[g]
 
     rel_risk = np.exp(snap.covariates @ beta)
-    sens = np.zeros(2)
-    sens_z = np.zeros((2, p))
-    sp = np.zeros(2)
-    for i in range(2):
-        cond_surv = np.exp(-rel_risk * lam_t0[i])
-        weighted = cond_surv * rel_risk
-        sp[i] = float(np.mean(cond_surv))
-        sens[i] = float(np.mean(weighted))
-        sens_z[i] = (weighted[:, None] * snap.covariates).mean(axis=0)
+    cond_surv = np.exp(-lam_t0[:, None] * rel_risk)   # (2, n)
+    weighted = cond_surv * rel_risk
+    sp = cond_surv.mean(axis=1)
+    sens = weighted.mean(axis=1)
+    sens_z = weighted @ snap.covariates / n
 
     sp_grad = sens[:, None] * cumhaz_grad - lam_t0[:, None] * sens_z
 
@@ -132,7 +120,7 @@ def variance_components(fit: StratifiedCoxFit, snap: Snapshot, t0: float) -> Var
         sp_diff_beta_gradient=sp_grad[1] - sp_grad[0],
         baseline_cumhaz_t0=lam_t0,
         adjusted_sp=sp,
-        arm_sizes=(strata[0].size, strata[1].size),
+        arm_sizes=risk_sets.sizes,
         n=n,
     )
 

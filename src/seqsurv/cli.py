@@ -12,8 +12,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .adjusted import compare_sp
-from .comparators import cox_wald, km_compare
 from .data import ingest_csv, snapshot, to_columns
 from .errors import SeqSurvError
 from .gsdesign import (
@@ -29,8 +27,10 @@ from .gsdesign import (
     state_to_text,
 )
 from .sim import (
+    METHODS,
     build_design,
     calibrate_analysis_times,
+    method_statistic,
     oc_plot_data,
     oc_to_csv,
     run_oc,
@@ -74,17 +74,6 @@ def _cmd_design(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _stage_statistic(method: str, snap, t0: float):
-    if method == "adjusted":
-        res = compare_sp(snap, t0)
-        return res.z, res.info_level
-    if method == "km":
-        res = km_compare(snap, t0)
-        return res.z, res.info_level
-    res = cox_wald(snap)
-    return res.z, res.info_level
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     data_path = Path(args.data)
     design = design_from_text(Path(args.design).read_text(encoding="utf-8"))
@@ -98,6 +87,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_ERROR
+        if design_to_text(state.design) != design_to_text(design):
+            print(
+                f"error: design file {args.design} differs from the design recorded "
+                f"in state file {args.state}",
+                file=sys.stderr,
+            )
+            return EXIT_ERROR
     else:
         if args.total_info is None:
             print("error: --total-info is required when starting a new monitoring state", file=sys.stderr)
@@ -106,7 +102,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     dataset = to_columns(ingest_csv(data_path))
     snap = snapshot(dataset, args.u)
-    z, info = _stage_statistic(args.method, snap, args.t0)
+    z, info = method_statistic(args.method, snap, args.t0)
     result = monitor(state, info, z, calendar_time=args.u)
     if state_path:
         state_path.write_text(state_to_text(state), encoding="utf-8")
@@ -189,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--design", required=True, help="design file from the design command")
     p_an.add_argument("--t0", type=float, required=True, help="fixed survival time compared")
     p_an.add_argument("--u", type=float, required=True, help="calendar time of this analysis")
-    p_an.add_argument("--method", choices=("adjusted", "km", "cox"), default="adjusted")
+    p_an.add_argument("--method", choices=METHODS, default="adjusted")
     p_an.add_argument("--state", default=None, help="monitoring state file (created/updated)")
     p_an.add_argument("--total-info", type=float, default=None, help="target total information")
     p_an.set_defaults(func=_cmd_analyze)

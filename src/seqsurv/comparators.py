@@ -77,15 +77,15 @@ class KMComparison:
     se: float
     z: float
     info_level: float
-    zero_variance: bool
 
 
 def km_compare(snap: Snapshot, t0: float) -> KMComparison:
     """Difference of per-arm product-limit estimates at ``t0``, standardized by
     the summed Greenwood variances.  Information is the reciprocal variance.
 
-    With no events by ``t0`` in either arm both variances vanish; the
-    comparison degenerates to z = 0 with the zero-variance flag set.
+    With no events by ``t0`` in either arm (or both estimates at 0 or 1) the
+    variances vanish and there is no statistic: that raises
+    ``DegenerateDataError``.
     """
     if t0 > snap.calendar_time:
         raise ValueError(
@@ -96,15 +96,13 @@ def km_compare(snap: Snapshot, t0: float) -> KMComparison:
     diff = s1 - s0
     total_var = v0 + v1
     if total_var <= 0.0:
-        return KMComparison(
-            t0=float(t0),
-            u=snap.calendar_time,
-            s_hat=(s0, s1),
-            diff=diff,
-            se=0.0,
-            z=0.0,
-            info_level=float("inf"),
-            zero_variance=True,
+        cause = (
+            "no events by t0 in either arm"
+            if s0 == s1 == 1.0
+            else "each arm's estimate at t0 is 0 or 1"
+        )
+        raise DegenerateDataError(
+            f"Kaplan-Meier comparison at t0 = {t0:g} has zero variance: {cause}"
         )
     se = float(np.sqrt(total_var))
     return KMComparison(
@@ -115,7 +113,6 @@ def km_compare(snap: Snapshot, t0: float) -> KMComparison:
         se=se,
         z=diff / se,
         info_level=1.0 / total_var,
-        zero_variance=False,
     )
 
 

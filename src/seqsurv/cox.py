@@ -5,6 +5,12 @@ coefficients are shared.  The partial likelihood is maximized by Newton
 iteration with step halving, and the per-arm baseline cumulative hazards come
 out as step functions over the observed event times (tied events share the
 risk-set denominator).
+
+Every quantity comes from one risk-set kernel (Therneau & Grambsch 2000,
+ch. 3).  ``RiskSets.from_snapshot`` sorts the snapshot once and groups its
+events; ``RiskSets.evaluate`` then returns the log likelihood, score,
+information and the risk-set sums at the event groups for a coefficient
+vector, with one exp(z.beta) and one cumulative sum per stratum.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .data import Snapshot
 from .errors import ConvergenceError, DegenerateDataError, SeparationError
@@ -51,173 +56,175 @@ class StepFunction:
         return np.diff(self.values, prepend=0.0)
 
 
-class _Stratum(NamedTuple):
-    """Pre-sorted per-arm arrays plus the event-time grouping."""
+class RiskSetValues(NamedTuple):
+    """The kernel's output at one coefficient vector.
 
-    size: int                 # arm size, counting zero-follow-up subjects
-    x: np.ndarray             # follow-up, ascending
-    z: np.ndarray             # covariates in the same order, (m, p)
-    event_times: np.ndarray   # distinct event times, ascending
-    dn: np.ndarray            # number of events at each event time
-    risk_start: np.ndarray    # first sorted index at risk at each event time
-    z_event_sum: np.ndarray   # covariate totals of the events at each time, (q, p)
-
-
-def _prepare_strata(snap: Snapshot) -> tuple[_Stratum, ...]:
-    out = []
-    for i in STRATA:
-        mask = snap.arm == i
-        x = snap.follow_up[mask]
-        d = snap.event_observed[mask]
-        z = snap.covariates[mask]
-        order = np.argsort(x, kind="stable")
-        x = x[order]
-        d = d[order]
-        z = z[order]
-        ev_x = x[d]
-        event_times, first_pos = np.unique(ev_x, return_index=True)
-        dn = np.diff(np.append(first_pos, ev_x.size))
-        risk_start = np.searchsorted(x, event_times, side="left")
-        zsum = np.add.reduceat(z[d], first_pos, axis=0) if ev_x.size else np.zeros((0, z.shape[1]))
-        out.append(
-            _Stratum(
-                size=int(mask.sum()),
-                x=x,
-                z=z,
-                event_times=event_times,
-                dn=dn.astype(np.float64),
-                risk_start=risk_start,
-                z_event_sum=zsum,
-            )
-        )
-    return tuple(out)
-
-
-def _risk_sums_raw(st: _Stratum, beta: np.ndarray):
-    """Unnormalized risk-set sums at each of the stratum's event times.
-
-    Returns (r0, r1, r2): sums over subjects still at risk of w, w*z and
-    w*z*z^T with w = exp(beta . z).  r2 is skipped (None) when not needed.
+    ``r0`` and ``r1`` are the unnormalized risk-set sums of w and w*z
+    (w = exp(beta . z)) at each event group.  When some risk set is empty or
+    overflows, ``usable`` is false and ``loglik`` is -inf; the other fields
+    are then meaningless.
     """
-    with np.errstate(over="ignore"):
-        w = np.exp(st.z @ beta)
-    r0_all = np.cumsum(w[::-1])[::-1]
-    r1_all = np.cumsum((w[:, None] * st.z)[::-1], axis=0)[::-1]
-    r0 = r0_all[st.risk_start]
-    r1 = r1_all[st.risk_start]
-    return w, r0, r1
+
+    loglik: float
+    score: np.ndarray        # (p,)
+    information: np.ndarray  # (p, p)
+    r0: np.ndarray           # (q,)
+    r1: np.ndarray           # (q, p)
+    usable: bool
 
 
-def _risk_sums_raw2(st: _Stratum, w: np.ndarray) -> np.ndarray:
-    outer = w[:, None, None] * st.z[:, :, None] * st.z[:, None, :]
-    r2_all = np.cumsum(outer[::-1], axis=0)[::-1]
-    return r2_all[st.risk_start]
+@dataclass(frozen=True)
+class RiskSets:
+    """Risk-set layout of one snapshot, built by one sort by (arm, follow-up).
 
+    Rows hold the subjects that belong to at least one risk set, stratum by
+    stratum, each stratum in descending follow-up order, so that the risk set
+    of an event group is a prefix of its stratum's rows.  Event groups (the
+    distinct event times of a stratum, ``q`` in all) run stratum 0 first,
+    ascending in time within a stratum.
+    """
 
-def _check_risk_sets(st: _Stratum, r0: np.ndarray, stratum: int) -> None:
-    if r0.size and (not np.all(np.isfinite(r0)) or np.any(r0 <= 0.0)):
-        raise DegenerateDataError(
-            f"stratum {stratum}: empty or non-finite risk set at an observed event time"
+    sizes: tuple[int, int]          # arm sizes, counting zero-follow-up subjects
+    z: np.ndarray                   # (m, p) covariates of the rows
+    products: np.ndarray            # (m, 1 + p + p*p) columns [1, z, z z^T] of the rows
+    rows: tuple[slice, slice]       # rows of each stratum
+    ends: np.ndarray                # (q,) last row of each group's risk set
+    event_times: np.ndarray         # (q,)
+    dn: np.ndarray                  # (q,) number of events in each group
+    groups: tuple[slice, slice]     # event groups of each stratum
+    event_z_total: np.ndarray       # (p,) covariate total over all events
+
+    @classmethod
+    def from_snapshot(cls, snap: Snapshot) -> "RiskSets":
+        x = snap.follow_up
+        order = np.lexsort((x, snap.arm))
+        xs = x[order]
+        arm = snap.arm[order]
+        n = xs.size
+        # first sorted position of each run of equal (arm, follow-up): for an
+        # event there, it is the first subject of its stratum at risk
+        new_run = np.ones(n, dtype=bool)
+        new_run[1:] = (xs[1:] != xs[:-1]) | (arm[1:] != arm[:-1])
+        run_start = np.maximum.accumulate(np.where(new_run, np.arange(n), 0))
+        ev_run = run_start[snap.event_observed[order]]
+        new_group = np.ones(ev_run.size, dtype=bool)
+        new_group[1:] = ev_run[1:] != ev_run[:-1]
+        first = np.flatnonzero(new_group)
+        group_start = ev_run[first]
+        dn = np.diff(first, append=ev_run.size).astype(np.float64)
+
+        n0 = int(np.searchsorted(arm, 1))
+        bounds = ((0, n0), (n0, n))
+        n_groups0 = int(np.searchsorted(group_start, n0))
+        groups = (slice(0, n_groups0), slice(n_groups0, group_start.size))
+        pieces, rows, ends = [], [], []
+        offset = 0
+        for (lo, hi), g in zip(bounds, groups):
+            starts = group_start[g]
+            m = hi - starts[0] if starts.size else 0
+            pieces.append(order[hi - m : hi][::-1])
+            ends.append(offset + hi - 1 - starts)
+            rows.append(slice(offset, offset + m))
+            offset += m
+        keep = np.concatenate(pieces)
+        z = snap.covariates[keep]
+        p = z.shape[1]
+        products = np.empty((keep.size, 1 + p + p * p))
+        products[:, 0] = 1.0
+        products[:, 1 : 1 + p] = z
+        products[:, 1 + p :] = (z[:, :, None] * z[:, None, :]).reshape(keep.size, p * p)
+        return cls(
+            sizes=(n0, n - n0),
+            z=z,
+            products=products,
+            rows=tuple(rows),
+            ends=np.concatenate(ends),
+            event_times=xs[group_start],
+            dn=dn,
+            groups=groups,
+            event_z_total=snap.covariates[snap.event_observed].sum(axis=0),
         )
+
+    @property
+    def n_events(self) -> tuple[int, int]:
+        return tuple(int(self.dn[g].sum()) for g in self.groups)
+
+    def evaluate(self, beta: np.ndarray) -> RiskSetValues:
+        """Log likelihood, score, information and event-group sums at ``beta``.
+
+        Each stratum gets its own cumulative sum, so sums of a low-risk arm
+        never come from a difference of a high-risk arm's totals.
+        """
+        p = beta.size
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            w = np.exp(self.z @ beta)
+            cols = w[:, None] * self.products
+            for rows in self.rows:
+                np.cumsum(cols[rows], axis=0, out=cols[rows])
+            sums = cols[self.ends]
+            r0 = sums[:, 0]
+            r1 = sums[:, 1 : 1 + p]
+            e = r1 / r0[:, None]
+            ee = (e[:, :, None] * e[:, None, :]).reshape(r0.size, p * p)
+            v = sums[:, 1 + p :] / r0[:, None] - ee
+            usable = bool(np.all((r0 > 0.0) & (r0 < np.inf)))
+            loglik = float(self.event_z_total @ beta - self.dn @ np.log(r0)) if usable else -np.inf
+        return RiskSetValues(
+            loglik=loglik,
+            score=self.event_z_total - self.dn @ e,
+            information=(self.dn @ v).reshape(p, p),
+            r0=r0,
+            r1=r1,
+            usable=usable,
+        )
+
+    def require_usable(self, values: RiskSetValues) -> None:
+        if not values.usable:
+            bad = int(np.argmin((values.r0 > 0.0) & (values.r0 < np.inf)))
+            stratum = 0 if bad < self.groups[0].stop else 1
+            raise DegenerateDataError(
+                f"stratum {stratum}: empty or non-finite risk set at an observed event time"
+            )
+
+    def breslow(self, values: RiskSetValues) -> tuple[StepFunction, StepFunction]:
+        """Per-arm Breslow baseline cumulative hazards from the event-group sums."""
+        return tuple(
+            StepFunction(times=self.event_times[g], values=np.cumsum(self.dn[g] / values.r0[g]))
+            for g in self.groups
+        )
+
+
+def _usable_values(beta: Sequence[float], snap: Snapshot) -> RiskSetValues:
+    risk_sets = RiskSets.from_snapshot(snap)
+    values = risk_sets.evaluate(np.asarray(beta, dtype=np.float64))
+    risk_sets.require_usable(values)
+    return values
 
 
 def partial_score(beta: Sequence[float], snap: Snapshot) -> np.ndarray:
     """Partial-likelihood score: sum over events of the covariate minus the
     risk-set weighted covariate mean."""
-    beta = np.asarray(beta, dtype=np.float64)
-    p = snap.n_covariates
-    if p == 0:
-        return np.zeros(0)
-    total = np.zeros(p)
-    for i, st in enumerate(_prepare_strata(snap)):
-        if st.event_times.size == 0:
-            continue
-        _, r0, r1 = _risk_sums_raw(st, beta)
-        _check_risk_sets(st, r0, i)
-        total += st.z_event_sum.sum(axis=0) - (st.dn[:, None] * r1 / r0[:, None]).sum(axis=0)
-    return total
+    return _usable_values(beta, snap).score
 
 
 def observed_information(beta: Sequence[float], snap: Snapshot) -> np.ndarray:
     """Negative Hessian of the log partial likelihood (sum of risk-set
     covariate covariances over events)."""
-    beta = np.asarray(beta, dtype=np.float64)
-    p = snap.n_covariates
-    if p == 0:
-        return np.zeros((0, 0))
-    total = np.zeros((p, p))
-    for i, st in enumerate(_prepare_strata(snap)):
-        if st.event_times.size == 0:
-            continue
-        w, r0, r1 = _risk_sums_raw(st, beta)
-        _check_risk_sets(st, r0, i)
-        r2 = _risk_sums_raw2(st, w)
-        e = r1 / r0[:, None]
-        v = r2 / r0[:, None, None] - e[:, :, None] * e[:, None, :]
-        total += (st.dn[:, None, None] * v).sum(axis=0)
-    return total
+    return _usable_values(beta, snap).information
 
 
 def log_partial_likelihood(beta: Sequence[float], snap: Snapshot) -> float:
-    """Log partial likelihood up to an additive constant (risk sets unnormalized)."""
+    """Log partial likelihood up to an additive constant (risk sets
+    unnormalized); -inf where a risk set is empty or overflows."""
     beta = np.asarray(beta, dtype=np.float64)
-    total = 0.0
-    for i, st in enumerate(_prepare_strata(snap)):
-        if st.event_times.size == 0:
-            continue
-        _, r0, _ = _risk_sums_raw(st, beta)
-        if not np.all(np.isfinite(r0)):
-            return -np.inf
-        _check_risk_sets(st, r0, i)
-        total += float(st.z_event_sum.sum(axis=0) @ beta - st.dn @ np.log(r0))
-    return total
-
-
-@dataclass(frozen=True)
-class StratumRiskSums:
-    """Normalized risk-set sums for one stratum at its event times."""
-
-    stratum: int
-    event_times: np.ndarray
-    dn: np.ndarray
-    s0: np.ndarray  # (q,)
-    s1: np.ndarray  # (q, p)
-    s2: np.ndarray  # (q, p, p)
-
-    @property
-    def e(self) -> np.ndarray:
-        return self.s1 / self.s0[:, None]
-
-    @property
-    def v(self) -> np.ndarray:
-        e = self.e
-        return self.s2 / self.s0[:, None, None] - e[:, :, None] * e[:, None, :]
-
-
-def risk_set_sums(beta: Sequence[float], snap: Snapshot) -> tuple[StratumRiskSums, ...]:
-    """Per-stratum normalized sums (divided by the arm size) at event times."""
-    beta = np.asarray(beta, dtype=np.float64)
-    out = []
-    for i, st in enumerate(_prepare_strata(snap)):
-        w, r0, r1 = _risk_sums_raw(st, beta)
-        _check_risk_sets(st, r0, i)
-        r2 = _risk_sums_raw2(st, w)
-        ni = max(st.size, 1)
-        out.append(
-            StratumRiskSums(
-                stratum=i,
-                event_times=st.event_times,
-                dn=st.dn,
-                s0=r0 / ni,
-                s1=r1 / ni,
-                s2=r2 / ni,
-            )
-        )
-    return tuple(out)
+    return RiskSets.from_snapshot(snap).evaluate(beta).loglik
 
 
 @dataclass(frozen=True)
 class StratifiedCoxFit:
+    """The fit at one snapshot, with the kernel's layout and its values at
+    ``beta_hat`` (``event_sums``) for the variance and Breslow estimates."""
+
     calendar_time: float
     beta_hat: np.ndarray
     observed_information: np.ndarray
@@ -225,54 +232,12 @@ class StratifiedCoxFit:
     converged: bool
     iterations: int
     final_score_norm: float
+    risk_sets: RiskSets
+    event_sums: RiskSetValues
     singular_information: bool = False
     event_free_strata: tuple[int, ...] = ()
     n_events: tuple[int, int] = (0, 0)
-
-
-def _score_info_loglik(strata, beta):
-    p = beta.size
-    u = np.zeros(p)
-    info = np.zeros((p, p))
-    ll = 0.0
-    for i, st in enumerate(strata):
-        if st.event_times.size == 0:
-            continue
-        w, r0, r1 = _risk_sums_raw(st, beta)
-        _check_risk_sets(st, r0, i)
-        r2 = _risk_sums_raw2(st, w)
-        e = r1 / r0[:, None]
-        v = r2 / r0[:, None, None] - e[:, :, None] * e[:, None, :]
-        u += st.z_event_sum.sum(axis=0) - (st.dn[:, None] * e).sum(axis=0)
-        info += (st.dn[:, None, None] * v).sum(axis=0)
-        ll += float(st.z_event_sum.sum(axis=0) @ beta - st.dn @ np.log(r0))
-    return u, info, ll
-
-
-def _loglik_only(strata, beta):
-    ll = 0.0
-    for st in strata:
-        if st.event_times.size == 0:
-            continue
-        with np.errstate(over="ignore"):
-            w = np.exp(st.z @ beta)
-        r0 = np.cumsum(w[::-1])[::-1][st.risk_start]
-        if not np.all(np.isfinite(r0)) or np.any(r0 <= 0.0):
-            return -np.inf
-        ll += float(st.z_event_sum.sum(axis=0) @ beta - st.dn @ np.log(r0))
-    return ll
-
-
-def _breslow(strata, beta) -> tuple[StepFunction, StepFunction]:
-    out = []
-    for i, st in enumerate(strata):
-        if st.event_times.size == 0:
-            out.append(StepFunction(times=np.zeros(0), values=np.zeros(0)))
-            continue
-        _, r0, _ = _risk_sums_raw(st, beta)
-        _check_risk_sets(st, r0, i)
-        out.append(StepFunction(times=st.event_times.copy(), values=np.cumsum(st.dn / r0)))
-    return tuple(out)
+    step_halvings: int = 0
 
 
 def fit_mple(snap: Snapshot, options: FitOptions | None = None) -> StratifiedCoxFit:
@@ -280,75 +245,67 @@ def fit_mple(snap: Snapshot, options: FitOptions | None = None) -> StratifiedCox
 
     Newton steps with step halving on a log-likelihood decrease larger than
     rounding noise; the Breslow baseline cumulative hazards are evaluated at
-    the maximizer.  An arm with subjects but no observed events is legal (it
-    contributes nothing and gets a flat baseline) but is reported with a
-    warning.
+    the maximizer.  Each candidate is evaluated once, and an accepted
+    candidate's evaluation supplies the next step.  An arm with subjects but
+    no observed events is legal (it contributes nothing and gets a flat
+    baseline) but is reported with a warning.
     """
     opts = options or FitOptions()
-    strata = _prepare_strata(snap)
+    risk_sets = RiskSets.from_snapshot(snap)
     p = snap.n_covariates
 
-    n_events = tuple(int(st.dn.sum()) for st in strata)
-    event_free = tuple(i for i, st in enumerate(strata) if st.size > 0 and st.event_times.size == 0)
+    n_events = risk_sets.n_events
+    event_free = tuple(i for i in STRATA if risk_sets.sizes[i] > 0 and n_events[i] == 0)
     for i in event_free:
         warnings.warn(
-            f"stratum {i} has {strata[i].size} subjects but no observed events by "
+            f"stratum {i} has {risk_sets.sizes[i]} subjects but no observed events by "
             f"calendar time {snap.calendar_time:g}; its baseline hazard estimate is zero",
             RuntimeWarning,
             stacklevel=2,
         )
 
-    if p == 0:
-        return StratifiedCoxFit(
-            calendar_time=snap.calendar_time,
-            beta_hat=np.zeros(0),
-            observed_information=np.zeros((0, 0)),
-            baseline_cum_hazard=_breslow(strata, np.zeros(0)),
-            converged=True,
-            iterations=0,
-            final_score_norm=0.0,
-            n_events=n_events,
-        )
-
-    if sum(n_events) == 0:
+    if p > 0 and sum(n_events) == 0:
         raise DegenerateDataError(
             f"no observed events in any stratum by calendar time {snap.calendar_time:g}"
         )
 
     beta = np.zeros(p)
     singular = False
-    u, info, ll = _score_info_loglik(strata, beta)
+    current = risk_sets.evaluate(beta)
     iterations = 0
-    converged = np.max(np.abs(u)) <= opts.score_tol
+    step_halvings = 0
+    converged = p == 0 or np.max(np.abs(current.score)) <= opts.score_tol
 
     while not converged and iterations < opts.max_iter:
         try:
-            step = cho_solve(cho_factor(info), u)
-        except (LinAlgError, ValueError):
-            step = np.linalg.pinv(info) @ u
+            np.linalg.cholesky(current.information)  # positive-definiteness test
+            step = np.linalg.solve(current.information, current.score)
+        except np.linalg.LinAlgError:
+            step = np.linalg.pinv(current.information) @ current.score
             singular = True
         scale = 1.0
         candidate = beta + step
-        ll_new = _loglik_only(strata, candidate)
-        ll_floor = ll - _LL_RTOL * abs(ll)
+        trial = risk_sets.evaluate(candidate)
+        ll_floor = current.loglik - _LL_RTOL * abs(current.loglik)
         halvings = 0
-        while (not np.isfinite(ll_new) or ll_new < ll_floor) and halvings < opts.max_step_halvings:
+        while (not trial.usable or trial.loglik < ll_floor) and halvings < opts.max_step_halvings:
             scale *= 0.5
             candidate = beta + scale * step
-            ll_new = _loglik_only(strata, candidate)
+            trial = risk_sets.evaluate(candidate)
             halvings += 1
-        beta = candidate
+        beta, current = candidate, trial
         iterations += 1
+        step_halvings += halvings
         if np.max(np.abs(beta)) > opts.separation_norm:
             raise SeparationError(
                 f"coefficient norm exceeded {opts.separation_norm:g}; "
                 "the partial likelihood appears monotone (data separation)",
                 beta=beta,
             )
-        u, info, ll = _score_info_loglik(strata, beta)
-        converged = np.max(np.abs(u)) <= opts.score_tol
+        risk_sets.require_usable(current)
+        converged = np.max(np.abs(current.score)) <= opts.score_tol
 
-    score_norm = float(np.max(np.abs(u)))
+    score_norm = float(np.max(np.abs(current.score))) if p else 0.0
     if not converged:
         raise ConvergenceError(
             f"Newton iteration did not converge in {opts.max_iter} iterations "
@@ -360,12 +317,15 @@ def fit_mple(snap: Snapshot, options: FitOptions | None = None) -> StratifiedCox
     return StratifiedCoxFit(
         calendar_time=snap.calendar_time,
         beta_hat=beta,
-        observed_information=info,
-        baseline_cum_hazard=_breslow(strata, beta),
+        observed_information=current.information,
+        baseline_cum_hazard=risk_sets.breslow(current),
         converged=True,
         iterations=iterations,
         final_score_norm=score_norm,
+        risk_sets=risk_sets,
+        event_sums=current,
         singular_information=singular,
         event_free_strata=event_free,
         n_events=n_events,
+        step_halvings=step_halvings,
     )

@@ -590,6 +590,54 @@ def state_to_text(state: MonitoringState) -> str:
     return "\n".join(lines) + "\n"
 
 
+_DECISIONS = ("continue", "reject", "accept")
+
+
+def _stage_from_row(raw: str, expected_stage: int, n_stages: int) -> tuple[float, StageResult]:
+    """One ``stage = ...`` row of a state file, checked against its position."""
+    line = raw.strip()
+    if not line.startswith("stage ="):
+        raise ValueError(f"unexpected line {raw!r}")
+    parts = [p.strip() for p in line.split("=", 1)[1].split(",")]
+    if len(parts) != 8:
+        raise ValueError(f"malformed stage row {raw!r}")
+    stage = int(parts[0])
+    if stage != expected_stage:
+        raise ValueError(f"stage {stage} is out of sequence; expected stage {expected_stage}")
+    if stage > n_stages:
+        raise ValueError(f"stage {stage} exceeds the design's {n_stages} stages")
+    decision = parts[6]
+    if decision not in _DECISIONS:
+        raise ValueError(f"decision must be one of {', '.join(_DECISIONS)}, got {decision!r}")
+    calendar_time, info_level, info_fraction, boundary, z, alpha_spent = (
+        float(parts[i]) for i in (1, 2, 3, 4, 5, 7)
+    )
+    numbers = {
+        "info_level": info_level,
+        "info_fraction": info_fraction,
+        "z": z,
+        "alpha_spent": alpha_spent,
+    }
+    for name, value in numbers.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    # the monitor records an infinite boundary for a stage that spends no
+    # alpha, and a NaN calendar time for a stage run without one
+    if math.isnan(boundary):
+        raise ValueError("boundary must not be NaN")
+    if math.isinf(calendar_time):
+        raise ValueError(f"calendar time must be finite, got {calendar_time!r}")
+    return calendar_time, StageResult(
+        stage=stage,
+        info_level=info_level,
+        info_fraction=info_fraction,
+        boundary=boundary,
+        z=z,
+        decision=decision,
+        alpha_spent=alpha_spent,
+    )
+
+
 def state_from_text(text: str) -> MonitoringState:
     lines = text.splitlines()
     try:
@@ -606,25 +654,13 @@ def state_from_text(text: str) -> MonitoringState:
         total_information=float(kv["total_information"]),
         method=kv.get("method", ""),
     )
-    for raw in lines[end + 1 :]:
-        line = raw.strip()
-        if not line:
+    for lineno, raw in enumerate(lines[end + 1 :], start=end + 2):
+        if not raw.strip():
             continue
-        if not line.startswith("stage ="):
-            raise ValueError(f"state file: unexpected line {raw!r}")
-        parts = [p.strip() for p in line.split("=", 1)[1].split(",")]
-        if len(parts) != 8:
-            raise ValueError(f"state file: malformed stage row {raw!r}")
-        state.calendar_times.append(float(parts[1]))
-        state.results.append(
-            StageResult(
-                stage=int(parts[0]),
-                info_level=float(parts[2]),
-                info_fraction=float(parts[3]),
-                boundary=float(parts[4]),
-                z=float(parts[5]),
-                decision=parts[6],
-                alpha_spent=float(parts[7]),
-            )
-        )
+        try:
+            calendar_time, result = _stage_from_row(raw, len(state.results) + 1, design.n_stages)
+        except ValueError as exc:
+            raise ValueError(f"state file line {lineno}: {exc}") from None
+        state.calendar_times.append(calendar_time)
+        state.results.append(result)
     return state

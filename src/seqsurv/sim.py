@@ -26,7 +26,6 @@ from .data import Columns, Snapshot, SubjectRecord, snapshot
 from .errors import SeqSurvError
 from .gsdesign import GSDesign, SequentialMonitor, SpendingFunction, boundaries
 
-METHODS = ("adjusted", "km", "cox")
 COVARIATE_SCHEMES = ("none", "normal1", "bernoulli2")
 
 _MASK64 = (1 << 64) - 1
@@ -201,24 +200,30 @@ def generate_trial(scenario: Scenario, seed: int, replicate: int = 0) -> list[Su
     ]
 
 
-def _method_statistics(
-    snap: Snapshot, t0: float, methods: Sequence[str], fit_options: FitOptions | None
-) -> dict[str, tuple[float, float]]:
-    """(z, information) per requested method at one snapshot; raises per method."""
-    out: dict[str, tuple[float, float]] = {}
-    for m in methods:
-        if m == "adjusted":
-            res = compare_sp(snap, t0, fit_options)
-            out[m] = (res.z, res.info_level)
-        elif m == "km":
-            kc = km_compare(snap, t0)
-            out[m] = (kc.z, kc.info_level)
-        elif m == "cox":
-            cw = cox_wald(snap, fit_options)
-            out[m] = (cw.z, cw.info_level)
-        else:
-            raise ValueError(f"unknown method {m!r}")
-    return out
+def _z_info(result) -> tuple[float, float]:
+    return result.z, result.info_level
+
+
+# Each method's standardized statistic and information level at one snapshot.
+# The entries look compare_sp, km_compare and cox_wald up in this module when
+# called, so wrapping those names here (as bench/spans.py does) reaches every
+# caller: run_oc, calibrate_analysis_times and the analyze command.
+STATISTICS = {
+    "adjusted": lambda snap, t0, fit_options: _z_info(compare_sp(snap, t0, fit_options)),
+    "km": lambda snap, t0, fit_options: _z_info(km_compare(snap, t0)),
+    "cox": lambda snap, t0, fit_options: _z_info(cox_wald(snap, fit_options)),
+}
+METHODS = tuple(STATISTICS)
+
+
+def method_statistic(
+    method: str, snap: Snapshot, t0: float, fit_options: FitOptions | None = None
+) -> tuple[float, float]:
+    """(z, information) of one method at one snapshot; raises ``SeqSurvError``
+    when the data cannot support the statistic."""
+    if method not in STATISTICS:
+        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    return STATISTICS[method](snap, t0, fit_options)
 
 
 def _monitor_replicate(
@@ -261,7 +266,7 @@ def _replicate_block(args) -> dict[str, np.ndarray]:
                 if broken[m]:
                     continue
                 try:
-                    stats[m].append(_method_statistics(snap, scenario.tau, (m,), fit_options)[m])
+                    stats[m].append(method_statistic(m, snap, scenario.tau, fit_options))
                 except SeqSurvError:
                     broken[m] = True
         for m in methods:
@@ -277,11 +282,12 @@ def _replicate_block(args) -> dict[str, np.ndarray]:
     return {"reject": reject_stage, "failed": failed, "start": start}
 
 
-def _run_blocks(worker_args: list, workers: int):
+def _run_blocks(fn, worker_args: list, workers: int) -> list:
+    """``fn`` over the blocks, in order, in this process or a worker pool."""
     if workers <= 1:
-        return [_replicate_block(a) for a in worker_args]
+        return [fn(a) for a in worker_args]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_replicate_block, worker_args))
+        return list(pool.map(fn, worker_args))
 
 
 @dataclass(frozen=True)
@@ -354,7 +360,7 @@ def run_oc(
         )
         for start in range(0, replicates, block)
     ]
-    results = _run_blocks(args, workers)
+    results = _run_blocks(_replicate_block, args, workers)
     results.sort(key=lambda r: r["start"])
     reject_stage = {m: np.concatenate([r["reject"][m] for r in results]) for m in methods}
     failed = {m: np.concatenate([r["failed"][m] for r in results]) for m in methods}
@@ -415,46 +421,36 @@ class CalibrationResult:
 
 
 def _calibration_block(args):
+    """Per-replicate information levels of one block; NaN marks a failure.
+
+    Blocks return values, not partial sums, so the caller adds them in
+    replicate order and the result does not depend on the block layout.
+    """
     scenario, grid, methods, seed, start, stop, fit_options = args
-    n_grid = len(grid)
-    info_sum = np.zeros(n_grid)
-    info_count = np.zeros(n_grid, dtype=np.int64)
-    total_sum = {m: 0.0 for m in methods}
-    total_count = {m: 0 for m in methods}
+    info = np.full((stop - start, len(grid)), np.nan)
+    totals = {m: np.full(stop - start, np.nan) for m in methods}
     failures = 0
     end_time = grid[-1]
-    for r in range(start, stop):
+    for idx, r in enumerate(range(start, stop)):
         cols = generate_columns(scenario, seed, _CALIBRATION_STREAM_OFFSET + r)
         for gi, u in enumerate(grid):
             snap = snapshot(cols, u)
             try:
-                res = compare_sp(snap, scenario.tau, fit_options)
+                _, info[idx, gi] = method_statistic("adjusted", snap, scenario.tau, fit_options)
             except SeqSurvError:
                 failures += 1
                 continue
-            info_sum[gi] += res.info_level
-            info_count[gi] += 1
-            if u == end_time:
-                for m in methods:
-                    if m == "adjusted":
-                        total_sum[m] += res.info_level
-                        total_count[m] += 1
-                    else:
-                        try:
-                            stat = _method_statistics(snap, scenario.tau, (m,), fit_options)[m]
-                        except SeqSurvError:
-                            failures += 1
-                            continue
-                        if math.isfinite(stat[1]):
-                            total_sum[m] += stat[1]
-                            total_count[m] += 1
-    return {
-        "info_sum": info_sum,
-        "info_count": info_count,
-        "total_sum": total_sum,
-        "total_count": total_count,
-        "failures": failures,
-    }
+            if u != end_time:
+                continue
+            for m in methods:
+                if m == "adjusted":
+                    totals[m][idx] = info[idx, gi]
+                    continue
+                try:
+                    _, totals[m][idx] = method_statistic(m, snap, scenario.tau, fit_options)
+                except SeqSurvError:
+                    failures += 1
+    return {"info": info, "totals": totals, "failures": failures}
 
 
 def calibrate_analysis_times(
@@ -489,25 +485,25 @@ def calibrate_analysis_times(
         (scenario, grid, methods, seed, start, min(start + block, replicates), fit_options)
         for start in range(0, replicates, block)
     ]
-    results = _run_blocks_calibration(args, workers)
+    results = _run_blocks(_calibration_block, args, workers)
 
-    info_sum = sum(r["info_sum"] for r in results)
-    info_count = sum(r["info_count"] for r in results)
+    info = np.concatenate([r["info"] for r in results])
+    info_count = np.sum(~np.isnan(info), axis=0)
     failures = sum(r["failures"] for r in results)
     if np.any(info_count == 0):
         raise SeqSurvError("calibration failed: no usable replicate at some grid time")
-    mean_info = info_sum / info_count
+    mean_info = np.nansum(info, axis=0) / info_count
 
     isotonic_applied = bool(np.any(np.diff(mean_info) < 0))
     curve = isotonic_regression(mean_info).x if isotonic_applied else mean_info
 
     method_totals = {}
     for m in methods:
-        total = sum(r["total_sum"][m] for r in results)
-        count = sum(r["total_count"][m] for r in results)
+        totals = np.concatenate([r["totals"][m] for r in results])
+        count = int(np.sum(~np.isnan(totals)))
         if count == 0:
             raise SeqSurvError(f"calibration failed: method {m!r} never evaluated at study end")
-        method_totals[m] = total / count
+        method_totals[m] = float(np.nansum(totals)) / count
 
     total_information = method_totals["adjusted"]
     times = []
@@ -527,13 +523,6 @@ def calibrate_analysis_times(
         seed=seed,
         failures=failures,
     )
-
-
-def _run_blocks_calibration(worker_args: list, workers: int):
-    if workers <= 1:
-        return [_calibration_block(a) for a in worker_args]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_calibration_block, worker_args))
 
 
 @dataclass(frozen=True)

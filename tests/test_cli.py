@@ -194,6 +194,48 @@ def test_analyze_method_mismatch_rejected(tmp_path, capsys):
     assert code == EXIT_ERROR
 
 
+def test_analyze_km_without_events_by_t0_is_an_error(tmp_path, capsys):
+    # the first event falls at 3.0, after both t0 = 1 and the analysis at u = 2
+    records = [SubjectRecord("a", 0, 0.0, 3.0, True, ()),
+               SubjectRecord("b", 1, 0.0, 4.0, True, ()),
+               SubjectRecord("c", 0, 0.0, 5.0, False, ()),
+               SubjectRecord("d", 1, 0.0, 5.0, False, ())]
+    data = tmp_path / "data.csv"
+    write_csv(data, records)
+    design_file = tmp_path / "design.txt"
+    main(["design", "--alpha", "0.05", "--info-fractions", "0.5,1", "--out", str(design_file)])
+    capsys.readouterr()
+    code = main(["analyze", str(data), "--design", str(design_file), "--t0", "1", "--u", "2",
+                 "--method", "km", "--total-info", "100"])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: Kaplan-Meier comparison at t0 = 1 has zero variance")
+    assert "no events by t0 in either arm" in err
+
+
+def test_analyze_design_mismatch_rejected(tmp_path, capsys):
+    records = [SubjectRecord("a", 0, 0.0, 0.9, True, ()),
+               SubjectRecord("b", 1, 0.0, 1.1, True, ()),
+               SubjectRecord("c", 0, 0.0, 1.4, True, ()),
+               SubjectRecord("d", 1, 0.0, 1.7, False, ())]
+    data = tmp_path / "data.csv"
+    write_csv(data, records)
+    first, other = tmp_path / "design.txt", tmp_path / "other.txt"
+    main(["design", "--alpha", "0.05", "--info-fractions", "0.5,1", "--out", str(first)])
+    main(["design", "--alpha", "0.05", "--info-fractions", "0.4,1", "--out", str(other)])
+    state = tmp_path / "state.txt"
+    assert main(["analyze", str(data), "--design", str(first), "--t0", "1.0", "--u", "2.0",
+                 "--method", "km", "--state", str(state), "--total-info", "1000"]) == EXIT_OK
+    recorded = state.read_text()
+    capsys.readouterr()
+    code = main(["analyze", str(data), "--design", str(other), "--t0", "1.0", "--u", "3.0",
+                 "--method", "km", "--state", str(state)])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "differs from the design recorded" in err
+    assert state.read_text() == recorded
+
+
 def simulate_args(tmp_path, scenario_file, out, seed="7", workers="1"):
     return [
         "simulate", str(scenario_file), "--replicates", "40", "--seed", seed,

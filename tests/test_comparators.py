@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from seqsurv import (
+    DegenerateDataError,
     SubjectRecord,
     cox_wald,
     fit_mple,
@@ -75,15 +76,13 @@ def test_km_below_exp_nelson_aalen():
             assert km_val <= fh_val + 1e-12
 
 
-def test_km_compare_zero_events_flags_zero_variance():
+def test_km_compare_zero_events_raises_degenerate():
     recs = [
         SubjectRecord("a", 0, 0.0, 5.0, False, ()),
         SubjectRecord("b", 1, 0.0, 5.0, False, ()),
     ]
-    res = km_compare(snapshot(recs, 10.0), 2.0)
-    assert res.zero_variance
-    assert res.z == 0.0
-    assert res.diff == 0.0
+    with pytest.raises(DegenerateDataError, match="zero variance: no events by t0 in either arm"):
+        km_compare(snapshot(recs, 10.0), 2.0)
 
 
 def test_km_carried_flat_with_warning():
@@ -103,9 +102,8 @@ def test_km_z_form():
     rng = np.random.default_rng(21)
     recs = random_dataset(rng, n=12)
     res = km_compare(snapshot(recs, 10.0), 1.0)
-    if not res.zero_variance:
-        assert res.z == pytest.approx(res.diff / res.se)
-        assert res.info_level == pytest.approx(1.0 / res.se**2)
+    assert res.z == pytest.approx(res.diff / res.se)
+    assert res.info_level == pytest.approx(1.0 / res.se**2)
 
 
 def test_cox_wald_symmetric_arms_zero():

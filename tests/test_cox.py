@@ -4,6 +4,7 @@ import pytest
 from seqsurv import (
     DegenerateDataError,
     FitOptions,
+    RiskSets,
     Scenario,
     SeparationError,
     SubjectRecord,
@@ -12,7 +13,6 @@ from seqsurv import (
     log_partial_likelihood,
     observed_information,
     partial_score,
-    risk_set_sums,
     snapshot,
 )
 from conftest import random_dataset, snapshot_arrays
@@ -240,17 +240,107 @@ def test_nonconvergence_carries_last_iterate(hand_snapshot):
     assert err.value.score_norm > 0
 
 
-def test_risk_set_sums_normalized(hand_snapshot):
-    sums = risk_set_sums([0.0], hand_snapshot)
-    st0 = sums[0]
+def test_risk_sets_first_event_and_information_psd(hand_snapshot):
+    risk_sets = RiskSets.from_snapshot(hand_snapshot)
+    values = risk_sets.evaluate(np.zeros(1))
+    first0 = risk_sets.groups[0].start
     # first stratum-0 event at 0.9 has all three stratum-0 subjects at risk
-    assert st0.s0[0] == pytest.approx(1.0)
-    assert st0.v[0].shape == (1, 1)
-    assert np.all(st0.s0 > 0)
-    # risk-set covariate variance is nonnegative
-    for sums_i in sums:
-        for v in sums_i.v:
-            assert np.linalg.eigvalsh(v).min() >= -1e-12
+    assert risk_sets.event_times[first0] == 0.9
+    assert values.r0[first0] == pytest.approx(3.0)
+    assert values.information.shape == (1, 1)
+    assert np.all(values.r0 > 0)
+    assert np.linalg.eigvalsh(values.information).min() >= -1e-12
+
+
+def _tied_records():
+    # both arms carry tied event times, a tie between an event and a
+    # censoring, and late entries that leave subjects outside every risk set
+    rows = [
+        (0, 0.0, 1.0, True, (0.3, -1.0)), (0, 0.0, 1.0, True, (-0.7, 0.4)),
+        (0, 0.5, 1.0, False, (1.1, 0.2)), (0, 0.0, 2.0, True, (0.2, 0.9)),
+        (0, 0.0, 2.0, True, (-1.4, -0.3)), (0, 0.0, 2.0, True, (0.6, 0.0)),
+        (0, 0.0, 3.5, False, (0.1, 1.3)), (0, 4.8, 3.0, True, (0.9, 0.9)),
+        (1, 0.0, 0.5, True, (-0.2, 0.5)), (1, 0.0, 1.0, True, (0.8, -0.6)),
+        (1, 0.0, 1.0, True, (-0.5, 1.2)), (1, 0.2, 2.5, True, (1.3, -0.1)),
+        (1, 0.0, 2.5, True, (-0.9, 0.3)), (1, 0.0, 3.0, False, (0.4, -1.1)),
+        (1, 4.9, 1.0, True, (0.0, 0.0)),
+    ]
+    return [SubjectRecord(f"s{j}", *row) for j, row in enumerate(rows)]
+
+
+def test_kernel_on_ties_in_both_strata_matches_naive():
+    snap = snapshot(_tied_records(), 5.0)
+    risk_sets = RiskSets.from_snapshot(snap)
+    assert risk_sets.dn.tolist() == [2.0, 3.0, 1.0, 2.0, 2.0]
+    x, d, a, z = snapshot_arrays(snap)
+    f = lambda b: naive_log_pl(b, x, d, a, z)
+    beta = np.array([0.4, -0.7])
+    values = risk_sets.evaluate(beta)
+    assert values.score == pytest.approx(fd_gradient(f, beta), abs=1e-6)
+    assert values.information == pytest.approx(-fd_hessian(f, beta), rel=1e-4, abs=1e-6)
+    gap = values.loglik - f(beta)
+    assert risk_sets.evaluate(np.zeros(2)).loglik - f(np.zeros(2)) == pytest.approx(gap)
+    fit = fit_mple(snap)
+    assert fit.final_score_norm <= 1e-8
+    for stratum in (0, 1):
+        for t in (0.5, 1.0, 2.0, 2.7, 4.0):
+            assert fit.baseline_cum_hazard[stratum](t) == pytest.approx(
+                naive_breslow(fit.beta_hat, x, d, a, z, stratum, t)
+            )
+
+
+@pytest.mark.parametrize("high_arm", [0, 1])
+def test_kernel_keeps_strata_apart_when_relative_risks_differ_by_e30(high_arm):
+    # one arm's covariates sit 15 units above the other's, so at beta = 2 its
+    # relative risks are about e^30 times larger: the low-risk arm's risk-set
+    # sums must not be computed as differences of totals dominated by the
+    # high-risk arm, whichever arm that is
+    rng = np.random.default_rng(11)
+    recs = []
+    for j in range(12):
+        arm = j % 2
+        recs.append(
+            SubjectRecord(
+                f"s{j}", arm, 0.0, float(rng.exponential(1.0) + 0.05), bool(rng.random() < 0.8),
+                (float(15.0 * (arm == high_arm) + rng.normal(0, 0.5)),),
+            )
+        )
+    snap = snapshot(recs, 10.0)
+    x, d, a, z = snapshot_arrays(snap)
+    f = lambda b: naive_log_pl(b, x, d, a, z)
+    beta = np.array([2.0])
+    values = RiskSets.from_snapshot(snap).evaluate(beta)
+    assert values.usable
+    assert values.score == pytest.approx(fd_gradient(f, beta), rel=1e-6, abs=1e-6)
+    assert values.information == pytest.approx(-fd_hessian(f, beta), rel=1e-4, abs=1e-6)
+
+
+@pytest.mark.parametrize("case", ["ties", "overshoot"])
+def test_kernel_evaluations_count_iterations_and_halvings(case, monkeypatch):
+    if case == "ties":
+        snap = snapshot(_tied_records(), 5.0)
+    else:
+        # one high-risk subject among 19 at risk: the information at beta = 0
+        # is about 2/20, so the first full Newton step (about 10) overshoots
+        # the maximizer (about 3) and lowers the likelihood
+        recs = [SubjectRecord("k", 0, 0.0, 2.0, True, (1.0,)),
+                SubjectRecord("e", 0, 0.0, 1.0, True, (0.0,))]
+        recs += [SubjectRecord(f"c{j}", 0, 0.0, 3.0, False, (0.0,)) for j in range(18)]
+        recs += [SubjectRecord("t0", 1, 0.0, 1.5, True, (0.0,)),
+                 SubjectRecord("t1", 1, 0.0, 2.5, False, (0.0,))]
+        snap = snapshot(recs, 10.0)
+    calls = []
+    evaluate = RiskSets.evaluate
+
+    def counting(self, beta):
+        calls.append(beta)
+        return evaluate(self, beta)
+
+    monkeypatch.setattr(RiskSets, "evaluate", counting)
+    fit = fit_mple(snap)
+    assert len(calls) == fit.iterations + fit.step_halvings + 1
+    if case == "overshoot":
+        assert fit.step_halvings > 0
 
 
 def test_fit_converges_on_day_rounded_ties():

@@ -272,6 +272,50 @@ def test_monitoring_state_roundtrip_and_resume():
     assert res == res_fresh
 
 
+_GOOD_ROWS = (
+    "stage = 1,2.0,80.0,0.5,2.9626,0.7,continue,0.00625",
+    "stage = 2,3.0,120.0,0.75,2.4,1.1,continue,0.0211",
+)
+
+
+@pytest.mark.parametrize(
+    "rows, bad, message",
+    [
+        ((_GOOD_ROWS[0], _GOOD_ROWS[1].replace("continue", "maybe")), 1, "decision must be one of"),
+        (("stage = 2,2.0,80.0,0.5,2.9626,0.7,continue,0.00625",), 0, "expected stage 1"),
+        ((_GOOD_ROWS[0], _GOOD_ROWS[0].replace(",2.0,", ",3.0,")), 1, "expected stage 2"),
+        (_GOOD_ROWS + ("stage = 3,4.0,140.0,0.9,2.2,0.2,continue,0.04",
+                       "stage = 4,5.0,150.0,1.0,2.1,0.3,accept,0.05"), 3, "exceeds the design's 3"),
+        ((_GOOD_ROWS[0].replace("80.0", "nan"),), 0, "info_level must be finite"),
+        ((_GOOD_ROWS[0].replace(",0.5,", ",inf,"),), 0, "info_fraction must be finite"),
+        ((_GOOD_ROWS[0].replace("0.7", "-inf"),), 0, "z must be finite"),
+        ((_GOOD_ROWS[0].replace("0.00625", "nan"),), 0, "alpha_spent must be finite"),
+        ((_GOOD_ROWS[0].replace("2.9626", "nan"),), 0, "boundary must not be NaN"),
+        ((_GOOD_ROWS[0].replace(",2.0,", ",inf,"),), 0, "calendar time must be finite"),
+        ((_GOOD_ROWS[0].replace("80.0", "eighty"),), 0, "could not convert"),
+        ((_GOOD_ROWS[0].replace("stage = 1", "stage = 1.0"),), 0, "invalid literal"),
+        ((_GOOD_ROWS[0] + ",extra",), 0, "malformed stage row"),
+        ((_GOOD_ROWS[0], "", "stages = 2"), 2, "unexpected line"),
+    ],
+)
+def test_state_text_rejects_malformed_stage_rows(rows, bad, message):
+    d = boundaries(power3(), [0.5, 0.75, 1.0])
+    head = state_to_text(MonitoringState(design=d, total_information=150.0, method="adjusted"))
+    text = head + "\n".join(rows) + "\n"
+    lineno = head.count("\n") + bad + 1
+    with pytest.raises(ValueError, match=f"state file line {lineno}: .*{message}"):
+        state_from_text(text)
+
+
+def test_state_text_accepts_recorded_infinite_boundary_and_missing_time():
+    d = boundaries(power3(), [0.5, 0.75, 1.0])
+    state = MonitoringState(design=d, total_information=150.0)
+    text = state_to_text(state) + "stage = 1,nan,80.0,0.5,inf,0.7,continue,0.0\n"
+    revived = state_from_text(text)
+    assert math.isinf(revived.results[0].boundary)
+    assert math.isnan(revived.calendar_times[0])
+
+
 def test_monitor_refuses_stage_regression_in_calendar_time():
     d = boundaries(power3(), [0.5, 1.0])
     state = MonitoringState(design=d, total_information=100.0)

@@ -177,6 +177,18 @@ def test_calibration_curve_is_monotone_output():
     assert all(b >= a - 1e-9 for a, b in zip(cal.mean_info, cal.mean_info[1:]))
 
 
+def test_calibration_identical_across_workers():
+    # per-replicate information is added in replicate order, so the worker
+    # count (which sets the block layout) cannot change the last bits
+    sc = Scenario(n0=60, n1=60, tau=1.0, accrual=1.0, covariate_scheme="normal1", phi=0.3)
+    cals = [
+        calibrate_analysis_times(sc, replicates=30, seed=17, methods=("adjusted", "km", "cox"),
+                                 workers=w)
+        for w in (1, 2)
+    ]
+    assert cals[0] == cals[1]
+
+
 def test_run_oc_deterministic_across_workers_and_runs():
     sc = base_scenario(n0=50, n1=50)
     design = build_design(sc)
