@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .cox import FitOptions, StratifiedCoxFit, fit_mple
 from .data import Snapshot
@@ -148,10 +147,13 @@ def sp_variance(components: VarianceComponents, quadratic_form: str = "inverse")
         sigma = components.mean_information
         if quadratic_form == "plain":
             total += float(d @ sigma @ d)
+        elif not np.all(np.isfinite(sigma)):
+            return float("nan")  # compare_sp reports it as a degenerate variance
         else:
             try:
-                total += float(d @ cho_solve(cho_factor(sigma), d))
-            except (LinAlgError, ValueError):
+                np.linalg.cholesky(sigma)  # positive-definiteness test
+                total += float(d @ np.linalg.solve(sigma, d))
+            except np.linalg.LinAlgError:
                 total += float(d @ np.linalg.pinv(sigma) @ d)
     return total
 

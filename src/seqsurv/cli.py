@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .data import ingest_csv, snapshot, to_columns
+from .data import ingest_csv, snapshot
 from .errors import SeqSurvError
 from .gsdesign import (
     GSDesign,
@@ -100,8 +100,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             return EXIT_ERROR
         state = MonitoringState(design=design, total_information=args.total_info, method=args.method)
 
-    dataset = to_columns(ingest_csv(data_path))
-    snap = snapshot(dataset, args.u)
+    snap = snapshot(ingest_csv(data_path), args.u)
     z, info = method_statistic(args.method, snap, args.t0)
     result = monitor(state, info, z, calendar_time=args.u)
     if state_path:

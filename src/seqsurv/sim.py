@@ -152,7 +152,9 @@ def _draw_covariates(rng: np.random.Generator, scheme: str, n: int) -> np.ndarra
 
 
 def generate_columns(scenario: Scenario, seed: int, replicate: int = 0) -> Columns:
-    """Array-valued trial draw; the fast path used by the simulation loops.
+    """Array-valued trial draw, in the columnar form :func:`~seqsurv.data.ingest_csv`
+    also returns.  It is valid by construction, so the simulation loops
+    snapshot it without validating it.
 
     Draw order per replicate stream: entry times, covariates, event uniforms,
     then censoring times (only when the censor rate is positive).

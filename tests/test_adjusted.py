@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -224,6 +226,21 @@ def test_quadratic_form_variants_differ(hand_snapshot_8):
     assert res_inv.sigma2_hat != pytest.approx(res_plain.sigma2_hat)
     with pytest.raises(ValueError):
         sp_variance(res_inv.components, "bogus")
+
+
+@pytest.mark.parametrize("quadratic_form", ["inverse", "plain"])
+def test_non_finite_information_is_degenerate(hand_snapshot_8, monkeypatch, quadratic_form):
+    from seqsurv import adjusted
+
+    real = adjusted.variance_components
+
+    def poisoned(fit, snap, t0):
+        comps = real(fit, snap, t0)
+        return replace(comps, mean_information=np.full_like(comps.mean_information, np.nan))
+
+    monkeypatch.setattr(adjusted, "variance_components", poisoned)
+    with pytest.raises(DegenerateDataError, match="not positive"):
+        compare_sp(hand_snapshot_8, 2.0, quadratic_form=quadratic_form)
 
 
 def test_variance_estimate_matches_monte_carlo_spread_no_covariates():
