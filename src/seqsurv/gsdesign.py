@@ -183,7 +183,9 @@ class _Propagator:
         Newton on c, kept inside a shrinking bracket of [0, _C_MAX] and
         replaced by bisection whenever it would leave the bracket or fails to
         halve the previous step.  It starts from the marginal normal quantile,
-        which is the exact answer at the first stage without drift.
+        which is the exact answer at the first stage without drift, and stops
+        once the Newton step is within _C_TOL: a further step would fall below
+        one ulp and fail the bracket test.
         """
         if increment <= 0.0 or self.dead:
             return math.inf
@@ -207,6 +209,8 @@ class _Propagator:
             else:
                 hi = c
             newton = c - f / slope if slope < 0.0 else math.nan
+            if abs(newton - c) <= _C_TOL:
+                return newton
             if lo < newton < hi and abs(f) < 0.5 * abs(step_before * slope):
                 step_before, step = step, c - newton
                 c = newton
@@ -475,7 +479,7 @@ def monitor(state: MonitoringState, info_level: float, z: float, *, calendar_tim
 
 def spending_to_text(sf: SpendingFunction) -> str:
     if sf.family == "power":
-        return f"power:{sf.rho:g}"
+        return f"power:{sf.rho!r}"
     if sf.family == "custom":
         pairs = ";".join(f"{f!r}:{a!r}" for f, a in sf.table)
         return f"custom:{pairs}"

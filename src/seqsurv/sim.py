@@ -11,7 +11,9 @@ independent of how replicates are distributed over workers.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
@@ -284,12 +286,41 @@ def _replicate_block(args) -> dict[str, np.ndarray]:
     return {"reject": reject_stage, "failed": failed, "start": start}
 
 
+# One worker pool per process, forked at the first ``workers > 1`` call and
+# kept while the worker count stays the same; concurrent.futures shuts it down
+# at interpreter exit.
+_POOL_LOCK = threading.Lock()
+_pool: ProcessPoolExecutor | None = None
+_pool_workers = 0
+
+
+def _close_pool() -> None:
+    global _pool
+    if _pool is not None:
+        _pool.shutdown()
+        _pool = None
+
+
 def _run_blocks(fn, worker_args: list, workers: int) -> list:
-    """``fn`` over the blocks, in order, in this process or a worker pool."""
+    """``fn`` over the blocks, in order, in this process or the worker pool.
+
+    Blocks are pure functions of their arguments, so when a worker dies the
+    call is rerun once on a fresh pool; a second break raises.
+    """
+    global _pool, _pool_workers
     if workers <= 1:
         return [fn(a) for a in worker_args]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, worker_args))
+    with _POOL_LOCK:
+        for retry in (False, True):
+            if _pool is None or _pool_workers != workers:
+                _close_pool()
+                _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
+            try:
+                return list(_pool.map(fn, worker_args))
+            except BrokenProcessPool:
+                _close_pool()
+                if retry:
+                    raise
 
 
 @dataclass(frozen=True)

@@ -9,19 +9,24 @@ from scipy.stats import multivariate_normal, norm
 from seqsurv import (
     GSDesign,
     MonitoringState,
+    Scenario,
     SequentialMonitor,
     SpendingFunction,
     boundaries,
+    build_design,
+    calibrate_analysis_times,
     crossing_probabilities,
     design_from_text,
     design_to_text,
     monitor,
+    null_beta_w,
+    run_oc,
     spend,
     state_from_text,
     state_to_text,
 )
 from oracles import gs_crossing_by_simulation
-from seqsurv.gsdesign import _GRID_R, _solve_boundaries
+from seqsurv.gsdesign import _GRID_R, _Propagator, _solve_boundaries
 
 
 def power3(alpha=0.05, sides="two_sided"):
@@ -336,6 +341,7 @@ def test_monitor_refuses_stages_after_reject():
 def test_design_text_roundtrip():
     for sf in (
         power3(),
+        SpendingFunction(0.05, "power", rho=1.265625),
         SpendingFunction(0.025, "obf_like", sidedness="one_sided_upper"),
         SpendingFunction(0.05, "custom", table=((0.5, 0.01), (1.0, 0.05))),
     ):
@@ -382,3 +388,125 @@ def test_one_sided_boundaries_solve_and_cross(sides):
     assert probs == pytest.approx(increments, abs=1e-6)
     drift = 3.0 if sides == "one_sided_upper" else -3.0
     assert crossing_probabilities(d, drift).sum() > 0.5
+
+
+def test_boundary_solves_stop_at_the_rounding_floor(monkeypatch):
+    crossing, solve = _Propagator._crossing, _Propagator.solve_boundary
+    calls = [0]
+    solves = []
+
+    def counted_crossing(self, if_k, c):
+        calls[0] += 1
+        return crossing(self, if_k, c)
+
+    def recorded_solve(self, if_k, increment):
+        calls[0] = 0
+        c = solve(self, if_k, increment)
+        if 0.0 < c < math.inf:
+            solves.append((calls[0], abs(crossing(self, if_k, c)[0] - increment)))
+        return c
+
+    monkeypatch.setattr(_Propagator, "_crossing", counted_crossing)
+    monkeypatch.setattr(_Propagator, "solve_boundary", recorded_solve)
+    # crossing-hazard null; workers=1 so the patched methods are the ones called
+    sc = Scenario(n0=100, n1=100, tau=1.0, alpha0=2.0, alpha1=-1.0,
+                  covariate_scheme="normal1", phi=math.log(1.5))
+    sc = Scenario(**{**sc.__dict__, "beta_w": null_beta_w(sc)})
+    cal = calibrate_analysis_times(sc, replicates=20, seed=5, grid_size=5,
+                                   methods=("adjusted", "km"))
+    run_oc(sc, build_design(sc), ("adjusted", "km"), replicates=12, seed=5, calibration=cal)
+    assert sum(1 for n, _ in solves if n > 0) >= 24
+    assert max(n for n, _ in solves) <= 8
+    assert max(gap for _, gap in solves) <= 1e-12
+
+
+# -- properties of the monitor ---------------------------------------------------
+
+_TOTAL_INFORMATION = 100.0
+
+
+@st.composite
+def monitoring_runs(draw):
+    """A design and one observed sequence of (information, z), one per stage.
+
+    Information can overrun the total, which clamps and ends monitoring early.
+    """
+    k = draw(st.integers(1, 4))
+    planned = sorted(draw(st.sets(st.integers(1, 19), min_size=k - 1, max_size=k - 1)))
+    sf = SpendingFunction(
+        draw(st.sampled_from((0.01, 0.025, 0.05, 0.1))),
+        draw(st.sampled_from(("power", "obf_like", "pocock_like"))),
+        rho=draw(st.floats(0.5, 4.0)),
+        sidedness=draw(st.sampled_from(("two_sided", "one_sided_upper", "one_sided_lower"))),
+    )
+    design = boundaries(sf, [p / 20.0 for p in planned] + [1.0])
+    steps = draw(st.lists(st.floats(5.0, 60.0), min_size=k, max_size=k))
+    infos = np.cumsum(steps).tolist()
+    zs = draw(st.lists(st.floats(-5.0, 5.0), min_size=k, max_size=k))
+    return design, list(zip(infos, zs))
+
+
+def _run_live(design, stages):
+    mon = SequentialMonitor(design, _TOTAL_INFORMATION)
+    for info, z in stages:
+        if mon.finished:
+            break
+        mon.step(info, z)
+    return mon
+
+
+@settings(max_examples=60, deadline=None)
+@given(monitoring_runs())
+def test_property_spent_alpha_nondecreasing_and_within_total(run):
+    design, stages = run
+    spent = [r.alpha_spent for r in _run_live(design, stages).results]
+    assert all(b >= a for a, b in zip(spent, spent[1:]))
+    assert all(0.0 <= a <= design.spending.total_alpha for a in spent)
+
+
+@settings(max_examples=60, deadline=None)
+@given(monitoring_runs())
+def test_property_reject_iff_statistic_crosses_boundary(run):
+    design, stages = run
+    side = design.spending.sidedness
+    for r in _run_live(design, stages).results:
+        if side == "two_sided":
+            crossed = abs(r.z) >= r.boundary
+        elif side == "one_sided_upper":
+            crossed = r.z >= r.boundary
+        else:
+            crossed = r.z <= -r.boundary
+        assert (r.decision == "reject") == crossed
+
+
+@settings(max_examples=40, deadline=None)
+@given(monitoring_runs())
+def test_property_state_replayed_from_text_matches_live_monitor(run):
+    design, stages = run
+    live = SequentialMonitor(design, _TOTAL_INFORMATION)
+    state = MonitoringState(design=design, total_information=_TOTAL_INFORMATION)
+    for stage, (info, z) in enumerate(stages, start=1):
+        if live.finished:
+            break
+        state = state_from_text(state_to_text(state))
+        assert monitor(state, info, z, calendar_time=float(stage)) == live.step(info, z)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    monitoring_runs(),
+    st.integers(0, 3),
+    st.sampled_from((math.nan, math.inf, -math.inf)),
+    st.booleans(),
+)
+def test_property_non_finite_input_always_raises(run, done, bad, bad_is_z):
+    design, stages = run
+    mon = _run_live(design, stages[:done])
+    before = list(mon.results)
+    info = stages[-1][0] + 10.0
+    with pytest.raises(ValueError, match="finite"):
+        if bad_is_z:
+            mon.step(info, bad)
+        else:
+            mon.step(bad, 0.0)
+    assert mon.results == before

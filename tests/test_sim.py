@@ -1,4 +1,8 @@
 import math
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from seqsurv import (
 )
 from conftest import PH_ALT_BASE, WORKERS
 from oracles import weibull_survival
+from seqsurv import sim
 
 
 def base_scenario(**overrides):
@@ -294,3 +299,58 @@ def test_oc_csv_layout():
     assert lines[0] == "stage,method,cum_rejection,se"
     assert len(lines) == 1 + 3
     assert lines[1].startswith("1,adjusted,")
+
+
+def _worker_pid(_):
+    time.sleep(0.05)  # long enough that every worker takes a block
+    return os.getpid()
+
+
+def _kill_own_process(_):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _small_oc(workers):
+    sc = base_scenario(n0=50, n1=50)
+    cal = calibrate_analysis_times(sc, replicates=20, seed=8, grid_size=5,
+                                   methods=("adjusted", "km"))
+    oc = run_oc(sc, build_design(sc), ("adjusted", "km"), replicates=16, seed=8,
+                calibration=cal, workers=workers)
+    return oc_to_csv(oc)
+
+
+def test_worker_pool_is_reused_across_calls():
+    first = set(sim._run_blocks(_worker_pid, list(range(4)), 2))
+    second = set(sim._run_blocks(_worker_pid, list(range(4)), 2))
+    assert os.getpid() not in first
+    # a pool per call would have run the second call on two new processes
+    assert len(first | second) <= 2
+
+
+def test_run_oc_reruns_blocks_after_a_worker_is_killed():
+    expected = _small_oc(1)
+    assert _small_oc(2) == expected
+    victim = sim._run_blocks(_worker_pid, list(range(4)), 2)[0]
+    os.kill(victim, signal.SIGKILL)
+    # the pool reaps its workers once it has noticed the break
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        try:
+            os.kill(victim, 0)
+        except ProcessLookupError:
+            break
+        time.sleep(0.01)
+    else:
+        pytest.fail("the killed worker was never reaped")
+    assert _small_oc(2) == expected
+
+
+def test_run_oc_identical_as_the_worker_count_changes():
+    outputs = [_small_oc(w) for w in (2, 3, 2)]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_second_pool_break_raises():
+    with pytest.raises(BrokenProcessPool):
+        sim._run_blocks(_kill_own_process, [0, 1], 2)
+    assert len(set(sim._run_blocks(_worker_pid, list(range(4)), 2))) <= 2
