@@ -86,7 +86,7 @@ def main(argv=None) -> int:
 
         effect = calibrate_effect(
             null_scenario, args.target_power, design, calibration=cal,
-            replicates=args.replicates, seed=args.seed + 1, workers=args.workers,
+            replicates=3 * args.replicates, seed=args.seed + 1, workers=args.workers,
         )
         alt_scenario = replace(base, beta_w=effect.beta_delta)
         oc_alt = run_oc(

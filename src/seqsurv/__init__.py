@@ -65,6 +65,7 @@ from .sim import (
     EffectCalibration,
     OperatingCharacteristics,
     Scenario,
+    analytic_power,
     build_design,
     calibrate_analysis_times,
     calibrate_effect,

@@ -14,11 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .cox import FitOptions, StratifiedCoxFit, fit_mple
+from .cox import StratifiedCoxFit, fit_mple
 from .data import Snapshot
 from .errors import DegenerateDataError
-
-QUADRATIC_FORMS = ("inverse", "plain")
 
 
 def conditional_survival(fit: StratifiedCoxFit, stratum: int, z: Sequence[float], t: float) -> float:
@@ -124,16 +122,12 @@ def variance_components(fit: StratifiedCoxFit, snap: Snapshot, t0: float) -> Var
     )
 
 
-def sp_variance(components: VarianceComponents, quadratic_form: str = "inverse") -> float:
+def sp_variance(components: VarianceComponents) -> float:
     """Variance of the root-n scaled adjusted-SP difference.
 
-    ``quadratic_form`` selects how the coefficient-uncertainty term contracts
-    the SP gradient with the mean information: "inverse" (the default, the
-    delta-method form) or "plain" (no inversion), kept as a diagnostic for
-    sensitivity checks.
+    The coefficient-uncertainty term contracts the SP gradient with the
+    inverse of the mean information (the delta method).
     """
-    if quadratic_form not in QUADRATIC_FORMS:
-        raise ValueError(f"quadratic_form must be one of {QUADRATIC_FORMS}")
     n0, n1 = components.arm_sizes
     n = components.n
     if min(n0, n1) == 0:
@@ -145,16 +139,13 @@ def sp_variance(components: VarianceComponents, quadratic_form: str = "inverse")
     d = components.sp_diff_beta_gradient
     if d.size:
         sigma = components.mean_information
-        if quadratic_form == "plain":
-            total += float(d @ sigma @ d)
-        elif not np.all(np.isfinite(sigma)):
+        if not np.all(np.isfinite(sigma)):
             return float("nan")  # compare_sp reports it as a degenerate variance
-        else:
-            try:
-                np.linalg.cholesky(sigma)  # positive-definiteness test
-                total += float(d @ np.linalg.solve(sigma, d))
-            except np.linalg.LinAlgError:
-                total += float(d @ np.linalg.pinv(sigma) @ d)
+        try:
+            np.linalg.cholesky(sigma)  # positive-definiteness test
+            total += float(d @ np.linalg.solve(sigma, d))
+        except np.linalg.LinAlgError:
+            total += float(d @ np.linalg.pinv(sigma) @ d)
     return total
 
 
@@ -175,13 +166,7 @@ class SPComparison:
     fit: StratifiedCoxFit
 
 
-def compare_sp(
-    snap: Snapshot,
-    t0: float,
-    fit_options: FitOptions | None = None,
-    *,
-    quadratic_form: str = "inverse",
-) -> SPComparison:
+def compare_sp(snap: Snapshot, t0: float) -> SPComparison:
     """Fit the stratified model at the snapshot and standardize the adjusted
     survival probability difference at ``t0``.
 
@@ -194,9 +179,9 @@ def compare_sp(
         )
     if snap.arm_size(0) == 0 or snap.arm_size(1) == 0:
         raise DegenerateDataError("both arms must be present to compare survival probabilities")
-    fit = fit_mple(snap, fit_options)
+    fit = fit_mple(snap)
     comps = variance_components(fit, snap, t0)
-    sigma2 = sp_variance(comps, quadratic_form)
+    sigma2 = sp_variance(comps)
     if sigma2 <= 0.0 or not np.isfinite(sigma2):
         raise DegenerateDataError(
             f"variance estimate is not positive ({sigma2:g}); "

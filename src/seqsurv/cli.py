@@ -94,6 +94,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_ERROR
+        if args.total_info is not None and args.total_info != state.total_information:
+            print(
+                f"error: --total-info {args.total_info!r} differs from the total information "
+                f"{state.total_information!r} recorded in state file {args.state}",
+                file=sys.stderr,
+            )
+            return EXIT_ERROR
     else:
         if args.total_info is None:
             print("error: --total-info is required when starting a new monitoring state", file=sys.stderr)

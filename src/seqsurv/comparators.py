@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cox import FitOptions, StratifiedCoxFit, fit_mple
+from .cox import StratifiedCoxFit, fit_mple
 from .data import Snapshot
 from .errors import DegenerateDataError
 
@@ -125,7 +125,7 @@ class CoxWaldResult:
     fit: StratifiedCoxFit
 
 
-def cox_wald(snap: Snapshot, options: FitOptions | None = None) -> CoxWaldResult:
+def cox_wald(snap: Snapshot) -> CoxWaldResult:
     """Wald test of the treatment coefficient in an unstratified Cox model.
 
     The design matrix is the treatment indicator followed by the snapshot's
@@ -140,7 +140,7 @@ def cox_wald(snap: Snapshot, options: FitOptions | None = None) -> CoxWaldResult
         event_observed=snap.event_observed.copy(),
         covariates=np.column_stack([snap.arm.astype(np.float64), snap.covariates]),
     )
-    fit = fit_mple(pooled, options)
+    fit = fit_mple(pooled)
     try:
         cov = np.linalg.inv(fit.observed_information)
     except np.linalg.LinAlgError:

@@ -1,5 +1,6 @@
-"""Trial simulation with Weibull outcomes, staggered accrual, and
-Monte Carlo calibration of analysis schedules and effect sizes.
+"""Trial simulation with Weibull outcomes, staggered accrual, Monte Carlo
+calibration of analysis schedules, and effect sizes calibrated from the
+canonical joint distribution's power with a simulated refinement.
 
 Event times follow a Weibull law whose shape may differ by arm (shape offset
 nonzero means non-proportional hazards between arms) while covariates act
@@ -19,20 +20,29 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import isotonic_regression
+from scipy.optimize import brentq, isotonic_regression
 
 from .adjusted import compare_sp
 from .comparators import cox_wald, km_compare
-from .cox import FitOptions
 from .data import Columns, Snapshot, SubjectRecord, snapshot
 from .errors import SeqSurvError
-from .gsdesign import GSDesign, SequentialMonitor, SpendingFunction, boundaries
+from .gsdesign import (
+    ONE_SIDED_LOWER,
+    GSDesign,
+    SequentialMonitor,
+    SpendingFunction,
+    boundaries,
+    crossing_probabilities,
+)
 
 COVARIATE_SCHEMES = ("none", "normal1", "bernoulli2")
 
 _MASK64 = (1 << 64) - 1
 _CALIBRATION_STREAM_OFFSET = 1 << 48  # keeps calibration draws disjoint from OC draws
 _MIN_INFO_GROWTH = 1.005              # monitoring guard against noisy info regressions
+_COVARIATE_LAW_STREAM = 1 << 49       # fixed stream of the analytic power's covariate sample
+_COVARIATE_LAW_DRAWS = 1 << 16
+_EFFECT_SEARCH_WIDTH = 4.0            # calibrate_effect searches [null - 4, null]
 
 
 @dataclass(frozen=True)
@@ -213,21 +223,24 @@ def _z_info(result) -> tuple[float, float]:
 # called, so wrapping those names here (as bench/spans.py does) reaches every
 # caller: run_oc, calibrate_analysis_times and the analyze command.
 STATISTICS = {
-    "adjusted": lambda snap, t0, fit_options: _z_info(compare_sp(snap, t0, fit_options)),
-    "km": lambda snap, t0, fit_options: _z_info(km_compare(snap, t0)),
-    "cox": lambda snap, t0, fit_options: _z_info(cox_wald(snap, fit_options)),
+    "adjusted": lambda snap, t0: _z_info(compare_sp(snap, t0)),
+    "km": lambda snap, t0: _z_info(km_compare(snap, t0)),
+    "cox": lambda snap, t0: _z_info(cox_wald(snap)),
 }
 METHODS = tuple(STATISTICS)
 
 
-def method_statistic(
-    method: str, snap: Snapshot, t0: float, fit_options: FitOptions | None = None
-) -> tuple[float, float]:
+def method_statistic(method: str, snap: Snapshot, t0: float) -> tuple[float, float]:
     """(z, information) of one method at one snapshot; raises ``SeqSurvError``
     when the data cannot support the statistic."""
     if method not in STATISTICS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    return STATISTICS[method](snap, t0, fit_options)
+    return STATISTICS[method](snap, t0)
+
+
+def _check_replicates(replicates: int) -> None:
+    if replicates < 1:
+        raise ValueError(f"replicates must be at least 1, got {replicates}")
 
 
 def _monitor_replicate(
@@ -255,7 +268,7 @@ def _monitor_replicate(
 
 
 def _replicate_block(args) -> dict[str, np.ndarray]:
-    (scenario, design, methods, analysis_times, method_totals, seed, start, stop, fit_options) = args
+    (scenario, design, methods, analysis_times, method_totals, seed, start, stop) = args
     count = stop - start
     reject_stage = {m: np.zeros(count, dtype=np.int16) for m in methods}
     failed = {m: np.zeros(count, dtype=bool) for m in methods}
@@ -270,7 +283,7 @@ def _replicate_block(args) -> dict[str, np.ndarray]:
                 if broken[m]:
                     continue
                 try:
-                    stats[m].append(method_statistic(m, snap, scenario.tau, fit_options))
+                    stats[m].append(method_statistic(m, snap, scenario.tau))
                 except SeqSurvError:
                     broken[m] = True
         for m in methods:
@@ -350,7 +363,6 @@ def run_oc(
     *,
     calibration: "CalibrationResult | None" = None,
     workers: int = 1,
-    fit_options: FitOptions | None = None,
     max_failure_fraction: float = 0.005,
 ) -> OperatingCharacteristics:
     """Estimate stagewise cumulative rejection rates by simulation.
@@ -365,6 +377,7 @@ def run_oc(
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+    _check_replicates(replicates)
     if calibration is None:
         calibration = calibrate_analysis_times(
             scenario, replicates=400, seed=seed, methods=methods, workers=workers
@@ -389,7 +402,6 @@ def run_oc(
             seed,
             start,
             min(start + block, replicates),
-            fit_options,
         )
         for start in range(0, replicates, block)
     ]
@@ -459,7 +471,7 @@ def _calibration_block(args):
     Blocks return values, not partial sums, so the caller adds them in
     replicate order and the result does not depend on the block layout.
     """
-    scenario, grid, methods, seed, start, stop, fit_options = args
+    scenario, grid, methods, seed, start, stop = args
     info = np.full((stop - start, len(grid)), np.nan)
     totals = {m: np.full(stop - start, np.nan) for m in methods}
     failures = 0
@@ -469,7 +481,7 @@ def _calibration_block(args):
         for gi, u in enumerate(grid):
             snap = snapshot(cols, u)
             try:
-                _, info[idx, gi] = method_statistic("adjusted", snap, scenario.tau, fit_options)
+                _, info[idx, gi] = method_statistic("adjusted", snap, scenario.tau)
             except SeqSurvError:
                 failures += 1
                 continue
@@ -480,7 +492,7 @@ def _calibration_block(args):
                     totals[m][idx] = info[idx, gi]
                     continue
                 try:
-                    _, totals[m][idx] = method_statistic(m, snap, scenario.tau, fit_options)
+                    _, totals[m][idx] = method_statistic(m, snap, scenario.tau)
                 except SeqSurvError:
                     failures += 1
     return {"info": info, "totals": totals, "failures": failures}
@@ -494,7 +506,6 @@ def calibrate_analysis_times(
     seed: int = 0,
     grid_size: int = 13,
     methods: Sequence[str] = ("adjusted",),
-    fit_options: FitOptions | None = None,
     workers: int = 1,
 ) -> CalibrationResult:
     """Estimate mean information versus calendar time and invert it at the
@@ -505,6 +516,7 @@ def calibrate_analysis_times(
     isotonic regression before inversion.  Total information per method is
     the mean at the study end.
     """
+    _check_replicates(replicates)
     targets = tuple(float(f) for f in (target_ifs or scenario.target_info_fractions))
     if any(b <= a for a, b in zip(targets, targets[1:])) or targets[0] <= 0:
         raise ValueError("target information fractions must be strictly increasing and positive")
@@ -515,7 +527,7 @@ def calibrate_analysis_times(
 
     block = max(1, math.ceil(replicates / max(workers, 1) / 4))
     args = [
-        (scenario, grid, methods, seed, start, min(start + block, replicates), fit_options)
+        (scenario, grid, methods, seed, start, min(start + block, replicates))
         for start in range(0, replicates, block)
     ]
     results = _run_blocks(_calibration_block, args, workers)
@@ -565,23 +577,37 @@ class EffectCalibration:
     probes: tuple[tuple[float, float], ...]
 
 
-def _local_slope(probes: Sequence[tuple[float, float]], target: float) -> float | None:
-    """Slope of power in the effect near the target, from shared-stream probes.
+def _adjusted_drift(scenario: Scenario, calibration: CalibrationResult):
+    """Map from the treatment log-rate offset to the adjusted statistic's
+    drift at full information, Delta * sqrt(I).
 
-    Common random numbers across probes cancel in differences, so the fitted
-    slope is far more accurate than the probes' absolute levels.
+    Delta is the true difference of covariate-averaged survival at tau,
+    treatment minus control, averaged over a fixed sample of the scenario's
+    covariate law; I is the calibrated total adjusted information.
     """
-    near = [(b, p) for b, p in probes if abs(p - target) <= 0.15]
-    if len(near) < 2:
-        near = list(probes)
-    if len(near) < 2:
-        return None
-    x = np.array([b for b, _ in near])
-    y = np.array([p for _, p in near])
-    if np.ptp(x) < 1e-9:
-        return None
-    slope = float(np.polyfit(x, y, 1)[0])
-    return slope if abs(slope) > 1e-3 else None
+    z = _draw_covariates(
+        _rng(0, _COVARIATE_LAW_STREAM), scenario.covariate_scheme, _COVARIATE_LAW_DRAWS
+    )
+    risks = np.exp(z @ scenario.covariate_effects)
+    h0 = scenario.gamma0_value * scenario.tau**scenario.alpha0
+    h1 = scenario.gamma0_value * scenario.tau ** (scenario.alpha0 + scenario.alpha1)
+    s0 = float(np.mean(np.exp(-h0 * risks)))
+    root_info = math.sqrt(calibration.method_totals["adjusted"])
+
+    def drift(beta: float) -> float:
+        s1 = float(np.mean(np.exp(-h1 * math.exp(beta) * risks)))
+        return (s1 - s0) * root_info
+
+    return drift
+
+
+def analytic_power(scenario: Scenario, design: GSDesign, calibration: CalibrationResult) -> float:
+    """Group-sequential power of the adjusted test at ``scenario.beta_w`` from
+    the canonical joint distribution, at drift Delta * sqrt(I): the true
+    covariate-averaged survival difference at tau times the square root of
+    the calibrated total adjusted information."""
+    drift = _adjusted_drift(scenario, calibration)(scenario.beta_w)
+    return float(crossing_probabilities(design, drift).sum())
 
 
 def calibrate_effect(
@@ -590,94 +616,70 @@ def calibrate_effect(
     design: GSDesign,
     *,
     calibration: CalibrationResult | None = None,
-    replicates: int = 2000,
-    tolerance: float = 0.01,
+    replicates: int = 6000,
     seed: int = 0,
     workers: int = 1,
-    max_bisections: int = 20,
-    refine_replicates: int | None = None,
-    fit_options: FitOptions | None = None,
 ) -> EffectCalibration:
-    """Bisect the treatment log-rate offset until the proposed test's
-    simulated group-sequential power matches the target.
+    """Treatment log-rate offset at which the proposed test's simulated
+    group-sequential power meets the target.
 
-    Bisection probes share replicate streams (common random numbers), which
-    makes the estimated power monotone enough in the offset to bracket
-    reliably; the analysis schedule is calibrated once and reused.  Because
-    shared streams leave a common noise component in the probe levels,
-    ``refine_replicates`` (default: three times the probe count) adds a
-    level correction: one independent larger probe at the bisection
-    candidate, a Newton step along the probe-fitted slope, and an independent
-    confirmation at the corrected effect, whose power is reported.
-    Set ``refine_replicates=0`` for plain bisection.
+    The start is analytic: the canonical joint distribution gives the power at
+    drift theta, the power equation is solved for theta, and theta = Delta *
+    sqrt(I) (see :func:`_adjusted_drift`) is inverted for the offset in
+    [null - 4, null], where Delta falls from its maximum to 0.  One
+    independent simulated probe of ``replicates`` at the start corrects its
+    level by a Newton step along the analytic power curve; an independent
+    confirmation of ``replicates`` at the corrected offset gives the reported
+    power.  A target at or below the design's alpha returns the null offset
+    uncorrected.
     """
     if not 0.0 < target_power < 1.0:
         raise ValueError("target_power must be in (0, 1)")
+    _check_replicates(replicates)
+    if design.spending.sidedness == ONE_SIDED_LOWER:
+        raise SeqSurvError(
+            "calibrate_effect searches offsets that raise treatment-arm survival, "
+            "where a one_sided_lower design's power never exceeds its alpha"
+        )
     if calibration is None:
         calibration = calibrate_analysis_times(scenario, replicates=400, seed=seed, workers=workers)
-    if refine_replicates is None:
-        refine_replicates = 3 * replicates
 
-    probes: list[tuple[float, float]] = []
+    null = null_beta_w(scenario)
+    lo = null - _EFFECT_SEARCH_WIDTH
+    drift = _adjusted_drift(scenario, calibration)
 
-    def power_at(beta: float, probe_replicates: int = replicates, probe_seed: int = seed) -> float:
+    def power(theta: float) -> float:
+        return float(crossing_probabilities(design, theta).sum())
+
+    at_null = target_power <= design.spending.total_alpha
+    start = null
+    if not at_null:
+        reachable = power(drift(lo))
+        if reachable < target_power:
+            raise SeqSurvError(
+                f"target power {target_power:g} is out of reach: the analytic power is "
+                f"{reachable:.4f} at beta_w = {lo:g}, the strongest offset searched"
+            )
+        theta = brentq(lambda t: power(t) - target_power, 0.0, drift(lo))
+        start = brentq(lambda b: drift(b) - theta, lo, null)
+
+    def simulated_power(beta: float, probe_seed: int) -> float:
         oc = run_oc(
-            replace(scenario, beta_w=beta),
-            design,
-            ("adjusted",),
-            probe_replicates,
-            probe_seed,
-            calibration=calibration,
-            workers=workers,
-            fit_options=fit_options,
+            replace(scenario, beta_w=beta), design, ("adjusted",), replicates, probe_seed,
+            calibration=calibration, workers=workers,
         )
         return oc.final_rejection("adjusted")
 
-    def crn_probe(beta: float) -> float:
-        p = power_at(beta)
-        probes.append((beta, p))
-        return p
-
-    hi = null_beta_w(scenario)
-    p_hi = crn_probe(hi)
-    lo = hi
-    p_lo = p_hi
-    for step in (0.5, 1.0, 2.0, 4.0):
-        lo = hi - step
-        p_lo = crn_probe(lo)
-        if p_lo >= target_power:
-            break
-    else:
-        raise SeqSurvError(
-            f"could not bracket the target power {target_power:g}; probes: {probes}"
-        )
-
-    best = (lo, p_lo) if abs(p_lo - target_power) < abs(p_hi - target_power) else (hi, p_hi)
-    for _ in range(max_bisections):
-        if abs(best[1] - target_power) <= tolerance or hi - lo < 1e-4:
-            break
-        mid = 0.5 * (lo + hi)
-        p_mid = crn_probe(mid)
-        if abs(p_mid - target_power) < abs(best[1] - target_power):
-            best = (mid, p_mid)
-        if p_mid > target_power:
-            lo = mid
-        else:
-            hi = mid
-
-    if refine_replicates <= 0:
-        return EffectCalibration(beta_delta=best[0], power=best[1], probes=tuple(probes))
-
-    slope = _local_slope(probes, target_power)
-    candidate = best[0]
-    p_ind = power_at(candidate, refine_replicates, seed + 1_000_003)
-    corrected = candidate
-    if slope is not None:
-        corrected = candidate + (target_power - p_ind) / slope
-        corrected = float(np.clip(corrected, min(lo, hi) - 0.5, max(lo, hi) + 0.5))
-    p_final = power_at(corrected, refine_replicates, seed + 2_000_003)
-    probes.append((corrected, p_final))
-    return EffectCalibration(beta_delta=corrected, power=p_final, probes=tuple(probes))
+    p_start = simulated_power(start, seed + 1_000_003)
+    h = 1e-4
+    slope = (power(drift(start + h)) - power(drift(start - h))) / (2.0 * h)
+    corrected = start
+    if not at_null and slope < 0.0:  # at the null a two-sided slope is 0
+        corrected = float(np.clip(start + (target_power - p_start) / slope, lo, null))
+    p_final = simulated_power(corrected, seed + 2_000_003)
+    return EffectCalibration(
+        beta_delta=corrected, power=p_final, probes=((start, p_start), (corrected, p_final))
+    )
 
 
 # ---------------------------------------------------------------------------

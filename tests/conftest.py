@@ -40,8 +40,8 @@ def ph_alt_effect():
         methods=("adjusted", "km"), workers=WORKERS,
     )
     effect = calibrate_effect(
-        PH_ALT_BASE, 0.80, design, calibration=cal, replicates=2000,
-        tolerance=0.01, seed=404, workers=WORKERS,
+        PH_ALT_BASE, 0.80, design, calibration=cal, replicates=6000,
+        seed=404, workers=WORKERS,
     )
     return {"design": design, "calibration": cal, "effect": effect}
 

@@ -170,11 +170,7 @@ def naive_variance_pieces(beta, follow_up, event, arm, covariates, t0):
     d_i = [c1[i] * qvec[i] - lam[i] * c2[i] for i in (0, 1)]
     d = d_i[1] - d_i[0]
     base = (n / sizes[0]) * c1[0] ** 2 * gamma[0] + (n / sizes[1]) * c1[1] ** 2 * gamma[1]
-    if p:
-        var_inverse = base + float(d @ np.linalg.solve(sigma, d))
-        var_plain = base + float(d @ sigma @ d)
-    else:
-        var_inverse = var_plain = base
+    var_inverse = base + float(d @ np.linalg.solve(sigma, d)) if p else base
     return {
         "gamma": gamma,
         "q": qvec,
@@ -186,7 +182,6 @@ def naive_variance_pieces(beta, follow_up, event, arm, covariates, t0):
         "d_i": d_i,
         "d": d,
         "var_inverse": var_inverse,
-        "var_plain": var_plain,
     }
 
 

@@ -107,7 +107,6 @@ def test_variance_components_match_naive_reimplementation(hand_snapshot_8):
     assert comps.mean_information == pytest.approx(naive["sigma"], abs=1e-10)
     assert comps.sp_diff_beta_gradient == pytest.approx(naive["d"], abs=1e-10)
     assert sp_variance(comps) == pytest.approx(naive["var_inverse"], abs=1e-10)
-    assert sp_variance(comps, "plain") == pytest.approx(naive["var_plain"], abs=1e-10)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -220,16 +219,7 @@ def test_covariate_shift_leaves_comparison_unchanged(hand_snapshot_8):
     assert res2.z == pytest.approx(res.z, rel=1e-9)
 
 
-def test_quadratic_form_variants_differ(hand_snapshot_8):
-    res_inv = compare_sp(hand_snapshot_8, 2.0, quadratic_form="inverse")
-    res_plain = compare_sp(hand_snapshot_8, 2.0, quadratic_form="plain")
-    assert res_inv.sigma2_hat != pytest.approx(res_plain.sigma2_hat)
-    with pytest.raises(ValueError):
-        sp_variance(res_inv.components, "bogus")
-
-
-@pytest.mark.parametrize("quadratic_form", ["inverse", "plain"])
-def test_non_finite_information_is_degenerate(hand_snapshot_8, monkeypatch, quadratic_form):
+def test_non_finite_information_is_degenerate(hand_snapshot_8, monkeypatch):
     from seqsurv import adjusted
 
     real = adjusted.variance_components
@@ -240,7 +230,7 @@ def test_non_finite_information_is_degenerate(hand_snapshot_8, monkeypatch, quad
 
     monkeypatch.setattr(adjusted, "variance_components", poisoned)
     with pytest.raises(DegenerateDataError, match="not positive"):
-        compare_sp(hand_snapshot_8, 2.0, quadratic_form=quadratic_form)
+        compare_sp(hand_snapshot_8, 2.0)
 
 
 def test_variance_estimate_matches_monte_carlo_spread_no_covariates():

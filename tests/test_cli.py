@@ -95,6 +95,31 @@ def test_analyze_requires_total_info_on_fresh_state(tmp_path, capsys):
     assert code == EXIT_ERROR
 
 
+def test_analyze_resume_rejects_a_contradicting_total_info(tmp_path, capsys):
+    records = generate_trial(Scenario(n0=30, n1=30, tau=1.0, accrual=1.0), seed=4)
+    data = tmp_path / "data.csv"
+    write_csv(data, records)
+    design_file = tmp_path / "design.txt"
+    main(["design", "--alpha", "0.05", "--info-fractions", "0.5,0.75,1",
+          "--out", str(design_file)])
+    state = tmp_path / "state.txt"
+
+    def look(u, *total_info):
+        return main(["analyze", str(data), "--design", str(design_file), "--t0", "0.5",
+                     "--u", u, "--method", "km", "--state", str(state), *total_info])
+
+    assert look("0.8", "--total-info", "1000") == EXIT_OK
+    before = state.read_text()
+    capsys.readouterr()
+    assert look("1.0", "--total-info", "2000") == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "2000.0" in err and "1000.0" in err
+    assert state.read_text() == before
+    # the recorded total stands when the flag is repeated or left out
+    assert look("1.0", "--total-info", "1000") == EXIT_OK
+    assert look("1.2") == EXIT_OK
+
+
 def test_analyze_state_without_total_information_is_an_error(tmp_path, capsys):
     data = tmp_path / "data.csv"
     write_csv(data, [SubjectRecord("a", 0, 0.0, 1.0, True, ()),
@@ -281,6 +306,16 @@ def test_simulate_malformed_scenario_reports_line(tmp_path, capsys):
     code = main(["simulate", str(scenario_file), "--replicates", "5"])
     assert code == EXIT_ERROR
     assert "line 3" in capsys.readouterr().err
+
+
+def test_simulate_zero_replicates_is_an_error(tmp_path, capsys):
+    scenario_file = tmp_path / "scenario.txt"
+    scenario_file.write_text(scenario_to_text(Scenario(n0=20, n1=20, tau=1.0, accrual=1.0)))
+    code = main(["simulate", str(scenario_file), "--replicates", "0",
+                 "--calibration-replicates", "10"])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "replicates must be at least 1, got 0" in err
 
 
 def test_version_flag(capsys):

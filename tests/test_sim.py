@@ -3,6 +3,7 @@ import os
 import signal
 import time
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,9 +11,14 @@ from scipy.stats import kstest
 
 from seqsurv import (
     Scenario,
+    SeqSurvError,
+    SpendingFunction,
+    analytic_power,
+    boundaries,
     build_design,
     calibrate_analysis_times,
     calibrate_effect,
+    crossing_probabilities,
     generate_columns,
     generate_trial,
     null_beta_w,
@@ -251,43 +257,85 @@ def test_scenario_text_errors_carry_line_numbers():
         scenario_from_text("n0 = 50\nn1 = 50\n")
 
 
+def _effect_inputs(seed, **overrides):
+    sc = base_scenario(n0=80, n1=80, **overrides)
+    cal = calibrate_analysis_times(sc, replicates=40, seed=seed, grid_size=5)
+    return sc, build_design(sc), cal
+
+
 def test_calibrate_effect_null_power_target_returns_null_value():
-    sc = base_scenario(n0=80, n1=80, alpha0=2.0, alpha1=-1.0)
-    sc = Scenario(**{**sc.__dict__, "beta_w": null_beta_w(sc)})
-    design = build_design(sc)
-    cal = calibrate_analysis_times(sc, replicates=60, seed=14, grid_size=5)
-    effect = calibrate_effect(
-        sc, sc.total_alpha, design, calibration=cal, replicates=400,
-        tolerance=0.02, seed=14, refine_replicates=0,
-    )
-    # asking for power equal to the significance level is satisfied at the null
-    assert abs(effect.beta_delta - null_beta_w(sc)) < 0.15
+    sc, design, cal = _effect_inputs(14, alpha0=2.0, alpha1=-1.0)
+    effect = calibrate_effect(sc, sc.total_alpha, design, calibration=cal, replicates=40, seed=14)
+    # power equal to the significance level is met at the null, with no correction
+    assert effect.beta_delta == null_beta_w(sc)
+    assert [b for b, _ in effect.probes] == [null_beta_w(sc)] * 2
 
 
-def test_calibrate_effect_bracketing_is_monotone():
-    sc = base_scenario(n0=80, n1=80)
-    design = build_design(sc)
-    cal = calibrate_analysis_times(sc, replicates=60, seed=15, grid_size=5)
-    effect = calibrate_effect(
-        sc, 0.6, design, calibration=cal, replicates=400, tolerance=0.03,
-        seed=15, refine_replicates=0,
+def test_calibrate_effect_inverts_the_analytic_power_with_two_probes(monkeypatch):
+    sc, design, cal = _effect_inputs(15, covariate_scheme="normal1", phi=math.log(2.0))
+    calls = []
+    real_run_oc = sim.run_oc
+
+    def counting_run_oc(*args, **kwargs):
+        calls.append(args[0].beta_w)
+        return real_run_oc(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "run_oc", counting_run_oc)
+    effect = calibrate_effect(sc, 0.6, design, calibration=cal, replicates=40, seed=15)
+    start = effect.probes[0][0]
+    assert calls == [start, effect.beta_delta]
+    assert effect.probes[1] == (effect.beta_delta, effect.power)
+    assert null_beta_w(sc) - 4.0 <= effect.beta_delta <= null_beta_w(sc)
+
+    # the analytic start's drift reproduces the target through the boundary engine
+    drift = sim._adjusted_drift(sc, cal)(start)
+    assert crossing_probabilities(design, drift).sum() == pytest.approx(0.6, abs=1e-9)
+    # the fixed covariate sample stands in for the normal law: compare the
+    # survival difference with 80-point Gauss-Hermite quadrature
+    nodes, weights = np.polynomial.hermite_e.hermegauss(80)
+    risks = np.exp(sc.phi * nodes)
+    h = sc.gamma0_value * sc.tau**sc.alpha0
+    delta = weights @ (np.exp(-h * math.exp(start) * risks) - np.exp(-h * risks))
+    delta /= weights.sum()
+    assert drift / math.sqrt(cal.method_totals["adjusted"]) == pytest.approx(delta, abs=1e-3)
+
+
+def test_calibrate_effect_rejects_unreachable_targets():
+    sc, design, cal = _effect_inputs(16)
+    lower = boundaries(
+        SpendingFunction(0.025, sidedness="one_sided_lower"), sc.target_info_fractions
     )
-    powers = dict(effect.probes)
-    betas = sorted(powers)
-    # stronger (more negative) effects delivered at least as much power during
-    # the bracket expansion
-    assert powers[betas[0]] >= powers[betas[-1]] - 0.05
-    assert powers[betas[0]] >= 0.6 >= min(powers.values()) - 0.03
+    with pytest.raises(SeqSurvError, match="one_sided_lower"):
+        calibrate_effect(sc, 0.8, lower, calibration=cal, replicates=40)
+    # at total information 1 the largest survival difference (about 0.49)
+    # gives a drift far short of 80% power
+    starved = replace(cal, method_totals={"adjusted": 1.0})
+    with pytest.raises(SeqSurvError, match="out of reach"):
+        calibrate_effect(sc, 0.8, design, calibration=starved, replicates=40)
+
+
+def test_simulation_entry_points_reject_zero_replicates():
+    sc, design, cal = _effect_inputs(17)
+    with pytest.raises(ValueError, match="replicates"):
+        run_oc(sc, design, replicates=0, calibration=cal)
+    with pytest.raises(ValueError, match="replicates"):
+        calibrate_analysis_times(sc, replicates=0)
+    with pytest.raises(ValueError, match="replicates"):
+        calibrate_effect(sc, 0.8, design, calibration=cal, replicates=0)
 
 
 def test_calibrated_effect_replays_to_target_power(ph_alt_effect):
     effect = ph_alt_effect["effect"]
+    scenario = Scenario(**{**PH_ALT_BASE.__dict__, "beta_w": effect.beta_delta})
     replay = run_oc(
-        Scenario(**{**PH_ALT_BASE.__dict__, "beta_w": effect.beta_delta}),
-        ph_alt_effect["design"], ("adjusted",), replicates=10000, seed=606,
+        scenario, ph_alt_effect["design"], ("adjusted",), replicates=10000, seed=606,
         calibration=ph_alt_effect["calibration"], workers=WORKERS,
     )
-    assert replay.final_rejection("adjusted") == pytest.approx(0.80, abs=0.02)
+    power = replay.final_rejection("adjusted")
+    assert power == pytest.approx(0.80, abs=0.02)
+    # the canonical joint distribution predicts the simulated power
+    expected = analytic_power(scenario, ph_alt_effect["design"], ph_alt_effect["calibration"])
+    assert abs(power - expected) <= 3 * replay.standard_errors["adjusted"][-1]
 
 
 def test_oc_csv_layout():
