@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from seqsurv import (
     MonitoringState,
@@ -20,10 +19,9 @@ from seqsurv import (
     SpendingFunction,
     boundaries,
     compare_sp,
-    generate_trial,
+    generate_columns,
     monitor,
     snapshot,
-    to_columns,
 )
 
 ANALYSIS_YEARS = (3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
@@ -44,7 +42,7 @@ def main(argv=None) -> int:
         k_analyses=len(ANALYSIS_YEARS),
         target_info_fractions=tuple((k + 1) / len(ANALYSIS_YEARS) for k in range(len(ANALYSIS_YEARS))),
     )
-    dataset = to_columns(generate_trial(scenario, args.seed))
+    dataset = generate_columns(scenario, args.seed)
 
     sf = SpendingFunction(0.05, "power", rho=3.0, sidedness="two_sided")
     design = boundaries(sf, scenario.target_info_fractions)

@@ -18,9 +18,8 @@ from .adjusted import (
     sp_variance,
     variance_components,
 )
-from .comparators import CoxWaldResult, KMComparison, KMEstimate, cox_wald, km_compare, km_fit
+from .comparators import CoxWaldResult, KMComparison, cox_wald, km_compare
 from .cox import (
-    FitOptions,
     RiskSets,
     StepFunction,
     StratifiedCoxFit,

@@ -8,64 +8,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cox import StratifiedCoxFit, fit_mple
+from .cox import RiskSetLayout, StratifiedCoxFit, fit_mple
 from .data import Snapshot
 from .errors import DegenerateDataError
 
 
-@dataclass(frozen=True)
-class KMEstimate:
-    """Product-limit survival estimate for one arm with Greenwood variance."""
-
-    stratum: int
-    times: np.ndarray      # distinct event times, ascending
-    survival: np.ndarray   # estimate at and after each event time
-    variance: np.ndarray   # Greenwood variance on the survival scale
-    max_follow_up: float
-
-    def at(self, t0: float) -> tuple[float, float]:
-        """Estimate and variance at ``t0``; carried flat beyond the last
-        observed follow-up (with a warning)."""
-        if t0 > self.max_follow_up:
-            warnings.warn(
-                f"stratum {self.stratum}: no subjects under observation at {t0:g}; "
-                "carrying the last Kaplan-Meier value forward",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        idx = int(np.searchsorted(self.times, t0, side="right"))
-        if idx == 0:
-            return 1.0, 0.0
-        return float(self.survival[idx - 1]), float(self.variance[idx - 1])
-
-
-def km_fit(snap: Snapshot, stratum: int) -> KMEstimate:
-    mask = snap.arm == stratum
-    if not mask.any():
+def _km_at(layout: RiskSetLayout, snap: Snapshot, stratum: int, t0: float) -> tuple[float, float]:
+    """One arm's product-limit estimate at ``t0`` and its Greenwood variance,
+    from the at-risk counts of the arm's event groups; carried flat beyond
+    the arm's last observed follow-up (with a warning)."""
+    if layout.sizes[stratum] == 0:
         raise DegenerateDataError(f"stratum {stratum} has no subjects")
-    x = snap.follow_up[mask]
-    d = snap.event_observed[mask]
-    order = np.argsort(x, kind="stable")
-    x = x[order]
-    d = d[order]
-    ev_x = x[d]
-    times, first_pos = np.unique(ev_x, return_index=True)
-    dn = np.diff(np.append(first_pos, ev_x.size)).astype(np.float64)
-    at_risk = x.size - np.searchsorted(x, times, side="left").astype(np.float64)
+    if t0 > snap.follow_up[snap.arm == stratum].max():
+        warnings.warn(
+            f"stratum {stratum}: no subjects under observation at {t0:g}; "
+            "carrying the last Kaplan-Meier value forward",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    g = layout.groups[stratum]
+    k = int(np.searchsorted(layout.event_times[g], t0, side="right"))
+    if k == 0:
+        return 1.0, 0.0
+    g = slice(g.start, g.start + k)
+    at_risk = layout.ends[g] - layout.rows[stratum].start + 1
+    dn = layout.dn[g]
     surv = np.cumprod(1.0 - dn / at_risk)
     # Greenwood terms blow up when the whole risk set fails; survival is then
-    # exactly zero and its variance is taken as zero from that point on.
+    # exactly zero and its variance is taken as zero.
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(at_risk > dn, dn / (at_risk * (at_risk - dn)), 0.0)
     var = surv**2 * np.cumsum(terms)
-    var[surv == 0.0] = 0.0
-    return KMEstimate(
-        stratum=stratum,
-        times=times,
-        survival=surv,
-        variance=var,
-        max_follow_up=float(x.max()) if x.size else 0.0,
-    )
+    return float(surv[-1]), (float(var[-1]) if surv[-1] != 0.0 else 0.0)
 
 
 @dataclass(frozen=True)
@@ -91,8 +65,9 @@ def km_compare(snap: Snapshot, t0: float) -> KMComparison:
         raise ValueError(
             f"survival time {t0:g} exceeds the snapshot's calendar time {snap.calendar_time:g}"
         )
-    s0, v0 = km_fit(snap, 0).at(t0)
-    s1, v1 = km_fit(snap, 1).at(t0)
+    layout = RiskSetLayout.from_snapshot(snap)
+    s0, v0 = _km_at(layout, snap, 0, t0)
+    s1, v1 = _km_at(layout, snap, 1, t0)
     diff = s1 - s0
     total_var = v0 + v1
     if total_var <= 0.0:

@@ -7,10 +7,12 @@ out as step functions over the observed event times (tied events share the
 risk-set denominator).
 
 Every quantity comes from one risk-set kernel (Therneau & Grambsch 2000,
-ch. 3).  ``RiskSets.from_snapshot`` sorts the snapshot once and groups its
-events; ``RiskSets.evaluate`` then returns the log likelihood, score,
-information and the risk-set sums at the event groups for a coefficient
-vector, with one exp(z.beta) and one cumulative sum per stratum.
+ch. 3).  ``RiskSetLayout.from_snapshot`` sorts the snapshot once and groups
+its events; the Kaplan-Meier comparator reads its at-risk counts from that
+layout.  ``RiskSets`` adds the covariate columns, and ``RiskSets.evaluate``
+returns the log likelihood, score, information and the risk-set sums at the
+event groups for a coefficient vector, with one exp(z.beta) and one
+cumulative sum per stratum.
 """
 
 from __future__ import annotations
@@ -29,14 +31,11 @@ STRATA = (0, 1)
 # fraction of |ll|.  Near the optimum the change is rounding noise (about 1e-15
 # of |ll| on 4000 subjects with tied times), and halving on it stalls Newton.
 _LL_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    max_iter: int = 50
-    score_tol: float = 1e-8          # infinity norm of the partial score
-    max_step_halvings: int = 10
-    separation_norm: float = 50.0    # |beta|_inf beyond this means monotone likelihood
+# Newton limits of fit_mple
+MAX_ITER = 50
+SCORE_TOL = 1e-8          # infinity norm of the partial score
+MAX_STEP_HALVINGS = 10
+SEPARATION_NORM = 50.0    # |beta|_inf beyond this means monotone likelihood
 
 
 @dataclass(frozen=True)
@@ -50,10 +49,6 @@ class StepFunction:
         idx = np.searchsorted(self.times, t, side="right")
         padded = np.concatenate(([0.0], self.values))
         return padded[idx]
-
-    @property
-    def jump_sizes(self) -> np.ndarray:
-        return np.diff(self.values, prepend=0.0)
 
 
 class RiskSetValues(NamedTuple):
@@ -74,28 +69,28 @@ class RiskSetValues(NamedTuple):
 
 
 @dataclass(frozen=True)
-class RiskSets:
-    """Risk-set layout of one snapshot, built by one sort by (arm, follow-up).
+class RiskSetLayout:
+    """Risk sets and event groups of one snapshot, built by one sort by
+    (arm, follow-up).
 
     Rows hold the subjects that belong to at least one risk set, stratum by
     stratum, each stratum in descending follow-up order, so that the risk set
-    of an event group is a prefix of its stratum's rows.  Event groups (the
+    of an event group is a prefix of its stratum's rows: group j of stratum i
+    has ``ends[j] - rows[i].start + 1`` subjects at risk.  Event groups (the
     distinct event times of a stratum, ``q`` in all) run stratum 0 first,
     ascending in time within a stratum.
     """
 
     sizes: tuple[int, int]          # arm sizes, counting zero-follow-up subjects
-    z: np.ndarray                   # (m, p) covariates of the rows
-    products: np.ndarray            # (m, 1 + p + p*p) columns [1, z, z z^T] of the rows
+    subjects: np.ndarray            # (m,) snapshot index of each row
     rows: tuple[slice, slice]       # rows of each stratum
     ends: np.ndarray                # (q,) last row of each group's risk set
     event_times: np.ndarray         # (q,)
     dn: np.ndarray                  # (q,) number of events in each group
     groups: tuple[slice, slice]     # event groups of each stratum
-    event_z_total: np.ndarray       # (p,) covariate total over all events
 
     @classmethod
-    def from_snapshot(cls, snap: Snapshot) -> "RiskSets":
+    def from_snapshot(cls, snap: Snapshot) -> "RiskSetLayout":
         x = snap.follow_up
         order = np.lexsort((x, snap.arm))
         xs = x[order]
@@ -114,34 +109,49 @@ class RiskSets:
         dn = np.diff(first, append=ev_run.size).astype(np.float64)
 
         n0 = int(np.searchsorted(arm, 1))
-        bounds = ((0, n0), (n0, n))
         n_groups0 = int(np.searchsorted(group_start, n0))
         groups = (slice(0, n_groups0), slice(n_groups0, group_start.size))
         pieces, rows, ends = [], [], []
         offset = 0
-        for (lo, hi), g in zip(bounds, groups):
+        for hi, g in zip((n0, n), groups):
             starts = group_start[g]
             m = hi - starts[0] if starts.size else 0
             pieces.append(order[hi - m : hi][::-1])
             ends.append(offset + hi - 1 - starts)
             rows.append(slice(offset, offset + m))
             offset += m
-        keep = np.concatenate(pieces)
-        z = snap.covariates[keep]
-        p = z.shape[1]
-        products = np.empty((keep.size, 1 + p + p * p))
-        products[:, 0] = 1.0
-        products[:, 1 : 1 + p] = z
-        products[:, 1 + p :] = (z[:, :, None] * z[:, None, :]).reshape(keep.size, p * p)
         return cls(
             sizes=(n0, n - n0),
-            z=z,
-            products=products,
+            subjects=np.concatenate(pieces),
             rows=tuple(rows),
             ends=np.concatenate(ends),
             event_times=xs[group_start],
             dn=dn,
             groups=groups,
+        )
+
+
+@dataclass(frozen=True)
+class RiskSets(RiskSetLayout):
+    """The layout with the covariate columns the Cox kernel sums over."""
+
+    z: np.ndarray                   # (m, p) covariates of the rows
+    products: np.ndarray            # (m, 1 + p + p*p) columns [1, z, z z^T] of the rows
+    event_z_total: np.ndarray       # (p,) covariate total over all events
+
+    @classmethod
+    def from_snapshot(cls, snap: Snapshot) -> "RiskSets":
+        layout = RiskSetLayout.from_snapshot(snap)
+        z = snap.covariates[layout.subjects]
+        m, p = z.shape
+        products = np.empty((m, 1 + p + p * p))
+        products[:, 0] = 1.0
+        products[:, 1 : 1 + p] = z
+        products[:, 1 + p :] = (z[:, :, None] * z[:, None, :]).reshape(m, p * p)
+        return cls(
+            **vars(layout),
+            z=z,
+            products=products,
             event_z_total=snap.covariates[snap.event_observed].sum(axis=0),
         )
 
@@ -240,7 +250,7 @@ class StratifiedCoxFit:
     step_halvings: int = 0
 
 
-def fit_mple(snap: Snapshot, options: FitOptions | None = None) -> StratifiedCoxFit:
+def fit_mple(snap: Snapshot) -> StratifiedCoxFit:
     """Maximize the stratified partial likelihood at the snapshot's calendar time.
 
     Newton steps with step halving on a log-likelihood decrease larger than
@@ -250,7 +260,6 @@ def fit_mple(snap: Snapshot, options: FitOptions | None = None) -> StratifiedCox
     no observed events is legal (it contributes nothing and gets a flat
     baseline) but is reported with a warning.
     """
-    opts = options or FitOptions()
     risk_sets = RiskSets.from_snapshot(snap)
     p = snap.n_covariates
 
@@ -274,9 +283,9 @@ def fit_mple(snap: Snapshot, options: FitOptions | None = None) -> StratifiedCox
     current = risk_sets.evaluate(beta)
     iterations = 0
     step_halvings = 0
-    converged = p == 0 or np.max(np.abs(current.score)) <= opts.score_tol
+    converged = p == 0 or np.max(np.abs(current.score)) <= SCORE_TOL
 
-    while not converged and iterations < opts.max_iter:
+    while not converged and iterations < MAX_ITER:
         try:
             np.linalg.cholesky(current.information)  # positive-definiteness test
             step = np.linalg.solve(current.information, current.score)
@@ -288,7 +297,7 @@ def fit_mple(snap: Snapshot, options: FitOptions | None = None) -> StratifiedCox
         trial = risk_sets.evaluate(candidate)
         ll_floor = current.loglik - _LL_RTOL * abs(current.loglik)
         halvings = 0
-        while (not trial.usable or trial.loglik < ll_floor) and halvings < opts.max_step_halvings:
+        while (not trial.usable or trial.loglik < ll_floor) and halvings < MAX_STEP_HALVINGS:
             scale *= 0.5
             candidate = beta + scale * step
             trial = risk_sets.evaluate(candidate)
@@ -296,19 +305,19 @@ def fit_mple(snap: Snapshot, options: FitOptions | None = None) -> StratifiedCox
         beta, current = candidate, trial
         iterations += 1
         step_halvings += halvings
-        if np.max(np.abs(beta)) > opts.separation_norm:
+        if np.max(np.abs(beta)) > SEPARATION_NORM:
             raise SeparationError(
-                f"coefficient norm exceeded {opts.separation_norm:g}; "
+                f"coefficient norm exceeded {SEPARATION_NORM:g}; "
                 "the partial likelihood appears monotone (data separation)",
                 beta=beta,
             )
         risk_sets.require_usable(current)
-        converged = np.max(np.abs(current.score)) <= opts.score_tol
+        converged = np.max(np.abs(current.score)) <= SCORE_TOL
 
     score_norm = float(np.max(np.abs(current.score))) if p else 0.0
     if not converged:
         raise ConvergenceError(
-            f"Newton iteration did not converge in {opts.max_iter} iterations "
+            f"Newton iteration did not converge in {MAX_ITER} iterations "
             f"(score norm {score_norm:.3e})",
             beta=beta,
             score_norm=score_norm,

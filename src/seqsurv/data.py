@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,16 +39,6 @@ class SubjectRecord:
     time_on_study: float
     event: bool
     covariates: tuple[float, ...] = ()
-
-
-class SnapshotRecord(NamedTuple):
-    """Per-subject derived observation at one calendar time."""
-
-    id: str
-    arm: int
-    follow_up: float
-    event_observed: bool
-    covariates: tuple[float, ...]
 
 
 class Columns(NamedTuple):
@@ -183,17 +173,6 @@ class Snapshot:
 
     def arm_size(self, arm: int) -> int:
         return int(np.count_nonzero(self.arm == arm))
-
-    @property
-    def records(self) -> Iterator[SnapshotRecord]:
-        for i, sid in enumerate(self.ids):
-            yield SnapshotRecord(
-                id=sid,
-                arm=int(self.arm[i]),
-                follow_up=float(self.follow_up[i]),
-                event_observed=bool(self.event_observed[i]),
-                covariates=tuple(float(v) for v in self.covariates[i]),
-            )
 
 
 def snapshot(dataset: Sequence[SubjectRecord] | Columns, u: float) -> Snapshot:

@@ -43,6 +43,7 @@ _MIN_INFO_GROWTH = 1.005              # monitoring guard against noisy info regr
 _COVARIATE_LAW_STREAM = 1 << 49       # fixed stream of the analytic power's covariate sample
 _COVARIATE_LAW_DRAWS = 1 << 16
 _EFFECT_SEARCH_WIDTH = 4.0            # calibrate_effect searches [null - 4, null]
+_MAX_FAILURE_FRACTION = 0.005         # run_oc refuses to report rates beyond this
 
 
 @dataclass(frozen=True)
@@ -363,7 +364,6 @@ def run_oc(
     *,
     calibration: "CalibrationResult | None" = None,
     workers: int = 1,
-    max_failure_fraction: float = 0.005,
 ) -> OperatingCharacteristics:
     """Estimate stagewise cumulative rejection rates by simulation.
 
@@ -418,10 +418,10 @@ def run_oc(
     for m in methods:
         n_failed = int(failed[m].sum())
         failures[m] = n_failed
-        if n_failed > max_failure_fraction * replicates:
+        if n_failed > _MAX_FAILURE_FRACTION * replicates:
             raise SeqSurvError(
                 f"method {m!r}: {n_failed} of {replicates} replicates failed "
-                f"(more than {max_failure_fraction:.1%}); refusing to report rates"
+                f"(more than {_MAX_FAILURE_FRACTION:.1%}); refusing to report rates"
             )
         ok = ~failed[m]
         r_used = int(ok.sum())
@@ -517,6 +517,8 @@ def calibrate_analysis_times(
     the mean at the study end.
     """
     _check_replicates(replicates)
+    if grid_size < 2:
+        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
     targets = tuple(float(f) for f in (target_ifs or scenario.target_info_fractions))
     if any(b <= a for a, b in zip(targets, targets[1:])) or targets[0] <= 0:
         raise ValueError("target information fractions must be strictly increasing and positive")

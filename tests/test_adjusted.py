@@ -209,11 +209,8 @@ def test_compare_sp_t0_beyond_u_rejected(hand_snapshot):
 def test_covariate_shift_leaves_comparison_unchanged(hand_snapshot_8):
     res = compare_sp(hand_snapshot_8, 2.0)
     shift = -3.0
-    shifted = [
-        SubjectRecord(r.id, r.arm, 0.0, r.follow_up, r.event_observed, (r.covariates[0] + shift,))
-        for r in hand_snapshot_8.records
-    ]
-    res2 = compare_sp(snapshot(shifted, 6.0), 2.0)
+    shifted = replace(hand_snapshot_8, covariates=hand_snapshot_8.covariates + shift)
+    res2 = compare_sp(shifted, 2.0)
     assert res2.s_hat == pytest.approx(res.s_hat, abs=1e-10)
     assert res2.sigma2_hat == pytest.approx(res.sigma2_hat, rel=1e-9)
     assert res2.z == pytest.approx(res.z, rel=1e-9)

@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,6 @@ from seqsurv import (
     cox_wald,
     fit_mple,
     km_compare,
-    km_fit,
     snapshot,
 )
 from conftest import random_dataset, snapshot_arrays
@@ -15,7 +17,8 @@ from oracles import naive_km
 
 
 def test_km_product_limit_by_hand():
-    # four subjects, events at 1 and 2: S(t0) = (3/4)(2/3) = 1/2 between 2 and 3
+    # four subjects, events at 1 and 2: S(t0) = (3/4)(2/3) = 1/2 between 2 and 3;
+    # the one treatment subject is censored, so all variance is the control arm's
     recs = [
         SubjectRecord("a", 0, 0.0, 1.0, True, ()),
         SubjectRecord("b", 0, 0.0, 2.0, True, ()),
@@ -23,57 +26,72 @@ def test_km_product_limit_by_hand():
         SubjectRecord("d", 0, 0.0, 4.0, False, ()),
         SubjectRecord("e", 1, 0.0, 4.0, False, ()),
     ]
-    est = km_fit(snapshot(recs, 10.0), 0)
-    s, v = est.at(2.5)
-    assert s == pytest.approx(0.5)
-    assert v > 0
+    res = km_compare(snapshot(recs, 10.0), 2.5)
+    assert res.s_hat == pytest.approx((0.5, 1.0))
+    assert 0.0 < 1.0 / res.info_level < np.inf
+
+
+def _tied_dataset():
+    # times on a half-unit grid, so several events share a time
+    rng = np.random.default_rng(12)
+    return [
+        replace(r, time_on_study=0.5 * round(2.0 * r.time_on_study) + 0.5)
+        for r in random_dataset(rng, n=16)
+    ]
 
 
 def test_km_matches_naive_oracle():
-    rng = np.random.default_rng(11)
-    recs = random_dataset(rng, n=12)
-    snap = snapshot(recs, 10.0)
-    x, d, a, _ = snapshot_arrays(snap)
-    for stratum in (0, 1):
-        est = km_fit(snap, stratum)
-        xs = [xi for xi, ai in zip(x, a) if ai == stratum]
-        ds = [di for di, ai in zip(d, a) if ai == stratum]
+    # beyond an arm's last follow-up the estimate is carried flat, which is
+    # also what the product over all of the arm's event times gives
+    datasets = (random_dataset(np.random.default_rng(11), n=12), _tied_dataset())
+    for recs in datasets:
+        snap = snapshot(recs, 10.0)
+        x, d, a, _ = snapshot_arrays(snap)
+        arms = [
+            ([xi for xi, ai in zip(x, a) if ai == arm], [di for di, ai in zip(d, a) if ai == arm])
+            for arm in (0, 1)
+        ]
         for t0 in (0.3, 0.8, 1.5, 3.0):
-            s_naive, v_naive = naive_km(xs, ds, t0)
-            s_got, v_got = est.at(min(t0, max(xs)))
-            if t0 <= max(xs):
-                assert s_got == pytest.approx(s_naive)
-                assert v_got == pytest.approx(v_naive)
+            naive = [naive_km(xs, ds, t0) for xs, ds in arms]
+            total_var = naive[0][1] + naive[1][1]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                if total_var == 0.0:
+                    with pytest.raises(DegenerateDataError):
+                        km_compare(snap, t0)
+                    continue
+                res = km_compare(snap, t0)
+            assert len(caught) == sum(t0 > max(xs) for xs, _ in arms)
+            assert res.s_hat == pytest.approx((naive[0][0], naive[1][0]))
+            assert 1.0 / res.info_level == pytest.approx(total_var)
+    tied = snapshot(datasets[1], 10.0)
+    event_times = tied.follow_up[tied.event_observed]
+    assert np.unique(event_times).size < event_times.size
 
 
 def test_km_no_censoring_equals_empirical_survival():
     rng = np.random.default_rng(5)
     times = rng.exponential(1.0, 40)
     recs = [SubjectRecord(f"s{j}", 0, 0.0, float(t), True, ()) for j, t in enumerate(times)]
-    recs.append(SubjectRecord("pad", 1, 0.0, 1.0, True, ()))
-    est = km_fit(snapshot(recs, 100.0), 0)
+    recs.append(SubjectRecord("pad", 1, 0.0, 2.0, False, ()))
+    snap = snapshot(recs, 100.0)
     for t0 in (0.2, 0.7, 1.4):
-        s, _ = est.at(t0)
-        assert s == pytest.approx(np.mean(times > t0))
+        assert km_compare(snap, t0).s_hat[0] == pytest.approx(np.mean(times > t0))
 
 
+@pytest.mark.filterwarnings("ignore:stratum .* no subjects under observation:RuntimeWarning")
 def test_km_below_exp_nelson_aalen():
     rng = np.random.default_rng(6)
-    recs = random_dataset(rng, n=12, p=1)
-    snap = snapshot(recs, 10.0)
-    # strip covariates so the p=0 fit gives the per-stratum Nelson-Aalen baseline
-    bare = [
-        SubjectRecord(r.id, r.arm, 0.0, r.follow_up, r.event_observed, ())
-        for r in snap.records
-    ]
-    bare_snap = snapshot(bare, 10.0)
+    snap = snapshot(random_dataset(rng, n=12, p=1), 10.0)
+    # strip covariates so the p=0 fit gives the per-stratum Nelson-Aalen baseline;
+    # beyond an arm's last follow-up both estimates stay flat
+    bare_snap = replace(snap, covariates=np.empty((snap.n, 0)))
     fit = fit_mple(bare_snap)
-    for stratum in (0, 1):
-        est = km_fit(bare_snap, stratum)
-        for t0 in (0.5, 1.0, 2.0):
-            km_val, _ = est.at(min(t0, est.max_follow_up))
-            fh_val = float(np.exp(-fit.baseline_cum_hazard[stratum](min(t0, est.max_follow_up))))
-            assert km_val <= fh_val + 1e-12
+    for t0 in (0.5, 1.0, 2.0):
+        res = km_compare(bare_snap, t0)
+        for stratum in (0, 1):
+            fh_val = float(np.exp(-fit.baseline_cum_hazard[stratum](t0)))
+            assert res.s_hat[stratum] <= fh_val + 1e-12
 
 
 def test_km_compare_zero_events_raises_degenerate():
@@ -121,13 +139,12 @@ def test_cox_wald_equals_stratified_machinery_with_indicator(hand_snapshot):
     # appending the arm as a covariate on a single stratum is exactly what
     # cox_wald does; verify the reuse explicitly
     res = cox_wald(hand_snapshot)
-    merged = [
-        SubjectRecord(
-            r.id, 0, 0.0, r.follow_up, r.event_observed, (float(r.arm),) + r.covariates
-        )
-        for r in hand_snapshot.records
-    ]
-    fit = fit_mple(snapshot(merged, 10.0))
+    merged = replace(
+        hand_snapshot,
+        arm=np.zeros(hand_snapshot.n, dtype=np.int8),
+        covariates=np.column_stack([hand_snapshot.arm, hand_snapshot.covariates]),
+    )
+    fit = fit_mple(merged)
     assert res.beta_w_hat == pytest.approx(fit.beta_hat[0])
     assert res.fit.beta_hat == pytest.approx(fit.beta_hat)
     cov = np.linalg.inv(fit.observed_information)

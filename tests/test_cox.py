@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from seqsurv import (
+    Columns,
     DegenerateDataError,
-    FitOptions,
     RiskSets,
     Scenario,
     SeparationError,
@@ -171,11 +173,7 @@ def test_baseline_nondecreasing_and_zero_at_origin(hand_snapshot_8):
 def test_covariate_shift_invariance(hand_snapshot_8):
     fit = fit_mple(hand_snapshot_8)
     shift = 2.5
-    shifted = [
-        SubjectRecord(r.id, r.arm, 0.0, r.follow_up, r.event_observed, (r.covariates[0] + shift,))
-        for r in hand_snapshot_8.records
-    ]
-    fit2 = fit_mple(snapshot(shifted, 6.0))
+    fit2 = fit_mple(replace(hand_snapshot_8, covariates=hand_snapshot_8.covariates + shift))
     assert fit2.beta_hat == pytest.approx(fit.beta_hat, abs=1e-9)
     scale = np.exp(-fit.beta_hat[0] * shift)
     for stratum in (0, 1):
@@ -186,11 +184,11 @@ def test_covariate_shift_invariance(hand_snapshot_8):
 
 
 def test_fit_saturates_beyond_last_observation(hand_snapshot_8):
-    recs = list(hand_snapshot_8.records)
-    raw = [
-        SubjectRecord(r.id, r.arm, 0.0, r.follow_up, r.event_observed, r.covariates)
-        for r in recs
-    ]
+    snap = hand_snapshot_8
+    raw = Columns(
+        ids=snap.ids, arm=snap.arm, entry=np.zeros(snap.n), time_on_study=snap.follow_up,
+        event=snap.event_observed, covariates=snap.covariates,
+    )
     f1 = fit_mple(snapshot(raw, 6.0))
     f2 = fit_mple(snapshot(raw, 60.0))
     assert f1.beta_hat == pytest.approx(f2.beta_hat)
@@ -231,11 +229,13 @@ def test_separation_detected():
         fit_mple(snap)
 
 
-def test_nonconvergence_carries_last_iterate(hand_snapshot):
-    from seqsurv import ConvergenceError
+def test_nonconvergence_carries_last_iterate(hand_snapshot, monkeypatch):
+    from seqsurv import ConvergenceError, cox
 
-    with pytest.raises(ConvergenceError) as err:
-        fit_mple(hand_snapshot, FitOptions(max_iter=1, score_tol=1e-14))
+    monkeypatch.setattr(cox, "MAX_ITER", 1)
+    monkeypatch.setattr(cox, "SCORE_TOL", 1e-14)
+    with pytest.raises(ConvergenceError, match="in 1 iterations") as err:
+        fit_mple(hand_snapshot)
     assert err.value.beta is not None
     assert err.value.score_norm > 0
 

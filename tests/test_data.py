@@ -116,13 +116,6 @@ def test_snapshot_arrays_are_write_protected():
         snap.follow_up[0] = 99.0
 
 
-def test_snapshot_records_view(hand_snapshot):
-    recs = list(hand_snapshot.records)
-    assert len(recs) == 6
-    assert recs[0].id == "a"
-    assert recs[3].arm == 1
-
-
 def test_ingest_two_row_file(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("id,arm,entry,time,event,z1\np1,0,0.0,1.5,1,0.3\np2,1,0.5,2.0,0,-0.7\n")

@@ -324,6 +324,14 @@ def test_simulation_entry_points_reject_zero_replicates():
         calibrate_effect(sc, 0.8, design, calibration=cal, replicates=0)
 
 
+def test_calibration_rejects_grid_of_fewer_than_two_times():
+    # one grid time would place every look at it; none leaves no study end
+    sc = base_scenario(n0=20, n1=20)
+    for grid_size in (0, 1):
+        with pytest.raises(ValueError, match=f"grid_size must be at least 2, got {grid_size}"):
+            calibrate_analysis_times(sc, replicates=2, grid_size=grid_size)
+
+
 def test_calibrated_effect_replays_to_target_power(ph_alt_effect):
     effect = ph_alt_effect["effect"]
     scenario = Scenario(**{**PH_ALT_BASE.__dict__, "beta_w": effect.beta_delta})
