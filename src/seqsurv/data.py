@@ -180,14 +180,14 @@ def snapshot(dataset: Sequence[SubjectRecord] | Columns, u: float) -> Snapshot:
 
     Per subject: ``follow_up = min(time_on_study, (u - entry)+)`` and the
     event is observed iff it had occurred by that horizon.  A subject with
-    ``entry >= u`` contributes zero follow-up.
+    ``entry >= u`` contributes zero follow-up and no event, even one at time 0.
     """
     if not np.isfinite(u) or u < 0:
         raise ValidationError(f"calendar time must be finite and >= 0, got {u!r}")
     cols = dataset if isinstance(dataset, Columns) else to_columns(dataset)
     horizon = np.maximum(u - cols.entry, 0.0)
     follow_up = np.minimum(cols.time_on_study, horizon)
-    event_observed = cols.event & (cols.time_on_study <= horizon)
+    event_observed = cols.event & (cols.time_on_study <= horizon) & (horizon > 0.0)
     return Snapshot(
         calendar_time=float(u),
         ids=cols.ids,

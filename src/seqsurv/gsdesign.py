@@ -271,6 +271,8 @@ def _validate_fractions(info_fractions: Sequence[float]) -> tuple[float, ...]:
     fracs = tuple(float(f) for f in info_fractions)
     if not fracs:
         raise ValueError("at least one information fraction is required")
+    if not all(math.isfinite(f) for f in fracs):
+        raise ValueError(f"information fractions must be finite, got {fracs}")
     if fracs[0] <= 0.0 or fracs[-1] > 1.0 + 1e-12:
         raise ValueError("information fractions must lie in (0, 1]")
     if any(b - a < _MIN_IF_STEP for a, b in zip(fracs, fracs[1:])):
@@ -549,7 +551,8 @@ def design_from_text(text: str) -> GSDesign:
         alpha = float(kv["alpha"])
         sidedness = kv["sidedness"]
         sf = spending_from_text(kv["spending"], alpha, sidedness)
-        fractions = tuple(float(x) for x in kv["info_fractions"].split(","))
+        stages = int(kv["stages"])
+        fractions = _validate_fractions(float(x) for x in kv["info_fractions"].split(","))
         critical = tuple(float(x) for x in kv["critical_values"].split(","))
         spent = tuple(float(x) for x in kv["alpha_spent"].split(","))
         grid = kv["grid"]
@@ -557,8 +560,11 @@ def design_from_text(text: str) -> GSDesign:
         raise ValueError(f"design file is missing key {exc.args[0]!r}") from None
     if grid != _GRID_RULE:
         raise ValueError(f"design file key 'grid' is {grid!r}; this version replays only {_GRID_RULE!r}")
-    if not len(fractions) == len(critical) == len(spent):
-        raise ValueError("design file: schedule arrays have inconsistent lengths")
+    if not stages == len(fractions) == len(critical) == len(spent):
+        raise ValueError(
+            f"design file: stages = {stages} but the schedule arrays have lengths "
+            f"{len(fractions)}, {len(critical)} and {len(spent)}"
+        )
     return GSDesign(
         spending=sf,
         info_fractions=fractions,

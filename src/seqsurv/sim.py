@@ -244,60 +244,51 @@ def _check_replicates(replicates: int) -> None:
         raise ValueError(f"replicates must be at least 1, got {replicates}")
 
 
-def _monitor_replicate(
-    design: GSDesign, total_info: float, zs: Sequence[float], infos: Sequence[float]
-) -> int:
-    """First rejection stage (1-based) for one replicate, 0 if never rejected.
-
-    Observed information occasionally regresses through estimation noise; it
-    is nudged up by a small factor so the error-spending monitor always sees
-    increasing information.
-    """
-    mon = SequentialMonitor(design, total_info)
-    prev = 0.0
-    for k, (z, info) in enumerate(zip(zs, infos)):
-        if not math.isfinite(info) or info <= 0.0:
-            raise SeqSurvError(f"non-finite information level at stage {k + 1}")
-        eff = max(info, prev * _MIN_INFO_GROWTH)
-        result = mon.step(eff, z)
-        prev = eff
-        if result.decision == "reject":
-            return k + 1
-        if result.decision == "accept":
-            return 0
-    return 0
-
-
 def _replicate_block(args) -> dict[str, np.ndarray]:
+    """First rejection stage (1-based, 0 if never rejected) and failure flag
+    of every replicate in one block, per method.
+
+    Each replicate is monitored look by look: a method whose monitor rejects
+    or accepts takes no later looks, and the replicate stops taking snapshots
+    once every method has ended.  Observed information occasionally regresses
+    through estimation noise; it is nudged up by a small factor so the
+    error-spending monitor always sees increasing information.
+    """
     (scenario, design, methods, analysis_times, method_totals, seed, start, stop) = args
     count = stop - start
     reject_stage = {m: np.zeros(count, dtype=np.int16) for m in methods}
     failed = {m: np.zeros(count, dtype=bool) for m in methods}
-    k_stages = len(analysis_times)
     for idx, r in enumerate(range(start, stop)):
         cols = generate_columns(scenario, seed, r)
-        stats: dict[str, list[tuple[float, float]]] = {m: [] for m in methods}
-        broken = {m: False for m in methods}
-        for u in analysis_times:
+        monitors: dict[str, SequentialMonitor | None] = dict.fromkeys(methods)
+        prev = dict.fromkeys(methods, 0.0)
+        for k, u in enumerate(analysis_times, start=1):
             snap = snapshot(cols, u)
-            for m in methods:
-                if broken[m]:
+            for m in list(monitors):
+                try:
+                    z, info = method_statistic(m, snap, scenario.tau)
+                except SeqSurvError:
+                    failed[m][idx] = True
+                    del monitors[m]
                     continue
                 try:
-                    stats[m].append(method_statistic(m, snap, scenario.tau))
-                except SeqSurvError:
-                    broken[m] = True
-        for m in methods:
-            if broken[m] or len(stats[m]) != k_stages:
-                failed[m][idx] = True
-                continue
-            zs = [s[0] for s in stats[m]]
-            infos = [s[1] for s in stats[m]]
-            try:
-                reject_stage[m][idx] = _monitor_replicate(design, method_totals[m], zs, infos)
-            except (SeqSurvError, ValueError):
-                failed[m][idx] = True
-    return {"reject": reject_stage, "failed": failed, "start": start}
+                    if not math.isfinite(info) or info <= 0.0:
+                        raise SeqSurvError(f"non-finite information level at stage {k}")
+                    prev[m] = max(info, prev[m] * _MIN_INFO_GROWTH)
+                    if monitors[m] is None:
+                        monitors[m] = SequentialMonitor(design, method_totals[m])
+                    decision = monitors[m].step(prev[m], z).decision
+                except (SeqSurvError, ValueError):
+                    failed[m][idx] = True
+                    del monitors[m]
+                    continue
+                if decision == "reject":
+                    reject_stage[m][idx] = k
+                if decision != "continue":
+                    del monitors[m]
+            if not monitors:
+                break
+    return {"reject": reject_stage, "failed": failed}
 
 
 # One worker pool per process, forked at the first ``workers > 1`` call and
@@ -362,26 +353,22 @@ def run_oc(
     replicates: int = 2000,
     seed: int = 0,
     *,
-    calibration: "CalibrationResult | None" = None,
+    calibration: CalibrationResult,
     workers: int = 1,
 ) -> OperatingCharacteristics:
     """Estimate stagewise cumulative rejection rates by simulation.
 
-    Each replicate is generated, snapshotted at the calibrated analysis
-    times, reduced to per-stage statistics for every requested method, and
-    monitored with error spending against that method's total information.
-    Results are deterministic in (scenario, seed, replicates) regardless of
-    ``workers``.
+    Each replicate is generated and monitored look by look at the calibrated
+    analysis times: every requested method whose monitoring has not ended
+    computes its statistic at the look's snapshot and takes an error-spending
+    step against that method's total information.  Results are deterministic
+    in (scenario, seed, replicates) regardless of ``workers``.
     """
     methods = tuple(methods)
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
     _check_replicates(replicates)
-    if calibration is None:
-        calibration = calibrate_analysis_times(
-            scenario, replicates=400, seed=seed, methods=methods, workers=workers
-        )
     missing = [m for m in methods if m not in calibration.method_totals]
     if missing:
         raise ValueError(f"calibration lacks total information for method(s) {missing}")
@@ -406,7 +393,6 @@ def run_oc(
         for start in range(0, replicates, block)
     ]
     results = _run_blocks(_replicate_block, args, workers)
-    results.sort(key=lambda r: r["start"])
     reject_stage = {m: np.concatenate([r["reject"][m] for r in results]) for m in methods}
     failed = {m: np.concatenate([r["failed"][m] for r in results]) for m in methods}
 
@@ -500,7 +486,6 @@ def _calibration_block(args):
 
 def calibrate_analysis_times(
     scenario: Scenario,
-    target_ifs: Sequence[float] | None = None,
     replicates: int = 400,
     *,
     seed: int = 0,
@@ -509,7 +494,7 @@ def calibrate_analysis_times(
     workers: int = 1,
 ) -> CalibrationResult:
     """Estimate mean information versus calendar time and invert it at the
-    target information fractions.
+    scenario's target information fractions.
 
     The information curve is estimated on a uniform calendar grid between the
     comparison time and the study end; a non-monotone estimate is smoothed by
@@ -519,11 +504,6 @@ def calibrate_analysis_times(
     _check_replicates(replicates)
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
-    targets = tuple(float(f) for f in (target_ifs or scenario.target_info_fractions))
-    if any(b <= a for a, b in zip(targets, targets[1:])) or targets[0] <= 0:
-        raise ValueError("target information fractions must be strictly increasing and positive")
-    if abs(targets[-1] - 1.0) > 1e-9:
-        raise ValueError("target information fractions must end at 1")
     methods = tuple(dict.fromkeys(("adjusted",) + tuple(methods)))
     grid = tuple(np.linspace(scenario.tau, scenario.study_length, grid_size))
 
@@ -554,7 +534,7 @@ def calibrate_analysis_times(
 
     total_information = method_totals["adjusted"]
     times = []
-    for f in targets:
+    for f in scenario.target_info_fractions:
         if abs(f - 1.0) <= 1e-12:
             times.append(scenario.study_length)
         else:
@@ -617,7 +597,7 @@ def calibrate_effect(
     target_power: float,
     design: GSDesign,
     *,
-    calibration: CalibrationResult | None = None,
+    calibration: CalibrationResult,
     replicates: int = 6000,
     seed: int = 0,
     workers: int = 1,
@@ -643,9 +623,6 @@ def calibrate_effect(
             "calibrate_effect searches offsets that raise treatment-arm survival, "
             "where a one_sided_lower design's power never exceeds its alpha"
         )
-    if calibration is None:
-        calibration = calibrate_analysis_times(scenario, replicates=400, seed=seed, workers=workers)
-
     null = null_beta_w(scenario)
     lo = null - _EFFECT_SEARCH_WIDTH
     drift = _adjusted_drift(scenario, calibration)

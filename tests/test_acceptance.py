@@ -8,6 +8,7 @@ minutes range.
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,8 +104,8 @@ PH_NULL = Scenario(
 @pytest.fixture(scope="session")
 def ph_null_two_time_runs():
     cal = calibrate_analysis_times(
-        PH_NULL, target_ifs=(0.5, 1.0), replicates=300, seed=101, grid_size=9,
-        workers=WORKERS,
+        replace(PH_NULL, k_analyses=2, target_info_fractions=(0.5, 1.0)),
+        replicates=300, seed=101, grid_size=9, workers=WORKERS,
     )
     u1, u2 = cal.analysis_times
     reps = 2000

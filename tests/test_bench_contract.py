@@ -1,22 +1,28 @@
-"""The benchmark's traced run replaces program attributes by name; a name it
-lists that the program no longer defines would crash that run.  This checks
-the list against the program, looking each name up the way the tracer does."""
+"""The benchmark replaces program attributes by name, calls the program in a
+fixed shape and checks its outputs against recorded references.  These tests
+run the same lookups, calls and checks, so a change that would crash the
+benchmark or make it report wrong outputs fails here first."""
 
 import importlib.util
+import json
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def _reference():
+    return json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))
+
+
 def test_traced_names_resolve():
-    spans = _load_spans()
+    spans = _load("spans")
     missing = [
         f"{getattr(owner, '__name__', owner)}.{attr}"
         for owner, attr, _ in spans._TARGETS
@@ -24,3 +30,19 @@ def test_traced_names_resolve():
     ]
     assert spans._TARGETS
     assert missing == []
+
+
+def test_oc_reference_unit_matches(tmp_path):
+    workloads, checks = _load("workloads"), _load("checks")
+    ref = _reference()["oc_nph_null"]
+    design = workloads.setup("oc_nph_null", tmp_path)
+    calibration = workloads.calibration_from_inputs(ref["inputs"]["calibration"])
+    oc = workloads.oc_call(workloads.REFERENCE_SEED, 1, design, calibration)
+    assert checks.check_oc(workloads.oc_outputs(oc, design), ref["expected"]) == []
+
+
+def test_calibration_reference_unit_matches():
+    workloads, checks = _load("workloads"), _load("checks")
+    ref = _reference()["calib_nph_null"]
+    cal = workloads.calib_call(workloads.REFERENCE_SEED)
+    assert checks.check_calibration(workloads.calib_outputs(cal), ref["expected"]) == []

@@ -61,6 +61,12 @@ def test_design_rejects_bad_fractions(capsys):
     assert code == EXIT_ERROR
 
 
+def test_design_rejects_nan_fraction(capsys):
+    code = main(["design", "--alpha", "0.05", "--info-fractions", "nan,0.75,1"])
+    assert code == EXIT_ERROR
+    assert "information fractions must be finite" in capsys.readouterr().err
+
+
 def test_analyze_mirrored_arms_continue(tmp_path, capsys):
     base = [(0.7, True, 0.4), (1.3, True, -0.2), (2.2, False, 0.9), (1.6, True, 0.1)]
     records = []

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from seqsurv import SubjectRecord, ValidationError, ingest_csv, snapshot, to_columns
+from seqsurv import (
+    SubjectRecord,
+    ValidationError,
+    ingest_csv,
+    km_compare,
+    snapshot,
+    to_columns,
+)
 
 
 def test_event_not_yet_reached_at_snapshot():
@@ -34,6 +41,19 @@ def test_not_yet_enrolled_subject_contributes_zero_risk():
     snap = snapshot([rec], 4.0)  # entry exactly at the analysis time
     assert snap.follow_up[0] == 0.0
     assert not snap.event_observed[0]
+
+
+def test_not_yet_enrolled_subject_with_zero_time_has_no_event():
+    recs = [
+        SubjectRecord("a", 0, 5.0, 0.0, True, ()),  # enters after the analysis time
+        SubjectRecord("b", 0, 0.0, 3.0, False, ()),
+        SubjectRecord("c", 1, 0.0, 1.0, True, ()),
+        SubjectRecord("d", 1, 0.0, 3.0, False, ()),
+    ]
+    snap = snapshot(recs, 1.5)
+    assert snap.follow_up[0] == 0.0
+    assert not snap.event_observed[0]
+    assert km_compare(snap, 1.2).s_hat[0] == 1.0
 
 
 def test_negative_time_names_subject():

@@ -372,6 +372,27 @@ def test_monitor_rejects_non_finite_input(info_level, z):
     assert mon.results == []
 
 
+@pytest.mark.parametrize("fractions", [[math.nan, 0.75, 1.0], [0.5, math.nan, 1.0], [0.5, math.inf]])
+def test_boundaries_reject_non_finite_fractions(fractions):
+    with pytest.raises(ValueError, match="finite"):
+        boundaries(power3(), fractions)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("stages = 3", "stages = 5", "stages = 5"),
+        ("info_fractions = 0.5,0.75,1.0", "info_fractions = 0.5,nan,1.0", "finite"),
+        ("info_fractions = 0.5,0.75,1.0", "info_fractions = 0.75,0.5,1.0", "strictly increasing"),
+    ],
+)
+def test_design_text_validates_the_schedule(old, new, message):
+    text = design_to_text(boundaries(power3(), [0.5, 0.75, 1.0]))
+    assert old in text
+    with pytest.raises(ValueError, match=message):
+        design_from_text(text.replace(old, new))
+
+
 def test_design_text_rejects_garbage():
     with pytest.raises(ValueError):
         design_from_text("alpha : 0.05\n")

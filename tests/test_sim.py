@@ -169,7 +169,7 @@ def test_calibration_times_monotone_and_end_at_study_end():
 
 def test_calibration_single_target_is_study_end():
     sc = base_scenario(k_analyses=1, target_info_fractions=(1.0,))
-    cal = calibrate_analysis_times(sc, target_ifs=(1.0,), replicates=20, seed=3, grid_size=5)
+    cal = calibrate_analysis_times(sc, replicates=20, seed=3, grid_size=5)
     assert cal.analysis_times == (sc.study_length,)
 
 
@@ -220,6 +220,29 @@ def test_run_oc_cumulative_rejection_nondecreasing():
     ses = oc.standard_errors["adjusted"]
     for p, se in zip(cum, ses):
         assert se == pytest.approx(math.sqrt(p * (1 - p) / oc.used_replicates["adjusted"]))
+
+
+def test_run_oc_takes_no_look_after_a_rejection(monkeypatch):
+    sc = base_scenario(n0=50, n1=50)
+    design = build_design(sc)
+    cal = calibrate_analysis_times(sc, replicates=20, seed=8, grid_size=5)
+    real = sim.STATISTICS["adjusted"]
+    z_first = 50.0
+
+    def statistic(snap, t0):
+        # z_first at the first look; no statistic at any later look
+        if z_first is None or snap.calendar_time > cal.analysis_times[0]:
+            raise SeqSurvError("statistic unavailable")
+        return z_first, real(snap, t0)[1]
+
+    monkeypatch.setitem(sim.STATISTICS, "adjusted", statistic)
+    oc = run_oc(sc, design, ("adjusted",), replicates=4, seed=3, calibration=cal, workers=1)
+    assert oc.failures == {"adjusted": 0}
+    assert oc.cumulative_rejection["adjusted"] == (1.0, 1.0, 1.0)
+    # a statistic that fails at the first look still fails the replicate
+    z_first = None
+    with pytest.raises(SeqSurvError, match="4 of 4 replicates failed"):
+        run_oc(sc, design, ("adjusted",), replicates=4, seed=3, calibration=cal, workers=1)
 
 
 def test_run_oc_requires_matching_stage_counts():
