@@ -31,7 +31,6 @@ from .cox import (
 from .data import (
     Columns,
     Snapshot,
-    SubjectRecord,
     ingest_csv,
     snapshot,
     to_columns,
@@ -69,7 +68,6 @@ from .sim import (
     calibrate_analysis_times,
     calibrate_effect,
     generate_columns,
-    generate_trial,
     null_beta_w,
     oc_plot_data,
     oc_to_csv,

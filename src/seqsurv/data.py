@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,25 +25,9 @@ CONTROL = 0
 TREATMENT = 1
 
 
-@dataclass(frozen=True)
-class SubjectRecord:
-    """One enrolled subject, on the raw (uncensored-by-analysis) scale.
-
-    ``time_on_study`` is the minimum of the event and random-censoring times,
-    measured from the subject's own entry; ``event`` says which one it was.
-    """
-
-    id: str
-    arm: int
-    entry: float
-    time_on_study: float
-    event: bool
-    covariates: tuple[float, ...] = ()
-
-
 class Columns(NamedTuple):
-    """Columnar view of a dataset: what the simulator draws and what
-    :func:`ingest_csv` returns."""
+    """A dataset, one array per field: what the simulator draws, what
+    :func:`ingest_csv` returns and what :func:`snapshot` censors."""
 
     ids: tuple[str, ...]
     arm: np.ndarray          # (n,) int8
@@ -75,17 +59,16 @@ def validate_dataset(cols: Columns) -> None:
     if not ok:
         _raise_first_subject_error(
             zip(cols.ids, cols.arm.tolist(), cols.entry.tolist(),
-                cols.time_on_study.tolist(), cols.covariates.tolist()),
-            cols.covariates.shape[1],
+                cols.time_on_study.tolist(), cols.covariates.tolist())
         )
 
 
-def _raise_first_subject_error(subjects, p: int) -> None:
+def _raise_first_subject_error(subjects) -> None:
     """Raise the error of the first subject, in order, that breaks an invariant.
 
     ``subjects`` yields ``(id, arm, entry, time_on_study, covariates)``.  The
     checks run per subject in this order: duplicate id, arm, entry, time,
-    covariate length, covariate values.
+    covariate values.
     """
     seen: set[str] = set()
     for sid, arm, entry, time_on_study, covariates in subjects:
@@ -98,41 +81,12 @@ def _raise_first_subject_error(subjects, p: int) -> None:
             raise ValidationError(f"subject {sid!r}: entry must be finite and >= 0")
         if not np.isfinite(time_on_study) or time_on_study < 0:
             raise ValidationError(f"subject {sid!r}: time_on_study must be finite and >= 0")
-        if len(covariates) != p:
-            raise ValidationError(
-                f"subject {sid!r}: covariate vector has length {len(covariates)}, expected {p}"
-            )
         if not all(np.isfinite(z) for z in covariates):
             raise ValidationError(f"subject {sid!r}: non-finite covariate value")
 
 
-def to_columns(dataset: Sequence[SubjectRecord] | Columns) -> Columns:
-    """Validated columnar view of a dataset.
-
-    ``Columns`` are validated and returned as they are; subject records are
-    converted first.
-    """
-    if isinstance(dataset, Columns):
-        validate_dataset(dataset)
-        return dataset
-    if not dataset:
-        raise ValidationError("dataset is empty")
-    n = len(dataset)
-    p = len(dataset[0].covariates)
-    # Checked on the Python values: an int8 cast would truncate 0.5 or wrap 300,
-    # and ragged covariate vectors cannot form an (n, p) array.
-    if any(r.arm not in (CONTROL, TREATMENT) or len(r.covariates) != p for r in dataset):
-        _raise_first_subject_error(
-            ((r.id, r.arm, r.entry, r.time_on_study, r.covariates) for r in dataset), p
-        )
-    cols = Columns(
-        ids=tuple(r.id for r in dataset),
-        arm=np.fromiter((r.arm for r in dataset), dtype=np.int8, count=n),
-        entry=np.fromiter((r.entry for r in dataset), dtype=np.float64, count=n),
-        time_on_study=np.fromiter((r.time_on_study for r in dataset), dtype=np.float64, count=n),
-        event=np.fromiter((r.event for r in dataset), dtype=bool, count=n),
-        covariates=np.array([r.covariates for r in dataset], dtype=np.float64).reshape(n, p),
-    )
+def to_columns(cols: Columns) -> Columns:
+    """``cols`` after :func:`validate_dataset` has checked them."""
     validate_dataset(cols)
     return cols
 
@@ -175,7 +129,7 @@ class Snapshot:
         return int(np.count_nonzero(self.arm == arm))
 
 
-def snapshot(dataset: Sequence[SubjectRecord] | Columns, u: float) -> Snapshot:
+def snapshot(cols: Columns, u: float) -> Snapshot:
     """Apply administrative censoring at calendar time ``u``.
 
     Per subject: ``follow_up = min(time_on_study, (u - entry)+)`` and the
@@ -184,7 +138,6 @@ def snapshot(dataset: Sequence[SubjectRecord] | Columns, u: float) -> Snapshot:
     """
     if not np.isfinite(u) or u < 0:
         raise ValidationError(f"calendar time must be finite and >= 0, got {u!r}")
-    cols = dataset if isinstance(dataset, Columns) else to_columns(dataset)
     horizon = np.maximum(u - cols.entry, 0.0)
     follow_up = np.minimum(cols.time_on_study, horizon)
     event_observed = cols.event & (cols.time_on_study <= horizon) & (horizon > 0.0)
@@ -198,7 +151,7 @@ def snapshot(dataset: Sequence[SubjectRecord] | Columns, u: float) -> Snapshot:
     )
 
 
-def ingest_csv(path, *, delimiter: str = ",") -> Columns:
+def ingest_csv(path) -> Columns:
     """Read subjects from a CSV file with header ``id,arm,entry,time,event,z1,...,zp``
     into validated columns.
 
@@ -210,7 +163,7 @@ def ingest_csv(path, *, delimiter: str = ",") -> Columns:
     """
     required = ["id", "arm", "entry", "time", "event"]
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:

@@ -289,24 +289,31 @@ def boundaries(sf: SpendingFunction, info_fractions: Sequence[float]) -> GSDesig
     return _solve_boundaries(sf, info_fractions, _GRID_R)
 
 
+def _stage_boundary(
+    prop: _Propagator, sf: SpendingFunction, fraction: float, spent: float, final: bool
+) -> tuple[float, float]:
+    """Boundary magnitude and cumulative spending target of one stage.
+
+    The target is the spending function at ``fraction`` (the whole budget at
+    the final stage), never less than the ``spent`` of earlier stages; the
+    boundary spends the increment between them.
+    """
+    target = max(sf.total_alpha if final else spend(sf, fraction), spent)
+    return prop.solve_boundary(fraction, target - spent), target
+
+
 def _solve_boundaries(sf: SpendingFunction, info_fractions: Sequence[float], r: int) -> GSDesign:
     fracs = _validate_fractions(info_fractions)
-    k_stages = len(fracs)
-    cumulative = [spend(sf, f) for f in fracs]
-    cumulative[-1] = sf.total_alpha
-
     prop = _Propagator(sf.sidedness, drift=0.0, r=r)
     crit: list[float] = []
     spent: list[float] = []
     previous = 0.0
     for k, f in enumerate(fracs):
-        target = max(cumulative[k], previous)
-        increment = target - previous
-        c = prop.solve_boundary(f, increment)
+        final = k == len(fracs) - 1
+        c, previous = _stage_boundary(prop, sf, f, previous, final)
         crit.append(c)
-        previous = target
         spent.append(previous)
-        if k < k_stages - 1:
+        if not final:
             prop.advance(f, c)
     return GSDesign(
         spending=sf,
@@ -358,7 +365,6 @@ class SequentialMonitor:
         self.total_information = float(total_information)
         self.results: list[StageResult] = []
         self._prop = _Propagator(design.spending.sidedness)
-        self._spent = 0.0
 
     @property
     def finished(self) -> bool:
@@ -391,10 +397,10 @@ class SequentialMonitor:
                 f"the previous stage's {prev_if:g}"
             )
         is_final = clamped or stage == self.design.n_stages
-        sf = self.design.spending
-        cumulative = sf.total_alpha if is_final else spend(sf, info_fraction)
-        target = max(cumulative, self._spent)
-        boundary = self._prop.solve_boundary(info_fraction, target - self._spent)
+        spent = self.results[-1].alpha_spent if self.results else 0.0
+        boundary, target = _stage_boundary(
+            self._prop, self.design.spending, info_fraction, spent, is_final
+        )
         rejected = self._crossed(z, boundary)
         if rejected:
             decision = "reject"
@@ -411,11 +417,15 @@ class SequentialMonitor:
             decision=decision,
             alpha_spent=target,
         )
-        self._spent = target
-        if decision == "continue":
-            self._prop.advance(info_fraction, boundary)
-        self.results.append(result)
+        self._record(result)
         return result
+
+    def _record(self, result: StageResult) -> None:
+        """Append a stage's result, moving the continuation density past it
+        when monitoring continues."""
+        if result.decision == "continue":
+            self._prop.advance(result.info_fraction, result.boundary)
+        self.results.append(result)
 
     def _crossed(self, z: float, boundary: float) -> bool:
         if not math.isfinite(boundary):
@@ -442,17 +452,10 @@ class MonitoringState:
     results: list[StageResult] = field(default_factory=list)
     method: str = ""
 
-    @property
-    def finished(self) -> bool:
-        return bool(self.results) and self.results[-1].decision != "continue"
-
     def rebuild_monitor(self) -> SequentialMonitor:
         mon = SequentialMonitor(self.design, self.total_information)
         for res in self.results:
-            mon._spent = res.alpha_spent
-            if res.decision == "continue":
-                mon._prop.advance(res.info_fraction, res.boundary)
-            mon.results.append(res)
+            mon._record(res)
         return mon
 
 
@@ -462,14 +465,14 @@ def monitor(state: MonitoringState, info_level: float, z: float, *, calendar_tim
     Refuses stages after a terminal decision and non-increasing calendar
     times or information levels.
     """
-    if state.finished:
+    mon = state.rebuild_monitor()
+    if mon.finished:
         raise ValueError(f"monitoring already ended with decision {state.results[-1].decision!r}")
     if calendar_time is not None and state.calendar_times and calendar_time <= state.calendar_times[-1]:
         raise ValueError(
             f"calendar time must increase across stages "
             f"({calendar_time:g} after {state.calendar_times[-1]:g})"
         )
-    mon = state.rebuild_monitor()
     result = mon.step(info_level, z)
     state.results.append(result)
     state.calendar_times.append(float(calendar_time) if calendar_time is not None else float("nan"))

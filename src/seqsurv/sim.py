@@ -24,7 +24,7 @@ from scipy.optimize import brentq, isotonic_regression
 
 from .adjusted import compare_sp
 from .comparators import cox_wald, km_compare
-from .data import Columns, Snapshot, SubjectRecord, snapshot
+from .data import Columns, Snapshot, snapshot
 from .errors import SeqSurvError
 from .gsdesign import (
     ONE_SIDED_LOWER,
@@ -44,6 +44,14 @@ _COVARIATE_LAW_STREAM = 1 << 49       # fixed stream of the analytic power's cov
 _COVARIATE_LAW_DRAWS = 1 << 16
 _EFFECT_SEARCH_WIDTH = 4.0            # calibrate_effect searches [null - 4, null]
 _MAX_FAILURE_FRACTION = 0.005         # run_oc refuses to report rates beyond this
+_CALIBRATION_GRID_SIZE = 13           # calendar times on which calibration estimates information
+
+# Scenario fields that must be finite floats (gamma0 may also be None); NaN
+# would pass every ``<=`` check below.
+_FLOAT_FIELDS = (
+    "tau", "alpha0", "alpha1", "gamma0", "beta_w", "phi", "accrual", "censor_rate",
+    "total_alpha", "spending_rho",
+)
 
 
 @dataclass(frozen=True)
@@ -76,6 +84,12 @@ class Scenario:
     target_info_fractions: tuple[float, ...] = (0.5, 0.75, 1.0)
 
     def __post_init__(self) -> None:
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if not all(math.isfinite(f) for f in self.target_info_fractions):
+            raise ValueError(f"target_info_fractions must be finite, got {self.target_info_fractions}")
         if self.n0 < 1 or self.n1 < 1:
             raise ValueError("per-arm sizes must be at least 1")
         if self.tau <= 0:
@@ -196,23 +210,6 @@ def generate_columns(scenario: Scenario, seed: int, replicate: int = 0) -> Colum
         event=t_event <= t_censor,
         covariates=z,
     )
-
-
-def generate_trial(scenario: Scenario, seed: int, replicate: int = 0) -> list[SubjectRecord]:
-    """One simulated trial as subject records (administrative censoring is
-    applied later, by snapshotting at an analysis time)."""
-    cols = generate_columns(scenario, seed, replicate)
-    return [
-        SubjectRecord(
-            id=cols.ids[i],
-            arm=int(cols.arm[i]),
-            entry=float(cols.entry[i]),
-            time_on_study=float(cols.time_on_study[i]),
-            event=bool(cols.event[i]),
-            covariates=tuple(float(v) for v in cols.covariates[i]),
-        )
-        for i in range(scenario.n_total)
-    ]
 
 
 def _z_info(result) -> tuple[float, float]:
@@ -489,23 +486,20 @@ def calibrate_analysis_times(
     replicates: int = 400,
     *,
     seed: int = 0,
-    grid_size: int = 13,
     methods: Sequence[str] = ("adjusted",),
     workers: int = 1,
 ) -> CalibrationResult:
     """Estimate mean information versus calendar time and invert it at the
     scenario's target information fractions.
 
-    The information curve is estimated on a uniform calendar grid between the
-    comparison time and the study end; a non-monotone estimate is smoothed by
-    isotonic regression before inversion.  Total information per method is
-    the mean at the study end.
+    The information curve is estimated on a uniform calendar grid of 13 times
+    from the comparison time to the study end; a non-monotone estimate is
+    smoothed by isotonic regression before inversion.  Total information per
+    method is the mean at the study end.
     """
     _check_replicates(replicates)
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
     methods = tuple(dict.fromkeys(("adjusted",) + tuple(methods)))
-    grid = tuple(np.linspace(scenario.tau, scenario.study_length, grid_size))
+    grid = tuple(np.linspace(scenario.tau, scenario.study_length, _CALIBRATION_GRID_SIZE))
 
     block = max(1, math.ceil(replicates / max(workers, 1) / 4))
     args = [

@@ -9,12 +9,13 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from seqsurv import (
+    Columns,
     Scenario,
-    SubjectRecord,
     build_design,
     calibrate_analysis_times,
     calibrate_effect,
     snapshot,
+    to_columns,
 )
 
 WORKERS = min(2, os.cpu_count() or 1)
@@ -36,8 +37,7 @@ def ph_alt_effect():
     """
     design = build_design(PH_ALT_BASE)
     cal = calibrate_analysis_times(
-        PH_ALT_BASE, replicates=300, seed=303, grid_size=11,
-        methods=("adjusted", "km"), workers=WORKERS,
+        PH_ALT_BASE, replicates=300, seed=303, methods=("adjusted", "km"), workers=WORKERS,
     )
     effect = calibrate_effect(
         PH_ALT_BASE, 0.80, design, calibration=cal, replicates=6000,
@@ -46,24 +46,36 @@ def ph_alt_effect():
     return {"design": design, "calibration": cal, "effect": effect}
 
 
+def columns(rows):
+    """Validated ``Columns`` from ``(id, arm, entry, time_on_study, event,
+    covariates)`` rows, one per subject."""
+    ids, arm, entry, time_on_study, event, covariates = zip(*rows)
+    return to_columns(Columns(
+        ids=ids,
+        arm=np.array(arm, dtype=np.int8),
+        entry=np.array(entry, dtype=np.float64),
+        time_on_study=np.array(time_on_study, dtype=np.float64),
+        event=np.array(event, dtype=bool),
+        covariates=np.array(covariates, dtype=np.float64),
+    ))
+
+
 def random_dataset(rng, n=None, p=None, arm_balance=True):
     """Small random two-arm dataset for oracle comparisons."""
     n = n if n is not None else int(rng.integers(4, 13))
     p = p if p is not None else int(rng.integers(1, 3))
-    records = []
+    rows = []
     for j in range(n):
         arm = j % 2 if arm_balance else int(rng.integers(0, 2))
-        records.append(
-            SubjectRecord(
-                id=f"s{j}",
-                arm=arm,
-                entry=float(rng.uniform(0, 1)),
-                time_on_study=float(rng.exponential(1.0) + 0.05),
-                event=bool(rng.random() < 0.75),
-                covariates=tuple(rng.normal(0, 1, p)),
-            )
-        )
-    return records
+        rows.append((
+            f"s{j}",
+            arm,
+            float(rng.uniform(0, 1)),
+            float(rng.exponential(1.0) + 0.05),
+            bool(rng.random() < 0.75),
+            tuple(rng.normal(0, 1, p)),
+        ))
+    return columns(rows)
 
 
 def snapshot_arrays(snap):
@@ -79,28 +91,28 @@ def snapshot_arrays(snap):
 @pytest.fixture
 def hand_snapshot():
     """Six-subject, one-covariate dataset with distinct event times."""
-    records = [
-        SubjectRecord("a", 0, 0.0, 0.9, True, (0.5,)),
-        SubjectRecord("b", 0, 0.0, 1.7, True, (-0.3,)),
-        SubjectRecord("c", 0, 0.0, 2.4, False, (1.2,)),
-        SubjectRecord("d", 1, 0.0, 0.6, True, (0.1,)),
-        SubjectRecord("e", 1, 0.0, 1.1, True, (-1.0,)),
-        SubjectRecord("f", 1, 0.0, 2.0, False, (0.7,)),
-    ]
-    return snapshot(records, 5.0)
+    cols = columns([
+        ("a", 0, 0.0, 0.9, True, (0.5,)),
+        ("b", 0, 0.0, 1.7, True, (-0.3,)),
+        ("c", 0, 0.0, 2.4, False, (1.2,)),
+        ("d", 1, 0.0, 0.6, True, (0.1,)),
+        ("e", 1, 0.0, 1.1, True, (-1.0,)),
+        ("f", 1, 0.0, 2.0, False, (0.7,)),
+    ])
+    return snapshot(cols, 5.0)
 
 
 @pytest.fixture
 def hand_snapshot_8():
     """Eight subjects, one covariate, including ties and late entry."""
-    records = [
-        SubjectRecord("a", 0, 0.0, 0.8, True, (0.4,)),
-        SubjectRecord("b", 0, 0.2, 1.3, True, (-0.6,)),
-        SubjectRecord("c", 0, 0.1, 1.3, True, (0.9,)),
-        SubjectRecord("d", 0, 0.0, 2.5, False, (0.0,)),
-        SubjectRecord("e", 1, 0.3, 0.5, True, (-0.2,)),
-        SubjectRecord("f", 1, 0.0, 1.8, True, (1.1,)),
-        SubjectRecord("g", 1, 0.4, 2.2, False, (-0.8,)),
-        SubjectRecord("h", 1, 0.0, 2.9, True, (0.3,)),
-    ]
-    return snapshot(records, 6.0)
+    cols = columns([
+        ("a", 0, 0.0, 0.8, True, (0.4,)),
+        ("b", 0, 0.2, 1.3, True, (-0.6,)),
+        ("c", 0, 0.1, 1.3, True, (0.9,)),
+        ("d", 0, 0.0, 2.5, False, (0.0,)),
+        ("e", 1, 0.3, 0.5, True, (-0.2,)),
+        ("f", 1, 0.0, 1.8, True, (1.1,)),
+        ("g", 1, 0.4, 2.2, False, (-0.8,)),
+        ("h", 1, 0.0, 2.9, True, (0.3,)),
+    ])
+    return snapshot(cols, 6.0)

@@ -105,7 +105,7 @@ PH_NULL = Scenario(
 def ph_null_two_time_runs():
     cal = calibrate_analysis_times(
         replace(PH_NULL, k_analyses=2, target_info_fractions=(0.5, 1.0)),
-        replicates=300, seed=101, grid_size=9, workers=WORKERS,
+        replicates=300, seed=101, workers=WORKERS,
     )
     u1, u2 = cal.analysis_times
     reps = 2000
@@ -187,7 +187,7 @@ NPH_NULL = Scenario(
 def nph_null_oc():
     design = build_design(NPH_NULL)
     cal = calibrate_analysis_times(
-        NPH_NULL, replicates=300, seed=202, grid_size=11,
+        NPH_NULL, replicates=300, seed=202,
         methods=("adjusted", "km", "cox"), workers=WORKERS,
     )
     return run_oc(

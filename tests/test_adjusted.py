@@ -5,7 +5,6 @@ import pytest
 
 from seqsurv import (
     DegenerateDataError,
-    SubjectRecord,
     adjusted_sp,
     compare_sp,
     conditional_survival,
@@ -14,7 +13,7 @@ from seqsurv import (
     sp_variance,
     variance_components,
 )
-from conftest import random_dataset, snapshot_arrays
+from conftest import columns, random_dataset, snapshot_arrays
 from oracles import grid_refine_argmax, naive_adjusted_sp, naive_log_pl, naive_variance_pieces
 
 
@@ -51,12 +50,12 @@ def test_conditional_survival_composes_fit_and_baseline(hand_snapshot):
 
 
 def test_adjusted_sp_p0_is_baseline_survival():
-    recs = [
-        SubjectRecord("a", 0, 0.0, 1.0, True, ()),
-        SubjectRecord("b", 0, 0.0, 2.0, False, ()),
-        SubjectRecord("c", 1, 0.0, 1.5, True, ()),
-        SubjectRecord("d", 1, 0.0, 2.5, False, ()),
-    ]
+    recs = columns([
+        ("a", 0, 0.0, 1.0, True, ()),
+        ("b", 0, 0.0, 2.0, False, ()),
+        ("c", 1, 0.0, 1.5, True, ()),
+        ("d", 1, 0.0, 2.5, False, ()),
+    ])
     snap = snapshot(recs, 10.0)
     fit = fit_mple(snap)
     for stratum in (0, 1):
@@ -68,12 +67,12 @@ def test_adjusted_sp_p0_is_baseline_survival():
 def test_adjusted_sp_constant_covariates_equals_conditional():
     # identical covariates leave the score flat at zero: the fit stays at the
     # origin and the adjusted average collapses to one conditional value
-    recs = [
-        SubjectRecord("a", 0, 0.0, 1.0, True, (0.8,)),
-        SubjectRecord("b", 0, 0.0, 2.0, True, (0.8,)),
-        SubjectRecord("c", 1, 0.0, 1.5, True, (0.8,)),
-        SubjectRecord("d", 1, 0.0, 2.5, False, (0.8,)),
-    ]
+    recs = columns([
+        ("a", 0, 0.0, 1.0, True, (0.8,)),
+        ("b", 0, 0.0, 2.0, True, (0.8,)),
+        ("c", 1, 0.0, 1.5, True, (0.8,)),
+        ("d", 1, 0.0, 2.5, False, (0.8,)),
+    ])
     snap = snapshot(recs, 10.0)
     fit = fit_mple(snap)
     for stratum in (0, 1):
@@ -128,12 +127,12 @@ def test_variance_matches_naive_on_random_data(seed):
 def test_no_events_before_t0_zeroes_stratum_components():
     # the two events pull the coefficient in opposite directions, so the
     # maximizer is finite
-    recs = [
-        SubjectRecord("a", 0, 0.0, 5.0, True, (0.2,)),
-        SubjectRecord("b", 0, 0.0, 6.0, False, (-0.2,)),
-        SubjectRecord("c", 1, 0.0, 0.5, True, (0.4,)),
-        SubjectRecord("d", 1, 0.0, 6.0, False, (0.6,)),
-    ]
+    recs = columns([
+        ("a", 0, 0.0, 5.0, True, (0.2,)),
+        ("b", 0, 0.0, 6.0, False, (-0.2,)),
+        ("c", 1, 0.0, 0.5, True, (0.4,)),
+        ("d", 1, 0.0, 6.0, False, (0.6,)),
+    ])
     snap = snapshot(recs, 10.0)
     fit = fit_mple(snap)
     # stratum 0's only event lands beyond t0=1: its pieces all vanish
@@ -145,12 +144,12 @@ def test_no_events_before_t0_zeroes_stratum_components():
 
 
 def test_p0_variance_reduces_to_baseline_form():
-    recs = [
-        SubjectRecord("a", 0, 0.0, 0.6, True, ()),
-        SubjectRecord("b", 0, 0.0, 2.0, False, ()),
-        SubjectRecord("c", 1, 0.0, 0.9, True, ()),
-        SubjectRecord("d", 1, 0.0, 2.5, False, ()),
-    ]
+    recs = columns([
+        ("a", 0, 0.0, 0.6, True, ()),
+        ("b", 0, 0.0, 2.0, False, ()),
+        ("c", 1, 0.0, 0.9, True, ()),
+        ("d", 1, 0.0, 2.5, False, ()),
+    ])
     snap = snapshot(recs, 10.0)
     fit = fit_mple(snap)
     comps = variance_components(fit, snap, 1.0)
@@ -170,11 +169,11 @@ def test_p0_variance_reduces_to_baseline_form():
 
 def test_mirrored_arms_give_zero_statistic():
     base = [(0.7, True, 0.4), (1.3, True, -0.2), (2.2, False, 0.9), (1.8, True, 0.0)]
-    recs = []
+    rows = []
     for i, (t, d, z) in enumerate(base):
-        recs.append(SubjectRecord(f"c{i}", 0, 0.0, t, d, (z,)))
-        recs.append(SubjectRecord(f"t{i}", 1, 0.0, t, d, (z,)))
-    snap = snapshot(recs, 10.0)
+        rows.append((f"c{i}", 0, 0.0, t, d, (z,)))
+        rows.append((f"t{i}", 1, 0.0, t, d, (z,)))
+    snap = snapshot(columns(rows), 10.0)
     res = compare_sp(snap, 2.0)
     assert res.diff == pytest.approx(0.0, abs=1e-14)
     assert res.z == pytest.approx(0.0, abs=1e-12)
@@ -196,7 +195,7 @@ def test_sp_nonincreasing_in_t0(hand_snapshot_8):
 
 
 def test_compare_sp_requires_both_arms():
-    recs = [SubjectRecord("a", 0, 0.0, 1.0, True, ()), SubjectRecord("b", 0, 0.0, 2.0, True, ())]
+    recs = columns([("a", 0, 0.0, 1.0, True, ()), ("b", 0, 0.0, 2.0, True, ())])
     with pytest.raises(DegenerateDataError, match="both arms"):
         compare_sp(snapshot(recs, 10.0), 1.0)
 

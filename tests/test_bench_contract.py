@@ -46,3 +46,21 @@ def test_calibration_reference_unit_matches():
     ref = _reference()["calib_nph_null"]
     cal = workloads.calib_call(workloads.REFERENCE_SEED)
     assert checks.check_calibration(workloads.calib_outputs(cal), ref["expected"]) == []
+
+
+def test_interim_ties_reference_session_matches(tmp_path):
+    workloads, checks = _load("workloads"), _load("checks")
+    ref = _reference()["interim_ties"]
+    totals = ref["inputs"]["total_information"]
+    design_path = workloads.setup("interim_ties", tmp_path)
+    csv_path = tmp_path / "trial.csv"
+    workloads.write_trial_csv(csv_path, workloads.REFERENCE_SEED)
+    out = workloads.run_session(csv_path, design_path, tmp_path / "api", totals)
+    assert out["errors"] == []
+    assert checks.check_stages(out["stages"], ref["expected"]["stages"]) == []
+    rows = {m: workloads.state_rows(tmp_path / "api", m) for m in workloads.METHODS}
+    for m in workloads.METHODS:
+        decisions = [stage[1] for stage in out["stages"][m]]
+        cli = workloads.cli_session(csv_path, design_path, tmp_path / "cli", totals,
+                                    {m: len(decisions)})
+        assert checks.check_cli(cli, rows, {m: decisions}) == []

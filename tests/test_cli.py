@@ -5,25 +5,27 @@ import pytest
 
 from seqsurv import (
     Scenario,
-    SubjectRecord,
     build_design,
     compare_sp,
     design_from_text,
-    generate_trial,
+    generate_columns,
     null_beta_w,
     scenario_to_text,
     snapshot,
 )
 from seqsurv.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECT, main
+from conftest import columns
 
 
-def write_csv(path, records):
-    p = len(records[0].covariates)
+def write_csv(path, cols):
+    p = cols.covariates.shape[1]
     header = "id,arm,entry,time,event" + "".join(f",z{k + 1}" for k in range(p))
     lines = [header]
-    for r in records:
-        zs = "".join(f",{v!r}" for v in r.covariates)
-        lines.append(f"{r.id},{r.arm},{r.entry!r},{r.time_on_study!r},{int(r.event)}{zs}")
+    rows = zip(cols.ids, cols.arm.tolist(), cols.entry.tolist(), cols.time_on_study.tolist(),
+               cols.event.tolist(), cols.covariates.tolist())
+    for sid, arm, entry, time_on_study, event, zs in rows:
+        covariates = "".join(f",{v!r}" for v in zs)
+        lines.append(f"{sid},{arm},{entry!r},{time_on_study!r},{int(event)}{covariates}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -69,12 +71,12 @@ def test_design_rejects_nan_fraction(capsys):
 
 def test_analyze_mirrored_arms_continue(tmp_path, capsys):
     base = [(0.7, True, 0.4), (1.3, True, -0.2), (2.2, False, 0.9), (1.6, True, 0.1)]
-    records = []
+    rows = []
     for i, (t, d, z) in enumerate(base):
-        records.append(SubjectRecord(f"c{i}", 0, 0.0, t, d, (z,)))
-        records.append(SubjectRecord(f"t{i}", 1, 0.0, t, d, (z,)))
+        rows.append((f"c{i}", 0, 0.0, t, d, (z,)))
+        rows.append((f"t{i}", 1, 0.0, t, d, (z,)))
     data = tmp_path / "data.csv"
-    write_csv(data, records)
+    write_csv(data, columns(rows))
     design_file = tmp_path / "design.txt"
     main(["design", "--alpha", "0.05", "--spending", "power:3",
           "--info-fractions", "0.5,1", "--out", str(design_file)])
@@ -92,8 +94,8 @@ def test_analyze_mirrored_arms_continue(tmp_path, capsys):
 
 def test_analyze_requires_total_info_on_fresh_state(tmp_path, capsys):
     data = tmp_path / "data.csv"
-    write_csv(data, [SubjectRecord("a", 0, 0.0, 1.0, True, ()),
-                     SubjectRecord("b", 1, 0.0, 1.0, True, ())])
+    write_csv(data, columns([("a", 0, 0.0, 1.0, True, ()),
+                             ("b", 1, 0.0, 1.0, True, ())]))
     design_file = tmp_path / "design.txt"
     main(["design", "--alpha", "0.05", "--info-fractions", "1", "--out", str(design_file)])
     code = main(["analyze", str(data), "--design", str(design_file),
@@ -102,9 +104,8 @@ def test_analyze_requires_total_info_on_fresh_state(tmp_path, capsys):
 
 
 def test_analyze_resume_rejects_a_contradicting_total_info(tmp_path, capsys):
-    records = generate_trial(Scenario(n0=30, n1=30, tau=1.0, accrual=1.0), seed=4)
     data = tmp_path / "data.csv"
-    write_csv(data, records)
+    write_csv(data, generate_columns(Scenario(n0=30, n1=30, tau=1.0, accrual=1.0), seed=4))
     design_file = tmp_path / "design.txt"
     main(["design", "--alpha", "0.05", "--info-fractions", "0.5,0.75,1",
           "--out", str(design_file)])
@@ -128,8 +129,8 @@ def test_analyze_resume_rejects_a_contradicting_total_info(tmp_path, capsys):
 
 def test_analyze_state_without_total_information_is_an_error(tmp_path, capsys):
     data = tmp_path / "data.csv"
-    write_csv(data, [SubjectRecord("a", 0, 0.0, 1.0, True, ()),
-                     SubjectRecord("b", 1, 0.0, 1.0, True, ())])
+    write_csv(data, columns([("a", 0, 0.0, 1.0, True, ()),
+                             ("b", 1, 0.0, 1.0, True, ())]))
     design_file = tmp_path / "design.txt"
     main(["design", "--alpha", "0.05", "--info-fractions", "1", "--out", str(design_file)])
     state = tmp_path / "state.txt"
@@ -141,10 +142,10 @@ def test_analyze_state_without_total_information_is_an_error(tmp_path, capsys):
     assert err.startswith("error: ") and "total_information" in err
 
 
-def huge_effect_records(seed=0):
+def huge_effect_columns(seed=0):
     sc = Scenario(n0=150, n1=150, tau=1.0, alpha0=1.0, beta_w=-2.5,
                   covariate_scheme="normal1", phi=0.3, accrual=1.0)
-    return generate_trial(sc, seed)
+    return generate_columns(sc, seed)
 
 
 def test_analyze_huge_effect_rejects_at_stage_one(tmp_path, capsys):
@@ -154,11 +155,10 @@ def test_analyze_huge_effect_rejects_at_stage_one(tmp_path, capsys):
     )
     chosen = None
     for seed in range(20):
-        recs = huge_effect_records(seed)
-        snap = snapshot(recs, 2.0)
-        res = compare_sp(snap, 1.0)
+        cols = huge_effect_columns(seed)
+        res = compare_sp(snapshot(cols, 2.0), 1.0)
         if abs(res.z) > design.critical_values[0] + 0.5:
-            chosen = (recs, res)
+            chosen = (cols, res)
             break
     assert chosen is not None
     data = tmp_path / "data.csv"
@@ -185,12 +185,12 @@ def test_analyze_huge_effect_rejects_at_stage_one(tmp_path, capsys):
 
 def test_analyze_stage_regression_rejected(tmp_path, capsys):
     base = [(0.7, True), (1.3, True), (2.2, False), (1.6, True)]
-    records = []
+    rows = []
     for i, (t, d) in enumerate(base):
-        records.append(SubjectRecord(f"c{i}", 0, 0.0, t, d, ()))
-        records.append(SubjectRecord(f"t{i}", 1, 0.0, t + 0.05, d, ()))
+        rows.append((f"c{i}", 0, 0.0, t, d, ()))
+        rows.append((f"t{i}", 1, 0.0, t + 0.05, d, ()))
     data = tmp_path / "data.csv"
-    write_csv(data, records)
+    write_csv(data, columns(rows))
     design_file = tmp_path / "design.txt"
     main(["design", "--alpha", "0.05", "--info-fractions", "0.5,1",
           "--out", str(design_file)])
@@ -208,12 +208,12 @@ def test_analyze_stage_regression_rejected(tmp_path, capsys):
 
 
 def test_analyze_method_mismatch_rejected(tmp_path, capsys):
-    records = [SubjectRecord("a", 0, 0.0, 0.9, True, ()),
-               SubjectRecord("b", 1, 0.0, 1.1, True, ()),
-               SubjectRecord("c", 0, 0.0, 1.4, True, ()),
-               SubjectRecord("d", 1, 0.0, 1.7, False, ())]
+    cols = columns([("a", 0, 0.0, 0.9, True, ()),
+                    ("b", 1, 0.0, 1.1, True, ()),
+                    ("c", 0, 0.0, 1.4, True, ()),
+                    ("d", 1, 0.0, 1.7, False, ())])
     data = tmp_path / "data.csv"
-    write_csv(data, records)
+    write_csv(data, cols)
     design_file = tmp_path / "design.txt"
     main(["design", "--alpha", "0.05", "--info-fractions", "0.5,1",
           "--out", str(design_file)])
@@ -227,12 +227,12 @@ def test_analyze_method_mismatch_rejected(tmp_path, capsys):
 
 def test_analyze_km_without_events_by_t0_is_an_error(tmp_path, capsys):
     # the first event falls at 3.0, after both t0 = 1 and the analysis at u = 2
-    records = [SubjectRecord("a", 0, 0.0, 3.0, True, ()),
-               SubjectRecord("b", 1, 0.0, 4.0, True, ()),
-               SubjectRecord("c", 0, 0.0, 5.0, False, ()),
-               SubjectRecord("d", 1, 0.0, 5.0, False, ())]
+    cols = columns([("a", 0, 0.0, 3.0, True, ()),
+                    ("b", 1, 0.0, 4.0, True, ()),
+                    ("c", 0, 0.0, 5.0, False, ()),
+                    ("d", 1, 0.0, 5.0, False, ())])
     data = tmp_path / "data.csv"
-    write_csv(data, records)
+    write_csv(data, cols)
     design_file = tmp_path / "design.txt"
     main(["design", "--alpha", "0.05", "--info-fractions", "0.5,1", "--out", str(design_file)])
     capsys.readouterr()
@@ -245,12 +245,12 @@ def test_analyze_km_without_events_by_t0_is_an_error(tmp_path, capsys):
 
 
 def test_analyze_design_mismatch_rejected(tmp_path, capsys):
-    records = [SubjectRecord("a", 0, 0.0, 0.9, True, ()),
-               SubjectRecord("b", 1, 0.0, 1.1, True, ()),
-               SubjectRecord("c", 0, 0.0, 1.4, True, ()),
-               SubjectRecord("d", 1, 0.0, 1.7, False, ())]
+    cols = columns([("a", 0, 0.0, 0.9, True, ()),
+                    ("b", 1, 0.0, 1.1, True, ()),
+                    ("c", 0, 0.0, 1.4, True, ()),
+                    ("d", 1, 0.0, 1.7, False, ())])
     data = tmp_path / "data.csv"
-    write_csv(data, records)
+    write_csv(data, cols)
     first, other = tmp_path / "design.txt", tmp_path / "other.txt"
     main(["design", "--alpha", "0.05", "--info-fractions", "0.5,1", "--out", str(first)])
     main(["design", "--alpha", "0.05", "--info-fractions", "0.4,1", "--out", str(other)])
@@ -322,6 +322,17 @@ def test_simulate_zero_replicates_is_an_error(tmp_path, capsys):
     assert code == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "replicates must be at least 1, got 0" in err
+
+
+def test_simulate_non_finite_scenario_value_is_an_error(tmp_path, capsys):
+    scenario_file = tmp_path / "scenario.txt"
+    text = scenario_to_text(Scenario(n0=20, n1=20, tau=1.0, accrual=1.0))
+    scenario_file.write_text(text.replace("tau = 1.0", "tau = nan"))
+    code = main(["simulate", str(scenario_file), "--replicates", "5",
+                 "--calibration-replicates", "5"])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "tau must be finite, got nan" in err
 
 
 def test_version_flag(capsys):

@@ -6,26 +6,25 @@ import pytest
 
 from seqsurv import (
     DegenerateDataError,
-    SubjectRecord,
     cox_wald,
     fit_mple,
     km_compare,
     snapshot,
 )
-from conftest import random_dataset, snapshot_arrays
+from conftest import columns, random_dataset, snapshot_arrays
 from oracles import naive_km
 
 
 def test_km_product_limit_by_hand():
     # four subjects, events at 1 and 2: S(t0) = (3/4)(2/3) = 1/2 between 2 and 3;
     # the one treatment subject is censored, so all variance is the control arm's
-    recs = [
-        SubjectRecord("a", 0, 0.0, 1.0, True, ()),
-        SubjectRecord("b", 0, 0.0, 2.0, True, ()),
-        SubjectRecord("c", 0, 0.0, 3.0, False, ()),
-        SubjectRecord("d", 0, 0.0, 4.0, False, ()),
-        SubjectRecord("e", 1, 0.0, 4.0, False, ()),
-    ]
+    recs = columns([
+        ("a", 0, 0.0, 1.0, True, ()),
+        ("b", 0, 0.0, 2.0, True, ()),
+        ("c", 0, 0.0, 3.0, False, ()),
+        ("d", 0, 0.0, 4.0, False, ()),
+        ("e", 1, 0.0, 4.0, False, ()),
+    ])
     res = km_compare(snapshot(recs, 10.0), 2.5)
     assert res.s_hat == pytest.approx((0.5, 1.0))
     assert 0.0 < 1.0 / res.info_level < np.inf
@@ -33,11 +32,8 @@ def test_km_product_limit_by_hand():
 
 def _tied_dataset():
     # times on a half-unit grid, so several events share a time
-    rng = np.random.default_rng(12)
-    return [
-        replace(r, time_on_study=0.5 * round(2.0 * r.time_on_study) + 0.5)
-        for r in random_dataset(rng, n=16)
-    ]
+    cols = random_dataset(np.random.default_rng(12), n=16)
+    return cols._replace(time_on_study=0.5 * np.round(2.0 * cols.time_on_study) + 0.5)
 
 
 def test_km_matches_naive_oracle():
@@ -72,9 +68,9 @@ def test_km_matches_naive_oracle():
 def test_km_no_censoring_equals_empirical_survival():
     rng = np.random.default_rng(5)
     times = rng.exponential(1.0, 40)
-    recs = [SubjectRecord(f"s{j}", 0, 0.0, float(t), True, ()) for j, t in enumerate(times)]
-    recs.append(SubjectRecord("pad", 1, 0.0, 2.0, False, ()))
-    snap = snapshot(recs, 100.0)
+    rows = [(f"s{j}", 0, 0.0, float(t), True, ()) for j, t in enumerate(times)]
+    rows.append(("pad", 1, 0.0, 2.0, False, ()))
+    snap = snapshot(columns(rows), 100.0)
     for t0 in (0.2, 0.7, 1.4):
         assert km_compare(snap, t0).s_hat[0] == pytest.approx(np.mean(times > t0))
 
@@ -95,21 +91,21 @@ def test_km_below_exp_nelson_aalen():
 
 
 def test_km_compare_zero_events_raises_degenerate():
-    recs = [
-        SubjectRecord("a", 0, 0.0, 5.0, False, ()),
-        SubjectRecord("b", 1, 0.0, 5.0, False, ()),
-    ]
+    recs = columns([
+        ("a", 0, 0.0, 5.0, False, ()),
+        ("b", 1, 0.0, 5.0, False, ()),
+    ])
     with pytest.raises(DegenerateDataError, match="zero variance: no events by t0 in either arm"):
         km_compare(snapshot(recs, 10.0), 2.0)
 
 
 def test_km_carried_flat_with_warning():
-    recs = [
-        SubjectRecord("a", 0, 0.0, 1.0, True, ()),
-        SubjectRecord("b", 0, 0.0, 1.5, False, ()),
-        SubjectRecord("c", 1, 0.0, 3.0, True, ()),
-        SubjectRecord("d", 1, 0.0, 3.5, False, ()),
-    ]
+    recs = columns([
+        ("a", 0, 0.0, 1.0, True, ()),
+        ("b", 0, 0.0, 1.5, False, ()),
+        ("c", 1, 0.0, 3.0, True, ()),
+        ("d", 1, 0.0, 3.5, False, ()),
+    ])
     snap = snapshot(recs, 10.0)
     with pytest.warns(RuntimeWarning, match="carrying"):
         res = km_compare(snap, 2.5)
@@ -126,11 +122,11 @@ def test_km_z_form():
 
 def test_cox_wald_symmetric_arms_zero():
     base = [(0.9, True), (1.7, True), (2.4, False)]
-    recs = []
+    rows = []
     for i, (t, d) in enumerate(base):
-        recs.append(SubjectRecord(f"c{i}", 0, 0.0, t, d, ()))
-        recs.append(SubjectRecord(f"t{i}", 1, 0.0, t, d, ()))
-    res = cox_wald(snapshot(recs, 10.0))
+        rows.append((f"c{i}", 0, 0.0, t, d, ()))
+        rows.append((f"t{i}", 1, 0.0, t, d, ()))
+    res = cox_wald(snapshot(columns(rows), 10.0))
     assert res.beta_w_hat == pytest.approx(0.0, abs=1e-9)
     assert res.z == pytest.approx(0.0, abs=1e-9)
 
@@ -155,12 +151,12 @@ def test_cox_wald_equals_stratified_machinery_with_indicator(hand_snapshot):
 def test_cox_wald_detects_effect():
     rng = np.random.default_rng(8)
     n = 400
-    recs = []
+    rows = []
     for j in range(n):
         arm = j % 2
         t = float(rng.exponential(1.0) * (0.5 if arm else 1.0))
-        recs.append(SubjectRecord(f"s{j}", arm, 0.0, t, True, ()))
-    res = cox_wald(snapshot(recs, 100.0))
+        rows.append((f"s{j}", arm, 0.0, t, True, ()))
+    res = cox_wald(snapshot(columns(rows), 100.0))
     assert res.beta_w_hat > 0.4  # hazard ratio 2 means log-rate near 0.69
     assert res.z > 3.0
 

@@ -9,7 +9,6 @@ from seqsurv import (
     RiskSets,
     Scenario,
     SeparationError,
-    SubjectRecord,
     fit_mple,
     generate_columns,
     log_partial_likelihood,
@@ -17,25 +16,25 @@ from seqsurv import (
     partial_score,
     snapshot,
 )
-from conftest import random_dataset, snapshot_arrays
+from conftest import columns, random_dataset, snapshot_arrays
 from oracles import fd_gradient, fd_hessian, grid_refine_argmax, naive_breslow, naive_log_pl
 
 
 def test_score_is_half_for_two_subject_risk_set():
-    recs = [
-        SubjectRecord("a", 0, 0.0, 1.0, True, (1.0,)),
-        SubjectRecord("b", 0, 0.0, 2.0, False, (0.0,)),
-    ]
+    recs = columns([
+        ("a", 0, 0.0, 1.0, True, (1.0,)),
+        ("b", 0, 0.0, 2.0, False, (0.0,)),
+    ])
     snap = snapshot(recs, 10.0)
     assert partial_score([0.0], snap) == pytest.approx([0.5])
 
 
 def test_score_vanishes_when_every_event_is_alone():
     # one subject per arm, each the sole member of its risk set at its event
-    recs = [
-        SubjectRecord("a", 0, 0.0, 1.0, True, (0.7,)),
-        SubjectRecord("b", 1, 0.0, 2.0, True, (-0.4,)),
-    ]
+    recs = columns([
+        ("a", 0, 0.0, 1.0, True, (0.7,)),
+        ("b", 1, 0.0, 2.0, True, (-0.4,)),
+    ])
     snap = snapshot(recs, 10.0)
     for beta in (-1.0, 0.0, 2.5):
         assert partial_score([beta], snap) == pytest.approx([0.0], abs=1e-14)
@@ -52,19 +51,19 @@ def test_score_matches_finite_difference_gradient_on_hand_data():
 
 
 def test_information_zero_for_singleton_risk_sets():
-    recs = [
-        SubjectRecord("a", 0, 0.0, 1.0, True, (0.7,)),
-        SubjectRecord("b", 1, 0.0, 2.0, True, (-0.4,)),
-    ]
+    recs = columns([
+        ("a", 0, 0.0, 1.0, True, (0.7,)),
+        ("b", 1, 0.0, 2.0, True, (-0.4,)),
+    ])
     snap = snapshot(recs, 10.0)
     assert observed_information([0.9], snap) == pytest.approx(np.zeros((1, 1)))
 
 
 def test_information_quarter_for_balanced_binary_covariate():
-    recs = [
-        SubjectRecord("a", 0, 0.0, 1.0, True, (1.0,)),
-        SubjectRecord("b", 0, 0.0, 2.0, False, (0.0,)),
-    ]
+    recs = columns([
+        ("a", 0, 0.0, 1.0, True, (1.0,)),
+        ("b", 0, 0.0, 2.0, False, (0.0,)),
+    ])
     snap = snapshot(recs, 10.0)
     assert observed_information([0.0], snap)[0, 0] == pytest.approx(0.25)
 
@@ -107,12 +106,12 @@ def test_log_pl_agrees_with_naive_up_to_constant():
 
 
 def test_fit_p0_reduces_to_nelson_aalen():
-    recs = [
-        SubjectRecord("a", 0, 0.0, 1.0, True, ()),
-        SubjectRecord("b", 0, 0.0, 2.0, True, ()),
-        SubjectRecord("c", 0, 0.0, 3.0, False, ()),
-        SubjectRecord("d", 1, 0.0, 1.5, True, ()),
-    ]
+    recs = columns([
+        ("a", 0, 0.0, 1.0, True, ()),
+        ("b", 0, 0.0, 2.0, True, ()),
+        ("c", 0, 0.0, 3.0, False, ()),
+        ("d", 1, 0.0, 1.5, True, ()),
+    ])
     snap = snapshot(recs, 10.0)
     fit = fit_mple(snap)
     assert fit.beta_hat.size == 0
@@ -141,10 +140,10 @@ def test_fit_consistency_on_simulated_data():
     beta0 = 0.5
     arm = np.arange(n) % 2
     t = rng.exponential(1.0, n) / np.exp(beta0 * z)
-    recs = [
-        SubjectRecord(f"s{j}", int(arm[j]), 0.0, float(t[j]), True, (float(z[j]),))
+    recs = columns(
+        (f"s{j}", int(arm[j]), 0.0, float(t[j]), True, (float(z[j]),))
         for j in range(n)
-    ]
+    )
     fit = fit_mple(snapshot(recs, 1e9))
     se = float(np.sqrt(np.linalg.inv(fit.observed_information)[0, 0]))
     assert abs(fit.beta_hat[0] - beta0) < 3 * se
@@ -196,11 +195,11 @@ def test_fit_saturates_beyond_last_observation(hand_snapshot_8):
 
 
 def test_stratum_without_events_warns_not_errors():
-    recs = [
-        SubjectRecord("a", 0, 0.0, 1.0, True, (0.3,)),
-        SubjectRecord("b", 0, 0.0, 2.0, True, (-0.5,)),
-        SubjectRecord("c", 1, 0.0, 2.0, False, (0.1,)),
-    ]
+    recs = columns([
+        ("a", 0, 0.0, 1.0, True, (0.3,)),
+        ("b", 0, 0.0, 2.0, True, (-0.5,)),
+        ("c", 1, 0.0, 2.0, False, (0.1,)),
+    ])
     snap = snapshot(recs, 10.0)
     with pytest.warns(RuntimeWarning, match="stratum 1"):
         fit = fit_mple(snap)
@@ -209,10 +208,10 @@ def test_stratum_without_events_warns_not_errors():
 
 
 def test_no_events_anywhere_is_degenerate():
-    recs = [
-        SubjectRecord("a", 0, 0.0, 1.0, False, (0.3,)),
-        SubjectRecord("b", 1, 0.0, 2.0, False, (0.1,)),
-    ]
+    recs = columns([
+        ("a", 0, 0.0, 1.0, False, (0.3,)),
+        ("b", 1, 0.0, 2.0, False, (0.1,)),
+    ])
     with pytest.warns(RuntimeWarning):
         with pytest.raises(DegenerateDataError):
             fit_mple(snapshot(recs, 10.0))
@@ -221,9 +220,9 @@ def test_no_events_anywhere_is_degenerate():
 def test_separation_detected():
     # event order perfectly follows the covariate: monotone likelihood, and the
     # tight covariate spacing pushes the maximizer far past the norm threshold
-    recs = [
-        SubjectRecord(f"s{j}", 0, 0.0, float(j + 1), True, (0.2 * j,)) for j in range(6)
-    ]
+    recs = columns([
+        (f"s{j}", 0, 0.0, float(j + 1), True, (0.2 * j,)) for j in range(6)
+    ])
     snap = snapshot(recs, 100.0)
     with pytest.raises(SeparationError):
         fit_mple(snap)
@@ -252,7 +251,7 @@ def test_risk_sets_first_event_and_information_psd(hand_snapshot):
     assert np.linalg.eigvalsh(values.information).min() >= -1e-12
 
 
-def _tied_records():
+def _tied_columns():
     # both arms carry tied event times, a tie between an event and a
     # censoring, and late entries that leave subjects outside every risk set
     rows = [
@@ -265,11 +264,11 @@ def _tied_records():
         (1, 0.0, 2.5, True, (-0.9, 0.3)), (1, 0.0, 3.0, False, (0.4, -1.1)),
         (1, 4.9, 1.0, True, (0.0, 0.0)),
     ]
-    return [SubjectRecord(f"s{j}", *row) for j, row in enumerate(rows)]
+    return columns((f"s{j}", *row) for j, row in enumerate(rows))
 
 
 def test_kernel_on_ties_in_both_strata_matches_naive():
-    snap = snapshot(_tied_records(), 5.0)
+    snap = snapshot(_tied_columns(), 5.0)
     risk_sets = RiskSets.from_snapshot(snap)
     assert risk_sets.dn.tolist() == [2.0, 3.0, 1.0, 2.0, 2.0]
     x, d, a, z = snapshot_arrays(snap)
@@ -296,16 +295,14 @@ def test_kernel_keeps_strata_apart_when_relative_risks_differ_by_e30(high_arm):
     # sums must not be computed as differences of totals dominated by the
     # high-risk arm, whichever arm that is
     rng = np.random.default_rng(11)
-    recs = []
+    rows = []
     for j in range(12):
         arm = j % 2
-        recs.append(
-            SubjectRecord(
-                f"s{j}", arm, 0.0, float(rng.exponential(1.0) + 0.05), bool(rng.random() < 0.8),
-                (float(15.0 * (arm == high_arm) + rng.normal(0, 0.5)),),
-            )
-        )
-    snap = snapshot(recs, 10.0)
+        rows.append((
+            f"s{j}", arm, 0.0, float(rng.exponential(1.0) + 0.05), bool(rng.random() < 0.8),
+            (float(15.0 * (arm == high_arm) + rng.normal(0, 0.5)),),
+        ))
+    snap = snapshot(columns(rows), 10.0)
     x, d, a, z = snapshot_arrays(snap)
     f = lambda b: naive_log_pl(b, x, d, a, z)
     beta = np.array([2.0])
@@ -318,17 +315,17 @@ def test_kernel_keeps_strata_apart_when_relative_risks_differ_by_e30(high_arm):
 @pytest.mark.parametrize("case", ["ties", "overshoot"])
 def test_kernel_evaluations_count_iterations_and_halvings(case, monkeypatch):
     if case == "ties":
-        snap = snapshot(_tied_records(), 5.0)
+        snap = snapshot(_tied_columns(), 5.0)
     else:
         # one high-risk subject among 19 at risk: the information at beta = 0
         # is about 2/20, so the first full Newton step (about 10) overshoots
         # the maximizer (about 3) and lowers the likelihood
-        recs = [SubjectRecord("k", 0, 0.0, 2.0, True, (1.0,)),
-                SubjectRecord("e", 0, 0.0, 1.0, True, (0.0,))]
-        recs += [SubjectRecord(f"c{j}", 0, 0.0, 3.0, False, (0.0,)) for j in range(18)]
-        recs += [SubjectRecord("t0", 1, 0.0, 1.5, True, (0.0,)),
-                 SubjectRecord("t1", 1, 0.0, 2.5, False, (0.0,))]
-        snap = snapshot(recs, 10.0)
+        rows = [("k", 0, 0.0, 2.0, True, (1.0,)),
+                ("e", 0, 0.0, 1.0, True, (0.0,))]
+        rows += [(f"c{j}", 0, 0.0, 3.0, False, (0.0,)) for j in range(18)]
+        rows += [("t0", 1, 0.0, 1.5, True, (0.0,)),
+                 ("t1", 1, 0.0, 2.5, False, (0.0,))]
+        snap = snapshot(columns(rows), 10.0)
     calls = []
     evaluate = RiskSets.evaluate
 

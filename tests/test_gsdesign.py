@@ -433,7 +433,7 @@ def test_boundary_solves_stop_at_the_rounding_floor(monkeypatch):
     sc = Scenario(n0=100, n1=100, tau=1.0, alpha0=2.0, alpha1=-1.0,
                   covariate_scheme="normal1", phi=math.log(1.5))
     sc = Scenario(**{**sc.__dict__, "beta_w": null_beta_w(sc)})
-    cal = calibrate_analysis_times(sc, replicates=20, seed=5, grid_size=5,
+    cal = calibrate_analysis_times(sc, replicates=20, seed=5,
                                    methods=("adjusted", "km"))
     run_oc(sc, build_design(sc), ("adjusted", "km"), replicates=12, seed=5, calibration=cal)
     assert sum(1 for n, _ in solves if n > 0) >= 24

@@ -20,14 +20,12 @@ from seqsurv import (
     calibrate_effect,
     crossing_probabilities,
     generate_columns,
-    generate_trial,
     null_beta_w,
     oc_to_csv,
     run_oc,
     scenario_from_text,
     scenario_to_text,
     snapshot,
-    to_columns,
 )
 from conftest import PH_ALT_BASE, WORKERS
 from oracles import weibull_survival
@@ -62,6 +60,20 @@ def test_scenario_validation():
         base_scenario(covariate_scheme="weird")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("tau", math.nan), ("tau", math.inf), ("alpha0", math.inf), ("alpha1", math.nan),
+    ("gamma0", math.nan), ("beta_w", math.inf), ("phi", math.nan), ("accrual", math.nan),
+    ("censor_rate", math.inf), ("total_alpha", math.nan), ("spending_rho", math.nan),
+    ("target_info_fractions", (0.5, math.nan, 1.0)),
+    ("target_info_fractions", (math.nan, 0.75, 1.0)),
+    ("target_info_fractions", (0.5, 0.75, math.nan)),
+])
+def test_scenario_rejects_non_finite_fields(field, value):
+    # a NaN passes every `<=` check, so each field is checked for finiteness first
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        Scenario(**{"n0": 20, "n1": 20, "tau": 1.0, field: value})
+
+
 def test_null_beta_w_values():
     assert null_beta_w(base_scenario(tau=1.0, alpha0=2.0, alpha1=-1.0)) == 0.0
     assert null_beta_w(base_scenario(tau=3.0, alpha0=2.0, alpha1=-1.0)) == pytest.approx(
@@ -73,18 +85,6 @@ def test_null_beta_w_values():
 def test_gamma0_default_halves_baseline_survival_at_tau():
     sc = base_scenario(tau=2.0, alpha0=1.5)
     assert weibull_survival(2.0, 1.5, sc.gamma0_value) == pytest.approx(0.5)
-
-
-def test_generated_records_match_columns():
-    sc = base_scenario(n0=20, n1=20, covariate_scheme="bernoulli2", phi=0.3)
-    records = generate_trial(sc, seed=9, replicate=3)
-    cols = generate_columns(sc, seed=9, replicate=3)
-    assert len(records) == 40
-    assert [r.id for r in records] == list(cols.ids)
-    assert [r.arm for r in records] == list(cols.arm)
-    assert np.allclose([r.time_on_study for r in records], cols.time_on_study)
-    rebuilt = to_columns(records)
-    assert np.allclose(rebuilt.covariates, cols.covariates)
 
 
 def test_exact_allocation_and_accrual_window():
@@ -159,7 +159,7 @@ def test_streams_reproducible_and_replicate_independent():
 
 def test_calibration_times_monotone_and_end_at_study_end():
     sc = base_scenario()
-    cal = calibrate_analysis_times(sc, replicates=40, seed=2, grid_size=7)
+    cal = calibrate_analysis_times(sc, replicates=40, seed=2)
     u = cal.analysis_times
     assert len(u) == 3
     assert u[0] < u[1] < u[2]
@@ -169,22 +169,22 @@ def test_calibration_times_monotone_and_end_at_study_end():
 
 def test_calibration_single_target_is_study_end():
     sc = base_scenario(k_analyses=1, target_info_fractions=(1.0,))
-    cal = calibrate_analysis_times(sc, replicates=20, seed=3, grid_size=5)
+    cal = calibrate_analysis_times(sc, replicates=20, seed=3)
     assert cal.analysis_times == (sc.study_length,)
 
 
 def test_calibration_self_consistency_under_more_replicates():
     sc = base_scenario(n0=150, n1=150)
-    cal1 = calibrate_analysis_times(sc, replicates=150, seed=4, grid_size=9)
-    cal2 = calibrate_analysis_times(sc, replicates=300, seed=4, grid_size=9)
-    grid_spacing = (sc.study_length - sc.tau) / 8
+    cal1 = calibrate_analysis_times(sc, replicates=150, seed=4)
+    cal2 = calibrate_analysis_times(sc, replicates=300, seed=4)
+    grid_spacing = cal1.grid_times[1] - cal1.grid_times[0]
     for a, b in zip(cal1.analysis_times, cal2.analysis_times):
         assert abs(a - b) <= grid_spacing
 
 
 def test_calibration_curve_is_monotone_output():
     sc = base_scenario(n0=60, n1=60)
-    cal = calibrate_analysis_times(sc, replicates=30, seed=6, grid_size=7)
+    cal = calibrate_analysis_times(sc, replicates=30, seed=6)
     assert all(b >= a - 1e-9 for a, b in zip(cal.mean_info, cal.mean_info[1:]))
 
 
@@ -203,7 +203,7 @@ def test_calibration_identical_across_workers():
 def test_run_oc_deterministic_across_workers_and_runs():
     sc = base_scenario(n0=50, n1=50)
     design = build_design(sc)
-    cal = calibrate_analysis_times(sc, replicates=30, seed=8, grid_size=5, methods=("adjusted", "km"))
+    cal = calibrate_analysis_times(sc, replicates=30, seed=8, methods=("adjusted", "km"))
     oc1 = run_oc(sc, design, ("adjusted", "km"), replicates=60, seed=8, calibration=cal, workers=1)
     oc2 = run_oc(sc, design, ("adjusted", "km"), replicates=60, seed=8, calibration=cal, workers=2)
     oc3 = run_oc(sc, design, ("adjusted", "km"), replicates=60, seed=8, calibration=cal, workers=1)
@@ -213,7 +213,7 @@ def test_run_oc_deterministic_across_workers_and_runs():
 def test_run_oc_cumulative_rejection_nondecreasing():
     sc = base_scenario(n0=80, n1=80, beta_w=-0.6)
     design = build_design(sc)
-    cal = calibrate_analysis_times(sc, replicates=40, seed=9, grid_size=5)
+    cal = calibrate_analysis_times(sc, replicates=40, seed=9)
     oc = run_oc(sc, design, ("adjusted",), replicates=80, seed=9, calibration=cal)
     cum = oc.cumulative_rejection["adjusted"]
     assert all(b >= a for a, b in zip(cum, cum[1:]))
@@ -225,7 +225,7 @@ def test_run_oc_cumulative_rejection_nondecreasing():
 def test_run_oc_takes_no_look_after_a_rejection(monkeypatch):
     sc = base_scenario(n0=50, n1=50)
     design = build_design(sc)
-    cal = calibrate_analysis_times(sc, replicates=20, seed=8, grid_size=5)
+    cal = calibrate_analysis_times(sc, replicates=20, seed=8)
     real = sim.STATISTICS["adjusted"]
     z_first = 50.0
 
@@ -249,7 +249,7 @@ def test_run_oc_requires_matching_stage_counts():
     sc = base_scenario()
     design = build_design(Scenario(**{**sc.__dict__, "k_analyses": 2,
                                       "target_info_fractions": (0.5, 1.0)}))
-    cal = calibrate_analysis_times(sc, replicates=10, seed=1, grid_size=5)
+    cal = calibrate_analysis_times(sc, replicates=10, seed=1)
     with pytest.raises(ValueError, match="stages"):
         run_oc(sc, design, ("adjusted",), replicates=10, seed=1, calibration=cal)
 
@@ -282,7 +282,7 @@ def test_scenario_text_errors_carry_line_numbers():
 
 def _effect_inputs(seed, **overrides):
     sc = base_scenario(n0=80, n1=80, **overrides)
-    cal = calibrate_analysis_times(sc, replicates=40, seed=seed, grid_size=5)
+    cal = calibrate_analysis_times(sc, replicates=40, seed=seed)
     return sc, build_design(sc), cal
 
 
@@ -347,14 +347,6 @@ def test_simulation_entry_points_reject_zero_replicates():
         calibrate_effect(sc, 0.8, design, calibration=cal, replicates=0)
 
 
-def test_calibration_rejects_grid_of_fewer_than_two_times():
-    # one grid time would place every look at it; none leaves no study end
-    sc = base_scenario(n0=20, n1=20)
-    for grid_size in (0, 1):
-        with pytest.raises(ValueError, match=f"grid_size must be at least 2, got {grid_size}"):
-            calibrate_analysis_times(sc, replicates=2, grid_size=grid_size)
-
-
 def test_calibrated_effect_replays_to_target_power(ph_alt_effect):
     effect = ph_alt_effect["effect"]
     scenario = Scenario(**{**PH_ALT_BASE.__dict__, "beta_w": effect.beta_delta})
@@ -372,7 +364,7 @@ def test_calibrated_effect_replays_to_target_power(ph_alt_effect):
 def test_oc_csv_layout():
     sc = base_scenario(n0=40, n1=40)
     design = build_design(sc)
-    cal = calibrate_analysis_times(sc, replicates=20, seed=12, grid_size=5)
+    cal = calibrate_analysis_times(sc, replicates=20, seed=12)
     oc = run_oc(sc, design, ("adjusted",), replicates=20, seed=12, calibration=cal)
     lines = oc_to_csv(oc).splitlines()
     assert lines[0] == "stage,method,cum_rejection,se"
@@ -391,7 +383,7 @@ def _kill_own_process(_):
 
 def _small_oc(workers):
     sc = base_scenario(n0=50, n1=50)
-    cal = calibrate_analysis_times(sc, replicates=20, seed=8, grid_size=5,
+    cal = calibrate_analysis_times(sc, replicates=20, seed=8,
                                    methods=("adjusted", "km"))
     oc = run_oc(sc, build_design(sc), ("adjusted", "km"), replicates=16, seed=8,
                 calibration=cal, workers=workers)
