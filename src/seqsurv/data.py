@@ -14,6 +14,7 @@ rather than checked.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -49,6 +50,9 @@ def validate_dataset(cols: Columns) -> None:
     shapes = [np.shape(a) for a in (cols.arm, cols.entry, cols.time_on_study, cols.event)]
     if shapes != [(n,)] * 4 or np.ndim(cols.covariates) != 2 or len(cols.covariates) != n:
         raise ValidationError(f"every column must have one entry per subject ({n})")
+    event_dtype = np.asarray(cols.event).dtype
+    if event_dtype != bool:
+        raise ValidationError(f"event must be a bool column, got dtype {event_dtype}")
     ok = (
         len(set(cols.ids)) == n
         and bool(np.all((cols.arm == CONTROL) | (cols.arm == TREATMENT)))
@@ -151,6 +155,12 @@ def snapshot(cols: Columns, u: float) -> Snapshot:
     )
 
 
+_REQUIRED = ("id", "arm", "entry", "time", "event")
+# ``str.isspace`` characters that numpy strips around a number and
+# ``float()`` does not.
+_UNSTRIPPED_SPACES = "\x1c\x1d\x1e\x1f"
+
+
 def ingest_csv(path) -> Columns:
     """Read subjects from a CSV file with header ``id,arm,entry,time,event,z1,...,zp``
     into validated columns.
@@ -159,22 +169,93 @@ def ingest_csv(path) -> Columns:
     columns yields a valid zero-covariate dataset.  Blank rows are skipped.  A
     malformed field is reported with its line, the first such line in the
     file; a dataset-level fault (duplicate id, negative time, ...) names the
-    first offending subject.
+    first offending subject.  A UTF-8 byte order mark is ignored.
+
+    A well-formed file is parsed in one :func:`numpy.loadtxt` pass.  Any file
+    that pass declines goes to the row reader, which accepts the same files
+    with the same values and reports the errors.
     """
-    required = ["id", "arm", "entry", "time", "event"]
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise ValidationError(f"{path}: missing column(s) {', '.join(missing)}")
-        col = {name: header.index(name) for name in required}
-        zcols = [(name, header.index(name)) for name in header if name.startswith("z")]
-        zcols.sort(key=lambda item: _z_index(item[0], path))
+        header, col, zcols = _read_header(reader, path)
+        body = fh.read()
+    # the pass skips one physical line for the header and strips more
+    # characters around a number than float() does
+    plain = reader.line_num == 1 and not any(c in body for c in _UNSTRIPPED_SPACES)
+    cols = _load_well_formed(path, len(header), col, zcols) if plain else None
+    if cols is None:
+        return _ingest_rows(path)
+    validate_dataset(cols)
+    return cols
+
+
+def _read_header(reader, path):
+    """The header row of ``reader``, the column index of each required field
+    and the ``(name, index)`` of the covariate columns in ``z<k>`` order."""
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise ValidationError(f"{path}: file is empty") from None
+    missing = [c for c in _REQUIRED if c not in header]
+    if missing:
+        raise ValidationError(f"{path}: missing column(s) {', '.join(missing)}")
+    col = {name: header.index(name) for name in _REQUIRED}
+    zcols = [(name, header.index(name)) for name in header if name.startswith("z")]
+    zcols.sort(key=lambda item: _z_index(item[0], path))
+    return header, col, zcols
+
+
+def _load_well_formed(path, width: int, col, zcols) -> Columns | None:
+    """The columns of the data rows in one C pass, or None when the pass
+    declines the file.
+
+    Numbers are parsed as ``float()`` parses them.  ``arm`` and ``event`` are
+    read as text and taken only when every value is exactly ``0`` or ``1``:
+    numpy's integer parser misreads some non-ASCII text.  Any error or
+    warning, no rows, or an id holding a line break (the pass translates
+    ``\\r``) declines.  The result is not validated.
+    """
+    kinds = ["O"] * width
+    for j in (col["entry"], col["time"], *(idx for _, idx in zcols)):
+        kinds[j] = "f8"
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = np.loadtxt(
+                path, dtype=[(f"f{j}", k) for j, k in enumerate(kinds)], delimiter=",",
+                skiprows=1, comments=None, quotechar='"', ndmin=1, encoding="utf-8",
+            )
+    except (ValueError, Warning):
+        return None
+    field = {name: data[f"f{j}"] for name, j in col.items()}
+    ids = tuple(map(str.strip, field["id"]))
+    arm1, event1 = field["arm"] == "1", field["event"] == "1"
+    if (
+        "\n" in "".join(ids)
+        or not (arm1 | (field["arm"] == "0")).all()
+        or not (event1 | (field["event"] == "0")).all()
+    ):
+        return None
+    covariates = np.empty((len(data), len(zcols)))
+    for j, (_, idx) in enumerate(zcols):
+        covariates[:, j] = data[f"f{idx}"]
+    return Columns(
+        ids=ids,
+        arm=arm1.astype(np.int8),
+        entry=field["entry"].copy(),
+        time_on_study=field["time"].copy(),
+        event=event1,
+        covariates=covariates,
+    )
+
+
+def _ingest_rows(path) -> Columns:
+    """:func:`ingest_csv` with one Python row per line: the reference reader,
+    which accepts every form ``float()`` and ``int()`` accept and names the
+    first bad line."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header, col, zcols = _read_header(reader, path)
         rows: list[list[str]] = []
         lines: list[int] = []
         for lineno, row in enumerate(reader, start=2):

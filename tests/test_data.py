@@ -2,7 +2,7 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from seqsurv import (
@@ -12,6 +12,7 @@ from seqsurv import (
     snapshot,
     to_columns,
 )
+from seqsurv import data
 from conftest import columns
 
 
@@ -69,6 +70,16 @@ def test_columns_are_validated_and_passed_through():
         to_columns(bad)
     with pytest.raises(ValidationError, match="one entry per subject"):
         to_columns(cols._replace(entry=np.zeros(1)))
+
+
+@pytest.mark.parametrize("event, dtype", [
+    (np.array([1, 2, 0, 1, 2, 0]), "int64"),
+    (np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0]), "float64"),
+])
+def test_event_column_must_be_bool(event, dtype):
+    cols = columns([(f"s{k}", k % 2, 0.0, 1.0, True, ()) for k in range(6)])
+    with pytest.raises(ValidationError, match=f"^event must be a bool column, got dtype {dtype}$"):
+        to_columns(cols._replace(event=event))
 
 
 def test_duplicate_ids_rejected():
@@ -243,3 +254,112 @@ def test_ingest_nan_entry_names_subject(tmp_path):
     path.write_text("id,arm,entry,time,event\np1,0,0,1,1\np2,1,nan,1,0\n")
     with pytest.raises(ValidationError, match="subject 'p2': entry must be finite"):
         ingest_csv(path)
+
+
+def test_ingest_ignores_a_byte_order_mark(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("\ufeffid,arm,entry,time,event\np1,0,0,1,1\np2,1,0,2,0\n", encoding="utf-8")
+    assert ingest_csv(path).ids == data._ingest_rows(path).ids == ("p1", "p2")
+
+
+def _bits(cols):
+    """The ids and each array column as ``(dtype, shape, bytes)``."""
+    return cols.ids, [(a.dtype, a.shape, a.tobytes()) for a in cols[1:]]
+
+
+def _outcome(read, path):
+    """What ``read(path)`` gives: its error message, or :func:`_bits` of its columns."""
+    try:
+        cols = read(path)
+    except ValidationError as exc:
+        return "error", str(exc)
+    return "columns", _bits(cols)
+
+
+_ODD_INTS = [" 1", "+0", "01", "1.0", "2", "-1", "1_0", "\u0661", '"1"', "", "x"]
+_ODD_FLOATS = [
+    " 3.25 ", "-0.0", "1e3", "1_0.5", "\u0661", "nan", "inf", "-inf", "1e400", "",
+    "x", '"4.5"', "\u00a02", "\x1c2", "3\x1f", "0x1p3", "1d5",
+]
+_ID_TEXT = st.text(alphabet='ab ,"\r\n\x1c\u0661', max_size=4)
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV files around the well-formed case: quoted ids, padded and
+    unusual numbers, blank and comma-only rows, mixed line endings, extra
+    columns, and short and long rows."""
+    p = draw(st.integers(0, 2))
+    names = ["id", "arm", "entry", "time", "event"] + [f"z{k + 1}" for k in range(p)]
+    names += draw(st.lists(st.sampled_from(["site", "note"]), max_size=2, unique=True))
+    names = draw(st.permutations(names))
+    quote_header = draw(st.booleans())
+    lines = [",".join(f'"{name}"' if quote_header else name for name in names)]
+    noisy = draw(st.booleans())  # else every row is well formed
+    kinds = ["row"] * 8 + ["blank"] + (["spaces", "commas", "short", "long"] if noisy else [])
+    for i in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("blank", "spaces", "commas"):
+            lines.append({"blank": "", "spaces": " \t ", "commas": ",," * len(names)}[kind])
+            continue
+        row = []
+        for name in names:
+            if name == "id":
+                quoted = '"' + (draw(_ID_TEXT) + str(i)).replace('"', '""') + '"'
+                row.append(draw(st.sampled_from([f"p{i}", quoted])))
+            elif name in ("arm", "event"):
+                row.append(draw(st.sampled_from(["0", "1"])))
+            else:
+                low = -1e6 if name.startswith("z") else 0.0
+                row.append(repr(draw(st.floats(low, 1e6))))
+        if noisy and draw(st.integers(0, 2)) == 0:
+            j = draw(st.integers(0, len(names) - 1))
+            odd = {"id": [draw(_ID_TEXT)], "arm": _ODD_INTS, "event": _ODD_INTS}
+            row[j] = draw(st.sampled_from(odd.get(names[j], _ODD_FLOATS)))
+        if kind == "short":
+            row.pop()
+        elif kind == "long":
+            row.append("0")
+        lines.append(",".join(row))
+    ends = draw(st.sampled_from(["\n", "\r\n", "\r", "mixed"]))
+    text = "".join(
+        line + (draw(st.sampled_from(["\n", "\r\n", "\r"])) if ends == "mixed" else ends)
+        for line in lines
+    )
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+@given(csv_texts())
+@example("id,arm,entry,time,event\np1,0,\x1c2,1,1\n")  # numpy strips \x1c, float() does not
+@example('id,arm,entry,time,event\n"a\r\nb",0,2,1,1\n')  # numpy reads the id as 'a\nb'
+@example("id,arm,entry,time,event\np1,1.0,2,1,1\n")
+@example("id,arm,entry,time,event\np1, 1,2,1,1\np2,\u0661,2,1_0.5,0\n")
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+def test_ingest_matches_the_row_reader(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _outcome(ingest_csv, path) == _outcome(data._ingest_rows, path)
+
+
+@pytest.mark.parametrize("style", ["bench", "crlf", "r_write_csv"])
+def test_well_formed_files_skip_the_row_reader(tmp_path, monkeypatch, style):
+    rng = np.random.default_rng(7)
+    quote = '"' if style == "r_write_csv" else ""
+    names = ["id", "arm", "entry", "time", "event", "z1", "z2"]
+    lines = [",".join(f"{quote}{name}{quote}" for name in names)] + [
+        f"{quote}c{k:05d}{quote},{k % 2},{rng.integers(0, 2190)},{rng.integers(1, 3000)},"
+        f"{rng.integers(0, 2)},{rng.normal()!r},{float(rng.integers(0, 2))!r}"
+        for k in range(50)
+    ]
+    if style == "r_write_csv":  # R's write.csv adds the row names as an unnamed first column
+        lines = [f'"{k or ""}",{line}' for k, line in enumerate(lines)]
+    path = tmp_path / "data.csv"
+    path.write_bytes(("\r\n" if style == "crlf" else "\n").join(lines).encode() + b"\n")
+    want = data._ingest_rows(path)
+    monkeypatch.setattr(data, "_ingest_rows", lambda path: pytest.fail("row reader used"))
+    got = ingest_csv(path)
+    assert _bits(got) == _bits(want)
+    assert len(got.ids) == 50 and got.covariates.shape == (50, 2)
