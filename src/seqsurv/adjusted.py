@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .cox import StratifiedCoxFit, fit_mple
-from .data import Snapshot
+from .data import Snapshot, check_t0
 from .errors import DegenerateDataError
 
 
@@ -173,10 +173,7 @@ def compare_sp(snap: Snapshot, t0: float) -> SPComparison:
     The information level is the reciprocal variance of the (unscaled)
     difference estimate, ``n / sigma2_hat``.
     """
-    if t0 > snap.calendar_time:
-        raise ValueError(
-            f"survival time {t0:g} exceeds the snapshot's calendar time {snap.calendar_time:g}"
-        )
+    check_t0(t0, snap)
     if snap.arm_size(0) == 0 or snap.arm_size(1) == 0:
         raise DegenerateDataError("both arms must be present to compare survival probabilities")
     fit = fit_mple(snap)

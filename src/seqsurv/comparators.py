@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cox import RiskSetLayout, StratifiedCoxFit, fit_mple
-from .data import Snapshot
+from .data import Snapshot, check_t0
 from .errors import DegenerateDataError
 
 
@@ -61,10 +61,7 @@ def km_compare(snap: Snapshot, t0: float) -> KMComparison:
     variances vanish and there is no statistic: that raises
     ``DegenerateDataError``.
     """
-    if t0 > snap.calendar_time:
-        raise ValueError(
-            f"survival time {t0:g} exceeds the snapshot's calendar time {snap.calendar_time:g}"
-        )
+    check_t0(t0, snap)
     layout = RiskSetLayout.from_snapshot(snap)
     s0, v0 = _km_at(layout, snap, 0, t0)
     s1, v1 = _km_at(layout, snap, 1, t0)

@@ -14,6 +14,7 @@ rather than checked.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -133,6 +134,17 @@ class Snapshot:
         return int(np.count_nonzero(self.arm == arm))
 
 
+def check_t0(t0: float, snap: Snapshot | None = None) -> None:
+    """Raise ``ValueError`` unless the comparison time ``t0`` is finite and
+    positive and, given a snapshot, no later than its calendar time."""
+    if not (math.isfinite(t0) and t0 > 0.0):
+        raise ValueError(f"t0 must be finite and positive, got {t0!r}")
+    if snap is not None and t0 > snap.calendar_time:
+        raise ValueError(
+            f"survival time {t0:g} exceeds the snapshot's calendar time {snap.calendar_time:g}"
+        )
+
+
 def snapshot(cols: Columns, u: float) -> Snapshot:
     """Apply administrative censoring at calendar time ``u``.
 
@@ -175,10 +187,13 @@ def ingest_csv(path) -> Columns:
     that pass declines goes to the row reader, which accepts the same files
     with the same values and reports the errors.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header, col, zcols = _read_header(reader, path)
-        body = fh.read()
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header, col, zcols = _read_header(reader, path)
+            body = fh.read()
+    except UnicodeDecodeError:
+        raise _decode_error(path) from None
     # the pass skips one physical line for the header and strips more
     # characters around a number than float() does
     plain = reader.line_num == 1 and not any(c in body for c in _UNSTRIPPED_SPACES)
@@ -253,15 +268,18 @@ def _ingest_rows(path) -> Columns:
     """:func:`ingest_csv` with one Python row per line: the reference reader,
     which accepts every form ``float()`` and ``int()`` accept and names the
     first bad line."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header, col, zcols = _read_header(reader, path)
-        rows: list[list[str]] = []
-        lines: list[int] = []
-        for lineno, row in enumerate(reader, start=2):
-            if "".join(row).strip():
-                rows.append(row)
-                lines.append(lineno)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header, col, zcols = _read_header(reader, path)
+            rows: list[list[str]] = []
+            lines: list[int] = []
+            for lineno, row in enumerate(reader, start=2):
+                if "".join(row).strip():
+                    rows.append(row)
+                    lines.append(lineno)
+    except UnicodeDecodeError:
+        raise _decode_error(path) from None
     if not rows:
         raise ValidationError("dataset is empty")
     if any(len(row) != len(header) for row in rows):
@@ -292,6 +310,18 @@ def _ingest_rows(path) -> Columns:
     )
     validate_dataset(cols)
     return cols
+
+
+def _decode_error(path) -> ValidationError:
+    """The error naming the first line of ``path`` that is not UTF-8 (a line
+    break byte never occurs inside a multi-byte UTF-8 character)."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ValidationError(f"{path}:{lineno}: not UTF-8 at byte {exc.start + 1}")
+    return ValidationError(f"{path}: not UTF-8 text")
 
 
 def _raise_first_line_error(path, header, rows, lines, col, zcols) -> None:

@@ -75,6 +75,11 @@ class SpendingFunction:
                 raise ValueError("custom spending table must be nondecreasing and nonnegative")
             if abs(fracs[-1] - 1.0) > 1e-12 or abs(alphas[-1] - self.total_alpha) > 1e-12:
                 raise ValueError("custom spending table must end at (1, total_alpha)")
+            # NaN passes the comparisons above
+            if not all(map(math.isfinite, fracs + alphas)):
+                raise ValueError(f"custom spending table entries must be finite, got {self.table}")
+        if not math.isfinite(self.rho):
+            raise ValueError(f"rho must be finite, got {self.rho!r}")
 
 
 def spend(sf: SpendingFunction, info_fraction: float) -> float:
@@ -260,11 +265,6 @@ class GSDesign:
     @property
     def n_stages(self) -> int:
         return len(self.info_fractions)
-
-    def correlation(self, k: int, l: int) -> float:
-        """Corr(Z_k, Z_l) under the canonical joint distribution (0-based stages)."""
-        lo, hi = sorted((self.info_fractions[k], self.info_fractions[l]))
-        return math.sqrt(lo / hi)
 
 
 def _validate_fractions(info_fractions: Sequence[float]) -> tuple[float, ...]:
@@ -501,11 +501,11 @@ def spending_from_text(text: str, total_alpha: float, sidedness: str) -> Spendin
     if text in ("pocock", "pocock_like"):
         return SpendingFunction(total_alpha, "pocock_like", sidedness=sidedness)
     if text.startswith("custom:"):
-        pairs = []
-        for item in text.split(":", 1)[1].split(";"):
-            f, a = item.split(":")
-            pairs.append((float(f), float(a)))
-        return SpendingFunction(total_alpha, "custom", sidedness=sidedness, table=tuple(pairs))
+        pairs = [item.split(":") for item in text.split(":", 1)[1].split(";")]
+        if any(len(pair) != 2 for pair in pairs):
+            raise ValueError(f"custom spending {text!r} is not of the form custom:IF:ALPHA;IF:ALPHA")
+        table = tuple((float(f), float(a)) for f, a in pairs)
+        return SpendingFunction(total_alpha, "custom", sidedness=sidedness, table=table)
     raise ValueError(f"unknown spending specification {text!r}")
 
 

@@ -24,7 +24,7 @@ from scipy.optimize import brentq, isotonic_regression
 
 from .adjusted import compare_sp
 from .comparators import cox_wald, km_compare
-from .data import Columns, Snapshot, snapshot
+from .data import Columns, Snapshot, check_t0, snapshot
 from .errors import SeqSurvError
 from .gsdesign import (
     ONE_SIDED_LOWER,
@@ -230,9 +230,10 @@ METHODS = tuple(STATISTICS)
 
 def method_statistic(method: str, snap: Snapshot, t0: float) -> tuple[float, float]:
     """(z, information) of one method at one snapshot; raises ``SeqSurvError``
-    when the data cannot support the statistic."""
+    when the data cannot support the statistic, ``ValueError`` for a bad ``t0``."""
     if method not in STATISTICS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    check_t0(t0)
     return STATISTICS[method](snap, t0)
 
 
@@ -241,51 +242,55 @@ def _check_replicates(replicates: int) -> None:
         raise ValueError(f"replicates must be at least 1, got {replicates}")
 
 
-def _replicate_block(args) -> dict[str, np.ndarray]:
-    """First rejection stage (1-based, 0 if never rejected) and failure flag
-    of every replicate in one block, per method.
+def _look(cols: Columns, u: float, t0: float, methods: Sequence[str]) -> dict:
+    """Each method's (z, information) at calendar time ``u``, or the
+    ``SeqSurvError`` it raised: the one place a simulation snapshots a
+    replicate and computes statistics."""
+    snap = snapshot(cols, u)
+    out = {}
+    for m in methods:
+        try:
+            out[m] = method_statistic(m, snap, t0)
+        except SeqSurvError as exc:
+            out[m] = exc
+    return out
 
-    Each replicate is monitored look by look: a method whose monitor rejects
-    or accepts takes no later looks, and the replicate stops taking snapshots
-    once every method has ended.  Observed information occasionally regresses
-    through estimation noise; it is nudged up by a small factor so the
-    error-spending monitor always sees increasing information.
+
+def _monitor_replicate(scenario, design, methods, analysis_times, method_totals, seed, r):
+    """Each method's first rejection stage in replicate ``r``: 1-based, 0 when
+    it never rejected, -1 when its statistic or monitor failed.
+
+    A method whose monitor rejects or accepts takes no later looks.  Observed
+    information that regresses through estimation noise is nudged up by a
+    small factor so the monitor always sees increasing information.
     """
-    (scenario, design, methods, analysis_times, method_totals, seed, start, stop) = args
-    count = stop - start
-    reject_stage = {m: np.zeros(count, dtype=np.int16) for m in methods}
-    failed = {m: np.zeros(count, dtype=bool) for m in methods}
-    for idx, r in enumerate(range(start, stop)):
-        cols = generate_columns(scenario, seed, r)
-        monitors: dict[str, SequentialMonitor | None] = dict.fromkeys(methods)
-        prev = dict.fromkeys(methods, 0.0)
-        for k, u in enumerate(analysis_times, start=1):
-            snap = snapshot(cols, u)
-            for m in list(monitors):
-                try:
-                    z, info = method_statistic(m, snap, scenario.tau)
-                except SeqSurvError:
-                    failed[m][idx] = True
-                    del monitors[m]
-                    continue
-                try:
-                    if not math.isfinite(info) or info <= 0.0:
-                        raise SeqSurvError(f"non-finite information level at stage {k}")
-                    prev[m] = max(info, prev[m] * _MIN_INFO_GROWTH)
-                    if monitors[m] is None:
-                        monitors[m] = SequentialMonitor(design, method_totals[m])
-                    decision = monitors[m].step(prev[m], z).decision
-                except (SeqSurvError, ValueError):
-                    failed[m][idx] = True
-                    del monitors[m]
-                    continue
-                if decision == "reject":
-                    reject_stage[m][idx] = k
-                if decision != "continue":
-                    del monitors[m]
-            if not monitors:
-                break
-    return {"reject": reject_stage, "failed": failed}
+    cols = generate_columns(scenario, seed, r)
+    stage = dict.fromkeys(methods, 0)
+    monitors: dict[str, SequentialMonitor | None] = dict.fromkeys(methods)
+    prev = dict.fromkeys(methods, 0.0)
+    for k, u in enumerate(analysis_times, start=1):
+        if not monitors:
+            break
+        for m, result in _look(cols, u, scenario.tau, tuple(monitors)).items():
+            try:
+                if isinstance(result, SeqSurvError):
+                    raise result
+                z, info = result
+                if not math.isfinite(info) or info <= 0.0:
+                    raise SeqSurvError(f"non-finite information level at stage {k}")
+                prev[m] = max(info, prev[m] * _MIN_INFO_GROWTH)
+                if monitors[m] is None:
+                    monitors[m] = SequentialMonitor(design, method_totals[m])
+                decision = monitors[m].step(prev[m], z).decision
+            except (SeqSurvError, ValueError):
+                stage[m] = -1
+                del monitors[m]
+                continue
+            if decision == "reject":
+                stage[m] = k
+            if decision != "continue":
+                del monitors[m]
+    return tuple(stage[m] for m in methods)
 
 
 # One worker pool per process, forked at the first ``workers > 1`` call and
@@ -323,6 +328,27 @@ def _run_blocks(fn, worker_args: list, workers: int) -> list:
                 _close_pool()
                 if retry:
                     raise
+
+
+def _block(args) -> list:
+    fn, fixed, rs = args
+    return [fn(*fixed, r) for r in rs]
+
+
+def _map_replicates(fn, fixed: tuple, replicates: int, workers: int) -> list:
+    """``fn(*fixed, r)`` for r = 0, ..., replicates - 1, in replicate order,
+    computed in about four blocks of consecutive replicates per worker.  A
+    caller that reduces the results in this order gets the same answer for
+    every worker count."""
+    _check_replicates(replicates)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    block = max(1, math.ceil(replicates / workers / 4))
+    args = [
+        (fn, fixed, range(start, min(start + block, replicates)))
+        for start in range(0, replicates, block)
+    ]
+    return [result for results in _run_blocks(_block, args, workers) for result in results]
 
 
 @dataclass(frozen=True)
@@ -365,7 +391,6 @@ def run_oc(
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
-    _check_replicates(replicates)
     missing = [m for m in methods if m not in calibration.method_totals]
     if missing:
         raise ValueError(f"calibration lacks total information for method(s) {missing}")
@@ -375,49 +400,24 @@ def run_oc(
             f"{len(calibration.analysis_times)} analysis times"
         )
 
-    block = max(1, math.ceil(replicates / max(workers, 1) / 4))
-    args = [
-        (
-            scenario,
-            design,
-            methods,
-            calibration.analysis_times,
-            calibration.method_totals,
-            seed,
-            start,
-            min(start + block, replicates),
-        )
-        for start in range(0, replicates, block)
-    ]
-    results = _run_blocks(_replicate_block, args, workers)
-    reject_stage = {m: np.concatenate([r["reject"][m] for r in results]) for m in methods}
-    failed = {m: np.concatenate([r["failed"][m] for r in results]) for m in methods}
+    fixed = (scenario, design, methods, calibration.analysis_times,
+             calibration.method_totals, seed)
+    stages = np.array(_map_replicates(_monitor_replicate, fixed, replicates, workers))
 
-    k_stages = design.n_stages
-    cumulative: dict[str, tuple[float, ...]] = {}
-    ses: dict[str, tuple[float, ...]] = {}
-    failures: dict[str, int] = {}
-    used: dict[str, int] = {}
-    for m in methods:
-        n_failed = int(failed[m].sum())
-        failures[m] = n_failed
-        if n_failed > _MAX_FAILURE_FRACTION * replicates:
+    cumulative, ses, failures, used = {}, {}, {}, {}
+    for m, stage in zip(methods, stages.T):
+        failures[m] = int(np.sum(stage < 0))
+        if failures[m] > _MAX_FAILURE_FRACTION * replicates:
             raise SeqSurvError(
-                f"method {m!r}: {n_failed} of {replicates} replicates failed "
+                f"method {m!r}: {failures[m]} of {replicates} replicates failed "
                 f"(more than {_MAX_FAILURE_FRACTION:.1%}); refusing to report rates"
             )
-        ok = ~failed[m]
-        r_used = int(ok.sum())
-        used[m] = r_used
-        stages = reject_stage[m][ok]
-        cum = []
-        se = []
-        for k in range(1, k_stages + 1):
-            p = float(np.mean((stages > 0) & (stages <= k))) if r_used else float("nan")
-            cum.append(p)
-            se.append(math.sqrt(p * (1.0 - p) / r_used) if r_used else float("nan"))
+        # the failure bound leaves at least one replicate
+        ok = stage[stage >= 0]
+        used[m] = ok.size
+        cum = [float(np.mean((ok > 0) & (ok <= k))) for k in range(1, design.n_stages + 1)]
         cumulative[m] = tuple(cum)
-        ses[m] = tuple(se)
+        ses[m] = tuple(math.sqrt(p * (1.0 - p) / ok.size) for p in cum)
 
     return OperatingCharacteristics(
         methods=methods,
@@ -435,7 +435,8 @@ def run_oc(
 @dataclass(frozen=True)
 class CalibrationResult:
     """Monte Carlo estimate of the information growth curve and the analysis
-    times hitting the target information fractions."""
+    times hitting the target information fractions.  ``failures`` counts the
+    failed (replicate, grid time, method) evaluations."""
 
     analysis_times: tuple[float, ...]
     total_information: float
@@ -448,37 +449,14 @@ class CalibrationResult:
     failures: int
 
 
-def _calibration_block(args):
-    """Per-replicate information levels of one block; NaN marks a failure.
-
-    Blocks return values, not partial sums, so the caller adds them in
-    replicate order and the result does not depend on the block layout.
-    """
-    scenario, grid, methods, seed, start, stop = args
-    info = np.full((stop - start, len(grid)), np.nan)
-    totals = {m: np.full(stop - start, np.nan) for m in methods}
-    failures = 0
-    end_time = grid[-1]
-    for idx, r in enumerate(range(start, stop)):
-        cols = generate_columns(scenario, seed, _CALIBRATION_STREAM_OFFSET + r)
-        for gi, u in enumerate(grid):
-            snap = snapshot(cols, u)
-            try:
-                _, info[idx, gi] = method_statistic("adjusted", snap, scenario.tau)
-            except SeqSurvError:
-                failures += 1
-                continue
-            if u != end_time:
-                continue
-            for m in methods:
-                if m == "adjusted":
-                    totals[m][idx] = info[idx, gi]
-                    continue
-                try:
-                    _, totals[m][idx] = method_statistic(m, snap, scenario.tau)
-                except SeqSurvError:
-                    failures += 1
-    return {"info": info, "totals": totals, "failures": failures}
+def _calibration_replicate(scenario, grid, methods, seed, r) -> list[float]:
+    """Replicate ``r``'s adjusted information at each grid time, then each other
+    method's (``methods[1:]``) at the study end; NaN marks a failure."""
+    cols = generate_columns(scenario, seed, _CALIBRATION_STREAM_OFFSET + r)
+    looks = [_look(cols, u, scenario.tau, methods[:1]) for u in grid[:-1]]
+    looks.append(_look(cols, grid[-1], scenario.tau, methods))
+    results = [look["adjusted"] for look in looks] + [looks[-1][m] for m in methods[1:]]
+    return [math.nan if isinstance(v, SeqSurvError) else v[1] for v in results]
 
 
 def calibrate_analysis_times(
@@ -497,20 +475,14 @@ def calibrate_analysis_times(
     smoothed by isotonic regression before inversion.  Total information per
     method is the mean at the study end.
     """
-    _check_replicates(replicates)
     methods = tuple(dict.fromkeys(("adjusted",) + tuple(methods)))
     grid = tuple(np.linspace(scenario.tau, scenario.study_length, _CALIBRATION_GRID_SIZE))
 
-    block = max(1, math.ceil(replicates / max(workers, 1) / 4))
-    args = [
-        (scenario, grid, methods, seed, start, min(start + block, replicates))
-        for start in range(0, replicates, block)
-    ]
-    results = _run_blocks(_calibration_block, args, workers)
-
-    info = np.concatenate([r["info"] for r in results])
+    fixed = (scenario, grid, methods, seed)
+    rows = np.array(_map_replicates(_calibration_replicate, fixed, replicates, workers))
+    failures = int(np.isnan(rows).sum())
+    info = rows[:, : len(grid)]
     info_count = np.sum(~np.isnan(info), axis=0)
-    failures = sum(r["failures"] for r in results)
     if np.any(info_count == 0):
         raise SeqSurvError("calibration failed: no usable replicate at some grid time")
     mean_info = np.nansum(info, axis=0) / info_count
@@ -519,8 +491,8 @@ def calibrate_analysis_times(
     curve = isotonic_regression(mean_info).x if isotonic_applied else mean_info
 
     method_totals = {}
-    for m in methods:
-        totals = np.concatenate([r["totals"][m] for r in results])
+    # the adjusted column at the study end, then the other methods' columns
+    for m, totals in zip(methods, rows[:, len(grid) - 1 :].T):
         count = int(np.sum(~np.isnan(totals)))
         if count == 0:
             raise SeqSurvError(f"calibration failed: method {m!r} never evaluated at study end")

@@ -69,6 +69,18 @@ def test_design_rejects_nan_fraction(capsys):
     assert "information fractions must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("power:nan", "rho must be finite, got nan"),
+    ("power:inf", "rho must be finite, got inf"),
+    ("custom:0.5:nan;1:0.05", "custom spending table entries must be finite"),
+    ("custom:bad", "custom spending 'custom:bad' is not of the form custom:IF:ALPHA;IF:ALPHA"),
+])
+def test_design_rejects_a_bad_spending_spec(capsys, spec, message):
+    code = main(["design", "--alpha", "0.05", f"--spending={spec}", "--info-fractions", "0.5,1"])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def test_analyze_mirrored_arms_continue(tmp_path, capsys):
     base = [(0.7, True, 0.4), (1.3, True, -0.2), (2.2, False, 0.9), (1.6, True, 0.1)]
     rows = []
@@ -244,6 +256,26 @@ def test_analyze_km_without_events_by_t0_is_an_error(tmp_path, capsys):
     assert "no events by t0 in either arm" in err
 
 
+@pytest.mark.parametrize("t0", ["nan", "-1", "0", "inf"])
+@pytest.mark.parametrize("method", ["adjusted", "km", "cox"])
+def test_analyze_rejects_a_t0_that_is_not_finite_and_positive(tmp_path, capsys, method, t0):
+    cols = columns([("a", 0, 0.0, 0.9, True, ()),
+                    ("b", 1, 0.0, 1.1, True, ()),
+                    ("c", 0, 0.0, 1.4, True, ()),
+                    ("d", 1, 0.0, 1.7, False, ())])
+    data = tmp_path / "data.csv"
+    write_csv(data, cols)
+    design_file = tmp_path / "design.txt"
+    main(["design", "--alpha", "0.05", "--info-fractions", "0.5,1", "--out", str(design_file)])
+    capsys.readouterr()
+    state = tmp_path / "state.txt"
+    code = main(["analyze", str(data), "--design", str(design_file), "--t0", t0, "--u", "2.0",
+                 "--method", method, "--state", str(state), "--total-info", "100"])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: t0 must be finite and positive, got {float(t0)!r}\n"
+    assert not state.exists()
+
+
 def test_analyze_design_mismatch_rejected(tmp_path, capsys):
     cols = columns([("a", 0, 0.0, 0.9, True, ()),
                     ("b", 1, 0.0, 1.1, True, ()),
@@ -322,6 +354,16 @@ def test_simulate_zero_replicates_is_an_error(tmp_path, capsys):
     assert code == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "replicates must be at least 1, got 0" in err
+
+
+def test_simulate_zero_workers_is_an_error(tmp_path, capsys):
+    scenario_file = tmp_path / "scenario.txt"
+    scenario_file.write_text(scenario_to_text(Scenario(n0=20, n1=20, tau=1.0, accrual=1.0)))
+    out = tmp_path / "oc.csv"
+    code = main(simulate_args(tmp_path, scenario_file, out, workers="0"))
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == "error: workers must be at least 1, got 0\n"
+    assert not out.exists()
 
 
 def test_simulate_non_finite_scenario_value_is_an_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -260,6 +261,20 @@ def test_ingest_ignores_a_byte_order_mark(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("\ufeffid,arm,entry,time,event\np1,0,0,1,1\np2,1,0,2,0\n", encoding="utf-8")
     assert ingest_csv(path).ids == data._ingest_rows(path).ids == ("p1", "p2")
+
+
+@pytest.mark.parametrize("read", [ingest_csv, data._ingest_rows], ids=["ingest_csv", "rows"])
+@pytest.mark.parametrize("text, lineno, column", [
+    (b"id,arm,entry,time,event\nJos\xe9,0,0,1,1\np2,1,0,2,0\n", 2, 4),
+    (b"id,arm,entry,time,event\nJos\xc3\xa9,0,0,1,1\np\xff,1,0,2,0\n", 3, 2),
+    (b"id,arm,entry,time,event,z\xb9\n", 1, 26),
+], ids=["latin1-id", "after-a-utf8-line", "header"])
+def test_ingest_names_the_line_of_a_non_utf8_byte(tmp_path, read, text, lineno, column):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text)
+    message = f"{re.escape(str(path))}:{lineno}: not UTF-8 at byte {column}$"
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        read(path)
 
 
 def _bits(cols):

@@ -1,8 +1,10 @@
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal, norm
 
@@ -26,6 +28,7 @@ from seqsurv import (
     state_to_text,
 )
 from oracles import gs_crossing_by_simulation
+from seqsurv.cli import EXIT_ERROR, EXIT_OK, main
 from seqsurv.gsdesign import _GRID_R, _Propagator, _solve_boundaries
 
 
@@ -187,13 +190,6 @@ def test_nonincreasing_fractions_rejected():
         boundaries(power3(), [0.5, 0.5, 1.0])
     with pytest.raises(ValueError):
         boundaries(power3(), [0.8, 0.4])
-
-
-def test_correlation_model():
-    d = boundaries(power3(), [0.5, 1.0])
-    assert d.correlation(0, 1) == pytest.approx(math.sqrt(0.5))
-    assert d.correlation(1, 0) == pytest.approx(math.sqrt(0.5))
-    assert d.correlation(1, 1) == 1.0
 
 
 def test_monitor_continue_below_boundary():
@@ -531,3 +527,100 @@ def test_property_non_finite_input_always_raises(run, done, bad, bad_is_z):
         else:
             mon.step(bad, 0.0)
     assert mon.results == before
+
+
+_ANY_FLOAT = st.one_of(
+    st.sampled_from((math.nan, math.inf, -math.inf, 0.0, 1.0, -1.0)), st.floats(0.0, 1.0), st.floats()
+)
+
+
+@st.composite
+def spending_tables(draw, total_alpha, corrupt=False):
+    """Valid (IF, cumulative alpha) tables or, when ``corrupt``, ones with one
+    entry replaced by any float."""
+    fracs = sorted(draw(st.sets(st.floats(0.01, 0.99), max_size=3))) + [1.0]
+    alphas = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=len(fracs) - 1,
+                                  max_size=len(fracs) - 1)))
+    table = [[f, a * total_alpha] for f, a in zip(fracs, alphas + [1.0])]
+    if corrupt:
+        table[draw(st.integers(0, len(table) - 1))][draw(st.integers(0, 1))] = draw(_ANY_FLOAT)
+    return tuple(map(tuple, table))
+
+
+def _fraction_lists():
+    schedules = st.sets(st.floats(0.01, 0.99), max_size=4).map(lambda s: sorted(s) + [1.0])
+    return st.one_of(schedules, st.lists(_ANY_FLOAT, max_size=4))
+
+
+@st.composite
+def spending_fields(draw):
+    """Valid SpendingFunction fields with at most one of them, or one table
+    entry, replaced by an arbitrary value."""
+    total_alpha = draw(st.floats(0.001, 0.5))
+    fields = dict(
+        total_alpha=total_alpha,
+        family=draw(st.sampled_from(("power", "obf_like", "pocock_like", "custom"))),
+        rho=draw(st.floats(0.1, 10.0)),
+        sidedness=draw(st.sampled_from(("two_sided", "one_sided_upper", "one_sided_lower"))),
+        table=draw(spending_tables(total_alpha)),
+    )
+    replacements = {
+        "total_alpha": _ANY_FLOAT, "rho": _ANY_FLOAT, "family": st.text(max_size=8),
+        "sidedness": st.text(max_size=8), "table": st.one_of(
+            st.none(), spending_tables(total_alpha, corrupt=True)),
+    }
+    name = draw(st.sampled_from([None, *replacements]))
+    if name is not None:
+        fields[name] = draw(replacements[name])
+    return fields
+
+
+def _check_design(design):
+    assert not any(math.isnan(c) for c in design.critical_values)
+    spent = design.alpha_spent
+    assert all(0.0 <= a <= design.spending.total_alpha for a in spent)
+    assert spent[-1] == design.spending.total_alpha
+
+
+@settings(max_examples=300, deadline=None)
+@given(spending_fields(), _fraction_lists())
+@example(dict(total_alpha=0.05, rho=math.nan), [0.5, 1.0])
+@example(dict(total_alpha=0.05, family="custom", table=((0.5, math.nan), (1.0, 0.05))), [0.5, 1.0])
+def test_property_spending_fields_build_a_design_or_raise_value_error(fields, fractions):
+    try:
+        design = boundaries(SpendingFunction(**fields), fractions)
+    except ValueError:
+        return
+    _check_design(design)
+
+
+@st.composite
+def design_flags(draw):
+    number = _ANY_FLOAT.map(repr)
+    pair = st.tuples(number, number).map(":".join)
+    spending = st.one_of(
+        st.sampled_from(("obf", "pocock", "power", "obf_like", "pocock_like")),
+        number.map("power:{}".format),
+        st.lists(pair, min_size=1, max_size=3).map(lambda ps: "custom:" + ";".join(ps)),
+        st.booleans().flatmap(lambda corrupt: spending_tables(0.05, corrupt)).map(
+            lambda t: "custom:" + ";".join(f"{f!r}:{a!r}" for f, a in t)),
+        st.text(max_size=12),
+    )
+    fractions = st.one_of(_fraction_lists().map(lambda fs: ",".join(map(repr, fs))),
+                          st.text(max_size=12))
+    return [
+        "design", f"--alpha={draw(st.sampled_from(('0.05', '0.025')) | number)}",
+        f"--sides={draw(st.sampled_from(('1', '2', 'one_sided_upper', 'one_sided_lower', '3')))}",
+        f"--spending={draw(spending)}", f"--info-fractions={draw(fractions)}",
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(design_flags())
+@example(["design", "--spending=power:nan", "--info-fractions=0.5,1"])
+@example(["design", "--spending=custom:0.5:nan;1:0.05", "--info-fractions=0.5,1"])
+def test_property_design_flags_build_a_design_or_exit_with_an_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()[:7]) in ((EXIT_OK, ""), (EXIT_ERROR, "error: "))

@@ -10,6 +10,7 @@ import pytest
 from scipy.stats import kstest
 
 from seqsurv import (
+    DegenerateDataError,
     Scenario,
     SeqSurvError,
     SpendingFunction,
@@ -18,8 +19,10 @@ from seqsurv import (
     build_design,
     calibrate_analysis_times,
     calibrate_effect,
+    compare_sp,
     crossing_probabilities,
     generate_columns,
+    km_compare,
     null_beta_w,
     oc_to_csv,
     run_oc,
@@ -245,6 +248,24 @@ def test_run_oc_takes_no_look_after_a_rejection(monkeypatch):
         run_oc(sc, design, ("adjusted",), replicates=4, seed=3, calibration=cal, workers=1)
 
 
+@pytest.mark.parametrize("t0", [math.nan, -1.0, 0.0, math.inf])
+@pytest.mark.parametrize("method", sim.METHODS)
+def test_statistics_reject_a_t0_that_is_not_finite_and_positive(hand_snapshot, method, t0):
+    message = f"^t0 must be finite and positive, got {t0!r}$"
+    with pytest.raises(ValueError, match=message):
+        sim.method_statistic(method, hand_snapshot, t0)
+    direct = {"adjusted": compare_sp, "km": km_compare}
+    if method in direct:
+        with pytest.raises(ValueError, match=message):
+            direct[method](hand_snapshot, t0)
+
+
+def test_statistics_keep_the_calendar_time_message(hand_snapshot):
+    for statistic in (compare_sp, km_compare):
+        with pytest.raises(ValueError, match="^survival time 6 exceeds the snapshot's calendar time 5$"):
+            statistic(hand_snapshot, 6.0)
+
+
 def test_run_oc_requires_matching_stage_counts():
     sc = base_scenario()
     design = build_design(Scenario(**{**sc.__dict__, "k_analyses": 2,
@@ -345,6 +366,43 @@ def test_simulation_entry_points_reject_zero_replicates():
         calibrate_analysis_times(sc, replicates=0)
     with pytest.raises(ValueError, match="replicates"):
         calibrate_effect(sc, 0.8, design, calibration=cal, replicates=0)
+
+
+def test_simulation_entry_points_reject_fewer_than_one_worker():
+    sc, design, cal = _effect_inputs(17)
+    message = "^workers must be at least 1, got 0$"
+    with pytest.raises(ValueError, match=message):
+        run_oc(sc, design, replicates=4, calibration=cal, workers=0)
+    with pytest.raises(ValueError, match=message):
+        calibrate_analysis_times(sc, replicates=4, workers=0)
+    with pytest.raises(ValueError, match=message):
+        calibrate_effect(sc, 0.8, design, calibration=cal, replicates=4, workers=0)
+
+
+def test_calibration_evaluates_each_method_at_the_study_end_on_its_own(monkeypatch):
+    # adjusted fails at the study end in every other replicate; km and cox are
+    # still evaluated there, so their totals match an undisturbed run
+    sc = base_scenario(n0=40, n1=40, covariate_scheme="normal1", phi=0.3)
+    methods = ("adjusted", "km", "cox")
+    clean = calibrate_analysis_times(sc, replicates=6, seed=5, methods=methods)
+    real = sim.compare_sp
+    end_calls = []
+
+    def compare_sp_failing_at_the_end(snap, t0):
+        if snap.calendar_time == sc.study_length:
+            end_calls.append(snap.calendar_time)
+            if len(end_calls) % 2:
+                raise DegenerateDataError("injected failure at the study end")
+        return real(snap, t0)
+
+    monkeypatch.setattr(sim, "compare_sp", compare_sp_failing_at_the_end)
+    cal = calibrate_analysis_times(sc, replicates=6, seed=5, methods=methods)
+    assert len(end_calls) == 6
+    assert cal.failures == clean.failures + 3
+    assert math.isfinite(cal.method_totals["km"]) and math.isfinite(cal.method_totals["cox"])
+    assert cal.method_totals["km"] == clean.method_totals["km"]
+    assert cal.method_totals["cox"] == clean.method_totals["cox"]
+    assert cal.method_totals["adjusted"] != clean.method_totals["adjusted"]
 
 
 def test_calibrated_effect_replays_to_target_power(ph_alt_effect):
