@@ -71,6 +71,8 @@ class SpendingFunction:
             alphas = [a for _, a in self.table]
             if any(f2 <= f1 for f1, f2 in zip(fracs, fracs[1:])):
                 raise ValueError("custom spending table fractions must be strictly increasing")
+            if fracs[0] <= 0.0:
+                raise ValueError(f"custom spending table fractions must lie in (0, 1], got {self.table}")
             if any(a2 < a1 for a1, a2 in zip(alphas, alphas[1:])) or alphas[0] < 0:
                 raise ValueError("custom spending table must be nondecreasing and nonnegative")
             if abs(fracs[-1] - 1.0) > 1e-12 or abs(alphas[-1] - self.total_alpha) > 1e-12:
@@ -140,6 +142,16 @@ class _Propagator:
     earlier boundary was crossed.  ``drift`` is the expected Z at information
     fraction 1, so E[Z_k] = drift * sqrt(IF_k).  Before the first stage the
     density is a point mass at 0 with information fraction 0.
+
+    With no drift and a two-sided region the density is even at every stage
+    (Armitage, McPherson & Rowe 1969; Jennison & Turnbull 2000, 19.2), so
+    only the half mesh x >= 0 is kept and each node stands for itself and its
+    mirror: the kernel is phi(a - b) + phi(a + b) on half the rows and
+    columns, and one tail, taken at +-x, is doubled.  The J&T offsets and
+    Simpson midpoints negate exactly and the weight at 0 is half the full one
+    (the start mass gets weight 1/2), so the quadrature is the full mesh's
+    summed in another order: design files keep ``grid = jt:32`` and replay as
+    before.  One-sided regions and nonzero drift keep the full mesh.
     """
 
     def __init__(self, sidedness: str, drift: float = 0.0, r: int = _GRID_R):
@@ -147,10 +159,12 @@ class _Propagator:
             raise ValueError(f"sidedness must be one of {SIDEDNESS}")
         self.sidedness = sidedness
         self.drift = float(drift)
+        self._half = sidedness == TWO_SIDED and self.drift == 0.0
+        self._fold = 2.0 if self._half else 1.0   # a half-mesh node and its mirror
         self._offsets = _jt_offsets(r)
         self.prev_if = 0.0
         self._x = np.zeros(1)      # nodes of the continuation region
-        self._wg = np.ones(1)      # quadrature weights times sub-density
+        self._wg = np.full(1, 0.5 if self._half else 1.0)  # weights times sub-density
         self.dead = False          # continuation region collapsed
 
     def _increment(self, if_k: float) -> tuple[np.ndarray, float, float]:
@@ -165,15 +179,15 @@ class _Propagator:
         """Stagewise crossing probability at boundary magnitude ``c`` and its
         derivative in ``c`` (minus the continuation density at the boundary)."""
         centre, sd, root = self._increment(if_k)
-        upper_arg = (c * root - centre) / sd
-        lower_arg = (-c * root - centre) / sd
-        prob, density = 0.0, 0.0
-        if self.sidedness != ONE_SIDED_LOWER:
-            prob += float(self._wg @ ndtr(-upper_arg))
-            density += float(self._wg @ _phi(upper_arg))
-        if self.sidedness != ONE_SIDED_UPPER:
-            prob += float(self._wg @ ndtr(lower_arg))
-            density += float(self._wg @ _phi(lower_arg))
+        wg = self._wg
+        # the lower tail at mean m is the upper tail at mean -m
+        if self.sidedness == TWO_SIDED:
+            centre, wg = np.concatenate((centre, -centre)), np.concatenate((wg, wg))
+        elif self.sidedness == ONE_SIDED_LOWER:
+            centre = -centre
+        t = (c * root - centre) / sd
+        prob = self._fold * float(wg @ ndtr(-t))
+        density = self._fold * float(wg @ _phi(t))
         return prob, -density * root / sd
 
     def stage_crossing(self, if_k: float, c: float) -> float:
@@ -230,7 +244,10 @@ class _Propagator:
         """Restrict to the continuation region at this stage and move the mesh."""
         if self.dead:
             return
-        lower = -math.inf if self.sidedness == ONE_SIDED_UPPER else -c
+        if self._half:
+            lower = 0.0
+        else:
+            lower = -math.inf if self.sidedness == ONE_SIDED_UPPER else -c
         upper = math.inf if self.sidedness == ONE_SIDED_LOWER else c
         mesh = _jt_mesh(self._offsets, self.drift * math.sqrt(if_k), lower, upper)
         if mesh is None:
@@ -239,9 +256,12 @@ class _Propagator:
             return
         y, w = mesh
         centre, sd, root = self._increment(if_k)
-        g = _phi((y[:, None] * root - centre[None, :]) / sd) @ self._wg * (root / sd)
+        a = y[:, None] * root
+        kernel = _phi((a - centre[None, :]) / sd)
+        if self._half:
+            kernel += _phi((a + centre[None, :]) / sd)
         self._x = y
-        self._wg = w * g
+        self._wg = w * (kernel @ self._wg * (root / sd))
         self.prev_if = if_k
 
 

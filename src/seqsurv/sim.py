@@ -391,17 +391,14 @@ def run_oc(
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
-    missing = [m for m in methods if m not in calibration.method_totals]
-    if missing:
-        raise ValueError(f"calibration lacks total information for method(s) {missing}")
+    totals = _method_totals(calibration, methods)
     if len(calibration.analysis_times) != design.n_stages:
         raise ValueError(
             f"design has {design.n_stages} stages but calibration produced "
             f"{len(calibration.analysis_times)} analysis times"
         )
 
-    fixed = (scenario, design, methods, calibration.analysis_times,
-             calibration.method_totals, seed)
+    fixed = (scenario, design, methods, calibration.analysis_times, totals, seed)
     stages = np.array(_map_replicates(_monitor_replicate, fixed, replicates, workers))
 
     cumulative, ses, failures, used = {}, {}, {}, {}
@@ -428,7 +425,7 @@ def run_oc(
         standard_errors=ses,
         failures=failures,
         used_replicates=used,
-        method_totals={m: calibration.method_totals[m] for m in methods},
+        method_totals=totals,
     )
 
 
@@ -518,6 +515,21 @@ def calibrate_analysis_times(
     )
 
 
+def _method_totals(calibration: CalibrationResult, methods: Sequence[str]) -> dict[str, float]:
+    """Each method's calibrated total information, which must be finite and positive."""
+    missing = [m for m in methods if m not in calibration.method_totals]
+    if missing:
+        raise ValueError(f"calibration lacks total information for method(s) {missing}")
+    totals = {m: calibration.method_totals[m] for m in methods}
+    for m, total in totals.items():
+        if not (math.isfinite(total) and total > 0.0):
+            raise ValueError(
+                f"calibration total information for method {m!r} must be finite "
+                f"and positive, got {total!r}"
+            )
+    return totals
+
+
 @dataclass(frozen=True)
 class EffectCalibration:
     beta_delta: float
@@ -540,7 +552,7 @@ def _adjusted_drift(scenario: Scenario, calibration: CalibrationResult):
     h0 = scenario.gamma0_value * scenario.tau**scenario.alpha0
     h1 = scenario.gamma0_value * scenario.tau ** (scenario.alpha0 + scenario.alpha1)
     s0 = float(np.mean(np.exp(-h0 * risks)))
-    root_info = math.sqrt(calibration.method_totals["adjusted"])
+    root_info = math.sqrt(_method_totals(calibration, ("adjusted",))["adjusted"])
 
     def drift(beta: float) -> float:
         s1 = float(np.mean(np.exp(-h1 * math.exp(beta) * risks)))

@@ -74,6 +74,10 @@ def test_design_rejects_nan_fraction(capsys):
     ("power:inf", "rho must be finite, got inf"),
     ("custom:0.5:nan;1:0.05", "custom spending table entries must be finite"),
     ("custom:bad", "custom spending 'custom:bad' is not of the form custom:IF:ALPHA;IF:ALPHA"),
+    ("custom:-0.5:0.01;1:0.05",
+     "custom spending table fractions must lie in (0, 1], got ((-0.5, 0.01), (1.0, 0.05))"),
+    ("custom:0:0.01;1:0.05",
+     "custom spending table fractions must lie in (0, 1], got ((0.0, 0.01), (1.0, 0.05))"),
 ])
 def test_design_rejects_a_bad_spending_spec(capsys, spec, message):
     code = main(["design", "--alpha", "0.05", f"--spending={spec}", "--info-fractions", "0.5,1"])

@@ -28,6 +28,7 @@ from seqsurv import (
     state_to_text,
 )
 from oracles import gs_crossing_by_simulation
+from seqsurv import gsdesign
 from seqsurv.cli import EXIT_ERROR, EXIT_OK, main
 from seqsurv.gsdesign import _GRID_R, _Propagator, _solve_boundaries
 
@@ -437,10 +438,102 @@ def test_boundary_solves_stop_at_the_rounding_floor(monkeypatch):
     assert max(gap for _, gap in solves) <= 1e-12
 
 
-# -- properties of the monitor ---------------------------------------------------
-
 _TOTAL_INFORMATION = 100.0
 
+
+# -- the half mesh of the two-sided null ---------------------------------------
+
+@pytest.fixture
+def full_mesh(monkeypatch):
+    """A switch that makes every propagator gsdesign builds from then on use
+    the full mesh.
+
+    A drift of 1e-300 shifts no stage mean by more than 1e-300, but it is not
+    the zero drift under which a two-sided propagator keeps only x >= 0.
+    """
+    def full(sidedness, drift=0.0, r=_GRID_R):
+        return _Propagator(sidedness, drift=drift or 1e-300, r=r)
+
+    return lambda: monkeypatch.setattr(gsdesign, "_Propagator", full)
+
+
+def test_the_two_sided_null_propagates_on_the_half_mesh(full_mesh):
+    half = _Propagator("two_sided")
+    half.advance(0.5, 2.5)
+    full_mesh()
+    full = gsdesign._Propagator("two_sided")
+    full.advance(0.5, 2.5)
+    assert half._x.min() == 0.0 and full._x.min() < 0.0
+    assert half._x.size == (full._x.size + 1) // 2
+    np.testing.assert_allclose(half._x, full._x[full._x >= 0.0], rtol=0.0, atol=1e-299)
+
+
+_HALF_MESH_DESIGNS = {
+    "bench_3_stage": (power3(), (0.5, 0.75, 1.0)),
+    "bench_6_stage": (power3(), tuple((k + 1) / 6 for k in range(6))),
+    "obf_like": (SpendingFunction(0.05, "obf_like"), (0.2, 0.45, 0.7, 1.0)),
+    "pocock_like": (SpendingFunction(0.05, "pocock_like"), (0.33, 0.67, 1.0)),
+    "custom": (
+        SpendingFunction(0.05, "custom", table=((0.3, 0.0), (0.6, 0.01), (1.0, 0.05))),
+        (0.3, 0.6, 1.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HALF_MESH_DESIGNS))
+def test_half_mesh_designs_match_the_full_mesh(full_mesh, name):
+    sf, fractions = _HALF_MESH_DESIGNS[name]
+    half = boundaries(sf, fractions)
+    half_probs = crossing_probabilities(half)
+    full_mesh()
+    full = boundaries(sf, fractions)
+    assert half.alpha_spent == full.alpha_spent
+    np.testing.assert_allclose(half.critical_values, full.critical_values, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(half_probs, crossing_probabilities(full), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(_HALF_MESH_DESIGNS))
+def test_half_mesh_monitor_steps_match_the_full_mesh(full_mesh, name):
+    sf, fractions = _HALF_MESH_DESIGNS[name]
+    design = boundaries(sf, fractions)
+    # observed fractions off the planned ones, statistics that never reject
+    observed = [0.9 * f + 0.03 * k for k, f in enumerate(fractions)]
+
+    def run():
+        mon = SequentialMonitor(design, _TOTAL_INFORMATION)
+        for f in observed:
+            mon.step(f * _TOTAL_INFORMATION, 0.25)
+        return mon.results
+
+    half = run()
+    full_mesh()
+    full = run()
+    assert [r.decision for r in half] == [r.decision for r in full]
+    assert [r.alpha_spent for r in half] == [r.alpha_spent for r in full]
+    np.testing.assert_allclose(
+        [r.boundary for r in half], [r.boundary for r in full], rtol=0.0, atol=1e-12
+    )
+
+
+def test_a_full_mesh_state_file_replays_on_the_half_mesh(full_mesh):
+    design = boundaries(power3(), (0.25, 0.5, 0.75, 1.0))
+    state = MonitoringState(design=design, total_information=_TOTAL_INFORMATION)
+    looks = [(27.0, 1.1), (52.0, -0.8), (77.0, 1.9), (98.0, 0.4)]
+    for k, (info, z) in enumerate(looks[:2], start=1):
+        monitor(state, info, z, calendar_time=float(k))
+    text = state_to_text(state)
+    half = state_from_text(text)
+    half_rest = [monitor(half, info, z) for info, z in looks[2:]]
+    full_mesh()
+    full = state_from_text(text)
+    full_rest = [monitor(full, info, z) for info, z in looks[2:]]
+    assert [r.decision for r in half_rest] == [r.decision for r in full_rest]
+    np.testing.assert_allclose(
+        [r.boundary for r in half_rest], [r.boundary for r in full_rest], rtol=0.0, atol=1e-12
+    )
+
+
+# -- properties of the monitor ---------------------------------------------------
 
 @st.composite
 def monitoring_runs(draw):

@@ -368,6 +368,32 @@ def test_simulation_entry_points_reject_zero_replicates():
         calibrate_effect(sc, 0.8, design, calibration=cal, replicates=0)
 
 
+@pytest.fixture(scope="module")
+def effect_inputs():
+    return _effect_inputs(17)
+
+
+_TOTAL_ENTRY_POINTS = {
+    "run_oc": lambda sc, design, cal: run_oc(sc, design, replicates=4, calibration=cal),
+    "analytic_power": lambda sc, design, cal: analytic_power(sc, design, cal),
+    "calibrate_effect": lambda sc, design, cal: calibrate_effect(
+        sc, 0.8, design, calibration=cal, replicates=4),
+}
+
+
+@pytest.mark.parametrize("total", [0.0, math.nan, -5.0, math.inf])
+@pytest.mark.parametrize("entry", sorted(_TOTAL_ENTRY_POINTS))
+def test_entry_points_reject_a_total_information_that_is_not_finite_and_positive(
+    effect_inputs, entry, total
+):
+    sc, design, cal = effect_inputs
+    bad = replace(cal, method_totals={**cal.method_totals, "adjusted": total})
+    message = (f"^calibration total information for method 'adjusted' must be finite "
+               f"and positive, got {total!r}$")
+    with pytest.raises(ValueError, match=message):
+        _TOTAL_ENTRY_POINTS[entry](sc, design, bad)
+
+
 def test_simulation_entry_points_reject_fewer_than_one_worker():
     sc, design, cal = _effect_inputs(17)
     message = "^workers must be at least 1, got 0$"
