@@ -12,22 +12,12 @@ __version__ = "0.1.0"
 from .adjusted import (
     SPComparison,
     VarianceComponents,
-    adjusted_sp,
     compare_sp,
-    conditional_survival,
     sp_variance,
     variance_components,
 )
 from .comparators import CoxWaldResult, KMComparison, cox_wald, km_compare
-from .cox import (
-    RiskSets,
-    StepFunction,
-    StratifiedCoxFit,
-    fit_mple,
-    log_partial_likelihood,
-    observed_information,
-    partial_score,
-)
+from .cox import RiskSets, StratifiedCoxFit, fit_mple
 from .data import (
     Columns,
     Snapshot,

@@ -10,36 +10,12 @@ coefficient estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .cox import StratifiedCoxFit, fit_mple
 from .data import Snapshot, check_t0
 from .errors import DegenerateDataError
-
-
-def conditional_survival(fit: StratifiedCoxFit, stratum: int, z: Sequence[float], t: float) -> float:
-    """Model-based survival beyond ``t`` under arm ``stratum`` for covariates ``z``."""
-    if t > fit.calendar_time:
-        raise ValueError(
-            f"survival time {t:g} exceeds the fit's calendar horizon {fit.calendar_time:g}"
-        )
-    z = np.asarray(z, dtype=np.float64)
-    rel_risk = float(np.exp(fit.beta_hat @ z))
-    return float(np.exp(-rel_risk * fit.baseline_cum_hazard[stratum](t)))
-
-
-def adjusted_sp(fit: StratifiedCoxFit, snap: Snapshot, stratum: int, t0: float) -> float:
-    """Adjusted survival probability: the conditional survival under arm
-    ``stratum`` averaged over every subject's covariates (both arms pooled)."""
-    if t0 > fit.calendar_time:
-        raise ValueError(
-            f"survival time {t0:g} exceeds the fit's calendar horizon {fit.calendar_time:g}"
-        )
-    rel_risk = np.exp(snap.covariates @ fit.beta_hat)
-    lam = fit.baseline_cum_hazard[stratum](t0)
-    return float(np.mean(np.exp(-rel_risk * lam)))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Treatment-stratified proportional-hazards fit at a calendar-time snapshot.
 
 Each treatment arm keeps its own unspecified baseline hazard; the covariate
-coefficients are shared.  The partial likelihood is maximized by Newton
-iteration with step halving, and the per-arm baseline cumulative hazards come
-out as step functions over the observed event times (tied events share the
-risk-set denominator).
+coefficients are shared.  The partial likelihood (Breslow's handling of tied
+events) is maximized by Newton iteration with step halving.  The fit carries
+the risk-set sums at its maximizer; ``adjusted.variance_components`` reads
+each arm's Breslow cumulative hazard at t0 from them.
 
 Every quantity comes from one risk-set kernel (Therneau & Grambsch 2000,
 ch. 3).  ``RiskSetLayout.from_snapshot`` sorts the snapshot once and groups
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,19 +36,6 @@ MAX_ITER = 50
 SCORE_TOL = 1e-8          # infinity norm of the partial score
 MAX_STEP_HALVINGS = 10
 SEPARATION_NORM = 50.0    # |beta|_inf beyond this means monotone likelihood
-
-
-@dataclass(frozen=True)
-class StepFunction:
-    """Right-continuous nondecreasing step function, zero before the first jump."""
-
-    times: np.ndarray   # jump locations, strictly increasing
-    values: np.ndarray  # cumulative value at and after each jump
-
-    def __call__(self, t):
-        idx = np.searchsorted(self.times, t, side="right")
-        padded = np.concatenate(([0.0], self.values))
-        return padded[idx]
 
 
 class RiskSetValues(NamedTuple):
@@ -196,50 +183,16 @@ class RiskSets(RiskSetLayout):
                 f"stratum {stratum}: empty or non-finite risk set at an observed event time"
             )
 
-    def breslow(self, values: RiskSetValues) -> tuple[StepFunction, StepFunction]:
-        """Per-arm Breslow baseline cumulative hazards from the event-group sums."""
-        return tuple(
-            StepFunction(times=self.event_times[g], values=np.cumsum(self.dn[g] / values.r0[g]))
-            for g in self.groups
-        )
-
-
-def _usable_values(beta: Sequence[float], snap: Snapshot) -> RiskSetValues:
-    risk_sets = RiskSets.from_snapshot(snap)
-    values = risk_sets.evaluate(np.asarray(beta, dtype=np.float64))
-    risk_sets.require_usable(values)
-    return values
-
-
-def partial_score(beta: Sequence[float], snap: Snapshot) -> np.ndarray:
-    """Partial-likelihood score: sum over events of the covariate minus the
-    risk-set weighted covariate mean."""
-    return _usable_values(beta, snap).score
-
-
-def observed_information(beta: Sequence[float], snap: Snapshot) -> np.ndarray:
-    """Negative Hessian of the log partial likelihood (sum of risk-set
-    covariate covariances over events)."""
-    return _usable_values(beta, snap).information
-
-
-def log_partial_likelihood(beta: Sequence[float], snap: Snapshot) -> float:
-    """Log partial likelihood up to an additive constant (risk sets
-    unnormalized); -inf where a risk set is empty or overflows."""
-    beta = np.asarray(beta, dtype=np.float64)
-    return RiskSets.from_snapshot(snap).evaluate(beta).loglik
-
 
 @dataclass(frozen=True)
 class StratifiedCoxFit:
-    """The fit at one snapshot, with the kernel's layout and its values at
-    ``beta_hat`` (``event_sums``) for the variance and Breslow estimates."""
+    """The maximizer at one snapshot, with the kernel's layout and its values
+    at ``beta_hat`` (``event_sums``), from which the adjusted-SP variance and
+    the Cox-Wald test read the Breslow increments and the information."""
 
     calendar_time: float
     beta_hat: np.ndarray
     observed_information: np.ndarray
-    baseline_cum_hazard: tuple[StepFunction, StepFunction]
-    converged: bool
     iterations: int
     final_score_norm: float
     risk_sets: RiskSets
@@ -254,8 +207,7 @@ def fit_mple(snap: Snapshot) -> StratifiedCoxFit:
     """Maximize the stratified partial likelihood at the snapshot's calendar time.
 
     Newton steps with step halving on a log-likelihood decrease larger than
-    rounding noise; the Breslow baseline cumulative hazards are evaluated at
-    the maximizer.  Each candidate is evaluated once, and an accepted
+    rounding noise.  Each candidate is evaluated once, and an accepted
     candidate's evaluation supplies the next step.  An arm with subjects but
     no observed events is legal (it contributes nothing and gets a flat
     baseline) but is reported with a warning.
@@ -327,8 +279,6 @@ def fit_mple(snap: Snapshot) -> StratifiedCoxFit:
         calendar_time=snap.calendar_time,
         beta_hat=beta,
         observed_information=current.information,
-        baseline_cum_hazard=risk_sets.breslow(current),
-        converged=True,
         iterations=iterations,
         final_score_norm=score_norm,
         risk_sets=risk_sets,

@@ -86,7 +86,7 @@ class SpendingFunction:
 
 def spend(sf: SpendingFunction, info_fraction: float) -> float:
     """Cumulative alpha allowed at the given information fraction."""
-    if info_fraction < 0:
+    if not info_fraction >= 0:   # NaN fails this too
         raise ValueError(f"information fraction must be >= 0, got {info_fraction!r}")
     t = min(float(info_fraction), 1.0)
     if t == 0.0:
@@ -114,6 +114,11 @@ def _jt_offsets(r: int) -> np.ndarray:
         -3.0 - 4.0 * np.log(r / i),
         np.where(i <= 5 * r, -3.0 + 3.0 * (i - r) / (2.0 * r), 3.0 + 4.0 * np.log(r / (6 * r - i))),
     )
+
+
+# the mesh every propagator lays around its stage mean, built once
+_OFFSETS = _jt_offsets(_GRID_R)
+_OFFSETS.setflags(write=False)
 
 
 def _jt_mesh(offsets: np.ndarray, mu: float, lower: float, upper: float):
@@ -154,14 +159,13 @@ class _Propagator:
     before.  One-sided regions and nonzero drift keep the full mesh.
     """
 
-    def __init__(self, sidedness: str, drift: float = 0.0, r: int = _GRID_R):
+    def __init__(self, sidedness: str, drift: float = 0.0):
         if sidedness not in SIDEDNESS:
             raise ValueError(f"sidedness must be one of {SIDEDNESS}")
         self.sidedness = sidedness
         self.drift = float(drift)
         self._half = sidedness == TWO_SIDED and self.drift == 0.0
         self._fold = 2.0 if self._half else 1.0   # a half-mesh node and its mirror
-        self._offsets = _jt_offsets(r)
         self.prev_if = 0.0
         self._x = np.zeros(1)      # nodes of the continuation region
         self._wg = np.full(1, 0.5 if self._half else 1.0)  # weights times sub-density
@@ -249,7 +253,7 @@ class _Propagator:
         else:
             lower = -math.inf if self.sidedness == ONE_SIDED_UPPER else -c
         upper = math.inf if self.sidedness == ONE_SIDED_LOWER else c
-        mesh = _jt_mesh(self._offsets, self.drift * math.sqrt(if_k), lower, upper)
+        mesh = _jt_mesh(_OFFSETS, self.drift * math.sqrt(if_k), lower, upper)
         if mesh is None:
             self.dead = True
             self.prev_if = if_k
@@ -300,15 +304,6 @@ def _validate_fractions(info_fractions: Sequence[float]) -> tuple[float, ...]:
     return fracs
 
 
-def boundaries(sf: SpendingFunction, info_fractions: Sequence[float]) -> GSDesign:
-    """Solve the per-stage critical values for a spending function and schedule.
-
-    The final stage spends whatever remains of the total budget, so designs
-    whose last information fraction falls short of 1 still exhaust alpha.
-    """
-    return _solve_boundaries(sf, info_fractions, _GRID_R)
-
-
 def _stage_boundary(
     prop: _Propagator, sf: SpendingFunction, fraction: float, spent: float, final: bool
 ) -> tuple[float, float]:
@@ -322,9 +317,14 @@ def _stage_boundary(
     return prop.solve_boundary(fraction, target - spent), target
 
 
-def _solve_boundaries(sf: SpendingFunction, info_fractions: Sequence[float], r: int) -> GSDesign:
+def boundaries(sf: SpendingFunction, info_fractions: Sequence[float]) -> GSDesign:
+    """Solve the per-stage critical values for a spending function and schedule.
+
+    The final stage spends whatever remains of the total budget, so designs
+    whose last information fraction falls short of 1 still exhaust alpha.
+    """
     fracs = _validate_fractions(info_fractions)
-    prop = _Propagator(sf.sidedness, drift=0.0, r=r)
+    prop = _Propagator(sf.sidedness)
     crit: list[float] = []
     spent: list[float] = []
     previous = 0.0
@@ -562,6 +562,17 @@ def _parse_kv(text: str) -> dict[str, str]:
     return out
 
 
+def _number(key: str, value: str) -> float:
+    try:
+        return float(value)
+    except ValueError:
+        raise ValueError(f"key {key!r}: {value.strip()!r} is not a number") from None
+
+
+def _numbers(key: str, value: str) -> tuple[float, ...]:
+    return tuple(_number(key, x) for x in value.split(","))
+
+
 def design_from_text(text: str) -> GSDesign:
     kv = _parse_kv(text)
     unknown = sorted(set(kv) - set(_DESIGN_KEYS))
@@ -571,13 +582,13 @@ def design_from_text(text: str) -> GSDesign:
             f"version must be re-created, since boundaries replay only on grid = {_GRID_RULE}"
         )
     try:
-        alpha = float(kv["alpha"])
+        alpha = _number("alpha", kv["alpha"])
         sidedness = kv["sidedness"]
         sf = spending_from_text(kv["spending"], alpha, sidedness)
         stages = int(kv["stages"])
-        fractions = _validate_fractions(float(x) for x in kv["info_fractions"].split(","))
-        critical = tuple(float(x) for x in kv["critical_values"].split(","))
-        spent = tuple(float(x) for x in kv["alpha_spent"].split(","))
+        fractions = _validate_fractions(_numbers("info_fractions", kv["info_fractions"]))
+        critical = _numbers("critical_values", kv["critical_values"])
+        spent = _numbers("alpha_spent", kv["alpha_spent"])
         grid = kv["grid"]
     except KeyError as exc:
         raise ValueError(f"design file is missing key {exc.args[0]!r}") from None
@@ -587,6 +598,18 @@ def design_from_text(text: str) -> GSDesign:
         raise ValueError(
             f"design file: stages = {stages} but the schedule arrays have lengths "
             f"{len(fractions)}, {len(critical)} and {len(spent)}"
+        )
+    # a stage that spends no alpha records an infinite boundary
+    if not all(c >= 0.0 for c in critical):
+        raise ValueError(f"design file key 'critical_values' must be >= 0 (inf allowed), got {critical}")
+    # the final stage spends exactly alpha; 1e-12 is the custom table's slack
+    if not (
+        all(0.0 <= a <= alpha + 1e-12 for a in spent)
+        and all(b >= a for a, b in zip(spent, spent[1:]))
+    ):
+        raise ValueError(
+            f"design file key 'alpha_spent' must be nondecreasing within [0, alpha = {alpha!r}], "
+            f"got {spent}"
         )
     return GSDesign(
         spending=sf,
@@ -682,9 +705,14 @@ def state_from_text(text: str) -> MonitoringState:
     kv = _parse_kv("\n".join(lines[:start]))
     if "total_information" not in kv:
         raise ValueError("state file is missing key 'total_information'")
+    total_information = _number("total_information", kv["total_information"])
+    if not (math.isfinite(total_information) and total_information > 0.0):
+        raise ValueError(
+            f"state file key 'total_information' must be finite and positive, got {total_information!r}"
+        )
     state = MonitoringState(
         design=design,
-        total_information=float(kv["total_information"]),
+        total_information=total_information,
         method=kv.get("method", ""),
     )
     for lineno, raw in enumerate(lines[end + 1 :], start=end + 2):

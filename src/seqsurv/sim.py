@@ -12,6 +12,7 @@ independent of how replicates are distributed over workers.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -84,14 +85,16 @@ class Scenario:
     target_info_fractions: tuple[float, ...] = (0.5, 0.75, 1.0)
 
     def __post_init__(self) -> None:
+        for name in ("n0", "n1", "k_analyses"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if not all(math.isfinite(f) for f in self.target_info_fractions):
             raise ValueError(f"target_info_fractions must be finite, got {self.target_info_fractions}")
-        if self.n0 < 1 or self.n1 < 1:
-            raise ValueError("per-arm sizes must be at least 1")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         if self.alpha0 <= 0:

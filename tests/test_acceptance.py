@@ -15,6 +15,7 @@ import pytest
 from scipy.stats import norm
 
 from seqsurv import (
+    RiskSets,
     Scenario,
     SpendingFunction,
     boundaries,
@@ -24,7 +25,6 @@ from seqsurv import (
     crossing_probabilities,
     fit_mple,
     generate_columns,
-    partial_score,
     run_oc,
     snapshot,
 )
@@ -64,7 +64,9 @@ def test_criterion_1_stratified_cox_oracle_equivalence():
         f = lambda b: naive_log_pl(b, x, d, a, z)
         if score_checked < 200:
             beta = rng.normal(0, 0.5, p)
-            gap = float(np.max(np.abs(partial_score(beta, snap) - fd_gradient(f, beta))))
+            values = RiskSets.from_snapshot(snap).evaluate(beta)
+            assert values.usable, f"empty risk set on attempt {attempts}"
+            gap = float(np.max(np.abs(values.score - fd_gradient(f, beta))))
             worst_score = max(worst_score, gap)
             assert gap <= 1e-6, f"score gap {gap:.2e} on attempt {attempts}"
             score_checked += 1

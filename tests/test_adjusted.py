@@ -5,9 +5,7 @@ import pytest
 
 from seqsurv import (
     DegenerateDataError,
-    adjusted_sp,
     compare_sp,
-    conditional_survival,
     fit_mple,
     snapshot,
     sp_variance,
@@ -20,20 +18,22 @@ from oracles import grid_refine_argmax, naive_adjusted_sp, naive_log_pl, naive_v
 def test_conditional_survival_at_zero_covariates(hand_snapshot):
     fit = fit_mple(hand_snapshot)
     t = 1.5
-    expected = np.exp(-fit.baseline_cum_hazard[0](t))
-    assert conditional_survival(fit, 0, [0.0], t) == pytest.approx(expected)
+    # averaging over subjects whose covariates are all zero leaves exp(-Lambda)
+    zeroed = replace(hand_snapshot, covariates=np.zeros_like(hand_snapshot.covariates))
+    comps = variance_components(fit, zeroed, t)
+    assert comps.adjusted_sp[0] == pytest.approx(np.exp(-comps.baseline_cumhaz_t0[0]))
 
 
 def test_conditional_survival_before_first_event_is_one(hand_snapshot):
     fit = fit_mple(hand_snapshot)
-    assert conditional_survival(fit, 0, [2.0], 0.1) == 1.0
-    assert conditional_survival(fit, 1, [-1.0], 0.3) == 1.0
+    assert variance_components(fit, hand_snapshot, 0.1).adjusted_sp[0] == 1.0
+    assert variance_components(fit, hand_snapshot, 0.3).adjusted_sp[1] == 1.0
 
 
 def test_conditional_survival_beyond_horizon_rejected(hand_snapshot):
     fit = fit_mple(hand_snapshot)
     with pytest.raises(ValueError, match="horizon"):
-        conditional_survival(fit, 0, [0.0], 6.0)
+        variance_components(fit, hand_snapshot, 6.0)
 
 
 def test_conditional_survival_composes_fit_and_baseline(hand_snapshot):
@@ -42,11 +42,11 @@ def test_conditional_survival_composes_fit_and_baseline(hand_snapshot):
     best = grid_refine_argmax(
         lambda b: naive_log_pl(b, x, d, a, z), np.array([-3.0]), np.array([3.0]), rounds=14
     )
-    from oracles import naive_breslow
-
     t = 2.0
-    expected = np.exp(-np.exp(best[0] * 1.0) * naive_breslow(best, x, d, a, z, 1, t))
-    assert conditional_survival(fit, 1, [1.0], t) == pytest.approx(expected, abs=1e-6)
+    expected = naive_adjusted_sp(best, x, d, a, z, 1, t)
+    assert variance_components(fit, hand_snapshot, t).adjusted_sp[1] == pytest.approx(
+        expected, abs=1e-6
+    )
 
 
 def test_adjusted_sp_p0_is_baseline_survival():
@@ -57,10 +57,10 @@ def test_adjusted_sp_p0_is_baseline_survival():
         ("d", 1, 0.0, 2.5, False, ()),
     ])
     snap = snapshot(recs, 10.0)
-    fit = fit_mple(snap)
+    comps = variance_components(fit_mple(snap), snap, 2.0)
     for stratum in (0, 1):
-        assert adjusted_sp(fit, snap, stratum, 2.0) == pytest.approx(
-            np.exp(-fit.baseline_cum_hazard[stratum](2.0))
+        assert comps.adjusted_sp[stratum] == pytest.approx(
+            np.exp(-comps.baseline_cumhaz_t0[stratum])
         )
 
 
@@ -75,17 +75,20 @@ def test_adjusted_sp_constant_covariates_equals_conditional():
     ])
     snap = snapshot(recs, 10.0)
     fit = fit_mple(snap)
+    comps = variance_components(fit, snap, 2.0)
+    rel_risk = np.exp(fit.beta_hat[0] * 0.8)
     for stratum in (0, 1):
-        assert adjusted_sp(fit, snap, stratum, 2.0) == pytest.approx(
-            conditional_survival(fit, stratum, [0.8], 2.0)
+        assert comps.adjusted_sp[stratum] == pytest.approx(
+            np.exp(-rel_risk * comps.baseline_cumhaz_t0[stratum])
         )
 
 
 def test_adjusted_sp_matches_naive_average(hand_snapshot):
     fit = fit_mple(hand_snapshot)
     x, d, a, z = snapshot_arrays(hand_snapshot)
+    comps = variance_components(fit, hand_snapshot, 2.0)
     for stratum in (0, 1):
-        got = adjusted_sp(fit, hand_snapshot, stratum, 2.0)
+        got = comps.adjusted_sp[stratum]
         expected = naive_adjusted_sp(fit.beta_hat, x, d, a, z, stratum, 2.0)
         assert got == pytest.approx(expected, abs=1e-12)
 
@@ -155,16 +158,15 @@ def test_p0_variance_reduces_to_baseline_form():
     comps = variance_components(fit, snap, 1.0)
     assert comps.sp_diff_beta_gradient.size == 0
     n = 4
+    lam = comps.baseline_cumhaz_t0
     expected = sum(
-        (n / 2) * np.exp(-fit.baseline_cum_hazard[i](1.0)) ** 2 * comps.cumhaz_variance[i]
+        (n / 2) * np.exp(-lam[i]) ** 2 * comps.cumhaz_variance[i]
         for i in (0, 1)
     )
     assert sp_variance(comps) == pytest.approx(expected)
     # the hazard sensitivity collapses to the baseline survival itself
     for i in (0, 1):
-        assert comps.hazard_sensitivity[i] == pytest.approx(
-            np.exp(-fit.baseline_cum_hazard[i](1.0))
-        )
+        assert comps.hazard_sensitivity[i] == pytest.approx(np.exp(-lam[i]))
 
 
 def test_mirrored_arms_give_zero_statistic():
@@ -189,8 +191,9 @@ def test_z_equals_diff_times_sqrt_info(hand_snapshot_8):
 
 def test_sp_nonincreasing_in_t0(hand_snapshot_8):
     fit = fit_mple(hand_snapshot_8)
+    sps = [variance_components(fit, hand_snapshot_8, t).adjusted_sp for t in (0.5, 1.0, 1.5, 2.0, 2.5)]
     for stratum in (0, 1):
-        values = [adjusted_sp(fit, hand_snapshot_8, stratum, t) for t in (0.5, 1.0, 1.5, 2.0, 2.5)]
+        values = [sp[stratum] for sp in sps]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 

@@ -10,6 +10,7 @@ from seqsurv import (
     fit_mple,
     km_compare,
     snapshot,
+    variance_components,
 )
 from conftest import columns, random_dataset, snapshot_arrays
 from oracles import naive_km
@@ -85,8 +86,9 @@ def test_km_below_exp_nelson_aalen():
     fit = fit_mple(bare_snap)
     for t0 in (0.5, 1.0, 2.0):
         res = km_compare(bare_snap, t0)
+        lam = variance_components(fit, bare_snap, t0).baseline_cumhaz_t0
         for stratum in (0, 1):
-            fh_val = float(np.exp(-fit.baseline_cum_hazard[stratum](t0)))
+            fh_val = float(np.exp(-lam[stratum]))
             assert res.s_hat[stratum] <= fh_val + 1e-12
 
 

@@ -11,13 +11,23 @@ from seqsurv import (
     SeparationError,
     fit_mple,
     generate_columns,
-    log_partial_likelihood,
-    observed_information,
-    partial_score,
     snapshot,
+    variance_components,
 )
 from conftest import columns, random_dataset, snapshot_arrays
 from oracles import fd_gradient, fd_hessian, grid_refine_argmax, naive_breslow, naive_log_pl
+
+
+def kernel(snap, beta):
+    """The risk-set kernel's values at ``beta``, required usable."""
+    values = RiskSets.from_snapshot(snap).evaluate(np.asarray(beta, dtype=np.float64))
+    assert values.usable
+    return values
+
+
+def cumhaz(fit, snap, t):
+    """Both arms' Breslow baseline cumulative hazards at ``t``."""
+    return variance_components(fit, snap, t).baseline_cumhaz_t0
 
 
 def test_score_is_half_for_two_subject_risk_set():
@@ -26,7 +36,7 @@ def test_score_is_half_for_two_subject_risk_set():
         ("b", 0, 0.0, 2.0, False, (0.0,)),
     ])
     snap = snapshot(recs, 10.0)
-    assert partial_score([0.0], snap) == pytest.approx([0.5])
+    assert kernel(snap, [0.0]).score == pytest.approx([0.5])
 
 
 def test_score_vanishes_when_every_event_is_alone():
@@ -37,7 +47,7 @@ def test_score_vanishes_when_every_event_is_alone():
     ])
     snap = snapshot(recs, 10.0)
     for beta in (-1.0, 0.0, 2.5):
-        assert partial_score([beta], snap) == pytest.approx([0.0], abs=1e-14)
+        assert kernel(snap, [beta]).score == pytest.approx([0.0], abs=1e-14)
 
 
 def test_score_matches_finite_difference_gradient_on_hand_data():
@@ -47,7 +57,7 @@ def test_score_matches_finite_difference_gradient_on_hand_data():
     x, d, a, z = snapshot_arrays(snap)
     beta = np.array([0.3])
     grad = fd_gradient(lambda b: naive_log_pl(b, x, d, a, z), beta, step=1e-5)
-    assert partial_score(beta, snap) == pytest.approx(grad, abs=1e-6)
+    assert kernel(snap, beta).score == pytest.approx(grad, abs=1e-6)
 
 
 def test_information_zero_for_singleton_risk_sets():
@@ -56,7 +66,7 @@ def test_information_zero_for_singleton_risk_sets():
         ("b", 1, 0.0, 2.0, True, (-0.4,)),
     ])
     snap = snapshot(recs, 10.0)
-    assert observed_information([0.9], snap) == pytest.approx(np.zeros((1, 1)))
+    assert kernel(snap, [0.9]).information == pytest.approx(np.zeros((1, 1)))
 
 
 def test_information_quarter_for_balanced_binary_covariate():
@@ -65,7 +75,7 @@ def test_information_quarter_for_balanced_binary_covariate():
         ("b", 0, 0.0, 2.0, False, (0.0,)),
     ])
     snap = snapshot(recs, 10.0)
-    assert observed_information([0.0], snap)[0, 0] == pytest.approx(0.25)
+    assert kernel(snap, [0.0]).information[0, 0] == pytest.approx(0.25)
 
 
 def test_information_matches_finite_difference_hessian():
@@ -75,7 +85,7 @@ def test_information_matches_finite_difference_hessian():
     x, d, a, z = snapshot_arrays(snap)
     beta = np.array([0.2, -0.4])
     hess = -fd_hessian(lambda b: naive_log_pl(b, x, d, a, z), beta, step=1e-4)
-    got = observed_information(beta, snap)
+    got = kernel(snap, beta).information
     assert got == pytest.approx(hess, rel=1e-4, abs=1e-6)
 
 
@@ -87,8 +97,9 @@ def test_score_and_information_match_finite_differences_random(seed):
     x, d, a, z = snapshot_arrays(snap)
     beta = rng.normal(0, 0.5, len(z[0]))
     f = lambda b: naive_log_pl(b, x, d, a, z)
-    assert partial_score(beta, snap) == pytest.approx(fd_gradient(f, beta), abs=1e-6)
-    info = observed_information(beta, snap)
+    values = kernel(snap, beta)
+    assert values.score == pytest.approx(fd_gradient(f, beta), abs=1e-6)
+    info = values.information
     assert info == pytest.approx(-fd_hessian(f, beta), rel=1e-4, abs=2e-5)
     assert info == pytest.approx(info.T)
 
@@ -101,7 +112,7 @@ def test_log_pl_agrees_with_naive_up_to_constant():
     x, d, a, z = snapshot_arrays(snap)
     values = []
     for beta in ([0.0], [0.5], [-1.0]):
-        values.append(log_partial_likelihood(beta, snap) - naive_log_pl(beta, x, d, a, z))
+        values.append(kernel(snap, beta).loglik - naive_log_pl(beta, x, d, a, z))
     assert values[0] == pytest.approx(values[1]) == pytest.approx(values[2])
 
 
@@ -116,11 +127,10 @@ def test_fit_p0_reduces_to_nelson_aalen():
     fit = fit_mple(snap)
     assert fit.beta_hat.size == 0
     # stratum 0: jumps 1/3 at t=1, 1/2 at t=2
-    lam0 = fit.baseline_cum_hazard[0]
-    assert lam0(0.5) == pytest.approx(0.0)
-    assert lam0(1.0) == pytest.approx(1 / 3)
-    assert lam0(2.7) == pytest.approx(1 / 3 + 1 / 2)
-    assert fit.baseline_cum_hazard[1](1.5) == pytest.approx(1.0)
+    assert cumhaz(fit, snap, 0.5)[0] == pytest.approx(0.0)
+    assert cumhaz(fit, snap, 1.0)[0] == pytest.approx(1 / 3)
+    assert cumhaz(fit, snap, 2.7)[0] == pytest.approx(1 / 3 + 1 / 2)
+    assert cumhaz(fit, snap, 1.5)[1] == pytest.approx(1.0)
 
 
 def test_fit_matches_brute_force_maximizer(hand_snapshot):
@@ -130,7 +140,7 @@ def test_fit_matches_brute_force_maximizer(hand_snapshot):
         lambda b: naive_log_pl(b, x, d, a, z), np.array([-3.0]), np.array([3.0]), rounds=14
     )
     assert fit.beta_hat == pytest.approx(best, abs=1e-6)
-    assert fit.converged and fit.final_score_norm <= 1e-8
+    assert fit.final_score_norm <= 1e-8
 
 
 def test_fit_consistency_on_simulated_data():
@@ -152,34 +162,33 @@ def test_fit_consistency_on_simulated_data():
 def test_breslow_baseline_matches_naive(hand_snapshot_8):
     fit = fit_mple(hand_snapshot_8)
     x, d, a, z = snapshot_arrays(hand_snapshot_8)
-    for stratum in (0, 1):
-        for t in (0.5, 1.3, 2.0, 4.0):
-            assert fit.baseline_cum_hazard[stratum](t) == pytest.approx(
+    for t in (0.5, 1.3, 2.0, 4.0):
+        lam = cumhaz(fit, hand_snapshot_8, t)
+        for stratum in (0, 1):
+            assert lam[stratum] == pytest.approx(
                 naive_breslow(fit.beta_hat, x, d, a, z, stratum, t)
             )
 
 
 def test_baseline_nondecreasing_and_zero_at_origin(hand_snapshot_8):
     fit = fit_mple(hand_snapshot_8)
-    for stratum in (0, 1):
-        lam = fit.baseline_cum_hazard[stratum]
-        assert lam(0.0) == 0.0
-        grid = np.linspace(0, 5, 50)
-        vals = lam(grid)
-        assert np.all(np.diff(vals) >= 0)
+    grid = np.linspace(0, 5, 50)
+    vals = np.array([cumhaz(fit, hand_snapshot_8, t) for t in grid])   # (50, 2)
+    assert np.all(vals[0] == 0.0)
+    assert np.all(np.diff(vals, axis=0) >= 0)
 
 
 def test_covariate_shift_invariance(hand_snapshot_8):
     fit = fit_mple(hand_snapshot_8)
     shift = 2.5
-    fit2 = fit_mple(replace(hand_snapshot_8, covariates=hand_snapshot_8.covariates + shift))
+    shifted = replace(hand_snapshot_8, covariates=hand_snapshot_8.covariates + shift)
+    fit2 = fit_mple(shifted)
     assert fit2.beta_hat == pytest.approx(fit.beta_hat, abs=1e-9)
     scale = np.exp(-fit.beta_hat[0] * shift)
+    t = 2.0
+    lam, lam2 = cumhaz(fit, hand_snapshot_8, t), cumhaz(fit2, shifted, t)
     for stratum in (0, 1):
-        t = 2.0
-        assert fit2.baseline_cum_hazard[stratum](t) == pytest.approx(
-            fit.baseline_cum_hazard[stratum](t) * scale
-        )
+        assert lam2[stratum] == pytest.approx(lam[stratum] * scale)
 
 
 def test_fit_saturates_beyond_last_observation(hand_snapshot_8):
@@ -204,7 +213,7 @@ def test_stratum_without_events_warns_not_errors():
     with pytest.warns(RuntimeWarning, match="stratum 1"):
         fit = fit_mple(snap)
     assert fit.event_free_strata == (1,)
-    assert fit.baseline_cum_hazard[1](5.0) == 0.0
+    assert cumhaz(fit, snap, 5.0)[1] == 0.0
 
 
 def test_no_events_anywhere_is_degenerate():
@@ -281,9 +290,10 @@ def test_kernel_on_ties_in_both_strata_matches_naive():
     assert risk_sets.evaluate(np.zeros(2)).loglik - f(np.zeros(2)) == pytest.approx(gap)
     fit = fit_mple(snap)
     assert fit.final_score_norm <= 1e-8
-    for stratum in (0, 1):
-        for t in (0.5, 1.0, 2.0, 2.7, 4.0):
-            assert fit.baseline_cum_hazard[stratum](t) == pytest.approx(
+    for t in (0.5, 1.0, 2.0, 2.7, 4.0):
+        lam = cumhaz(fit, snap, t)
+        for stratum in (0, 1):
+            assert lam[stratum] == pytest.approx(
                 naive_breslow(fit.beta_hat, x, d, a, z, stratum, t)
             )
 
@@ -354,5 +364,5 @@ def test_fit_converges_on_day_rounded_ties():
         time_on_study=np.maximum(1.0, np.ceil(cols.time_on_study * 365.25)),
     )
     fit = fit_mple(snapshot(days, 2192.0))
-    assert fit.converged and fit.final_score_norm <= 1e-8
+    assert fit.final_score_norm <= 1e-8
     assert fit.iterations <= 10

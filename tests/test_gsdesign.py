@@ -30,7 +30,7 @@ from seqsurv import (
 from oracles import gs_crossing_by_simulation
 from seqsurv import gsdesign
 from seqsurv.cli import EXIT_ERROR, EXIT_OK, main
-from seqsurv.gsdesign import _GRID_R, _Propagator, _solve_boundaries
+from seqsurv.gsdesign import _GRID_R, _Propagator, _jt_offsets
 
 
 def power3(alpha=0.05, sides="two_sided"):
@@ -58,6 +58,8 @@ def test_spending_clamps_above_one():
 def test_spending_rejects_negative_fraction():
     with pytest.raises(ValueError):
         spend(power3(), -0.1)
+    with pytest.raises(ValueError, match="information fraction must be >= 0, got nan"):
+        spend(power3(), math.nan)
 
 
 @given(st.floats(0, 1), st.floats(0, 1))
@@ -166,12 +168,13 @@ def test_boundaries_shrink_when_alpha_grows():
     assert all(c2 < c1 for c1, c2 in zip(d1.critical_values, d2.critical_values))
 
 
-def test_grid_refinement_stability():
+def test_grid_refinement_stability(monkeypatch):
     # the Jennison-Turnbull mesh at its size r against one twice as fine
     sf = power3()
-    coarse = _solve_boundaries(sf, [0.4, 0.7, 1.0], _GRID_R)
-    fine = _solve_boundaries(sf, [0.4, 0.7, 1.0], 2 * _GRID_R)
-    assert coarse == boundaries(sf, [0.4, 0.7, 1.0])
+    assert np.array_equal(gsdesign._OFFSETS, _jt_offsets(_GRID_R))
+    coarse = boundaries(sf, [0.4, 0.7, 1.0])
+    monkeypatch.setattr(gsdesign, "_OFFSETS", _jt_offsets(2 * _GRID_R))
+    fine = boundaries(sf, [0.4, 0.7, 1.0])
     for a, b in zip(coarse.critical_values, fine.critical_values):
         assert abs(a - b) < 1e-5
 
@@ -309,6 +312,24 @@ def test_state_text_rejects_malformed_stage_rows(rows, bad, message):
         state_from_text(text)
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("nan", "must be finite and positive, got nan"),
+        ("-3", "must be finite and positive, got -3.0"),
+        ("0", "must be finite and positive, got 0.0"),
+        ("inf", "must be finite and positive, got inf"),
+        ("abc", "'abc' is not a number"),
+    ],
+)
+def test_state_text_rejects_bad_total_information(value, message):
+    d = boundaries(power3(), [0.5, 0.75, 1.0])
+    text = state_to_text(MonitoringState(design=d, total_information=150.0))
+    assert "total_information = 150.0\n" in text
+    with pytest.raises(ValueError, match=f"key 'total_information'.*{message}"):
+        state_from_text(text.replace("total_information = 150.0", f"total_information = {value}"))
+
+
 def test_state_text_accepts_recorded_infinite_boundary_and_missing_time():
     d = boundaries(power3(), [0.5, 0.75, 1.0])
     state = MonitoringState(design=d, total_information=150.0)
@@ -336,15 +357,19 @@ def test_monitor_refuses_stages_after_reject():
 
 
 def test_design_text_roundtrip():
-    for sf in (
-        power3(),
-        SpendingFunction(0.05, "power", rho=1.265625),
-        SpendingFunction(0.025, "obf_like", sidedness="one_sided_upper"),
-        SpendingFunction(0.05, "custom", table=((0.5, 0.01), (1.0, 0.05))),
+    zero_spend = SpendingFunction(0.05, "custom", table=((0.5, 0.0), (0.75, 0.0), (1.0, 0.05)))
+    for sf, fractions in (
+        (power3(), [0.5, 1.0]),
+        (SpendingFunction(0.05, "power", rho=1.265625), [0.5, 1.0]),
+        (SpendingFunction(0.025, "obf_like", sidedness="one_sided_upper"), [0.5, 1.0]),
+        (SpendingFunction(0.05, "custom", table=((0.5, 0.01), (1.0, 0.05))), [0.5, 1.0]),
+        (zero_spend, [0.5, 0.75, 1.0]),
     ):
-        d = boundaries(sf, [0.5, 1.0])
+        d = boundaries(sf, fractions)
         revived = design_from_text(design_to_text(d))
         assert revived == d
+    # the zero-spend stages write and read back an infinite boundary
+    assert "critical_values = inf,inf," in design_to_text(boundaries(zero_spend, [0.5, 0.75, 1.0]))
 
 
 @pytest.mark.parametrize(
@@ -381,6 +406,15 @@ def test_boundaries_reject_non_finite_fractions(fractions):
         ("stages = 3", "stages = 5", "stages = 5"),
         ("info_fractions = 0.5,0.75,1.0", "info_fractions = 0.5,nan,1.0", "finite"),
         ("info_fractions = 0.5,0.75,1.0", "info_fractions = 0.75,0.5,1.0", "strictly increasing"),
+        # the trailing "#" comments out the values the design wrote
+        ("critical_values = ", "critical_values = nan,nan,nan #", "key 'critical_values' must be >= 0"),
+        ("critical_values = ", "critical_values = 2.7,-1.0,2.0 #", "key 'critical_values' must be >= 0"),
+        ("critical_values = ", "critical_values = 2.7,abc,2.0 #", "key 'critical_values': 'abc' is not"),
+        ("alpha_spent = ", "alpha_spent = nan,0.01,0.05 #", "key 'alpha_spent' must be nondecreasing"),
+        ("alpha_spent = ", "alpha_spent = 0.00625,0.02,inf #", "key 'alpha_spent' must be nondecreasing"),
+        ("alpha_spent = ", "alpha_spent = 0.02,0.01,0.05 #", "key 'alpha_spent' must be nondecreasing"),
+        ("alpha_spent = ", "alpha_spent = -0.01,0.02,0.05 #", "key 'alpha_spent' must be nondecreasing"),
+        ("alpha_spent = ", "alpha_spent = 0.00625,0.02,0.06 #", "key 'alpha_spent' must be nondecreasing"),
     ],
 )
 def test_design_text_validates_the_schedule(old, new, message):
@@ -451,8 +485,8 @@ def full_mesh(monkeypatch):
     A drift of 1e-300 shifts no stage mean by more than 1e-300, but it is not
     the zero drift under which a two-sided propagator keeps only x >= 0.
     """
-    def full(sidedness, drift=0.0, r=_GRID_R):
-        return _Propagator(sidedness, drift=drift or 1e-300, r=r)
+    def full(sidedness, drift=0.0):
+        return _Propagator(sidedness, drift=drift or 1e-300)
 
     return lambda: monkeypatch.setattr(gsdesign, "_Propagator", full)
 

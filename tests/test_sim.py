@@ -61,6 +61,12 @@ def test_scenario_validation():
         base_scenario(target_info_fractions=(0.3, 0.6, 0.9))
     with pytest.raises(ValueError, match="covariate_scheme"):
         base_scenario(covariate_scheme="weird")
+    with pytest.raises(ValueError, match="n0 must be an integer >= 1, got 2.5"):
+        base_scenario(n0=2.5)
+    with pytest.raises(ValueError, match="k_analyses must be an integer >= 1, got 0"):
+        base_scenario(k_analyses=0, target_info_fractions=())
+    # numpy integers are integers
+    assert base_scenario(n1=np.int64(7)).n1 == 7
 
 
 @pytest.mark.parametrize("field, value", [
