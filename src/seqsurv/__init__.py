@@ -10,14 +10,16 @@ boundaries.
 __version__ = "0.1.0"
 
 from .adjusted import (
+    SPBatch,
     SPComparison,
     VarianceComponents,
     compare_sp,
+    compare_sp_batch,
     sp_variance,
     variance_components,
 )
 from .comparators import CoxWaldResult, KMComparison, cox_wald, km_compare
-from .cox import RiskSets, StratifiedCoxFit, fit_mple
+from .cox import FitBatch, RiskSets, StratifiedCoxFit, fit_mple, fit_mple_batch
 from .data import (
     Columns,
     Snapshot,

@@ -17,7 +17,7 @@ def _km_at(layout: RiskSetLayout, snap: Snapshot, stratum: int, t0: float) -> tu
     """One arm's product-limit estimate at ``t0`` and its Greenwood variance,
     from the at-risk counts of the arm's event groups; carried flat beyond
     the arm's last observed follow-up (with a warning)."""
-    if layout.sizes[stratum] == 0:
+    if layout.sizes[0, stratum] == 0:
         raise DegenerateDataError(f"stratum {stratum} has no subjects")
     if t0 > snap.follow_up[snap.arm == stratum].max():
         warnings.warn(
@@ -26,12 +26,12 @@ def _km_at(layout: RiskSetLayout, snap: Snapshot, stratum: int, t0: float) -> tu
             RuntimeWarning,
             stacklevel=2,
         )
-    g = layout.groups[stratum]
+    g = layout.groups()[stratum]
     k = int(np.searchsorted(layout.event_times[g], t0, side="right"))
     if k == 0:
         return 1.0, 0.0
     g = slice(g.start, g.start + k)
-    at_risk = layout.ends[g] - layout.rows[stratum].start + 1
+    at_risk = layout.at_risk[g]
     dn = layout.dn[g]
     surv = np.cumprod(1.0 - dn / at_risk)
     # Greenwood terms blow up when the whole risk set fails; survival is then

@@ -1,37 +1,45 @@
-"""Treatment-stratified proportional-hazards fit at a calendar-time snapshot.
+"""Treatment-stratified proportional-hazards fits at calendar-time snapshots.
 
 Each treatment arm keeps its own unspecified baseline hazard; the covariate
 coefficients are shared.  The partial likelihood (Breslow's handling of tied
 events) is maximized by Newton iteration with step halving.  The fit carries
-the risk-set sums at its maximizer; ``adjusted.variance_components`` reads
-each arm's Breslow cumulative hazard at t0 from them.
+the risk-set sums at its maximizer; ``adjusted`` reads each arm's Breslow
+cumulative hazard at t0 from them.
 
 Every quantity comes from one risk-set kernel (Therneau & Grambsch 2000,
-ch. 3).  ``RiskSetLayout.from_snapshot`` sorts the snapshot once and groups
-its events; the Kaplan-Meier comparator reads its at-risk counts from that
-layout.  ``RiskSets`` adds the covariate columns, and ``RiskSets.evaluate``
-returns the log likelihood, score, information and the risk-set sums at the
-event groups for a coefficient vector, with one exp(z.beta) and one
-cumulative sum per stratum.
+ch. 3) over a batch of snapshots, its rows.  ``RiskSetLayout.from_snapshots``
+sorts the batch once by (row, arm, follow-up) and groups its events; the
+Kaplan-Meier comparator reads its at-risk counts from that layout.
+``RiskSets`` adds the covariate columns, and ``RiskSets.evaluate`` returns
+each row's log likelihood, score, information and risk-set sums at the event
+groups for one coefficient vector per row, with one exp(z.beta) and one
+cumulative sum for the whole batch.  ``fit_mple_batch`` runs Newton on all
+rows in lockstep; ``fit_mple`` is its batch of one.
+
+A row's arithmetic never depends on the other rows of its batch: cumulative
+sums run inside one (row, stratum) pair, a row's totals are reductions over
+its own contiguous entries, and a row that stops iterating keeps its
+coefficients.  A snapshot fitted alone and at any position of a batch gets
+the same bits.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .data import Snapshot
-from .errors import ConvergenceError, DegenerateDataError, SeparationError
+from .errors import ConvergenceError, DegenerateDataError, SeparationError, SeqSurvError
 
 STRATA = (0, 1)
 # A step is halved only when it lowers the log likelihood by more than this
 # fraction of |ll|.  Near the optimum the change is rounding noise (about 1e-15
 # of |ll| on 4000 subjects with tied times), and halving on it stalls Newton.
 _LL_RTOL = 1e-12
-# Newton limits of fit_mple
+# Newton limits of fit_mple_batch
 MAX_ITER = 50
 SCORE_TOL = 1e-8          # infinity norm of the partial score
 MAX_STEP_HALVINGS = 10
@@ -39,156 +47,280 @@ SEPARATION_NORM = 50.0    # |beta|_inf beyond this means monotone likelihood
 
 
 class RiskSetValues(NamedTuple):
-    """The kernel's output at one coefficient vector.
+    """The kernel's output at one coefficient vector per row.
 
     ``r0`` and ``r1`` are the unnormalized risk-set sums of w and w*z
-    (w = exp(beta . z)) at each event group.  When some risk set is empty or
-    overflows, ``usable`` is false and ``loglik`` is -inf; the other fields
-    are then meaningless.
+    (w = exp(beta . z)) at every event group of the batch, in the layout's
+    order.  When some risk set of a row is empty or overflows, its ``usable``
+    is false and its ``loglik`` is -inf; its other fields are then
+    meaningless.  ``RiskSets.row_values`` gives one row's values with the
+    leading axis dropped and ``r0``, ``r1`` cut to its event groups.
     """
 
-    loglik: float
-    score: np.ndarray        # (p,)
-    information: np.ndarray  # (p, p)
+    loglik: np.ndarray       # (B,)
+    score: np.ndarray        # (B, p)
+    information: np.ndarray  # (B, p, p)
     r0: np.ndarray           # (q,)
     r1: np.ndarray           # (q, p)
-    usable: bool
+    usable: np.ndarray       # (B,) bool
+
+
+def _segment_sums(values: np.ndarray, bounds: np.ndarray, nonempty: np.ndarray) -> np.ndarray:
+    """Sums of ``values`` along its last axis over the segments
+    ``bounds[i]:bounds[i + 1]``, 0 for a segment marked empty.  ``values``
+    ends with one zero column past ``bounds[-1]``, so that every bound is a
+    valid index.  Each sum reduces exactly its own entries, so its bits do
+    not depend on the other segments."""
+    return np.where(nonempty, np.add.reduceat(values, bounds, axis=-1)[..., :-1], 0.0)
+
+
+def _cat(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays joined along the first axis (a batch of one is not copied)."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _linear(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """x . beta over the last axis of x, one coefficient row per leading row,
+    summed in covariate order (the same bits at any batch size)."""
+    if beta.shape[1] == 0:
+        return np.zeros(x.shape[:-1])
+    shape = (beta.shape[0],) + (1,) * (x.ndim - 2)
+    out = x[..., 0] * beta[:, 0].reshape(shape)
+    for k in range(1, beta.shape[1]):
+        out += x[..., k] * beta[:, k].reshape(shape)
+    return out
 
 
 @dataclass(frozen=True)
 class RiskSetLayout:
-    """Risk sets and event groups of one snapshot, built by one sort by
-    (arm, follow-up).
+    """Risk sets and event groups of a batch of snapshots (rows), each row
+    sorted by (arm, follow-up) with ties in snapshot order.
 
-    Rows hold the subjects that belong to at least one risk set, stratum by
-    stratum, each stratum in descending follow-up order, so that the risk set
-    of an event group is a prefix of its stratum's rows: group j of stratum i
-    has ``ends[j] - rows[i].start + 1`` subjects at risk.  Event groups (the
-    distinct event times of a stratum, ``q`` in all) run stratum 0 first,
-    ascending in time within a stratum.
+    Event groups (the distinct event times of a (row, stratum) pair, ``q`` in
+    all) run row by row, stratum 0 first, ascending in time within a pair;
+    ``groups(b)`` gives row b's two stratum slices.  The subjects at risk at
+    a group are the last ``at_risk`` of its pair in ``order``.
     """
 
-    sizes: tuple[int, int]          # arm sizes, counting zero-follow-up subjects
-    subjects: np.ndarray            # (m,) snapshot index of each row
-    rows: tuple[slice, slice]       # rows of each stratum
-    ends: np.ndarray                # (q,) last row of each group's risk set
-    event_times: np.ndarray         # (q,)
-    dn: np.ndarray                  # (q,) number of events in each group
-    groups: tuple[slice, slice]     # event groups of each stratum
+    sizes: np.ndarray        # (B, 2) arm sizes, counting zero-follow-up subjects
+    n_events: np.ndarray     # (B, 2) observed events
+    offsets: np.ndarray      # (2B + 1,) row b, stratum i: groups offsets[2b + i]:offsets[2b + i + 1]
+    event_times: np.ndarray  # (q,)
+    dn: np.ndarray           # (q,) number of events in each group
+    at_risk: np.ndarray      # (q,) number of subjects at risk at each group
+    order: np.ndarray        # (N,) the concatenated snapshots' subjects, sorted
+    pair_ends: np.ndarray    # (2B,) end of each pair in ``order``
+    row_starts: np.ndarray   # (B,) first subject of each row in the concatenated snapshots
+
+    @classmethod
+    def from_snapshots(cls, snaps: Sequence[Snapshot]) -> "RiskSetLayout":
+        return cls(**cls._layout(snaps))
+
+    @staticmethod
+    def _layout(snaps: Sequence[Snapshot]) -> dict:
+        if not snaps:
+            raise ValueError("a risk-set batch needs at least one snapshot")
+        counts = sorted({s.n_covariates for s in snaps})
+        if len(counts) > 1:
+            raise ValueError(
+                f"every snapshot of a batch must have the same number of covariates, got {counts}"
+            )
+        # bounds[2b + i] is where pair (row b, arm i) starts in the sorted order
+        orders, bounds, start = [], [], 0
+        for s in snaps:
+            order = np.lexsort((s.follow_up, s.arm))
+            orders.append(order + start if start else order)
+            n1 = int(np.count_nonzero(s.arm))
+            bounds += [start, start + s.n - n1]
+            start += s.n
+        bounds.append(start)
+        order = _cat(orders)
+        xs = _cat([s.follow_up for s in snaps])[order]
+        # first sorted position of each run of equal (pair, follow-up): for an
+        # event there, it is the first subject of its pair at risk
+        new_run = np.empty(start, dtype=bool)
+        new_run[1:] = xs[1:] != xs[:-1]
+        new_run[[b for b in bounds[:-1] if b < start]] = True
+        run_start = np.maximum.accumulate(np.where(new_run, np.arange(start), 0))
+        ev_run = run_start[_cat([s.event_observed for s in snaps])[order]]
+        first = np.flatnonzero(ev_run != np.concatenate(([-1], ev_run[:-1])))
+        group_start = ev_run[first]
+        # first[g]: index of group g's first event among the sorted events
+        first = np.concatenate((first, [ev_run.size]))
+
+        bounds = np.array(bounds)
+        offsets = np.searchsorted(group_start, bounds)
+        pair_ends = bounds[1:]
+        return dict(
+            sizes=(pair_ends - bounds[:-1]).reshape(-1, 2),
+            n_events=(first[offsets[1:]] - first[offsets[:-1]]).reshape(-1, 2),
+            offsets=offsets,
+            event_times=xs[group_start],
+            dn=np.subtract(first[1:], first[:-1], dtype=np.float64),
+            at_risk=np.repeat(pair_ends, offsets[1:] - offsets[:-1]) - group_start,
+            order=order,
+            pair_ends=pair_ends,
+            row_starts=bounds[:-1:2],
+        )
 
     @classmethod
     def from_snapshot(cls, snap: Snapshot) -> "RiskSetLayout":
-        x = snap.follow_up
-        order = np.lexsort((x, snap.arm))
-        xs = x[order]
-        arm = snap.arm[order]
-        n = xs.size
-        # first sorted position of each run of equal (arm, follow-up): for an
-        # event there, it is the first subject of its stratum at risk
-        new_run = np.ones(n, dtype=bool)
-        new_run[1:] = (xs[1:] != xs[:-1]) | (arm[1:] != arm[:-1])
-        run_start = np.maximum.accumulate(np.where(new_run, np.arange(n), 0))
-        ev_run = run_start[snap.event_observed[order]]
-        new_group = np.ones(ev_run.size, dtype=bool)
-        new_group[1:] = ev_run[1:] != ev_run[:-1]
-        first = np.flatnonzero(new_group)
-        group_start = ev_run[first]
-        dn = np.diff(first, append=ev_run.size).astype(np.float64)
+        return cls.from_snapshots((snap,))
 
-        n0 = int(np.searchsorted(arm, 1))
-        n_groups0 = int(np.searchsorted(group_start, n0))
-        groups = (slice(0, n_groups0), slice(n_groups0, group_start.size))
-        pieces, rows, ends = [], [], []
-        offset = 0
-        for hi, g in zip((n0, n), groups):
-            starts = group_start[g]
-            m = hi - starts[0] if starts.size else 0
-            pieces.append(order[hi - m : hi][::-1])
-            ends.append(offset + hi - 1 - starts)
-            rows.append(slice(offset, offset + m))
-            offset += m
-        return cls(
-            sizes=(n0, n - n0),
-            subjects=np.concatenate(pieces),
-            rows=tuple(rows),
-            ends=np.concatenate(ends),
-            event_times=xs[group_start],
-            dn=dn,
-            groups=groups,
-        )
+    def groups(self, b: int = 0) -> tuple[slice, slice]:
+        """Row b's event groups of stratum 0 and of stratum 1."""
+        lo, mid, hi = (int(v) for v in self.offsets[2 * b : 2 * b + 3])
+        return slice(lo, mid), slice(mid, hi)
 
 
 @dataclass(frozen=True)
 class RiskSets(RiskSetLayout):
-    """The layout with the covariate columns the Cox kernel sums over."""
+    """The layout with the covariate columns the Cox kernel sums over.
 
-    z: np.ndarray                   # (m, p) covariates of the rows
-    products: np.ndarray            # (m, 1 + p + p*p) columns [1, z, z z^T] of the rows
-    event_z_total: np.ndarray       # (p,) covariate total over all events
+    Each pair with events keeps its subjects at its first event group, the
+    largest of its risk sets, in descending follow-up order, so that the
+    risk set of every event group is a prefix of them.  These kept pairs are
+    padded to a common length L and laid out as (G, L); padding follows a
+    pair's subjects and is never read.  ``ends`` is the flat position in that
+    layout of each event group's last subject at risk.
+    """
+
+    pair_rows: np.ndarray       # (G,) row of each kept pair
+    ends: np.ndarray            # (q,) flat position in (G, L) of each group's last subject at risk
+    row_has_events: np.ndarray  # (B,)
+    products: np.ndarray        # (1 + p + p*p, G, L) rows [1, z, z z^T] of the kept pairs' subjects
+    event_z_total: np.ndarray   # (B, p) covariate total over each row's events
+
+    @classmethod
+    def from_snapshots(cls, snaps: Sequence[Snapshot]) -> "RiskSets":
+        layout = cls._layout(snaps)
+        offsets, at_risk = layout["offsets"], layout["at_risk"]
+        per_pair = offsets[1:] - offsets[:-1]
+        kept = np.flatnonzero(per_pair)
+        m = at_risk[offsets[kept]]
+        length = int(m.max()) if m.size else 1
+        last = layout["pair_ends"][kept, None] - 1
+        subjects = layout["order"][np.maximum(last - np.arange(length), 0)]
+
+        z_all = _cat([s.covariates for s in snaps])
+        p = z_all.shape[1]
+        z = np.take(z_all, subjects, axis=0).transpose(2, 0, 1)
+        products = np.empty((1 + p + p * p,) + z.shape[1:])
+        products[0] = 1.0
+        products[1 : 1 + p] = z
+        np.multiply(z[:, None], z[None, :], out=products[1 + p :].reshape((p, p) + z.shape[1:]))
+        events = _cat([s.event_observed for s in snaps])
+        return cls(
+            **layout,
+            pair_rows=kept // 2,
+            ends=np.repeat(np.arange(0, kept.size * length, length), per_pair[kept]) + at_risk - 1,
+            row_has_events=offsets[2::2] > offsets[:-1:2],
+            products=products,
+            event_z_total=np.add.reduceat(z_all * events[:, None], layout["row_starts"], axis=0),
+        )
 
     @classmethod
     def from_snapshot(cls, snap: Snapshot) -> "RiskSets":
-        layout = RiskSetLayout.from_snapshot(snap)
-        z = snap.covariates[layout.subjects]
-        m, p = z.shape
-        products = np.empty((m, 1 + p + p * p))
-        products[:, 0] = 1.0
-        products[:, 1 : 1 + p] = z
-        products[:, 1 + p :] = (z[:, :, None] * z[:, None, :]).reshape(m, p * p)
-        return cls(
-            **vars(layout),
-            z=z,
-            products=products,
-            event_z_total=snap.covariates[snap.event_observed].sum(axis=0),
-        )
-
-    @property
-    def n_events(self) -> tuple[int, int]:
-        return tuple(int(self.dn[g].sum()) for g in self.groups)
+        return cls.from_snapshots((snap,))
 
     def evaluate(self, beta: np.ndarray) -> RiskSetValues:
-        """Log likelihood, score, information and event-group sums at ``beta``.
+        """Log likelihood, score, information and event-group sums, one
+        coefficient row of ``beta`` (B, p) per row.  A batch of one also takes
+        a vector and returns ``row_values(..., 0)``.
 
-        Each stratum gets its own cumulative sum, so sums of a low-risk arm
-        never come from a difference of a high-risk arm's totals.
+        Each (row, stratum) pair gets its own cumulative sum, so sums of a
+        low-risk arm never come from a difference of a high-risk arm's
+        totals, nor of another row's.
         """
-        p = beta.size
+        beta = np.asarray(beta, dtype=np.float64)
+        if beta.ndim == 1:
+            return self.row_values(self.evaluate(beta[None, :]), 0)
+        if beta.shape != self.event_z_total.shape:
+            raise ValueError(f"beta must have shape {self.event_z_total.shape}, got {beta.shape}")
+        n_rows, p = beta.shape
+        width = self.products.shape[0]
+        q = self.dn.size
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            w = np.exp(self.z @ beta)
-            cols = w[:, None] * self.products
-            for rows in self.rows:
-                np.cumsum(cols[rows], axis=0, out=cols[rows])
-            sums = cols[self.ends]
-            r0 = sums[:, 0]
-            r1 = sums[:, 1 : 1 + p]
-            e = r1 / r0[:, None]
-            ee = (e[:, :, None] * e[:, None, :]).reshape(r0.size, p * p)
-            v = sums[:, 1 + p :] / r0[:, None] - ee
-            usable = bool(np.all((r0 > 0.0) & (r0 < np.inf)))
-            loglik = float(self.event_z_total @ beta - self.dn @ np.log(r0)) if usable else -np.inf
+            w = np.exp(_linear(self.products[1 : 1 + p].transpose(1, 2, 0), beta[self.pair_rows]))
+            cols = self.products * w
+            np.cumsum(cols, axis=2, out=cols)
+            sums = np.take(cols.reshape(width, -1), self.ends, axis=1)
+            r0 = sums[0]
+            # per event group: dn * [log r0, e, v] with e = r1 / r0 and
+            # v = r2 / r0 - e e^T, one row per column, then each row of the
+            # batch's totals
+            terms = np.empty((width, q + 1))
+            terms[:, q] = 0.0
+            np.divide(sums, r0, out=terms[:, :q])
+            e = terms[1 : 1 + p, :q]
+            np.log(r0, out=terms[0, :q])
+            terms[1 + p :, :q] -= (e[:, None, :] * e[None, :, :]).reshape(p * p, q)
+            terms[:, :q] *= self.dn
+            totals = _segment_sums(terms, self.offsets[::2], self.row_has_events).T
+            # finite exactly when every risk set of the row is nonempty and finite
+            usable = np.isfinite(totals[:, 0])
+            loglik = np.where(usable, _linear(self.event_z_total, beta) - totals[:, 0], -np.inf)
         return RiskSetValues(
-            loglik=loglik,
-            score=self.event_z_total - self.dn @ e,
-            information=(self.dn @ v).reshape(p, p),
-            r0=r0,
-            r1=r1,
-            usable=usable,
+            loglik,
+            self.event_z_total - totals[:, 1 : 1 + p],
+            totals[:, 1 + p :].reshape(n_rows, p, p),
+            r0,
+            sums[1 : 1 + p].T,
+            usable,
         )
 
-    def require_usable(self, values: RiskSetValues) -> None:
-        if not values.usable:
-            bad = int(np.argmin((values.r0 > 0.0) & (values.r0 < np.inf)))
-            stratum = 0 if bad < self.groups[0].stop else 1
-            raise DegenerateDataError(
-                f"stratum {stratum}: empty or non-finite risk set at an observed event time"
-            )
+    def row_values(self, values: RiskSetValues, b: int) -> RiskSetValues:
+        """Row b of batched values: scalars, (p,) and (p, p) fields, and the
+        sums at its event groups, ``groups(b)`` shifted to start at 0."""
+        g = slice(self.offsets[2 * b], self.offsets[2 * b + 2])
+        return RiskSetValues(
+            loglik=float(values.loglik[b]),
+            score=values.score[b],
+            information=values.information[b],
+            r0=values.r0[g],
+            r1=values.r1[g],
+            usable=bool(values.usable[b]),
+        )
+
+    def unusable_error(self, values: RiskSetValues, b: int) -> DegenerateDataError:
+        lo, mid, hi = self.offsets[2 * b : 2 * b + 3]
+        r0 = values.r0[lo:hi]
+        bad = lo + int(np.argmin((r0 > 0.0) & (r0 < np.inf)))
+        return DegenerateDataError(
+            f"stratum {int(bad >= mid)}: empty or non-finite risk set at an observed event time"
+        )
+
+
+def solve_stack(matrices: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Solutions of a stack of symmetric systems, and the systems that needed
+    the pseudo-inverse.
+
+    A positive-definite matrix is solved by LU; the others get pinv.  Each
+    system is solved on its own, so its bits do not depend on the stack.
+    """
+    try:
+        np.linalg.cholesky(matrices)  # positive-definiteness test
+        return np.linalg.solve(matrices, vectors[..., None])[..., 0], []
+    except np.linalg.LinAlgError:
+        pass
+    out = np.empty_like(vectors)
+    singular = []
+    for i, (a, v) in enumerate(zip(matrices, vectors)):
+        try:
+            np.linalg.cholesky(a)
+            out[i] = np.linalg.solve(a[None], v[None, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            out[i] = np.linalg.pinv(a) @ v
+            singular.append(i)
+    return out, singular
 
 
 @dataclass(frozen=True)
 class StratifiedCoxFit:
-    """The maximizer at one snapshot, with the kernel's layout and its values
-    at ``beta_hat`` (``event_sums``), from which the adjusted-SP variance and
-    the Cox-Wald test read the Breslow increments and the information."""
+    """The maximizer at one snapshot: row ``row`` of the fitted ``batch``,
+    with the batch's kernel layout and the row's values at ``beta_hat``
+    (``event_sums``), from which the adjusted-SP variance and the Cox-Wald
+    test read the Breslow increments and the information."""
 
     calendar_time: float
     beta_hat: np.ndarray
@@ -197,94 +329,169 @@ class StratifiedCoxFit:
     final_score_norm: float
     risk_sets: RiskSets
     event_sums: RiskSetValues
+    batch: FitBatch
+    row: int
     singular_information: bool = False
     event_free_strata: tuple[int, ...] = ()
     n_events: tuple[int, int] = (0, 0)
     step_halvings: int = 0
 
 
-def fit_mple(snap: Snapshot) -> StratifiedCoxFit:
-    """Maximize the stratified partial likelihood at the snapshot's calendar time.
+class FitBatch(NamedTuple):
+    """``fit_mple_batch``'s outcome: each row's maximizer, or the
+    ``SeqSurvError`` its fit raised.  ``values`` is the kernel at
+    ``beta_hat`` (a failed row's entries are meaningless)."""
 
-    Newton steps with step halving on a log-likelihood decrease larger than
-    rounding noise.  Each candidate is evaluated once, and an accepted
-    candidate's evaluation supplies the next step.  An arm with subjects but
-    no observed events is legal (it contributes nothing and gets a flat
-    baseline) but is reported with a warning.
+    snapshots: tuple[Snapshot, ...]
+    risk_sets: RiskSets
+    values: RiskSetValues
+    beta_hat: np.ndarray          # (B, p)
+    iterations: np.ndarray        # (B,)
+    step_halvings: np.ndarray     # (B,)
+    singular_information: np.ndarray  # (B,) bool
+    errors: tuple[SeqSurvError | None, ...]
+
+    def fit(self, b: int = 0) -> StratifiedCoxFit:
+        """Row b's fit; raises the error of a failed row."""
+        if self.errors[b] is not None:
+            raise self.errors[b]
+        rs = self.risk_sets
+        values = rs.row_values(self.values, b)
+        sizes, n_events = rs.sizes[b].tolist(), rs.n_events[b].tolist()
+        return StratifiedCoxFit(
+            calendar_time=self.snapshots[b].calendar_time,
+            beta_hat=self.beta_hat[b],
+            observed_information=values.information,
+            iterations=int(self.iterations[b]),
+            final_score_norm=float(np.abs(values.score).max()) if values.score.size else 0.0,
+            risk_sets=rs,
+            event_sums=values,
+            batch=self,
+            row=b,
+            singular_information=bool(self.singular_information[b]),
+            event_free_strata=tuple(i for i in STRATA if sizes[i] > 0 and n_events[i] == 0),
+            n_events=(n_events[0], n_events[1]),
+            step_halvings=int(self.step_halvings[b]),
+        )
+
+
+def fit_mple_batch(snaps: Sequence[Snapshot]) -> FitBatch:
+    """Maximize each snapshot's stratified partial likelihood at its calendar
+    time, all rows in lockstep.
+
+    Per row: Newton steps with step halving on a log-likelihood decrease
+    larger than rounding noise, then the separation and usable-risk-set
+    checks and the convergence test.  Each Newton step and each halving
+    round is one kernel evaluation of the batch; a row that has converged,
+    failed or needs no halving keeps its coefficients, so its values come out
+    unchanged.  A row that fails gets the error ``fit_mple`` raises for it;
+    the other rows go on.  An arm with subjects but no observed events is
+    legal (it contributes nothing and gets a flat baseline) but is reported
+    with a warning.
     """
-    risk_sets = RiskSets.from_snapshot(snap)
-    p = snap.n_covariates
+    snaps = tuple(snaps)
+    risk_sets = RiskSets.from_snapshots(snaps)
+    n_rows, p = risk_sets.event_z_total.shape
+    errors: list[SeqSurvError | None] = [None] * n_rows
 
-    n_events = risk_sets.n_events
-    event_free = tuple(i for i in STRATA if risk_sets.sizes[i] > 0 and n_events[i] == 0)
-    for i in event_free:
-        warnings.warn(
-            f"stratum {i} has {risk_sets.sizes[i]} subjects but no observed events by "
-            f"calendar time {snap.calendar_time:g}; its baseline hazard estimate is zero",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    sizes = risk_sets.sizes.tolist()
+    n_events = risk_sets.n_events.tolist()
+    for b, (size, events) in enumerate(zip(sizes, n_events)):
+        for i in STRATA:
+            if size[i] > 0 and events[i] == 0:
+                warnings.warn(
+                    f"stratum {i} has {size[i]} subjects but no observed events by calendar "
+                    f"time {snaps[b].calendar_time:g}; its baseline hazard estimate is zero",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+        if p > 0 and sum(events) == 0:
+            errors[b] = DegenerateDataError(
+                f"no observed events in any stratum by calendar time {snaps[b].calendar_time:g}"
+            )
 
-    if p > 0 and sum(n_events) == 0:
-        raise DegenerateDataError(
-            f"no observed events in any stratum by calendar time {snap.calendar_time:g}"
-        )
-
-    beta = np.zeros(p)
-    singular = False
+    beta = np.zeros((n_rows, p))
     current = risk_sets.evaluate(beta)
-    iterations = 0
-    step_halvings = 0
-    converged = p == 0 or np.max(np.abs(current.score)) <= SCORE_TOL
+    iterations = [0] * n_rows
+    step_halvings = [0] * n_rows
+    singular = [False] * n_rows
+    # per-row control runs on Python lists: the batches are small
+    active = []
+    if p > 0:
+        score_norm = np.abs(current.score).max(axis=1).tolist()
+        active = [b for b in range(n_rows) if errors[b] is None and not score_norm[b] <= SCORE_TOL]
 
-    while not converged and iterations < MAX_ITER:
-        try:
-            np.linalg.cholesky(current.information)  # positive-definiteness test
-            step = np.linalg.solve(current.information, current.score)
-        except np.linalg.LinAlgError:
-            step = np.linalg.pinv(current.information) @ current.score
-            singular = True
-        scale = 1.0
+    while active:
+        # a view of every row while none has stopped, else a copy of the active ones
+        rows = slice(None) if len(active) == n_rows else active
+        step = np.zeros((n_rows, p))
+        step[rows], pinv_used = solve_stack(current.information[rows], current.score[rows])
+        for i in pinv_used:
+            singular[active[i]] = True
+        ll_floor = [ll - _LL_RTOL * abs(ll) for ll in current.loglik.tolist()]
         candidate = beta + step
         trial = risk_sets.evaluate(candidate)
-        ll_floor = current.loglik - _LL_RTOL * abs(current.loglik)
-        halvings = 0
-        while (not trial.usable or trial.loglik < ll_floor) and halvings < MAX_STEP_HALVINGS:
-            scale *= 0.5
-            candidate = beta + scale * step
-            trial = risk_sets.evaluate(candidate)
-            halvings += 1
+        # an unusable trial has loglik -inf
+        loglik = trial.loglik.tolist()
+        retry = [b for b in active if not loglik[b] >= ll_floor[b]] if MAX_STEP_HALVINGS else []
+        if retry:
+            scale = np.ones((n_rows, 1))
+            halvings = dict.fromkeys(retry, 0)
+            while retry:
+                scale[retry] *= 0.5
+                candidate = beta + scale * step
+                trial = risk_sets.evaluate(candidate)
+                loglik = trial.loglik.tolist()
+                for b in retry:
+                    halvings[b] += 1
+                retry = [
+                    b for b in retry
+                    if not loglik[b] >= ll_floor[b] and halvings[b] < MAX_STEP_HALVINGS
+                ]
+            for b, h in halvings.items():
+                step_halvings[b] += h
         beta, current = candidate, trial
-        iterations += 1
-        step_halvings += halvings
-        if np.max(np.abs(beta)) > SEPARATION_NORM:
-            raise SeparationError(
-                f"coefficient norm exceeded {SEPARATION_NORM:g}; "
-                "the partial likelihood appears monotone (data separation)",
-                beta=beta,
-            )
-        risk_sets.require_usable(current)
-        converged = np.max(np.abs(current.score)) <= SCORE_TOL
 
-    score_norm = float(np.max(np.abs(current.score))) if p else 0.0
-    if not converged:
-        raise ConvergenceError(
-            f"Newton iteration did not converge in {MAX_ITER} iterations "
-            f"(score norm {score_norm:.3e})",
-            beta=beta,
-            score_norm=score_norm,
-        )
+        beta_norm = np.abs(beta).max(axis=1).tolist()
+        score_norm = np.abs(current.score).max(axis=1).tolist()
+        usable = current.usable.tolist()
+        still = []
+        for b in active:
+            iterations[b] += 1
+            if beta_norm[b] > SEPARATION_NORM:
+                errors[b] = SeparationError(
+                    f"coefficient norm exceeded {SEPARATION_NORM:g}; "
+                    "the partial likelihood appears monotone (data separation)",
+                    beta=beta[b].copy(),
+                )
+            elif not usable[b]:
+                errors[b] = risk_sets.unusable_error(current, b)
+            elif score_norm[b] <= SCORE_TOL:
+                pass
+            elif iterations[b] >= MAX_ITER:
+                errors[b] = ConvergenceError(
+                    f"Newton iteration did not converge in {MAX_ITER} iterations "
+                    f"(score norm {score_norm[b]:.3e})",
+                    beta=beta[b].copy(),
+                    score_norm=score_norm[b],
+                )
+            else:
+                still.append(b)
+        active = still
 
-    return StratifiedCoxFit(
-        calendar_time=snap.calendar_time,
-        beta_hat=beta,
-        observed_information=current.information,
-        iterations=iterations,
-        final_score_norm=score_norm,
+    return FitBatch(
+        snapshots=snaps,
         risk_sets=risk_sets,
-        event_sums=current,
-        singular_information=singular,
-        event_free_strata=event_free,
-        n_events=n_events,
-        step_halvings=step_halvings,
+        values=current,
+        beta_hat=beta,
+        iterations=np.array(iterations),
+        step_halvings=np.array(step_halvings),
+        singular_information=np.array(singular),
+        errors=tuple(errors),
     )
+
+
+def fit_mple(snap: Snapshot) -> StratifiedCoxFit:
+    """Maximize the stratified partial likelihood at the snapshot's calendar
+    time: ``fit_mple_batch`` on a batch of one.  Raises the row's error."""
+    return fit_mple_batch((snap,)).fit(0)

@@ -208,7 +208,8 @@ class _Propagator:
         halve the previous step.  It starts from the marginal normal quantile,
         which is the exact answer at the first stage without drift, and stops
         once the Newton step is within _C_TOL: a further step would fall below
-        one ulp and fail the bracket test.
+        one ulp and fail the bracket test.  A zero boundary rejects everything
+        when even it cannot spend the increment.
         """
         if increment <= 0.0 or self.dead:
             return math.inf
@@ -216,7 +217,12 @@ class _Propagator:
         quantile = float(ndtri(1.0 - tail))
         if self.prev_if == 0.0 and self.drift == 0.0:
             return quantile
-        if self._crossing(if_k, 0.0)[0] <= increment:
+        if self.sidedness == TWO_SIDED:
+            # at c = 0 a node's two tails sum to 1: all the continuation mass crosses
+            zero_crossing = self._fold * float(self._wg.sum())
+        else:
+            zero_crossing = self._crossing(if_k, 0.0)[0]
+        if zero_crossing <= increment:
             # even a zero boundary cannot spend this much; reject everything
             return 0.0
         lo, hi = 0.0, _C_MAX
@@ -514,7 +520,7 @@ def spending_to_text(sf: SpendingFunction) -> str:
 def spending_from_text(text: str, total_alpha: float, sidedness: str) -> SpendingFunction:
     text = text.strip()
     if text.startswith("power"):
-        rho = float(text.split(":", 1)[1]) if ":" in text else 3.0
+        rho = _number("spending", text.split(":", 1)[1]) if ":" in text else 3.0
         return SpendingFunction(total_alpha, "power", rho=rho, sidedness=sidedness)
     if text in ("obf", "obf_like"):
         return SpendingFunction(total_alpha, "obf_like", sidedness=sidedness)
@@ -524,7 +530,7 @@ def spending_from_text(text: str, total_alpha: float, sidedness: str) -> Spendin
         pairs = [item.split(":") for item in text.split(":", 1)[1].split(";")]
         if any(len(pair) != 2 for pair in pairs):
             raise ValueError(f"custom spending {text!r} is not of the form custom:IF:ALPHA;IF:ALPHA")
-        table = tuple((float(f), float(a)) for f, a in pairs)
+        table = tuple((_number("spending", f), _number("spending", a)) for f, a in pairs)
         return SpendingFunction(total_alpha, "custom", sidedness=sidedness, table=table)
     raise ValueError(f"unknown spending specification {text!r}")
 
@@ -569,6 +575,13 @@ def _number(key: str, value: str) -> float:
         raise ValueError(f"key {key!r}: {value.strip()!r} is not a number") from None
 
 
+def _integer(key: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"key {key!r}: {value.strip()!r} is not an integer") from None
+
+
 def _numbers(key: str, value: str) -> tuple[float, ...]:
     return tuple(_number(key, x) for x in value.split(","))
 
@@ -585,7 +598,7 @@ def design_from_text(text: str) -> GSDesign:
         alpha = _number("alpha", kv["alpha"])
         sidedness = kv["sidedness"]
         sf = spending_from_text(kv["spending"], alpha, sidedness)
-        stages = int(kv["stages"])
+        stages = _integer("stages", kv["stages"])
         fractions = _validate_fractions(_numbers("info_fractions", kv["info_fractions"]))
         critical = _numbers("critical_values", kv["critical_values"])
         spent = _numbers("alpha_spent", kv["alpha_spent"])

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import brentq, isotonic_regression
 
-from .adjusted import compare_sp
+from .adjusted import compare_sp, compare_sp_batch
 from .comparators import cox_wald, km_compare
 from .data import Columns, Snapshot, check_t0, snapshot
 from .errors import SeqSurvError
@@ -221,8 +221,9 @@ def _z_info(result) -> tuple[float, float]:
 
 # Each method's standardized statistic and information level at one snapshot.
 # The entries look compare_sp, km_compare and cox_wald up in this module when
-# called, so wrapping those names here (as bench/spans.py does) reaches every
-# caller: run_oc, calibrate_analysis_times and the analyze command.
+# called, so wrapping those names here (as bench/spans.py does) reaches
+# run_oc, the study-end km and cox looks of calibrate_analysis_times and the
+# analyze command.  Calibration's adjusted rows go through compare_sp_batch.
 STATISTICS = {
     "adjusted": lambda snap, t0: _z_info(compare_sp(snap, t0)),
     "km": lambda snap, t0: _z_info(km_compare(snap, t0)),
@@ -245,11 +246,9 @@ def _check_replicates(replicates: int) -> None:
         raise ValueError(f"replicates must be at least 1, got {replicates}")
 
 
-def _look(cols: Columns, u: float, t0: float, methods: Sequence[str]) -> dict:
-    """Each method's (z, information) at calendar time ``u``, or the
-    ``SeqSurvError`` it raised: the one place a simulation snapshots a
-    replicate and computes statistics."""
-    snap = snapshot(cols, u)
+def _look(snap: Snapshot, t0: float, methods: Sequence[str]) -> dict:
+    """Each method's (z, information) at the snapshot, or the
+    ``SeqSurvError`` it raised."""
     out = {}
     for m in methods:
         try:
@@ -274,7 +273,7 @@ def _monitor_replicate(scenario, design, methods, analysis_times, method_totals,
     for k, u in enumerate(analysis_times, start=1):
         if not monitors:
             break
-        for m, result in _look(cols, u, scenario.tau, tuple(monitors)).items():
+        for m, result in _look(snapshot(cols, u), scenario.tau, tuple(monitors)).items():
             try:
                 if isinstance(result, SeqSurvError):
                     raise result
@@ -450,13 +449,15 @@ class CalibrationResult:
 
 
 def _calibration_replicate(scenario, grid, methods, seed, r) -> list[float]:
-    """Replicate ``r``'s adjusted information at each grid time, then each other
-    method's (``methods[1:]``) at the study end; NaN marks a failure."""
+    """Replicate ``r``'s adjusted information at each grid time, from one
+    batched fit of its grid-time snapshots, then each other method's
+    (``methods[1:]``) at the study end; NaN marks a failure."""
     cols = generate_columns(scenario, seed, _CALIBRATION_STREAM_OFFSET + r)
-    looks = [_look(cols, u, scenario.tau, methods[:1]) for u in grid[:-1]]
-    looks.append(_look(cols, grid[-1], scenario.tau, methods))
-    results = [look["adjusted"] for look in looks] + [looks[-1][m] for m in methods[1:]]
-    return [math.nan if isinstance(v, SeqSurvError) else v[1] for v in results]
+    snaps = [snapshot(cols, u) for u in grid]
+    adjusted = compare_sp_batch(snaps, scenario.tau)
+    end = _look(snaps[-1], scenario.tau, methods[1:]).values()
+    info = [math.nan if e is not None else v for v, e in zip(adjusted.info_level, adjusted.errors)]
+    return info + [math.nan if isinstance(v, SeqSurvError) else v[1] for v in end]
 
 
 def calibrate_analysis_times(

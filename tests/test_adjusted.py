@@ -221,13 +221,14 @@ def test_covariate_shift_leaves_comparison_unchanged(hand_snapshot_8):
 def test_non_finite_information_is_degenerate(hand_snapshot_8, monkeypatch):
     from seqsurv import adjusted
 
-    real = adjusted.variance_components
+    real = adjusted.fit_mple_batch
 
-    def poisoned(fit, snap, t0):
-        comps = real(fit, snap, t0)
-        return replace(comps, mean_information=np.full_like(comps.mean_information, np.nan))
+    def poisoned(snaps):
+        fits = real(snaps)
+        nan = np.full_like(fits.values.information, np.nan)
+        return fits._replace(values=fits.values._replace(information=nan))
 
-    monkeypatch.setattr(adjusted, "variance_components", poisoned)
+    monkeypatch.setattr(adjusted, "fit_mple_batch", poisoned)
     with pytest.raises(DegenerateDataError, match="not positive"):
         compare_sp(hand_snapshot_8, 2.0)
 

@@ -1,3 +1,5 @@
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +11,11 @@ from seqsurv import (
     RiskSets,
     Scenario,
     SeparationError,
+    SeqSurvError,
+    compare_sp,
+    compare_sp_batch,
     fit_mple,
+    fit_mple_batch,
     generate_columns,
     snapshot,
     variance_components,
@@ -251,7 +257,7 @@ def test_nonconvergence_carries_last_iterate(hand_snapshot, monkeypatch):
 def test_risk_sets_first_event_and_information_psd(hand_snapshot):
     risk_sets = RiskSets.from_snapshot(hand_snapshot)
     values = risk_sets.evaluate(np.zeros(1))
-    first0 = risk_sets.groups[0].start
+    first0 = risk_sets.groups()[0].start
     # first stratum-0 event at 0.9 has all three stratum-0 subjects at risk
     assert risk_sets.event_times[first0] == 0.9
     assert values.r0[first0] == pytest.approx(3.0)
@@ -298,8 +304,7 @@ def test_kernel_on_ties_in_both_strata_matches_naive():
             )
 
 
-@pytest.mark.parametrize("high_arm", [0, 1])
-def test_kernel_keeps_strata_apart_when_relative_risks_differ_by_e30(high_arm):
+def _e30_snapshot(high_arm):
     # one arm's covariates sit 15 units above the other's, so at beta = 2 its
     # relative risks are about e^30 times larger: the low-risk arm's risk-set
     # sums must not be computed as differences of totals dominated by the
@@ -312,7 +317,12 @@ def test_kernel_keeps_strata_apart_when_relative_risks_differ_by_e30(high_arm):
             f"s{j}", arm, 0.0, float(rng.exponential(1.0) + 0.05), bool(rng.random() < 0.8),
             (float(15.0 * (arm == high_arm) + rng.normal(0, 0.5)),),
         ))
-    snap = snapshot(columns(rows), 10.0)
+    return snapshot(columns(rows), 10.0)
+
+
+@pytest.mark.parametrize("high_arm", [0, 1])
+def test_kernel_keeps_strata_apart_when_relative_risks_differ_by_e30(high_arm):
+    snap = _e30_snapshot(high_arm)
     x, d, a, z = snapshot_arrays(snap)
     f = lambda b: naive_log_pl(b, x, d, a, z)
     beta = np.array([2.0])
@@ -366,3 +376,134 @@ def test_fit_converges_on_day_rounded_ties():
     fit = fit_mple(snapshot(days, 2192.0))
     assert fit.final_score_norm <= 1e-8
     assert fit.iterations <= 10
+
+
+# -- batches -------------------------------------------------------------------
+
+NPH_NULL = Scenario(
+    n0=400, n1=400, tau=1.0, alpha0=2.0, alpha1=-1.0, beta_w=0.0,
+    covariate_scheme="normal1", phi=np.log(1.5), accrual=2.0,
+)
+
+
+def _grid_snapshots(seed=1, replicate=0):
+    """One replicate of the crossing-hazards trial at calibration's 13 grid times."""
+    cols = generate_columns(NPH_NULL, seed, replicate)
+    return [snapshot(cols, u) for u in np.linspace(1.0, 3.0, 13)]
+
+
+def _tied_snapshots():
+    """The 4000-subject trial recorded in whole days (two covariates, tied
+    event times) at six yearly looks."""
+    sc = Scenario(
+        n0=2000, n1=2000, tau=2.0, alpha0=1.0, alpha1=0.0, beta_w=0.0,
+        covariate_scheme="bernoulli2", phi=0.4, accrual=6.0, censor_rate=0.01,
+    )
+    cols = generate_columns(sc, 7)
+    days = cols._replace(
+        entry=np.rint(cols.entry * 365.25),
+        time_on_study=np.maximum(1.0, np.ceil(cols.time_on_study * 365.25)),
+    )
+    return [snapshot(days, float(round(y * 365.25))) for y in (3, 4, 5, 6, 7, 8)]
+
+
+def _row_outcome(batch, b):
+    """Everything a row's statistic and fit report, for bitwise comparison."""
+    fits, k = batch.fits, batch.fit_rows[b]
+    return (
+        batch.z[b], batch.info_level[b], fits.beta_hat[k].tolist(),
+        int(fits.iterations[k]), int(fits.step_halvings[k]),
+    )
+
+
+def test_grid_snapshot_alone_equals_itself_at_every_batch_position():
+    snaps = _grid_snapshots()
+    alone = [_row_outcome(compare_sp_batch([s], 1.0), 0) for s in snaps]
+    batch = compare_sp_batch(snaps, 1.0)
+    assert [_row_outcome(batch, b) for b in range(13)] == alone
+    # one snapshot moved through every position of a 13-row batch
+    others = snaps[:6] + snaps[7:]
+    for j in range(13):
+        moved = compare_sp_batch(others[:j] + [snaps[6]] + others[j:], 1.0)
+        assert _row_outcome(moved, j) == alone[6]
+    assert (compare_sp(snaps[6], 1.0).z, compare_sp(snaps[6], 1.0).info_level) == alone[6][:2]
+
+
+def test_tied_snapshot_alone_equals_its_batch_row():
+    snaps = _tied_snapshots()
+    assert snaps[0].n_covariates == 2
+    batch = compare_sp_batch(snaps, 730.0)
+    for b, snap in enumerate(snaps):
+        assert _row_outcome(batch, b) == _row_outcome(compare_sp_batch([snap], 730.0), 0)
+    fits = fit_mple_batch(snaps[::-1])
+    for b, snap in enumerate(snaps[::-1]):
+        fit = fit_mple(snap)
+        assert fits.beta_hat[b].tolist() == fit.beta_hat.tolist()
+        assert fits.values.information[b].tolist() == fit.observed_information.tolist()
+        assert (fits.iterations[b], fits.step_halvings[b]) == (fit.iterations, fit.step_halvings)
+
+
+def _separated_two_arm_snapshot():
+    # in both arms the event order follows the covariate: monotone likelihood
+    rows = [(f"a{j}", 0, 0.0, float(j + 1), True, (0.2 * j,)) for j in range(6)]
+    rows += [(f"b{j}", 1, 0.0, float(j + 1.5), True, (0.2 * j + 0.1,)) for j in range(6)]
+    return snapshot(columns(rows), 100.0)
+
+
+def test_failing_rows_leave_the_other_rows_of_a_batch_alone():
+    grid = _grid_snapshots(seed=2)
+    event_free = snapshot(columns([
+        ("a", 0, 0.0, 1.0, False, (0.3,)),
+        ("b", 1, 0.0, 2.0, False, (0.1,)),
+    ]), 10.0)
+    one_arm = snapshot(columns([
+        ("a", 0, 0.0, 1.0, True, (0.3,)),
+        ("b", 0, 0.0, 2.0, True, (0.1,)),
+    ]), 10.0)
+    separated = _separated_two_arm_snapshot()
+    snaps = [grid[3], event_free, grid[8], separated, one_arm, grid[12]]
+    with pytest.warns(RuntimeWarning, match="no observed events"):
+        batch = compare_sp_batch(snaps, 1.0)
+    for b, snap in enumerate(snaps):
+        if b in (1, 3, 4):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                with pytest.raises(SeqSurvError) as alone:
+                    compare_sp(snap, 1.0)
+            assert type(batch.errors[b]) is type(alone.value)
+            assert str(batch.errors[b]) == str(alone.value)
+            assert math.isnan(batch.z[b]) and math.isnan(batch.info_level[b])
+            with pytest.raises(type(alone.value)):
+                batch.result(b)
+        else:
+            assert batch.errors[b] is None
+            assert _row_outcome(batch, b) == _row_outcome(compare_sp_batch([snap], 1.0), 0)
+    assert isinstance(batch.errors[1], DegenerateDataError)
+    assert isinstance(batch.errors[3], SeparationError)
+    assert "both arms" in str(batch.errors[4])
+
+
+def test_kernel_keeps_batch_rows_apart_when_relative_risks_differ_by_e30():
+    # the e30 snapshot between neighbours whose relative risks sit at the
+    # other extreme: its sums match finite differences and its values alone
+    snaps = [_e30_snapshot(high_arm) for high_arm in (1, 0)] + [_grid_snapshots()[5]]
+    x, d, a, z = snapshot_arrays(snaps[1])
+    f = lambda b: naive_log_pl(b, x, d, a, z)
+    beta = np.array([[-2.0], [2.0], [2.0]])
+    risk_sets = RiskSets.from_snapshots(snaps)
+    values = risk_sets.evaluate(beta)
+    assert values.usable.tolist() == [True, True, True]
+    row = risk_sets.row_values(values, 1)
+    assert row.score == pytest.approx(fd_gradient(f, beta[1]), rel=1e-6, abs=1e-6)
+    assert row.information == pytest.approx(-fd_hessian(f, beta[1]), rel=1e-4, abs=1e-6)
+    alone = RiskSets.from_snapshot(snaps[1]).evaluate(beta[1])
+    for got, want in zip(row, alone):
+        assert np.array_equal(got, want)
+
+
+def test_batch_rejects_mixed_covariate_counts():
+    with_z = _grid_snapshots()[0]
+    bare = replace(with_z, covariates=np.empty((with_z.n, 0)))
+    for build in (RiskSets.from_snapshots, fit_mple_batch, lambda s: compare_sp_batch(s, 1.0)):
+        with pytest.raises(ValueError, match="same number of covariates"):
+            build([with_z, bare])

@@ -415,6 +415,9 @@ def test_boundaries_reject_non_finite_fractions(fractions):
         ("alpha_spent = ", "alpha_spent = 0.02,0.01,0.05 #", "key 'alpha_spent' must be nondecreasing"),
         ("alpha_spent = ", "alpha_spent = -0.01,0.02,0.05 #", "key 'alpha_spent' must be nondecreasing"),
         ("alpha_spent = ", "alpha_spent = 0.00625,0.02,0.06 #", "key 'alpha_spent' must be nondecreasing"),
+        ("stages = 3", "stages = x", "^key 'stages': 'x' is not an integer$"),
+        ("spending = power:3.0", "spending = power:abc", "^key 'spending': 'abc' is not a number$"),
+        ("spending = power:3.0", "spending = custom:0.5:x;1:0.05", "^key 'spending': 'x' is not a number$"),
     ],
 )
 def test_design_text_validates_the_schedule(old, new, message):

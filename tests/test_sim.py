@@ -417,17 +417,21 @@ def test_calibration_evaluates_each_method_at_the_study_end_on_its_own(monkeypat
     sc = base_scenario(n0=40, n1=40, covariate_scheme="normal1", phi=0.3)
     methods = ("adjusted", "km", "cox")
     clean = calibrate_analysis_times(sc, replicates=6, seed=5, methods=methods)
-    real = sim.compare_sp
+    real = sim.compare_sp_batch
     end_calls = []
 
-    def compare_sp_failing_at_the_end(snap, t0):
-        if snap.calendar_time == sc.study_length:
-            end_calls.append(snap.calendar_time)
+    def compare_sp_batch_failing_at_the_end(snaps, t0):
+        # each replicate's batch holds its grid-time snapshots, the study end last
+        batch = real(snaps, t0)
+        if snaps[-1].calendar_time == sc.study_length:
+            end_calls.append(snaps[-1].calendar_time)
             if len(end_calls) % 2:
-                raise DegenerateDataError("injected failure at the study end")
-        return real(snap, t0)
+                errors = list(batch.errors)
+                errors[-1] = DegenerateDataError("injected failure at the study end")
+                return batch._replace(errors=errors)
+        return batch
 
-    monkeypatch.setattr(sim, "compare_sp", compare_sp_failing_at_the_end)
+    monkeypatch.setattr(sim, "compare_sp_batch", compare_sp_batch_failing_at_the_end)
     cal = calibrate_analysis_times(sc, replicates=6, seed=5, methods=methods)
     assert len(end_calls) == 6
     assert cal.failures == clean.failures + 3
