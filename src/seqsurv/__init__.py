@@ -18,7 +18,16 @@ from .adjusted import (
     sp_variance,
     variance_components,
 )
-from .comparators import CoxWaldResult, KMComparison, cox_wald, km_compare
+from .comparators import (
+    CoxWaldBatch,
+    CoxWaldResult,
+    KMBatch,
+    KMComparison,
+    cox_wald,
+    cox_wald_batch,
+    km_compare,
+    km_compare_batch,
+)
 from .cox import FitBatch, RiskSets, StratifiedCoxFit, fit_mple, fit_mple_batch
 from .data import (
     Columns,

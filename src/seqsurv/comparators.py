@@ -1,32 +1,48 @@
 """Reference comparison methods: unadjusted Kaplan-Meier at a fixed time and
-the Wald test of a treatment coefficient in an unstratified Cox model."""
+the Wald test of a treatment coefficient in an unstratified Cox model.
+
+Each comparator computes a batch of snapshots, its rows, in one call:
+``km_compare_batch`` reads every row's at-risk counts from one risk-set
+layout, and ``cox_wald_batch`` makes one ``fit_mple_batch`` over the pooled
+snapshots.  A row that cannot support the statistic gets the error the
+single-snapshot function raises for it, and the other rows go on.
+``km_compare`` and ``cox_wald`` are the batch of one.  A row's arithmetic
+never depends on the other rows, so a snapshot computed alone and at any
+position of a batch gets the same bits.
+"""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cox import RiskSetLayout, StratifiedCoxFit, fit_mple
+from .cox import FitBatch, RiskSetLayout, StratifiedCoxFit, fit_mple_batch
+from .cox import fit_mple  # noqa: F401  bench/spans.py wraps seqsurv.comparators.fit_mple
 from .data import Snapshot, check_t0
-from .errors import DegenerateDataError
+from .errors import DegenerateDataError, SeqSurvError
 
 
-def _km_at(layout: RiskSetLayout, snap: Snapshot, stratum: int, t0: float) -> tuple[float, float]:
+def _km_at(
+    layout: RiskSetLayout, b: int, snap: Snapshot, stratum: int, t0: float
+) -> tuple[float, float]:
     """One arm's product-limit estimate at ``t0`` and its Greenwood variance,
-    from the at-risk counts of the arm's event groups; carried flat beyond
-    the arm's last observed follow-up (with a warning)."""
-    if layout.sizes[0, stratum] == 0:
+    from the at-risk counts of the arm's event groups in row b of the layout
+    (``snap`` is that row's snapshot); carried flat beyond the arm's last
+    observed follow-up (with a warning)."""
+    if layout.sizes[b, stratum] == 0:
         raise DegenerateDataError(f"stratum {stratum} has no subjects")
     if t0 > snap.follow_up[snap.arm == stratum].max():
         warnings.warn(
             f"stratum {stratum}: no subjects under observation at {t0:g}; "
             "carrying the last Kaplan-Meier value forward",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    g = layout.groups()[stratum]
+    g = layout.groups(b)[stratum]
     k = int(np.searchsorted(layout.event_times[g], t0, side="right"))
     if k == 0:
         return 1.0, 0.0
@@ -53,39 +69,83 @@ class KMComparison:
     info_level: float
 
 
-def km_compare(snap: Snapshot, t0: float) -> KMComparison:
-    """Difference of per-arm product-limit estimates at ``t0``, standardized by
-    the summed Greenwood variances.  Information is the reciprocal variance.
+class KMBatch(NamedTuple):
+    """``km_compare_batch``'s outcome: each snapshot's per-arm estimates,
+    summed Greenwood variance, statistic and information level, NaN where the
+    row raised the ``SeqSurvError`` in ``errors``.  ``result(b)`` is what
+    ``km_compare`` returns for row b."""
 
-    With no events by ``t0`` in either arm (or both estimates at 0 or 1) the
-    variances vanish and there is no statistic: that raises
-    ``DegenerateDataError``.
+    t0: float
+    snapshots: tuple[Snapshot, ...]
+    s_hat: list[tuple[float, float]]
+    variance: list[float]
+    z: list[float]
+    info_level: list[float]
+    errors: list[SeqSurvError | None]
+
+    def result(self, b: int = 0) -> KMComparison:
+        """Row b's comparison; raises the error of a failed row."""
+        if self.errors[b] is not None:
+            raise self.errors[b]
+        s0, s1 = self.s_hat[b]
+        return KMComparison(
+            t0=self.t0,
+            u=self.snapshots[b].calendar_time,
+            s_hat=(s0, s1),
+            diff=s1 - s0,
+            se=float(np.sqrt(self.variance[b])),
+            z=self.z[b],
+            info_level=self.info_level[b],
+        )
+
+
+def km_compare_batch(snaps: Sequence[Snapshot], t0: float) -> KMBatch:
+    """Difference of per-arm product-limit estimates at ``t0`` for each
+    snapshot, standardized by the summed Greenwood variances.  Information is
+    the reciprocal variance.
+
+    A row with an arm of no subjects, or with no events by ``t0`` in either
+    arm (or both estimates at 0 or 1, so that the variances vanish), has no
+    statistic: it gets a ``DegenerateDataError``.  A ``t0`` that is not
+    positive or exceeds a snapshot's calendar time raises ``ValueError``.
     """
-    check_t0(t0, snap)
-    layout = RiskSetLayout.from_snapshot(snap)
-    s0, v0 = _km_at(layout, snap, 0, t0)
-    s1, v1 = _km_at(layout, snap, 1, t0)
-    diff = s1 - s0
-    total_var = v0 + v1
-    if total_var <= 0.0:
-        cause = (
-            "no events by t0 in either arm"
-            if s0 == s1 == 1.0
-            else "each arm's estimate at t0 is 0 or 1"
-        )
-        raise DegenerateDataError(
-            f"Kaplan-Meier comparison at t0 = {t0:g} has zero variance: {cause}"
-        )
-    se = float(np.sqrt(total_var))
-    return KMComparison(
-        t0=float(t0),
-        u=snap.calendar_time,
-        s_hat=(s0, s1),
-        diff=diff,
-        se=se,
-        z=diff / se,
-        info_level=1.0 / total_var,
-    )
+    snaps = tuple(snaps)
+    for snap in snaps:
+        check_t0(t0, snap)
+    layout = RiskSetLayout.from_snapshots(snaps)
+    n_rows = len(snaps)
+    errors: list[SeqSurvError | None] = [None] * n_rows
+    s_hat = [(math.nan, math.nan)] * n_rows
+    variance, z, info_level = [math.nan] * n_rows, [math.nan] * n_rows, [math.nan] * n_rows
+    for b, snap in enumerate(snaps):
+        try:
+            s0, v0 = _km_at(layout, b, snap, 0, t0)
+            s1, v1 = _km_at(layout, b, snap, 1, t0)
+        except DegenerateDataError as exc:
+            errors[b] = exc
+            continue
+        total_var = v0 + v1
+        if total_var <= 0.0:
+            cause = (
+                "no events by t0 in either arm"
+                if s0 == s1 == 1.0
+                else "each arm's estimate at t0 is 0 or 1"
+            )
+            errors[b] = DegenerateDataError(
+                f"Kaplan-Meier comparison at t0 = {t0:g} has zero variance: {cause}"
+            )
+            continue
+        s_hat[b], variance[b] = (s0, s1), total_var
+        z[b] = (s1 - s0) / float(np.sqrt(total_var))
+        info_level[b] = 1.0 / total_var
+    return KMBatch(float(t0), snaps, s_hat, variance, z, info_level, errors)
+
+
+def km_compare(snap: Snapshot, t0: float) -> KMComparison:
+    """Difference of per-arm product-limit estimates at ``t0``:
+    ``km_compare_batch`` on a batch of one.  Raises the row's error, a
+    ``DegenerateDataError`` when there is no statistic."""
+    return km_compare_batch((snap,), t0).result(0)
 
 
 @dataclass(frozen=True)
@@ -97,35 +157,82 @@ class CoxWaldResult:
     fit: StratifiedCoxFit
 
 
-def cox_wald(snap: Snapshot) -> CoxWaldResult:
-    """Wald test of the treatment coefficient in an unstratified Cox model.
+class CoxWaldBatch(NamedTuple):
+    """``cox_wald_batch``'s outcome: each snapshot's treatment coefficient,
+    its standard error, statistic and information level, NaN where the row
+    raised the ``SeqSurvError`` in ``errors``.  ``fits`` is the fit of the
+    pooled snapshots.  ``result(b)`` is what ``cox_wald`` returns for row b."""
+
+    beta_w_hat: list[float]
+    se: list[float]
+    z: list[float]
+    info_level: list[float]
+    errors: list[SeqSurvError | None]
+    fits: FitBatch
+
+    def result(self, b: int = 0) -> CoxWaldResult:
+        """Row b's test; raises the error of a failed row."""
+        if self.errors[b] is not None:
+            raise self.errors[b]
+        return CoxWaldResult(
+            beta_w_hat=self.beta_w_hat[b],
+            se=self.se[b],
+            z=self.z[b],
+            info_level=self.info_level[b],
+            fit=self.fits.fit(b),
+        )
+
+
+def _treatment_variance(information: np.ndarray) -> float:
+    """Variance of the first coefficient: the (0, 0) entry of the inverse
+    information, or of its pseudo-inverse when it is singular."""
+    try:
+        cov = np.linalg.inv(information)
+    except np.linalg.LinAlgError:
+        cov = np.linalg.pinv(information)
+    return float(cov[0, 0])
+
+
+def cox_wald_batch(snaps: Sequence[Snapshot]) -> CoxWaldBatch:
+    """Wald test of the treatment coefficient in an unstratified Cox model,
+    for each snapshot.
 
     The design matrix is the treatment indicator followed by the snapshot's
     covariates, fitted with a single baseline hazard by reusing the stratified
-    machinery with every subject in one stratum.
+    machinery with every subject in one stratum.  A row whose fit fails gets
+    its error; a row whose treatment variance is not positive gets a
+    ``DegenerateDataError``.
     """
-    pooled = Snapshot(
-        calendar_time=snap.calendar_time,
-        ids=snap.ids,
-        arm=np.zeros(snap.n, dtype=np.int8),
-        follow_up=snap.follow_up.copy(),
-        event_observed=snap.event_observed.copy(),
-        covariates=np.column_stack([snap.arm.astype(np.float64), snap.covariates]),
-    )
-    fit = fit_mple(pooled)
-    try:
-        cov = np.linalg.inv(fit.observed_information)
-    except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(fit.observed_information)
-    var_w = float(cov[0, 0])
-    if var_w <= 0.0:
-        raise DegenerateDataError("treatment coefficient variance is not positive")
-    se = float(np.sqrt(var_w))
-    beta_w = float(fit.beta_hat[0])
-    return CoxWaldResult(
-        beta_w_hat=beta_w,
-        se=se,
-        z=beta_w / se,
-        info_level=1.0 / var_w,
-        fit=fit,
-    )
+    pooled = [
+        Snapshot(
+            calendar_time=snap.calendar_time,
+            ids=snap.ids,
+            arm=np.zeros(snap.n, dtype=np.int8),
+            follow_up=snap.follow_up,
+            event_observed=snap.event_observed,
+            covariates=np.column_stack([snap.arm.astype(np.float64), snap.covariates]),
+        )
+        for snap in snaps
+    ]
+    fits = fit_mple_batch(pooled)
+    n_rows = len(pooled)
+    errors = list(fits.errors)
+    beta_w, se, z, info_level = ([math.nan] * n_rows for _ in range(4))
+    for b in range(n_rows):
+        if errors[b] is not None:
+            continue
+        var_w = _treatment_variance(fits.values.information[b])
+        if var_w <= 0.0:
+            errors[b] = DegenerateDataError("treatment coefficient variance is not positive")
+            continue
+        beta_w[b] = float(fits.beta_hat[b, 0])
+        se[b] = float(np.sqrt(var_w))
+        z[b] = beta_w[b] / se[b]
+        info_level[b] = 1.0 / var_w
+    return CoxWaldBatch(beta_w, se, z, info_level, errors, fits)
+
+
+def cox_wald(snap: Snapshot) -> CoxWaldResult:
+    """Wald test of the treatment coefficient in an unstratified Cox model:
+    ``cox_wald_batch`` on a batch of one.  Raises the row's error."""
+    return cox_wald_batch((snap,)).result(0)

@@ -23,8 +23,11 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import brentq, isotonic_regression
 
-from .adjusted import compare_sp, compare_sp_batch
-from .comparators import cox_wald, km_compare
+from .adjusted import compare_sp_batch
+from .comparators import cox_wald_batch, km_compare_batch
+# bench/spans.py wraps these three names here; the simulation calls the batch functions
+from .adjusted import compare_sp  # noqa: F401
+from .comparators import cox_wald, km_compare  # noqa: F401
 from .data import Columns, Snapshot, check_t0, snapshot
 from .errors import SeqSurvError
 from .gsdesign import (
@@ -46,6 +49,7 @@ _COVARIATE_LAW_DRAWS = 1 << 16
 _EFFECT_SEARCH_WIDTH = 4.0            # calibrate_effect searches [null - 4, null]
 _MAX_FAILURE_FRACTION = 0.005         # run_oc refuses to report rates beyond this
 _CALIBRATION_GRID_SIZE = 13           # calendar times on which calibration estimates information
+_BLOCK_REPLICATES = 32                # most replicates in one simulation block
 
 # Scenario fields that must be finite floats (gamma0 may also be None); NaN
 # would pass every ``<=`` check below.
@@ -215,84 +219,107 @@ def generate_columns(scenario: Scenario, seed: int, replicate: int = 0) -> Colum
     )
 
 
-def _z_info(result) -> tuple[float, float]:
-    return result.z, result.info_level
+def _rows(batch) -> list:
+    """A batch statistic's (z, information) per row, or the ``SeqSurvError``
+    the row raised."""
+    return [
+        (z, info) if error is None else error
+        for z, info, error in zip(batch.z, batch.info_level, batch.errors)
+    ]
 
 
-# Each method's standardized statistic and information level at one snapshot.
-# The entries look compare_sp, km_compare and cox_wald up in this module when
-# called, so wrapping those names here (as bench/spans.py does) reaches
-# run_oc, the study-end km and cox looks of calibrate_analysis_times and the
-# analyze command.  Calibration's adjusted rows go through compare_sp_batch.
+# Each method's statistic over a batch of snapshots: per row, (z, information)
+# or the SeqSurvError the row raised.  The entries look the batch functions up
+# in this module when called.  run_oc, calibration's study-end look and the
+# analyze command reach them here; calibration's grid-time rows call
+# compare_sp_batch directly.  compare_sp, km_compare and cox_wald, their
+# batches of one, are on none of these paths.
 STATISTICS = {
-    "adjusted": lambda snap, t0: _z_info(compare_sp(snap, t0)),
-    "km": lambda snap, t0: _z_info(km_compare(snap, t0)),
-    "cox": lambda snap, t0: _z_info(cox_wald(snap)),
+    "adjusted": lambda snaps, t0: _rows(compare_sp_batch(snaps, t0)),
+    "km": lambda snaps, t0: _rows(km_compare_batch(snaps, t0)),
+    "cox": lambda snaps, t0: _rows(cox_wald_batch(snaps)),
 }
 METHODS = tuple(STATISTICS)
 
 
 def method_statistic(method: str, snap: Snapshot, t0: float) -> tuple[float, float]:
-    """(z, information) of one method at one snapshot; raises ``SeqSurvError``
-    when the data cannot support the statistic, ``ValueError`` for a bad ``t0``."""
+    """(z, information) of one method at one snapshot, its statistic on a
+    batch of one; raises ``SeqSurvError`` when the data cannot support the
+    statistic, ``ValueError`` for a bad ``t0``."""
     if method not in STATISTICS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     check_t0(t0)
-    return STATISTICS[method](snap, t0)
+    (row,) = STATISTICS[method]((snap,), t0)
+    if isinstance(row, SeqSurvError):
+        raise row
+    return row
 
 
-def _check_replicates(replicates: int) -> None:
-    if replicates < 1:
-        raise ValueError(f"replicates must be at least 1, got {replicates}")
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
 
 
-def _look(snap: Snapshot, t0: float, methods: Sequence[str]) -> dict:
-    """Each method's (z, information) at the snapshot, or the
-    ``SeqSurvError`` it raised."""
-    out = {}
-    for m in methods:
-        try:
-            out[m] = method_statistic(m, snap, t0)
-        except SeqSurvError as exc:
-            out[m] = exc
-    return out
+def _step(monitors: dict, prev: dict, m: str, k: int, result, design, total: float) -> int | None:
+    """Method ``m``'s step at look ``k`` on its statistic ``result``: its
+    stage (``k`` on a rejection, -1 on a failure) when its monitoring ends
+    here, which also removes it from ``monitors``, else None.
 
-
-def _monitor_replicate(scenario, design, methods, analysis_times, method_totals, seed, r):
-    """Each method's first rejection stage in replicate ``r``: 1-based, 0 when
-    it never rejected, -1 when its statistic or monitor failed.
-
-    A method whose monitor rejects or accepts takes no later looks.  Observed
-    information that regresses through estimation noise is nudged up by a
-    small factor so the monitor always sees increasing information.
+    Observed information that regresses through estimation noise is nudged
+    up by a small factor so the monitor always sees increasing information.
     """
-    cols = generate_columns(scenario, seed, r)
-    stage = dict.fromkeys(methods, 0)
-    monitors: dict[str, SequentialMonitor | None] = dict.fromkeys(methods)
-    prev = dict.fromkeys(methods, 0.0)
+    try:
+        if isinstance(result, SeqSurvError):
+            raise result
+        z, info = result
+        if not math.isfinite(info) or info <= 0.0:
+            raise SeqSurvError(f"non-finite information level at stage {k}")
+        prev[m] = max(info, prev[m] * _MIN_INFO_GROWTH)
+        if monitors[m] is None:
+            monitors[m] = SequentialMonitor(design, total)
+        decision = monitors[m].step(prev[m], z).decision
+    except (SeqSurvError, ValueError):
+        del monitors[m]
+        return -1
+    if decision == "continue":
+        return None
+    del monitors[m]
+    return k if decision == "reject" else 0
+
+
+def _monitor_block(scenario, design, methods, analysis_times, method_totals, seed, rs) -> list:
+    """Each method's first rejection stage in each replicate of ``rs``:
+    1-based, 0 when it never rejected, -1 when its statistic or monitor failed.
+
+    The block is monitored look by look.  At each look every method makes one
+    batched statistic call, whose rows are the snapshots of the replicates
+    whose monitoring of that method is still running; a method whose monitor
+    has rejected, accepted or failed takes no later looks in that replicate.
+    A row's statistic does not depend on the other rows, so a replicate's
+    stages do not depend on its block.
+    """
+    cols = [generate_columns(scenario, seed, r) for r in rs]
+    stages = [dict.fromkeys(methods, 0) for _ in rs]
+    # per replicate: each running method's monitor, None before its first step
+    monitors: list[dict[str, SequentialMonitor | None]] = [dict.fromkeys(methods) for _ in rs]
+    prev = [dict.fromkeys(methods, 0.0) for _ in rs]
     for k, u in enumerate(analysis_times, start=1):
-        if not monitors:
+        live = [i for i, running in enumerate(monitors) if running]
+        if not live:
             break
-        for m, result in _look(snapshot(cols, u), scenario.tau, tuple(monitors)).items():
-            try:
-                if isinstance(result, SeqSurvError):
-                    raise result
-                z, info = result
-                if not math.isfinite(info) or info <= 0.0:
-                    raise SeqSurvError(f"non-finite information level at stage {k}")
-                prev[m] = max(info, prev[m] * _MIN_INFO_GROWTH)
-                if monitors[m] is None:
-                    monitors[m] = SequentialMonitor(design, method_totals[m])
-                decision = monitors[m].step(prev[m], z).decision
-            except (SeqSurvError, ValueError):
-                stage[m] = -1
-                del monitors[m]
+        snaps = {i: snapshot(cols[i], u) for i in live}
+        for m in methods:
+            rows = [i for i in live if m in monitors[i]]
+            if not rows:
                 continue
-            if decision == "reject":
-                stage[m] = k
-            if decision != "continue":
-                del monitors[m]
-    return tuple(stage[m] for m in methods)
+            results = STATISTICS[m]([snaps[i] for i in rows], scenario.tau)
+            for i, result in zip(rows, results):
+                stage = _step(monitors[i], prev[i], m, k, result, design, method_totals[m])
+                if stage is not None:
+                    stages[i][m] = stage
+    return [tuple(stage[m] for m in methods) for stage in stages]
 
 
 # One worker pool per process, forked at the first ``workers > 1`` call and
@@ -334,18 +361,22 @@ def _run_blocks(fn, worker_args: list, workers: int) -> list:
 
 def _block(args) -> list:
     fn, fixed, rs = args
-    return [fn(*fixed, r) for r in rs]
+    return fn(*fixed, rs)
 
 
 def _map_replicates(fn, fixed: tuple, replicates: int, workers: int) -> list:
-    """``fn(*fixed, r)`` for r = 0, ..., replicates - 1, in replicate order,
-    computed in about four blocks of consecutive replicates per worker.  A
-    caller that reduces the results in this order gets the same answer for
-    every worker count."""
-    _check_replicates(replicates)
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    block = max(1, math.ceil(replicates / workers / 4))
+    """Each replicate's result for r = 0, ..., replicates - 1, in replicate
+    order, from ``fn(*fixed, rs)`` on blocks ``rs`` of consecutive replicates
+    (``fn`` returns one result per replicate of its block).
+
+    A block holds min(32, ceil(replicates / workers)) replicates: a small run
+    gives every worker one block, and a large run gives many blocks of 32,
+    which keeps the pool balanced.  A caller that reduces the results in
+    replicate order gets the same answer for every worker count.
+    """
+    _check_count("replicates", replicates)
+    _check_count("workers", workers)
+    block = min(_BLOCK_REPLICATES, math.ceil(replicates / workers))
     args = [
         (fn, fixed, range(start, min(start + block, replicates)))
         for start in range(0, replicates, block)
@@ -401,7 +432,7 @@ def run_oc(
         )
 
     fixed = (scenario, design, methods, calibration.analysis_times, totals, seed)
-    stages = np.array(_map_replicates(_monitor_replicate, fixed, replicates, workers))
+    stages = np.array(_map_replicates(_monitor_block, fixed, replicates, workers))
 
     cumulative, ses, failures, used = {}, {}, {}, {}
     for m, stage in zip(methods, stages.T):
@@ -455,9 +486,13 @@ def _calibration_replicate(scenario, grid, methods, seed, r) -> list[float]:
     cols = generate_columns(scenario, seed, _CALIBRATION_STREAM_OFFSET + r)
     snaps = [snapshot(cols, u) for u in grid]
     adjusted = compare_sp_batch(snaps, scenario.tau)
-    end = _look(snaps[-1], scenario.tau, methods[1:]).values()
+    end = [STATISTICS[m](snaps[-1:], scenario.tau)[0] for m in methods[1:]]
     info = [math.nan if e is not None else v for v, e in zip(adjusted.info_level, adjusted.errors)]
     return info + [math.nan if isinstance(v, SeqSurvError) else v[1] for v in end]
+
+
+def _calibration_block(scenario, grid, methods, seed, rs) -> list[list[float]]:
+    return [_calibration_replicate(scenario, grid, methods, seed, r) for r in rs]
 
 
 def calibrate_analysis_times(
@@ -480,7 +515,7 @@ def calibrate_analysis_times(
     grid = tuple(np.linspace(scenario.tau, scenario.study_length, _CALIBRATION_GRID_SIZE))
 
     fixed = (scenario, grid, methods, seed)
-    rows = np.array(_map_replicates(_calibration_replicate, fixed, replicates, workers))
+    rows = np.array(_map_replicates(_calibration_block, fixed, replicates, workers))
     failures = int(np.isnan(rows).sum())
     info = rows[:, : len(grid)]
     info_count = np.sum(~np.isnan(info), axis=0)
@@ -599,7 +634,8 @@ def calibrate_effect(
     """
     if not 0.0 < target_power < 1.0:
         raise ValueError("target_power must be in (0, 1)")
-    _check_replicates(replicates)
+    _check_count("replicates", replicates)
+    _check_count("workers", workers)
     if design.spending.sidedness == ONE_SIDED_LOWER:
         raise SeqSurvError(
             "calibrate_effect searches offsets that raise treatment-arm survival, "

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import signal
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -20,9 +21,12 @@ from seqsurv import (
     calibrate_analysis_times,
     calibrate_effect,
     compare_sp,
+    compare_sp_batch,
+    cox_wald_batch,
     crossing_probabilities,
     generate_columns,
     km_compare,
+    km_compare_batch,
     null_beta_w,
     oc_to_csv,
     run_oc,
@@ -30,7 +34,7 @@ from seqsurv import (
     scenario_to_text,
     snapshot,
 )
-from conftest import PH_ALT_BASE, WORKERS
+from conftest import PH_ALT_BASE, WORKERS, columns
 from oracles import weibull_survival
 from seqsurv import sim
 
@@ -238,11 +242,14 @@ def test_run_oc_takes_no_look_after_a_rejection(monkeypatch):
     real = sim.STATISTICS["adjusted"]
     z_first = 50.0
 
-    def statistic(snap, t0):
+    def statistic(snaps, t0):
         # z_first at the first look; no statistic at any later look
-        if z_first is None or snap.calendar_time > cal.analysis_times[0]:
-            raise SeqSurvError("statistic unavailable")
-        return z_first, real(snap, t0)[1]
+        return [
+            SeqSurvError("statistic unavailable")
+            if z_first is None or snap.calendar_time > cal.analysis_times[0]
+            else (z_first, row[1])
+            for snap, row in zip(snaps, real(snaps, t0))
+        ]
 
     monkeypatch.setitem(sim.STATISTICS, "adjusted", statistic)
     oc = run_oc(sc, design, ("adjusted",), replicates=4, seed=3, calibration=cal, workers=1)
@@ -252,6 +259,116 @@ def test_run_oc_takes_no_look_after_a_rejection(monkeypatch):
     z_first = None
     with pytest.raises(SeqSurvError, match="4 of 4 replicates failed"):
         run_oc(sc, design, ("adjusted",), replicates=4, seed=3, calibration=cal, workers=1)
+
+
+# Small trials under a strong effect: in 64 replicates some monitors reject at
+# the first look, some at later looks, some never, and some fail.
+_MIXED = Scenario(n0=15, n1=15, tau=1.0, beta_w=-1.0, covariate_scheme="normal1", phi=0.5,
+                  accrual=2.0)
+
+
+@pytest.fixture(scope="module")
+def mixed_block():
+    cal = calibrate_analysis_times(_MIXED, replicates=40, seed=3, methods=sim.METHODS)
+    return (_MIXED, build_design(_MIXED), sim.METHODS, cal.analysis_times, cal.method_totals, 5)
+
+
+def _monitor_alone(scenario, design, methods, analysis_times, method_totals, seed, r):
+    """Replicate r's stages from one snapshot and one method_statistic per
+    look and running method, the replicate monitored on its own."""
+    cols = generate_columns(scenario, seed, r)
+    stage = dict.fromkeys(methods, 0)
+    monitors = dict.fromkeys(methods)
+    prev = dict.fromkeys(methods, 0.0)
+    for k, u in enumerate(analysis_times, start=1):
+        snap = snapshot(cols, u)
+        for m in [m for m in methods if m in monitors]:
+            try:
+                z, info = sim.method_statistic(m, snap, scenario.tau)
+                if not math.isfinite(info) or info <= 0.0:
+                    raise SeqSurvError("non-finite information")
+                prev[m] = max(info, prev[m] * sim._MIN_INFO_GROWTH)
+                if monitors[m] is None:
+                    monitors[m] = sim.SequentialMonitor(design, method_totals[m])
+                decision = monitors[m].step(prev[m], z).decision
+            except (SeqSurvError, ValueError):
+                stage[m] = -1
+                del monitors[m]
+                continue
+            if decision == "reject":
+                stage[m] = k
+            if decision != "continue":
+                del monitors[m]
+    return tuple(stage[m] for m in methods)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_replicates_stages_do_not_depend_on_its_block(mixed_block):
+    wide = sim._monitor_block(*mixed_block, range(64))
+    stages = [s for row in wide for s in row]
+    assert 1 in stages and -1 in stages and 0 in stages
+    assert [row[0] for row in wide].count(1) > 0  # adjusted monitors stopping at look 1
+    for start in (0, 32):
+        assert sim._monitor_block(*mixed_block, range(start, start + 32)) == wide[start:start + 32]
+    for r in range(64):
+        alone = sim._monitor_block(*mixed_block, range(r, r + 1))
+        assert alone == [wide[r]] == [_monitor_alone(*mixed_block, r)]
+
+
+def _special_rows():
+    """A KM zero-variance row, a one-arm row (Cox-Wald's treatment variance
+    is 0) and a row with no events (the Cox fits fail)."""
+    no_events_by_t0 = snapshot(columns([
+        ("a", 0, 0.0, 5.0, False, (0.3,)), ("b", 0, 0.0, 4.0, False, (-0.2,)),
+        ("c", 1, 0.0, 5.0, False, (0.1,)), ("d", 1, 0.0, 3.0, True, (0.5,)),
+    ]), 10.0)
+    one_arm = snapshot(columns([
+        ("a", 0, 0.0, 0.5, True, (0.3,)), ("b", 0, 0.0, 0.8, True, (-0.2,)),
+        ("c", 0, 0.0, 2.0, False, (0.1,)),
+    ]), 10.0)
+    no_events = snapshot(columns([
+        ("a", 0, 0.0, 5.0, False, (0.3,)), ("b", 1, 0.0, 4.0, False, (-0.2,)),
+    ]), 10.0)
+    return [no_events_by_t0, one_arm, no_events]
+
+
+_BATCHES = {
+    "adjusted": lambda snaps: compare_sp_batch(snaps, 1.0),
+    "km": lambda snaps: km_compare_batch(snaps, 1.0),
+    "cox": cox_wald_batch,
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("method", sim.METHODS)
+def test_batch_statistic_rows_equal_their_batch_of_one(method):
+    trials = [generate_columns(_MIXED, 9, r) for r in range(4)]
+    snaps = [snapshot(cols, u) for cols in trials for u in (1.0, 1.8, 3.0)]
+    special = _special_rows()
+    snaps = snaps[:3] + special[:1] + snaps[3:7] + special[1:2] + snaps[7:] + special[2:]
+    batch = _BATCHES[method](snaps)
+    failed = 0
+    for b, snap in enumerate(snaps):
+        alone = _BATCHES[method]([snap])
+        assert repr((batch.z[b], batch.info_level[b])) == repr((alone.z[0], alone.info_level[0]))
+        assert type(batch.errors[b]) is type(alone.errors[0])
+        assert str(batch.errors[b]) == str(alone.errors[0])
+        if batch.errors[b] is None:
+            assert (batch.z[b], batch.info_level[b]) == sim.method_statistic(method, snap, 1.0)
+        else:
+            failed += 1
+            with pytest.raises(type(batch.errors[b]), match=re.escape(str(batch.errors[b]))):
+                sim.method_statistic(method, snap, 1.0)
+    assert batch.errors[:3] == [None] * 3 and batch.errors[4:8] == [None] * 4
+    assert failed >= 2
+    messages = [str(e) for e in batch.errors if e is not None]
+    expected = {
+        "adjusted": ["variance estimate is not positive", "both arms must be present"],
+        "km": ["has zero variance: no events by t0 in either arm", "stratum 1 has no subjects"],
+        "cox": ["treatment coefficient variance is not positive", "no observed events"],
+    }[method]
+    for text in expected:
+        assert any(text in msg for msg in messages)
 
 
 @pytest.mark.parametrize("t0", [math.nan, -1.0, 0.0, math.inf])
@@ -409,6 +526,23 @@ def test_simulation_entry_points_reject_fewer_than_one_worker():
         calibrate_analysis_times(sc, replicates=4, workers=0)
     with pytest.raises(ValueError, match=message):
         calibrate_effect(sc, 0.8, design, calibration=cal, replicates=4, workers=0)
+    # counts that are not integers (a bool is not a count) never reach the block layout
+    entry_points = (
+        lambda **counts: run_oc(sc, design, calibration=cal, **counts),
+        lambda **counts: calibrate_analysis_times(sc, **counts),
+        lambda **counts: calibrate_effect(sc, 0.8, design, calibration=cal, **counts),
+    )
+    bad_counts = [
+        ("replicates", 2.5), ("replicates", "3"), ("replicates", True), ("replicates", None),
+        ("workers", 1.5), ("workers", "2"), ("workers", True), ("workers", False),
+    ]
+    for entry in entry_points:
+        for name, value in bad_counts:
+            counts = {"replicates": 4, "workers": 1, name: value}
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+                entry(**counts)
+        # numpy integers are counts
+        assert entry(replicates=np.int64(2), workers=np.int32(1)) is not None
 
 
 def test_calibration_evaluates_each_method_at_the_study_end_on_its_own(monkeypatch):
