@@ -15,7 +15,6 @@ from .adjusted import (
     VarianceComponents,
     compare_sp,
     compare_sp_batch,
-    sp_variance,
     variance_components,
 )
 from .comparators import (

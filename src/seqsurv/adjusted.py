@@ -8,9 +8,9 @@ coefficient estimate.
 
 ``compare_sp_batch`` computes the statistic for a batch of snapshots: one
 ``fit_mple_batch`` and one vectorised pass of the variance ingredients and
-the variance.  ``compare_sp``, ``variance_components`` and ``sp_variance``
-are its batch of one.  As in the fit, each row's sums reduce only its own
-entries, so a row's bits do not depend on its batch.
+the variance.  ``compare_sp`` and ``variance_components`` are its batch of
+one.  As in the fit, each row's sums reduce only its own entries, so a
+row's bits do not depend on its batch.
 """
 
 from __future__ import annotations
@@ -185,17 +185,6 @@ def variance_components(fit: StratifiedCoxFit, snap: Snapshot, t0: float) -> Var
             f"survival time {t0:g} exceeds the fit's calendar horizon {fit.calendar_time:g}"
         )
     return _row(_components(fit.batch, (snap,), t0, row=fit.row), 0)
-
-
-def sp_variance(components: VarianceComponents) -> float:
-    """Variance of the root-n scaled adjusted-SP difference of one row."""
-    n0, n1 = components.arm_sizes
-    if min(n0, n1) == 0:
-        raise DegenerateDataError("both arms must be present to compare survival probabilities")
-    batch = _Components(
-        components.t0, *(np.asarray(getattr(components, name))[None] for name in _FIELDS[1:])
-    )
-    return float(_sp_variances(batch)[0])
 
 
 @dataclass(frozen=True)

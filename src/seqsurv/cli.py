@@ -122,6 +122,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     print("# provenance")
     print(f"#   data sha256 = {_sha256(data_path)}")
     print(f"#   method = {args.method}, t0 = {args.t0}, u = {args.u}")
+    if result.info_level != result.observed_info_level:
+        print(
+            f"#   information level raised from the observed {result.observed_info_level!r} "
+            f"to {result.info_level!r}, the least growth the monitor allows over the previous look"
+        )
     print(f"#   seqsurv version = {__version__}")
     return EXIT_REJECT if result.decision == "reject" else EXIT_OK
 

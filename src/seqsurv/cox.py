@@ -163,10 +163,6 @@ class RiskSetLayout:
             row_starts=bounds[:-1:2],
         )
 
-    @classmethod
-    def from_snapshot(cls, snap: Snapshot) -> "RiskSetLayout":
-        return cls.from_snapshots((snap,))
-
     def groups(self, b: int = 0) -> tuple[slice, slice]:
         """Row b's event groups of stratum 0 and of stratum 1."""
         lo, mid, hi = (int(v) for v in self.offsets[2 * b : 2 * b + 3])
@@ -218,10 +214,6 @@ class RiskSets(RiskSetLayout):
             products=products,
             event_z_total=np.add.reduceat(z_all * events[:, None], layout["row_starts"], axis=0),
         )
-
-    @classmethod
-    def from_snapshot(cls, snap: Snapshot) -> "RiskSets":
-        return cls.from_snapshots((snap,))
 
     def evaluate(self, beta: np.ndarray) -> RiskSetValues:
         """Log likelihood, score, information and event-group sums, one

@@ -130,9 +130,6 @@ class Snapshot:
     def n_covariates(self) -> int:
         return self.covariates.shape[1]
 
-    def arm_size(self, arm: int) -> int:
-        return int(np.count_nonzero(self.arm == arm))
-
 
 def check_t0(t0: float, snap: Snapshot | None = None) -> None:
     """Raise ``ValueError`` unless the comparison time ``t0`` is finite and

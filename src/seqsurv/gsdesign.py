@@ -32,6 +32,7 @@ _C_MAX = 40.0         # boundary magnitudes are solved in [0, _C_MAX]
 _C_TOL = 1e-14        # absolute tolerance of the boundary solve
 _MAX_SOLVE_ITER = 200
 _MIN_IF_STEP = 1e-9   # information fractions closer than this are rejected
+_MIN_INFO_GROWTH = 1.005  # a monitored level is at least this times the previous one
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -367,12 +368,13 @@ def crossing_probabilities(design: GSDesign, drift: float = 0.0) -> np.ndarray:
 @dataclass(frozen=True)
 class StageResult:
     stage: int                 # 1-based
-    info_level: float
+    info_level: float          # the level monitored, after any raise
     info_fraction: float       # after clamping at 1
     boundary: float
     z: float
     decision: str              # "continue" | "reject" | "accept"
     alpha_spent: float         # cumulative spending target used through this stage
+    observed_info_level: float  # the level given to the step
 
 
 class SequentialMonitor:
@@ -381,7 +383,10 @@ class SequentialMonitor:
 
     Observed fractions above 1 clamp to 1 and force a final analysis; the
     final stage spends all remaining alpha.  Crossing at exactly the boundary
-    rejects.
+    rejects.  A level that does not grow by the factor ``_MIN_INFO_GROWTH``
+    over the previous stage's level (saturated follow-up, or estimation
+    noise) is raised to that; the stage keeps the level it was given as
+    ``observed_info_level``.
     """
 
     def __init__(self, design: GSDesign, total_information: float):
@@ -397,7 +402,8 @@ class SequentialMonitor:
         return bool(self.results) and self.results[-1].decision != "continue"
 
     def step(self, info_level: float, z: float) -> StageResult:
-        if not (math.isfinite(info_level) and info_level > 0.0):
+        observed = float(info_level)
+        if not (math.isfinite(observed) and observed > 0.0):
             raise ValueError(f"information level must be finite and positive, got {info_level!r}")
         if not math.isfinite(z):
             raise ValueError(f"statistic must be finite, got {z!r}")
@@ -408,12 +414,10 @@ class SequentialMonitor:
         stage = len(self.results) + 1
         if stage > self.design.n_stages:
             raise ValueError(f"design has only {self.design.n_stages} stages")
-        if self.results and info_level <= self.results[-1].info_level:
-            raise ValueError(
-                f"information level must increase across stages "
-                f"({info_level:g} after {self.results[-1].info_level:g})"
-            )
-        raw_if = info_level / self.total_information
+        level = observed
+        if self.results:
+            level = max(observed, self.results[-1].info_level * _MIN_INFO_GROWTH)
+        raw_if = level / self.total_information
         clamped = raw_if >= 1.0
         info_fraction = min(raw_if, 1.0)
         prev_if = self._prop.prev_if
@@ -436,12 +440,13 @@ class SequentialMonitor:
             decision = "continue"
         result = StageResult(
             stage=stage,
-            info_level=float(info_level),
+            info_level=level,
             info_fraction=float(info_fraction),
             boundary=float(boundary),
             z=float(z),
             decision=decision,
             alpha_spent=target,
+            observed_info_level=observed,
         )
         self._record(result)
         return result
@@ -489,11 +494,10 @@ def monitor(state: MonitoringState, info_level: float, z: float, *, calendar_tim
     """Run one monitoring stage against the state, mutating it.
 
     Refuses stages after a terminal decision and non-increasing calendar
-    times or information levels.
+    times.  An information level that does not grow is lifted as
+    ``SequentialMonitor.step`` lifts it.
     """
     mon = state.rebuild_monitor()
-    if mon.finished:
-        raise ValueError(f"monitoring already ended with decision {state.results[-1].decision!r}")
     if calendar_time is not None and state.calendar_times and calendar_time <= state.calendar_times[-1]:
         raise ValueError(
             f"calendar time must increase across stages "
@@ -653,6 +657,7 @@ def state_to_text(state: MonitoringState) -> str:
                     repr(res.z),
                     res.decision,
                     repr(res.alpha_spent),
+                    repr(res.observed_info_level),
                 ]
             )
         )
@@ -660,17 +665,26 @@ def state_to_text(state: MonitoringState) -> str:
 
 
 _DECISIONS = ("continue", "reject", "accept")
+# (column, field) of the numbers in a stage row
+_STAGE_NUMBERS = (
+    (1, "calendar_time"), (2, "info_level"), (3, "info_fraction"), (4, "boundary"), (5, "z"),
+    (7, "alpha_spent"), (8, "observed_info_level"),
+)
 
 
 def _stage_from_row(raw: str, expected_stage: int, n_stages: int) -> tuple[float, StageResult]:
-    """One ``stage = ...`` row of a state file, checked against its position."""
+    """One ``stage = ...`` row of a state file, checked against its position.
+
+    Rows written before the observed level was recorded have 8 columns; their
+    observed level is the level used.
+    """
     line = raw.strip()
     if not line.startswith("stage ="):
         raise ValueError(f"unexpected line {raw!r}")
     parts = [p.strip() for p in line.split("=", 1)[1].split(",")]
-    if len(parts) != 8:
+    if len(parts) not in (8, 9):
         raise ValueError(f"malformed stage row {raw!r}")
-    stage = int(parts[0])
+    stage = _integer("stage", parts[0])
     if stage != expected_stage:
         raise ValueError(f"stage {stage} is out of sequence; expected stage {expected_stage}")
     if stage > n_stages:
@@ -678,33 +692,25 @@ def _stage_from_row(raw: str, expected_stage: int, n_stages: int) -> tuple[float
     decision = parts[6]
     if decision not in _DECISIONS:
         raise ValueError(f"decision must be one of {', '.join(_DECISIONS)}, got {decision!r}")
-    calendar_time, info_level, info_fraction, boundary, z, alpha_spent = (
-        float(parts[i]) for i in (1, 2, 3, 4, 5, 7)
-    )
-    numbers = {
-        "info_level": info_level,
-        "info_fraction": info_fraction,
-        "z": z,
-        "alpha_spent": alpha_spent,
-    }
-    for name, value in numbers.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    if len(parts) == 8:
+        parts.append(parts[2])
+    values = {name: _number(name, parts[i]) for i, name in _STAGE_NUMBERS}
+    for name in ("info_level", "info_fraction", "z", "alpha_spent", "observed_info_level"):
+        if not math.isfinite(values[name]):
+            raise ValueError(f"{name} must be finite, got {values[name]!r}")
+    if values["observed_info_level"] > values["info_level"]:
+        raise ValueError(
+            f"observed_info_level {values['observed_info_level']!r} exceeds "
+            f"info_level {values['info_level']!r}"
+        )
+    calendar_time, boundary = values.pop("calendar_time"), values["boundary"]
     # the monitor records an infinite boundary for a stage that spends no
     # alpha, and a NaN calendar time for a stage run without one
     if math.isnan(boundary):
         raise ValueError("boundary must not be NaN")
     if math.isinf(calendar_time):
         raise ValueError(f"calendar time must be finite, got {calendar_time!r}")
-    return calendar_time, StageResult(
-        stage=stage,
-        info_level=info_level,
-        info_fraction=info_fraction,
-        boundary=boundary,
-        z=z,
-        decision=decision,
-        alpha_spent=alpha_spent,
-    )
+    return calendar_time, StageResult(stage=stage, decision=decision, **values)
 
 
 def state_from_text(text: str) -> MonitoringState:

@@ -43,7 +43,6 @@ COVARIATE_SCHEMES = ("none", "normal1", "bernoulli2")
 
 _MASK64 = (1 << 64) - 1
 _CALIBRATION_STREAM_OFFSET = 1 << 48  # keeps calibration draws disjoint from OC draws
-_MIN_INFO_GROWTH = 1.005              # monitoring guard against noisy info regressions
 _COVARIATE_LAW_STREAM = 1 << 49       # fixed stream of the analytic power's covariate sample
 _COVARIATE_LAW_DRAWS = 1 << 16
 _EFFECT_SEARCH_WIDTH = 4.0            # calibrate_effect searches [null - 4, null]
@@ -262,24 +261,19 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be at least 1, got {value}")
 
 
-def _step(monitors: dict, prev: dict, m: str, k: int, result, design, total: float) -> int | None:
+def _step(monitors: dict, m: str, k: int, result, design, total: float) -> int | None:
     """Method ``m``'s step at look ``k`` on its statistic ``result``: its
     stage (``k`` on a rejection, -1 on a failure) when its monitoring ends
-    here, which also removes it from ``monitors``, else None.
-
-    Observed information that regresses through estimation noise is nudged
-    up by a small factor so the monitor always sees increasing information.
+    here, which also removes it from ``monitors``, else None.  The monitor
+    checks the information level and raises one that does not grow.
     """
     try:
         if isinstance(result, SeqSurvError):
             raise result
         z, info = result
-        if not math.isfinite(info) or info <= 0.0:
-            raise SeqSurvError(f"non-finite information level at stage {k}")
-        prev[m] = max(info, prev[m] * _MIN_INFO_GROWTH)
         if monitors[m] is None:
             monitors[m] = SequentialMonitor(design, total)
-        decision = monitors[m].step(prev[m], z).decision
+        decision = monitors[m].step(info, z).decision
     except (SeqSurvError, ValueError):
         del monitors[m]
         return -1
@@ -304,7 +298,6 @@ def _monitor_block(scenario, design, methods, analysis_times, method_totals, see
     stages = [dict.fromkeys(methods, 0) for _ in rs]
     # per replicate: each running method's monitor, None before its first step
     monitors: list[dict[str, SequentialMonitor | None]] = [dict.fromkeys(methods) for _ in rs]
-    prev = [dict.fromkeys(methods, 0.0) for _ in rs]
     for k, u in enumerate(analysis_times, start=1):
         live = [i for i, running in enumerate(monitors) if running]
         if not live:
@@ -316,7 +309,7 @@ def _monitor_block(scenario, design, methods, analysis_times, method_totals, see
                 continue
             results = STATISTICS[m]([snaps[i] for i in rows], scenario.tau)
             for i, result in zip(rows, results):
-                stage = _step(monitors[i], prev[i], m, k, result, design, method_totals[m])
+                stage = _step(monitors[i], m, k, result, design, method_totals[m])
                 if stage is not None:
                     stages[i][m] = stage
     return [tuple(stage[m] for m in methods) for stage in stages]

@@ -64,7 +64,7 @@ def test_criterion_1_stratified_cox_oracle_equivalence():
         f = lambda b: naive_log_pl(b, x, d, a, z)
         if score_checked < 200:
             beta = rng.normal(0, 0.5, p)
-            values = RiskSets.from_snapshot(snap).evaluate(beta)
+            values = RiskSets.from_snapshots((snap,)).evaluate(beta)
             assert values.usable, f"empty risk set on attempt {attempts}"
             gap = float(np.max(np.abs(values.score - fd_gradient(f, beta))))
             worst_score = max(worst_score, gap)

@@ -6,9 +6,9 @@ import pytest
 from seqsurv import (
     DegenerateDataError,
     compare_sp,
+    compare_sp_batch,
     fit_mple,
     snapshot,
-    sp_variance,
     variance_components,
 )
 from conftest import columns, random_dataset, snapshot_arrays
@@ -108,7 +108,8 @@ def test_variance_components_match_naive_reimplementation(hand_snapshot_8):
         assert comps.adjusted_sp[i] == pytest.approx(naive["sp"][i], abs=1e-10)
     assert comps.mean_information == pytest.approx(naive["sigma"], abs=1e-10)
     assert comps.sp_diff_beta_gradient == pytest.approx(naive["d"], abs=1e-10)
-    assert sp_variance(comps) == pytest.approx(naive["var_inverse"], abs=1e-10)
+    sigma2 = compare_sp_batch((hand_snapshot_8,), 2.0).sigma2_hat[0]
+    assert sigma2 == pytest.approx(naive["var_inverse"], abs=1e-10)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -121,10 +122,10 @@ def test_variance_matches_naive_on_random_data(seed):
     except Exception:
         pytest.skip("degenerate draw")
     t0 = float(np.median(snap.follow_up))
-    comps = variance_components(fit, snap, t0)
     x, d, a, z = snapshot_arrays(snap)
     naive = naive_variance_pieces(fit.beta_hat, x, d, a, z, t0)
-    assert sp_variance(comps) == pytest.approx(naive["var_inverse"], rel=1e-9)
+    sigma2 = compare_sp_batch((snap,), t0).sigma2_hat[0]
+    assert sigma2 == pytest.approx(naive["var_inverse"], rel=1e-9)
 
 
 def test_no_events_before_t0_zeroes_stratum_components():
@@ -163,7 +164,7 @@ def test_p0_variance_reduces_to_baseline_form():
         (n / 2) * np.exp(-lam[i]) ** 2 * comps.cumhaz_variance[i]
         for i in (0, 1)
     )
-    assert sp_variance(comps) == pytest.approx(expected)
+    assert compare_sp_batch((snap,), 1.0).sigma2_hat[0] == pytest.approx(expected)
     # the hazard sensitivity collapses to the baseline survival itself
     for i in (0, 1):
         assert comps.hazard_sensitivity[i] == pytest.approx(np.exp(-lam[i]))

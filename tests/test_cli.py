@@ -385,3 +385,28 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_analyze_raises_a_look_whose_information_did_not_grow(tmp_path, capsys):
+    # every subject is followed past t0 = 0.5 by u = 1.5, so the Kaplan-Meier
+    # information at u = 2.0 equals the previous look's
+    data = tmp_path / "data.csv"
+    write_csv(data, generate_columns(Scenario(n0=30, n1=30, tau=0.5, accrual=1.0), seed=3))
+    design_file = tmp_path / "design.txt"
+    main(["design", "--alpha", "0.05", "--info-fractions", "0.5,1", "--out", str(design_file)])
+    state = tmp_path / "state.txt"
+
+    def look(u):
+        return main(["analyze", str(data), "--design", str(design_file), "--t0", "0.5",
+                     "--u", u, "--method", "km", "--state", str(state), "--total-info", "130"])
+
+    assert look("1.5") == EXIT_OK
+    assert "raised" not in capsys.readouterr().out
+    assert look("2.0") == EXIT_OK
+    out = capsys.readouterr().out
+    assert ("#   information level raised from the observed 64.90384615384612 to "
+            f"{64.90384615384612 * 1.005!r}, the least growth the monitor allows") in out
+    row = state.read_text().splitlines()[-1].split("=", 1)[1].split(",")
+    assert len(row) == 9
+    assert float(row[2]) == 64.90384615384612 * 1.005
+    assert float(row[8]) == 64.90384615384612

@@ -26,7 +26,7 @@ from oracles import fd_gradient, fd_hessian, grid_refine_argmax, naive_breslow, 
 
 def kernel(snap, beta):
     """The risk-set kernel's values at ``beta``, required usable."""
-    values = RiskSets.from_snapshot(snap).evaluate(np.asarray(beta, dtype=np.float64))
+    values = RiskSets.from_snapshots((snap,)).evaluate(np.asarray(beta, dtype=np.float64))
     assert values.usable
     return values
 
@@ -255,7 +255,7 @@ def test_nonconvergence_carries_last_iterate(hand_snapshot, monkeypatch):
 
 
 def test_risk_sets_first_event_and_information_psd(hand_snapshot):
-    risk_sets = RiskSets.from_snapshot(hand_snapshot)
+    risk_sets = RiskSets.from_snapshots((hand_snapshot,))
     values = risk_sets.evaluate(np.zeros(1))
     first0 = risk_sets.groups()[0].start
     # first stratum-0 event at 0.9 has all three stratum-0 subjects at risk
@@ -284,7 +284,7 @@ def _tied_columns():
 
 def test_kernel_on_ties_in_both_strata_matches_naive():
     snap = snapshot(_tied_columns(), 5.0)
-    risk_sets = RiskSets.from_snapshot(snap)
+    risk_sets = RiskSets.from_snapshots((snap,))
     assert risk_sets.dn.tolist() == [2.0, 3.0, 1.0, 2.0, 2.0]
     x, d, a, z = snapshot_arrays(snap)
     f = lambda b: naive_log_pl(b, x, d, a, z)
@@ -326,7 +326,7 @@ def test_kernel_keeps_strata_apart_when_relative_risks_differ_by_e30(high_arm):
     x, d, a, z = snapshot_arrays(snap)
     f = lambda b: naive_log_pl(b, x, d, a, z)
     beta = np.array([2.0])
-    values = RiskSets.from_snapshot(snap).evaluate(beta)
+    values = RiskSets.from_snapshots((snap,)).evaluate(beta)
     assert values.usable
     assert values.score == pytest.approx(fd_gradient(f, beta), rel=1e-6, abs=1e-6)
     assert values.information == pytest.approx(-fd_hessian(f, beta), rel=1e-4, abs=1e-6)
@@ -496,7 +496,7 @@ def test_kernel_keeps_batch_rows_apart_when_relative_risks_differ_by_e30():
     row = risk_sets.row_values(values, 1)
     assert row.score == pytest.approx(fd_gradient(f, beta[1]), rel=1e-6, abs=1e-6)
     assert row.information == pytest.approx(-fd_hessian(f, beta[1]), rel=1e-4, abs=1e-6)
-    alone = RiskSets.from_snapshot(snaps[1]).evaluate(beta[1])
+    alone = RiskSets.from_snapshots((snaps[1],)).evaluate(beta[1])
     for got, want in zip(row, alone):
         assert np.array_equal(got, want)
 

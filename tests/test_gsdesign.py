@@ -242,12 +242,19 @@ def test_monitor_underrun_final_spends_remaining_alpha():
     assert res.decision == "accept"
 
 
-def test_monitor_rejects_decreasing_information():
-    d = boundaries(power3(), [0.5, 1.0])
+@pytest.mark.parametrize("observed", [50.0, 49.0])
+def test_monitor_raises_information_that_does_not_grow(observed):
+    d = boundaries(power3(), [0.5, 0.75, 1.0])
     mon = SequentialMonitor(d, total_information=100.0)
-    mon.step(50.0, 0.0)
-    with pytest.raises(ValueError, match="increase"):
-        mon.step(49.0, 0.0)
+    first = mon.step(50.0, 0.0)
+    assert first.info_level == first.observed_info_level == 50.0
+    res = mon.step(observed, 0.0)
+    assert res.info_level == 50.0 * 1.005
+    assert res.observed_info_level == observed
+    assert res.info_fraction == 50.0 * 1.005 / 100.0
+    planned = SequentialMonitor(d, total_information=100.0)
+    planned.step(50.0, 0.0)
+    assert res.boundary == planned.step(50.0 * 1.005, 0.0).boundary
 
 
 def test_monitor_all_alpha_spent_means_infinite_final_boundary():
@@ -297,9 +304,13 @@ _GOOD_ROWS = (
         ((_GOOD_ROWS[0].replace("0.00625", "nan"),), 0, "alpha_spent must be finite"),
         ((_GOOD_ROWS[0].replace("2.9626", "nan"),), 0, "boundary must not be NaN"),
         ((_GOOD_ROWS[0].replace(",2.0,", ",inf,"),), 0, "calendar time must be finite"),
-        ((_GOOD_ROWS[0].replace("80.0", "eighty"),), 0, "could not convert"),
-        ((_GOOD_ROWS[0].replace("stage = 1", "stage = 1.0"),), 0, "invalid literal"),
-        ((_GOOD_ROWS[0] + ",extra",), 0, "malformed stage row"),
+        ((_GOOD_ROWS[0].replace("80.0", "eighty"),), 0, "key 'info_level': 'eighty' is not a number"),
+        ((_GOOD_ROWS[0].replace("0.7", "abc"),), 0, "key 'z': 'abc' is not a number"),
+        ((_GOOD_ROWS[0].replace("stage = 1", "stage = 1.0"),), 0,
+         "key 'stage': '1.0' is not an integer"),
+        ((_GOOD_ROWS[0] + ",80.0,extra",), 0, "malformed stage row"),
+        ((_GOOD_ROWS[0] + ",nan",), 0, "observed_info_level must be finite"),
+        ((_GOOD_ROWS[0] + ",80.5",), 0, "observed_info_level 80.5 exceeds info_level 80.0"),
         ((_GOOD_ROWS[0], "", "stages = 2"), 2, "unexpected line"),
     ],
 )
@@ -576,7 +587,9 @@ def test_a_full_mesh_state_file_replays_on_the_half_mesh(full_mesh):
 def monitoring_runs(draw):
     """A design and one observed sequence of (information, z), one per stage.
 
-    Information can overrun the total, which clamps and ends monitoring early.
+    Information can overrun the total, which clamps and ends monitoring early,
+    and after the first stage it can repeat or fall (staying positive), which
+    the monitor raises.
     """
     k = draw(st.integers(1, 4))
     planned = sorted(draw(st.sets(st.integers(1, 19), min_size=k - 1, max_size=k - 1)))
@@ -587,8 +600,13 @@ def monitoring_runs(draw):
         sidedness=draw(st.sampled_from(("two_sided", "one_sided_upper", "one_sided_lower"))),
     )
     design = boundaries(sf, [p / 20.0 for p in planned] + [1.0])
-    steps = draw(st.lists(st.floats(5.0, 60.0), min_size=k, max_size=k))
-    infos = np.cumsum(steps).tolist()
+    infos = [draw(st.floats(5.0, 60.0))]
+    for _ in range(k - 1):
+        infos.append(draw(st.one_of(
+            st.floats(5.0, 60.0).map(lambda step: infos[-1] + step),   # grows
+            st.just(infos[-1]),                                        # repeats
+            st.floats(0.5, 0.99).map(lambda share: infos[-1] * share),  # falls
+        )))
     zs = draw(st.lists(st.floats(-5.0, 5.0), min_size=k, max_size=k))
     return design, list(zip(infos, zs))
 

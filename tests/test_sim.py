@@ -279,18 +279,14 @@ def _monitor_alone(scenario, design, methods, analysis_times, method_totals, see
     cols = generate_columns(scenario, seed, r)
     stage = dict.fromkeys(methods, 0)
     monitors = dict.fromkeys(methods)
-    prev = dict.fromkeys(methods, 0.0)
     for k, u in enumerate(analysis_times, start=1):
         snap = snapshot(cols, u)
         for m in [m for m in methods if m in monitors]:
             try:
                 z, info = sim.method_statistic(m, snap, scenario.tau)
-                if not math.isfinite(info) or info <= 0.0:
-                    raise SeqSurvError("non-finite information")
-                prev[m] = max(info, prev[m] * sim._MIN_INFO_GROWTH)
                 if monitors[m] is None:
                     monitors[m] = sim.SequentialMonitor(design, method_totals[m])
-                decision = monitors[m].step(prev[m], z).decision
+                decision = monitors[m].step(info, z).decision
             except (SeqSurvError, ValueError):
                 stage[m] = -1
                 del monitors[m]
