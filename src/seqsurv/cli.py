@@ -1,7 +1,7 @@
 """Command-line front end: design boundaries, analyze a dataset sequentially,
 and simulate operating characteristics.
 
-Exit codes: 0 continue/success, 2 reject (efficacy), 1 error.
+Exit codes: 0 continue/success, 2 reject (efficacy), 1 error (a usage error too).
 """
 
 from __future__ import annotations
@@ -46,6 +46,13 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _fractions(text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of numbers") from None
+
+
 def _format_design_table(design: GSDesign) -> str:
     lines = [
         f"{'stage':>5} {'info_frac':>10} {'alpha_spent':>12} {'boundary':>10}",
@@ -65,8 +72,7 @@ def _cmd_design(args: argparse.Namespace) -> int:
         args.alpha = 0.05
     sidedness = {"1": "one_sided_upper", "2": "two_sided"}.get(args.sides, args.sides)
     sf = spending_from_text(args.spending, args.alpha, sidedness)
-    fractions = [float(v) for v in args.info_fractions.split(",")]
-    design = boundaries(sf, fractions)
+    design = boundaries(sf, args.info_fractions)
     print(_format_design_table(design))
     if args.out:
         Path(args.out).write_text(design_to_text(design), encoding="utf-8")
@@ -175,8 +181,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ``ValueError``, which ``main`` reports like any
+    other error: argparse would exit 2, the code of a rejection."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}\n{self.format_usage().rstrip()}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="seqsurv",
         description="Group-sequential comparison of covariate-adjusted survival probabilities",
     )
@@ -187,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_design.add_argument("--alpha", type=float, default=None, help="total type I error (default 0.05)")
     p_design.add_argument("--sides", default="2", help="2, 1, one_sided_upper, one_sided_lower")
     p_design.add_argument("--spending", default="power:3", help="power:RHO, obf, pocock, custom:IF:A;...")
-    p_design.add_argument("--info-fractions", required=True, help="comma-separated, increasing, ending at 1")
+    p_design.add_argument("--info-fractions", type=_fractions, required=True,
+                          help="comma-separated, increasing, ending at 1")
     p_design.add_argument("--out", default=None, help="write the design file here")
     p_design.set_defaults(func=_cmd_design)
 
@@ -215,9 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (SeqSurvError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

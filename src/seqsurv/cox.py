@@ -309,18 +309,15 @@ def solve_stack(matrices: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, 
 
 @dataclass(frozen=True)
 class StratifiedCoxFit:
-    """The maximizer at one snapshot: row ``row`` of the fitted ``batch``,
-    with the batch's kernel layout and the row's values at ``beta_hat``
-    (``event_sums``), from which the adjusted-SP variance and the Cox-Wald
-    test read the Breslow increments and the information."""
+    """The maximizer at one snapshot: row ``row`` of the fitted ``batch``.
+    The adjusted-SP variance and the Cox-Wald test read the layout and the
+    kernel values at ``beta_hat`` from the batch."""
 
     calendar_time: float
     beta_hat: np.ndarray
     observed_information: np.ndarray
     iterations: int
     final_score_norm: float
-    risk_sets: RiskSets
-    event_sums: RiskSetValues
     batch: FitBatch
     row: int
     singular_information: bool = False
@@ -356,8 +353,6 @@ class FitBatch(NamedTuple):
             observed_information=values.information,
             iterations=int(self.iterations[b]),
             final_score_norm=float(np.abs(values.score).max()) if values.score.size else 0.0,
-            risk_sets=rs,
-            event_sums=values,
             batch=self,
             row=b,
             singular_information=bool(self.singular_information[b]),

@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
-from scipy.stats import norm
 
 TWO_SIDED = "two_sided"
 ONE_SIDED_UPPER = "one_sided_upper"
@@ -97,8 +96,8 @@ def spend(sf: SpendingFunction, info_fraction: float) -> float:
     if sf.family == "power":
         return sf.total_alpha * t**sf.rho
     if sf.family == "obf_like":
-        za = norm.ppf(1.0 - sf.total_alpha / 2.0)
-        return float(2.0 - 2.0 * norm.cdf(za / math.sqrt(t)))
+        za = ndtri(1.0 - sf.total_alpha / 2.0)
+        return float(2.0 - 2.0 * ndtr(za / math.sqrt(t)))
     if sf.family == "pocock_like":
         return sf.total_alpha * math.log(1.0 + (math.e - 1.0) * t)
     fracs = np.array([0.0] + [f for f, _ in sf.table])

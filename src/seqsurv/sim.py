@@ -17,7 +17,7 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -218,25 +218,15 @@ def generate_columns(scenario: Scenario, seed: int, replicate: int = 0) -> Colum
     )
 
 
-def _rows(batch) -> list:
-    """A batch statistic's (z, information) per row, or the ``SeqSurvError``
-    the row raised."""
-    return [
-        (z, info) if error is None else error
-        for z, info, error in zip(batch.z, batch.info_level, batch.errors)
-    ]
-
-
-# Each method's statistic over a batch of snapshots: per row, (z, information)
-# or the SeqSurvError the row raised.  The entries look the batch functions up
-# in this module when called.  run_oc, calibration's study-end look and the
-# analyze command reach them here; calibration's grid-time rows call
-# compare_sp_batch directly.  compare_sp, km_compare and cox_wald, their
-# batches of one, are on none of these paths.
+# Each method's statistic over a batch of snapshots: its batch, whose rows
+# hold z, info_level and the SeqSurvError the row raised (None when it did
+# not).  The entries look the batch functions up in this module when called.
+# run_oc, calibration and the analyze command reach them here; compare_sp,
+# km_compare and cox_wald, their batches of one, are on none of these paths.
 STATISTICS = {
-    "adjusted": lambda snaps, t0: _rows(compare_sp_batch(snaps, t0)),
-    "km": lambda snaps, t0: _rows(km_compare_batch(snaps, t0)),
-    "cox": lambda snaps, t0: _rows(cox_wald_batch(snaps)),
+    "adjusted": lambda snaps, t0: compare_sp_batch(snaps, t0),
+    "km": lambda snaps, t0: km_compare_batch(snaps, t0),
+    "cox": lambda snaps, t0: cox_wald_batch(snaps),
 }
 METHODS = tuple(STATISTICS)
 
@@ -248,10 +238,10 @@ def method_statistic(method: str, snap: Snapshot, t0: float) -> tuple[float, flo
     if method not in STATISTICS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     check_t0(t0)
-    (row,) = STATISTICS[method]((snap,), t0)
-    if isinstance(row, SeqSurvError):
-        raise row
-    return row
+    batch = STATISTICS[method]((snap,), t0)
+    if batch.errors[0] is not None:
+        raise batch.errors[0]
+    return batch.z[0], batch.info_level[0]
 
 
 def _check_count(name: str, value) -> None:
@@ -259,28 +249,6 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be at least 1, got {value}")
-
-
-def _step(monitors: dict, m: str, k: int, result, design, total: float) -> int | None:
-    """Method ``m``'s step at look ``k`` on its statistic ``result``: its
-    stage (``k`` on a rejection, -1 on a failure) when its monitoring ends
-    here, which also removes it from ``monitors``, else None.  The monitor
-    checks the information level and raises one that does not grow.
-    """
-    try:
-        if isinstance(result, SeqSurvError):
-            raise result
-        z, info = result
-        if monitors[m] is None:
-            monitors[m] = SequentialMonitor(design, total)
-        decision = monitors[m].step(info, z).decision
-    except (SeqSurvError, ValueError):
-        del monitors[m]
-        return -1
-    if decision == "continue":
-        return None
-    del monitors[m]
-    return k if decision == "reject" else 0
 
 
 def _monitor_block(scenario, design, methods, analysis_times, method_totals, seed, rs) -> list:
@@ -296,8 +264,8 @@ def _monitor_block(scenario, design, methods, analysis_times, method_totals, see
     """
     cols = [generate_columns(scenario, seed, r) for r in rs]
     stages = [dict.fromkeys(methods, 0) for _ in rs]
-    # per replicate: each running method's monitor, None before its first step
-    monitors: list[dict[str, SequentialMonitor | None]] = [dict.fromkeys(methods) for _ in rs]
+    # per replicate: each running method's monitor
+    monitors = [{m: SequentialMonitor(design, method_totals[m]) for m in methods} for _ in rs]
     for k, u in enumerate(analysis_times, start=1):
         live = [i for i, running in enumerate(monitors) if running]
         if not live:
@@ -307,11 +275,17 @@ def _monitor_block(scenario, design, methods, analysis_times, method_totals, see
             rows = [i for i in live if m in monitors[i]]
             if not rows:
                 continue
-            results = STATISTICS[m]([snaps[i] for i in rows], scenario.tau)
-            for i, result in zip(rows, results):
-                stage = _step(monitors[i], m, k, result, design, method_totals[m])
-                if stage is not None:
-                    stages[i][m] = stage
+            batch = STATISTICS[m]([snaps[i] for i in rows], scenario.tau)
+            for i, z, info, error in zip(rows, batch.z, batch.info_level, batch.errors):
+                decision = "fail"
+                if error is None:
+                    try:
+                        decision = monitors[i][m].step(info, z).decision
+                    except ValueError:  # the monitor refused the look (say, a NaN level)
+                        pass
+                if decision != "continue":
+                    del monitors[i][m]
+                    stages[i][m] = {"reject": k, "accept": 0, "fail": -1}[decision]
     return [tuple(stage[m] for m in methods) for stage in stages]
 
 
@@ -352,11 +326,6 @@ def _run_blocks(fn, worker_args: list, workers: int) -> list:
                     raise
 
 
-def _block(args) -> list:
-    fn, fixed, rs = args
-    return fn(*fixed, rs)
-
-
 def _map_replicates(fn, fixed: tuple, replicates: int, workers: int) -> list:
     """Each replicate's result for r = 0, ..., replicates - 1, in replicate
     order, from ``fn(*fixed, rs)`` on blocks ``rs`` of consecutive replicates
@@ -370,11 +339,8 @@ def _map_replicates(fn, fixed: tuple, replicates: int, workers: int) -> list:
     _check_count("replicates", replicates)
     _check_count("workers", workers)
     block = min(_BLOCK_REPLICATES, math.ceil(replicates / workers))
-    args = [
-        (fn, fixed, range(start, min(start + block, replicates)))
-        for start in range(0, replicates, block)
-    ]
-    return [result for results in _run_blocks(_block, args, workers) for result in results]
+    blocks = [range(start, min(start + block, replicates)) for start in range(0, replicates, block)]
+    return [result for results in _run_blocks(partial(fn, *fixed), blocks, workers) for result in results]
 
 
 @dataclass(frozen=True)
@@ -472,20 +438,22 @@ class CalibrationResult:
     failures: int
 
 
-def _calibration_replicate(scenario, grid, methods, seed, r) -> list[float]:
-    """Replicate ``r``'s adjusted information at each grid time, from one
-    batched fit of its grid-time snapshots, then each other method's
-    (``methods[1:]``) at the study end; NaN marks a failure."""
-    cols = generate_columns(scenario, seed, _CALIBRATION_STREAM_OFFSET + r)
-    snaps = [snapshot(cols, u) for u in grid]
-    adjusted = compare_sp_batch(snaps, scenario.tau)
-    end = [STATISTICS[m](snaps[-1:], scenario.tau)[0] for m in methods[1:]]
-    info = [math.nan if e is not None else v for v, e in zip(adjusted.info_level, adjusted.errors)]
-    return info + [math.nan if isinstance(v, SeqSurvError) else v[1] for v in end]
-
-
 def _calibration_block(scenario, grid, methods, seed, rs) -> list[list[float]]:
-    return [_calibration_replicate(scenario, grid, methods, seed, r) for r in rs]
+    """Each replicate of ``rs``: its adjusted information at each grid time,
+    from one batched statistic call on its grid-time snapshots, then each
+    other method's (``methods[1:]``) at the study end; NaN marks a failure."""
+    rows = []
+    for r in rs:
+        cols = generate_columns(scenario, seed, _CALIBRATION_STREAM_OFFSET + r)
+        snaps = [snapshot(cols, u) for u in grid]
+        batches = [STATISTICS["adjusted"](snaps, scenario.tau)]
+        batches += [STATISTICS[m](snaps[-1:], scenario.tau) for m in methods[1:]]
+        rows.append([
+            info if error is None else math.nan
+            for batch in batches
+            for info, error in zip(batch.info_level, batch.errors)
+        ])
+    return rows
 
 
 def calibrate_analysis_times(

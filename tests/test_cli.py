@@ -381,6 +381,27 @@ def test_simulate_non_finite_scenario_value_is_an_error(tmp_path, capsys):
     assert err.startswith("error: ") and "tau must be finite, got nan" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["design", "--alpha", "abc", "--info-fractions", "0.5,1"], "argument --alpha: invalid float value: 'abc'"),
+    (["design", "--alpha", "0.05", "--info-fractions", "0.5,abc"], "argument --info-fractions: '0.5,abc'"),
+    (["design", "--alpha", "0.05"], "the following arguments are required: --info-fractions"),
+    (["analyze", "data.csv", "--design", "design.txt", "--t0", "zz", "--u", "1"],
+     "argument --t0: invalid float value: 'zz'"),
+    (["simulate", "s.txt", "--replicates", "ten"], "argument --replicates: invalid int value: 'ten'"),
+])
+def test_usage_errors_exit_1_not_the_rejection_code(capsys, argv, message):
+    assert main(argv) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: seqsurv {argv[0]}: ") and message in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["design", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_OK
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

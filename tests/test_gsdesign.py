@@ -1,6 +1,10 @@
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +79,22 @@ def test_obf_and_pocock_anchor_at_total_alpha():
         sf = SpendingFunction(0.05, family)
         assert spend(sf, 1.0) == pytest.approx(0.05)
         assert 0.0 < spend(sf, 0.5) < 0.05
+
+
+@pytest.mark.parametrize("alpha", [1e-4, 0.025, 0.05, 0.2, 0.5])
+def test_obf_spending_equals_the_normal_oracle(alpha):
+    sf = SpendingFunction(alpha, "obf_like")
+    za = norm.ppf(1.0 - alpha / 2.0)
+    for t in (1e-3, 0.3, 0.5, 0.99):
+        assert spend(sf, t) == float(2.0 - 2.0 * norm.cdf(za / math.sqrt(t)))
+
+
+def test_importing_seqsurv_leaves_scipy_stats_unloaded():
+    src = Path(gsdesign.__file__).parents[1]
+    code = "import sys, seqsurv; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
 
 
 def test_custom_table_interpolates():

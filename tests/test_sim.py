@@ -244,12 +244,14 @@ def test_run_oc_takes_no_look_after_a_rejection(monkeypatch):
 
     def statistic(snaps, t0):
         # z_first at the first look; no statistic at any later look
-        return [
-            SeqSurvError("statistic unavailable")
-            if z_first is None or snap.calendar_time > cal.analysis_times[0]
-            else (z_first, row[1])
-            for snap, row in zip(snaps, real(snaps, t0))
-        ]
+        batch = real(snaps, t0)
+        unavailable = [z_first is None or snap.calendar_time > cal.analysis_times[0] for snap in snaps]
+        return batch._replace(
+            z=[math.nan if u else z_first for u in unavailable],
+            info_level=[math.nan if u else info for u, info in zip(unavailable, batch.info_level)],
+            errors=[SeqSurvError("statistic unavailable") if u else e
+                    for u, e in zip(unavailable, batch.errors)],
+        )
 
     monkeypatch.setitem(sim.STATISTICS, "adjusted", statistic)
     oc = run_oc(sc, design, ("adjusted",), replicates=4, seed=3, calibration=cal, workers=1)
