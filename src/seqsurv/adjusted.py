@@ -7,10 +7,11 @@ the baseline cumulative hazard) with a delta-method term for the shared
 coefficient estimate.
 
 ``compare_sp_batch`` computes the statistic for a batch of snapshots: one
-``fit_mple_batch`` and one vectorised pass of the variance ingredients and
-the variance.  ``compare_sp`` and ``variance_components`` are its batch of
-one.  As in the fit, each row's sums reduce only its own entries, so a
-row's bits do not depend on its batch.
+``fit_mple_batch`` (on the caller's risk-set layout, when it hands one in)
+and one vectorised pass of the variance ingredients and the variance.
+``compare_sp`` and ``variance_components`` are its batch of one.  As in the
+fit, each row's sums reduce only its own entries, so a row's bits do not
+depend on its batch.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 
 from .cox import (
     FitBatch,
+    RiskSetLayout,
     StratifiedCoxFit,
     _cat,
     _linear,
@@ -241,7 +243,9 @@ class SPBatch(NamedTuple):
         )
 
 
-def compare_sp_batch(snaps: Sequence[Snapshot], t0: float) -> SPBatch:
+def compare_sp_batch(
+    snaps: Sequence[Snapshot], t0: float, layout: RiskSetLayout | None = None
+) -> SPBatch:
     """Fit the stratified model at each snapshot and standardize its adjusted
     survival probability difference at ``t0``.
 
@@ -249,6 +253,8 @@ def compare_sp_batch(snaps: Sequence[Snapshot], t0: float) -> SPBatch:
     difference estimate, ``n / sigma2_hat``.  A row that cannot support the
     statistic gets the error ``compare_sp`` raises for it; a ``t0`` that is
     not positive or exceeds a snapshot's calendar time raises ``ValueError``.
+    ``layout`` is the snapshots' risk-set layout when the caller has it; the
+    fit takes its rows of the snapshots with both arms present.
     """
     snaps = tuple(snaps)
     n_rows = len(snaps)
@@ -266,7 +272,9 @@ def compare_sp_batch(snaps: Sequence[Snapshot], t0: float) -> SPBatch:
     z, info_level, sigma2 = [math.nan] * n_rows, [math.nan] * n_rows, [math.nan] * n_rows
     fits = comps = None
     if fitted:
-        fits = fit_mple_batch(fitted)
+        if layout is not None and len(fitted) < n_rows:
+            layout = layout.rows([b for b, k in enumerate(fit_rows) if k >= 0])
+        fits = fit_mple_batch(fitted, layout=layout)
         comps = _components(fits, fitted, t0)
         variances = _sp_variances(comps).tolist()
         sp = comps.adjusted_sp.tolist()

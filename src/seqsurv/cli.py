@@ -141,7 +141,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario_path = Path(args.scenario)
     scenario = scenario_from_text(scenario_path.read_text(encoding="utf-8"))
     design = build_design(scenario)
-    methods = tuple(m.strip() for m in args.methods.split(","))
+    methods = tuple(m.strip() for m in args.methods.split(",")) if args.methods.strip() else ()
     calibration = calibrate_analysis_times(
         scenario,
         replicates=args.calibration_replicates,

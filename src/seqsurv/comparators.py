@@ -3,9 +3,11 @@ the Wald test of a treatment coefficient in an unstratified Cox model.
 
 Each comparator computes a batch of snapshots, its rows, in one call:
 ``km_compare_batch`` reads every row's at-risk counts from one risk-set
-layout, and ``cox_wald_batch`` makes one ``fit_mple_batch`` over the pooled
-snapshots.  A row that cannot support the statistic gets the error the
-single-snapshot function raises for it, and the other rows go on.
+layout (sorted here, or handed in by the caller) and computes all rows'
+estimates in one vectorised pass, and ``cox_wald_batch`` makes one
+``fit_mple_batch`` over the pooled snapshots.  A row that cannot support
+the statistic gets the error the single-snapshot function raises for it,
+and the other rows go on.
 ``km_compare`` and ``cox_wald`` are the batch of one.  A row's arithmetic
 never depends on the other rows, so a snapshot computed alone and at any
 position of a batch gets the same bits.
@@ -20,42 +22,38 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cox import FitBatch, RiskSetLayout, StratifiedCoxFit, fit_mple_batch
+from .cox import STRATA, FitBatch, RiskSetLayout, StratifiedCoxFit, _cat, fit_mple_batch
 from .cox import fit_mple  # noqa: F401  bench/spans.py wraps seqsurv.comparators.fit_mple
 from .data import Snapshot, check_t0
 from .errors import DegenerateDataError, SeqSurvError
 
 
-def _km_at(
-    layout: RiskSetLayout, b: int, snap: Snapshot, stratum: int, t0: float
-) -> tuple[float, float]:
-    """One arm's product-limit estimate at ``t0`` and its Greenwood variance,
-    from the at-risk counts of the arm's event groups in row b of the layout
-    (``snap`` is that row's snapshot); carried flat beyond the arm's last
-    observed follow-up (with a warning)."""
-    if layout.sizes[b, stratum] == 0:
-        raise DegenerateDataError(f"stratum {stratum} has no subjects")
-    if t0 > snap.follow_up[snap.arm == stratum].max():
-        warnings.warn(
-            f"stratum {stratum}: no subjects under observation at {t0:g}; "
-            "carrying the last Kaplan-Meier value forward",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    g = layout.groups(b)[stratum]
-    k = int(np.searchsorted(layout.event_times[g], t0, side="right"))
-    if k == 0:
-        return 1.0, 0.0
-    g = slice(g.start, g.start + k)
-    at_risk = layout.at_risk[g]
-    dn = layout.dn[g]
-    surv = np.cumprod(1.0 - dn / at_risk)
+def _km_at_t0(layout: RiskSetLayout, t0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each (row, arm) pair's product-limit estimate at ``t0`` and its
+    Greenwood variance, from the at-risk counts of the pair's event groups at
+    or before ``t0``; an arm without such groups gets 1 and 0.
+
+    The pairs' groups are laid out as one (2B, L) block, padded with ones for
+    the product and zeros for the Greenwood sum.  Both are sequential scans
+    along a pair, and the padding leaves a scan's value unchanged, so a
+    pair's bits do not depend on L or on the other pairs.
+    """
+    kept = layout.event_times <= t0
+    # kept groups are the first of their pair, its groups ascending in time
+    before = np.concatenate(([0], np.cumsum(kept)))
+    counts = before[layout.offsets[1:]] - before[layout.offsets[:-1]]
+    filled = np.arange(max(int(counts.max()), 1)) < counts[:, None]
+    at_risk, dn = layout.at_risk[kept], layout.dn[kept]
+    factors = np.ones(filled.shape)
+    factors[filled] = 1.0 - dn / at_risk
     # Greenwood terms blow up when the whole risk set fails; survival is then
     # exactly zero and its variance is taken as zero.
+    terms = np.zeros(filled.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(at_risk > dn, dn / (at_risk * (at_risk - dn)), 0.0)
-    var = surv**2 * np.cumsum(terms)
-    return float(surv[-1]), (float(var[-1]) if surv[-1] != 0.0 else 0.0)
+        terms[filled] = np.where(at_risk > dn, dn / (at_risk * (at_risk - dn)), 0.0)
+    surv = np.cumprod(factors, axis=1)[:, -1]
+    var = surv**2 * np.cumsum(terms, axis=1)[:, -1]
+    return surv, np.where(surv != 0.0, var, 0.0)
 
 
 @dataclass(frozen=True)
@@ -99,31 +97,53 @@ class KMBatch(NamedTuple):
         )
 
 
-def km_compare_batch(snaps: Sequence[Snapshot], t0: float) -> KMBatch:
+def km_compare_batch(
+    snaps: Sequence[Snapshot], t0: float, layout: RiskSetLayout | None = None
+) -> KMBatch:
     """Difference of per-arm product-limit estimates at ``t0`` for each
     snapshot, standardized by the summed Greenwood variances.  Information is
-    the reciprocal variance.
+    the reciprocal variance.  ``layout`` is the snapshots' risk-set layout
+    when the caller has it, else they are sorted here.
 
     A row with an arm of no subjects, or with no events by ``t0`` in either
     arm (or both estimates at 0 or 1, so that the variances vanish), has no
-    statistic: it gets a ``DegenerateDataError``.  A ``t0`` that is not
-    positive or exceeds a snapshot's calendar time raises ``ValueError``.
+    statistic: it gets a ``DegenerateDataError``.  An arm whose last
+    follow-up is before ``t0`` carries its last estimate forward, with a
+    warning.  A ``t0`` that is not positive or exceeds a snapshot's calendar
+    time raises ``ValueError``.
     """
     snaps = tuple(snaps)
     for snap in snaps:
         check_t0(t0, snap)
-    layout = RiskSetLayout.from_snapshots(snaps)
+    if layout is None:
+        layout = RiskSetLayout.from_snapshots(snaps)
+    surv, var = (v.reshape(-1, 2).tolist() for v in _km_at_t0(layout, t0))
+    sizes = layout.sizes.tolist()
+    # each nonempty arm's longest follow-up: its last subject in sorted order
+    longest = np.full(2 * len(snaps), math.inf)
+    nonempty = np.flatnonzero(layout.sizes.ravel())
+    follow_up = _cat([s.follow_up for s in snaps])
+    longest[nonempty] = follow_up[layout.order[layout.pair_ends[nonempty] - 1]]
+    longest = longest.reshape(-1, 2).tolist()
     n_rows = len(snaps)
     errors: list[SeqSurvError | None] = [None] * n_rows
     s_hat = [(math.nan, math.nan)] * n_rows
     variance, z, info_level = [math.nan] * n_rows, [math.nan] * n_rows, [math.nan] * n_rows
-    for b, snap in enumerate(snaps):
-        try:
-            s0, v0 = _km_at(layout, b, snap, 0, t0)
-            s1, v1 = _km_at(layout, b, snap, 1, t0)
-        except DegenerateDataError as exc:
-            errors[b] = exc
+    for b in range(n_rows):
+        for i in STRATA:
+            if sizes[b][i] == 0:
+                errors[b] = DegenerateDataError(f"stratum {i} has no subjects")
+                break
+            if t0 > longest[b][i]:
+                warnings.warn(
+                    f"stratum {i}: no subjects under observation at {t0:g}; "
+                    "carrying the last Kaplan-Meier value forward",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+        if errors[b] is not None:
             continue
+        (s0, s1), (v0, v1) = surv[b], var[b]
         total_var = v0 + v1
         if total_var <= 0.0:
             cause = (

@@ -8,8 +8,12 @@ cumulative hazard at t0 from them.
 
 Every quantity comes from one risk-set kernel (Therneau & Grambsch 2000,
 ch. 3) over a batch of snapshots, its rows.  ``RiskSetLayout.from_snapshots``
-sorts the batch once by (row, arm, follow-up) and groups its events; the
-Kaplan-Meier comparator reads its at-risk counts from that layout.
+sorts each row by (arm, follow-up) with its own ``lexsort`` and groups its
+events; the Kaplan-Meier comparator reads its at-risk counts from that
+layout.  A row's subjects and event groups are contiguous, so
+``RiskSetLayout.rows`` gives the layout of any rows of the batch by slicing
+and re-basing, without sorting again: the simulation sorts a look's
+snapshots once for the adjusted statistic and the Kaplan-Meier comparator.
 ``RiskSets`` adds the covariate columns, and ``RiskSets.evaluate`` returns
 each row's log likelihood, score, information and risk-set sums at the event
 groups for one coefficient vector per row, with one exp(z.beta) and one
@@ -26,7 +30,7 @@ the same bits.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -79,6 +83,11 @@ def _cat(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[i]:starts[i] + counts[i]`` joined, as indices."""
+    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+
+
 def _linear(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """x . beta over the last axis of x, one coefficient row per leading row,
     summed in covariate order (the same bits at any batch size)."""
@@ -97,9 +106,9 @@ class RiskSetLayout:
     sorted by (arm, follow-up) with ties in snapshot order.
 
     Event groups (the distinct event times of a (row, stratum) pair, ``q`` in
-    all) run row by row, stratum 0 first, ascending in time within a pair;
-    ``groups(b)`` gives row b's two stratum slices.  The subjects at risk at
-    a group are the last ``at_risk`` of its pair in ``order``.
+    all) run row by row, stratum 0 first, ascending in time within a pair.
+    The subjects at risk at a group are the last ``at_risk`` of its pair in
+    ``order``.
     """
 
     sizes: np.ndarray        # (B, 2) arm sizes, counting zero-follow-up subjects
@@ -163,10 +172,36 @@ class RiskSetLayout:
             row_starts=bounds[:-1:2],
         )
 
-    def groups(self, b: int = 0) -> tuple[slice, slice]:
-        """Row b's event groups of stratum 0 and of stratum 1."""
-        lo, mid, hi = (int(v) for v in self.offsets[2 * b : 2 * b + 3])
-        return slice(lo, mid), slice(mid, hi)
+    def rows(self, idx: Sequence[int]) -> "RiskSetLayout":
+        """The layout of the rows at positions ``idx``, in that order: equal,
+        field for field, to ``from_snapshots`` of those rows' snapshots.
+
+        Each row's sorted subjects and event groups are contiguous and at
+        risk counts are local to their pair, so the rows' slices are taken and
+        their positions re-based; nothing is sorted again.
+        """
+        idx = np.asarray(idx, dtype=np.intp)
+        if idx.size == 0:
+            raise ValueError("a risk-set batch needs at least one snapshot")
+        starts = self.row_starts[idx]
+        pair_ends = self.pair_ends.reshape(-1, 2)[idx]
+        n = pair_ends[:, 1] - starts
+        shift = np.cumsum(n) - n - starts
+        bounds = self.offsets[2 * idx[:, None] + np.arange(3)]  # each row's lo, mid, hi
+        lo, count = bounds[:, 0], bounds[:, 2] - bounds[:, 0]
+        groups = _ranges(lo, count)
+        return RiskSetLayout(
+            sizes=self.sizes[idx],
+            n_events=self.n_events[idx],
+            offsets=np.append((bounds[:, :2] + (np.cumsum(count) - count - lo)[:, None]).ravel(),
+                              groups.size),
+            event_times=self.event_times[groups],
+            dn=self.dn[groups],
+            at_risk=self.at_risk[groups],
+            order=self.order[_ranges(starts, n)] + np.repeat(shift, n),
+            pair_ends=(pair_ends + shift[:, None]).ravel(),
+            row_starts=starts + shift,
+        )
 
 
 @dataclass(frozen=True)
@@ -188,15 +223,25 @@ class RiskSets(RiskSetLayout):
     event_z_total: np.ndarray   # (B, p) covariate total over each row's events
 
     @classmethod
-    def from_snapshots(cls, snaps: Sequence[Snapshot]) -> "RiskSets":
-        layout = cls._layout(snaps)
-        offsets, at_risk = layout["offsets"], layout["at_risk"]
+    def from_snapshots(
+        cls, snaps: Sequence[Snapshot], layout: RiskSetLayout | None = None
+    ) -> "RiskSets":
+        """The risk sets of ``snaps``; ``layout`` is their ``RiskSetLayout``
+        when the caller has it (say, ``rows`` of a larger batch's), else
+        they are sorted here."""
+        if layout is None:
+            layout = RiskSetLayout.from_snapshots(snaps)
+        elif layout.row_starts.size != len(snaps):
+            raise ValueError(
+                f"the layout has {layout.row_starts.size} rows for {len(snaps)} snapshots"
+            )
+        offsets, at_risk = layout.offsets, layout.at_risk
         per_pair = offsets[1:] - offsets[:-1]
         kept = np.flatnonzero(per_pair)
         m = at_risk[offsets[kept]]
         length = int(m.max()) if m.size else 1
-        last = layout["pair_ends"][kept, None] - 1
-        subjects = layout["order"][np.maximum(last - np.arange(length), 0)]
+        last = layout.pair_ends[kept, None] - 1
+        subjects = layout.order[np.maximum(last - np.arange(length), 0)]
 
         z_all = _cat([s.covariates for s in snaps])
         p = z_all.shape[1]
@@ -207,12 +252,12 @@ class RiskSets(RiskSetLayout):
         np.multiply(z[:, None], z[None, :], out=products[1 + p :].reshape((p, p) + z.shape[1:]))
         events = _cat([s.event_observed for s in snaps])
         return cls(
-            **layout,
+            **{f.name: getattr(layout, f.name) for f in fields(RiskSetLayout)},
             pair_rows=kept // 2,
             ends=np.repeat(np.arange(0, kept.size * length, length), per_pair[kept]) + at_risk - 1,
             row_has_events=offsets[2::2] > offsets[:-1:2],
             products=products,
-            event_z_total=np.add.reduceat(z_all * events[:, None], layout["row_starts"], axis=0),
+            event_z_total=np.add.reduceat(z_all * events[:, None], layout.row_starts, axis=0),
         )
 
     def evaluate(self, beta: np.ndarray) -> RiskSetValues:
@@ -263,7 +308,8 @@ class RiskSets(RiskSetLayout):
 
     def row_values(self, values: RiskSetValues, b: int) -> RiskSetValues:
         """Row b of batched values: scalars, (p,) and (p, p) fields, and the
-        sums at its event groups, ``groups(b)`` shifted to start at 0."""
+        sums at its event groups, ``offsets[2b]:offsets[2b + 2]``, shifted
+        to start at 0."""
         g = slice(self.offsets[2 * b], self.offsets[2 * b + 2])
         return RiskSetValues(
             loglik=float(values.loglik[b]),
@@ -362,7 +408,7 @@ class FitBatch(NamedTuple):
         )
 
 
-def fit_mple_batch(snaps: Sequence[Snapshot]) -> FitBatch:
+def fit_mple_batch(snaps: Sequence[Snapshot], layout: RiskSetLayout | None = None) -> FitBatch:
     """Maximize each snapshot's stratified partial likelihood at its calendar
     time, all rows in lockstep.
 
@@ -374,10 +420,11 @@ def fit_mple_batch(snaps: Sequence[Snapshot]) -> FitBatch:
     unchanged.  A row that fails gets the error ``fit_mple`` raises for it;
     the other rows go on.  An arm with subjects but no observed events is
     legal (it contributes nothing and gets a flat baseline) but is reported
-    with a warning.
+    with a warning.  ``layout``, when given, is the snapshots' risk-set
+    layout (see ``RiskSets.from_snapshots``).
     """
     snaps = tuple(snaps)
-    risk_sets = RiskSets.from_snapshots(snaps)
+    risk_sets = RiskSets.from_snapshots(snaps, layout)
     n_rows, p = risk_sets.event_z_total.shape
     errors: list[SeqSurvError | None] = [None] * n_rows
 

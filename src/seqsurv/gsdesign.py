@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -179,26 +179,33 @@ class _Propagator:
         centre = self._x * math.sqrt(self.prev_if) + self.drift * delta
         return centre, math.sqrt(delta), math.sqrt(if_k)
 
-    def _crossing(self, if_k: float, c: float) -> tuple[float, float]:
-        """Stagewise crossing probability at boundary magnitude ``c`` and its
-        derivative in ``c`` (minus the continuation density at the boundary)."""
+    def _crossing_at(self, if_k: float) -> Callable[[float], tuple[float, float]]:
+        """The stagewise crossing probability at information fraction ``if_k``
+        as a function of the boundary magnitude ``c``, with its derivative in
+        ``c`` (minus the continuation density at the boundary).  The arrays
+        that do not depend on ``c`` are built here, once per stage."""
         centre, sd, root = self._increment(if_k)
         wg = self._wg
+        fold = self._fold
         # the lower tail at mean m is the upper tail at mean -m
         if self.sidedness == TWO_SIDED:
             centre, wg = np.concatenate((centre, -centre)), np.concatenate((wg, wg))
         elif self.sidedness == ONE_SIDED_LOWER:
             centre = -centre
-        t = (c * root - centre) / sd
-        prob = self._fold * float(wg @ ndtr(-t))
-        density = self._fold * float(wg @ _phi(t))
-        return prob, -density * root / sd
+
+        def crossing(c: float) -> tuple[float, float]:
+            t = (c * root - centre) / sd
+            prob = fold * float(wg @ ndtr(-t))
+            density = fold * float(wg @ _phi(t))
+            return prob, -density * root / sd
+
+        return crossing
 
     def stage_crossing(self, if_k: float, c: float) -> float:
         """P(first crossing happens at this stage) for boundary magnitude ``c``."""
         if self.dead or not math.isfinite(c):
             return 0.0
-        return self._crossing(if_k, c)[0]
+        return self._crossing_at(if_k)(c)[0]
 
     def solve_boundary(self, if_k: float, increment: float) -> float:
         """Boundary magnitude whose stagewise crossing equals the spending increment.
@@ -217,11 +224,12 @@ class _Propagator:
         quantile = float(ndtri(1.0 - tail))
         if self.prev_if == 0.0 and self.drift == 0.0:
             return quantile
+        crossing = self._crossing_at(if_k)
         if self.sidedness == TWO_SIDED:
             # at c = 0 a node's two tails sum to 1: all the continuation mass crosses
             zero_crossing = self._fold * float(self._wg.sum())
         else:
-            zero_crossing = self._crossing(if_k, 0.0)[0]
+            zero_crossing = crossing(0.0)[0]
         if zero_crossing <= increment:
             # even a zero boundary cannot spend this much; reject everything
             return 0.0
@@ -229,7 +237,7 @@ class _Propagator:
         c = min(max(quantile, lo), hi)
         step = step_before = hi - lo
         for _ in range(_MAX_SOLVE_ITER):
-            prob, slope = self._crossing(if_k, c)
+            prob, slope = crossing(c)
             f = prob - increment
             if f == 0.0:
                 return c

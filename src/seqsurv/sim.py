@@ -25,6 +25,7 @@ from scipy.optimize import brentq, isotonic_regression
 
 from .adjusted import compare_sp_batch
 from .comparators import cox_wald_batch, km_compare_batch
+from .cox import RiskSetLayout
 # bench/spans.py wraps these three names here; the simulation calls the batch functions
 from .adjusted import compare_sp  # noqa: F401
 from .comparators import cox_wald, km_compare  # noqa: F401
@@ -218,17 +219,20 @@ def generate_columns(scenario: Scenario, seed: int, replicate: int = 0) -> Colum
     )
 
 
-# Each method's statistic over a batch of snapshots: its batch, whose rows
-# hold z, info_level and the SeqSurvError the row raised (None when it did
-# not).  The entries look the batch functions up in this module when called.
+# Each method's statistic over a batch of snapshots, ``(snaps, t0, layout)``:
+# its batch, whose rows hold z, info_level and the SeqSurvError the row raised
+# (None when it did not).  ``layout`` is the snapshots' RiskSetLayout, or None
+# to have them sorted; Cox-Wald, which lays out pooled copies, ignores it.
+# The entries look the batch functions up in this module when called.
 # run_oc, calibration and the analyze command reach them here; compare_sp,
 # km_compare and cox_wald, their batches of one, are on none of these paths.
 STATISTICS = {
-    "adjusted": lambda snaps, t0: compare_sp_batch(snaps, t0),
-    "km": lambda snaps, t0: km_compare_batch(snaps, t0),
-    "cox": lambda snaps, t0: cox_wald_batch(snaps),
+    "adjusted": lambda snaps, t0, layout: compare_sp_batch(snaps, t0, layout=layout),
+    "km": lambda snaps, t0, layout: km_compare_batch(snaps, t0, layout=layout),
+    "cox": lambda snaps, t0, layout: cox_wald_batch(snaps),
 }
 METHODS = tuple(STATISTICS)
+_SORTED_METHODS = ("adjusted", "km")  # the methods that read the snapshots' layout
 
 
 def method_statistic(method: str, snap: Snapshot, t0: float) -> tuple[float, float]:
@@ -238,10 +242,24 @@ def method_statistic(method: str, snap: Snapshot, t0: float) -> tuple[float, flo
     if method not in STATISTICS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     check_t0(t0)
-    batch = STATISTICS[method]((snap,), t0)
+    batch = STATISTICS[method]((snap,), t0, None)
     if batch.errors[0] is not None:
         raise batch.errors[0]
     return batch.z[0], batch.info_level[0]
+
+
+def _check_methods(methods: Sequence[str]) -> tuple[str, ...]:
+    """The methods as a tuple; at least one, each a name of ``METHODS``, none repeated."""
+    methods = tuple(methods)
+    if not methods:
+        raise ValueError(f"at least one method is required; choose from {METHODS}")
+    for m in methods:
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise ValueError(f"method(s) {', '.join(map(repr, repeated))} given more than once")
+    return methods
 
 
 def _check_count(name: str, value) -> None:
@@ -260,7 +278,9 @@ def _monitor_block(scenario, design, methods, analysis_times, method_totals, see
     whose monitoring of that method is still running; a method whose monitor
     has rejected, accepted or failed takes no later looks in that replicate.
     A row's statistic does not depend on the other rows, so a replicate's
-    stages do not depend on its block.
+    stages do not depend on its block.  The snapshots a look's adjusted and
+    KM rows need are sorted once, into one ``RiskSetLayout``, and each of
+    the two takes its rows of it.
     """
     cols = [generate_columns(scenario, seed, r) for r in rs]
     stages = [dict.fromkeys(methods, 0) for _ in rs]
@@ -271,11 +291,20 @@ def _monitor_block(scenario, design, methods, analysis_times, method_totals, see
         if not live:
             break
         snaps = {i: snapshot(cols[i], u) for i in live}
+        sorted_rows = [i for i in live if any(m in monitors[i] for m in _SORTED_METHODS)]
+        if sorted_rows:
+            look_layout = RiskSetLayout.from_snapshots([snaps[i] for i in sorted_rows])
+            position = {i: j for j, i in enumerate(sorted_rows)}
         for m in methods:
             rows = [i for i in live if m in monitors[i]]
             if not rows:
                 continue
-            batch = STATISTICS[m]([snaps[i] for i in rows], scenario.tau)
+            layout = None
+            if m in _SORTED_METHODS:
+                layout = look_layout
+                if len(rows) < len(sorted_rows):
+                    layout = look_layout.rows([position[i] for i in rows])
+            batch = STATISTICS[m]([snaps[i] for i in rows], scenario.tau, layout)
             for i, z, info, error in zip(rows, batch.z, batch.info_level, batch.errors):
                 decision = "fail"
                 if error is None:
@@ -379,10 +408,7 @@ def run_oc(
     step against that method's total information.  Results are deterministic
     in (scenario, seed, replicates) regardless of ``workers``.
     """
-    methods = tuple(methods)
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+    methods = _check_methods(methods)
     totals = _method_totals(calibration, methods)
     if len(calibration.analysis_times) != design.n_stages:
         raise ValueError(
@@ -441,13 +467,18 @@ class CalibrationResult:
 def _calibration_block(scenario, grid, methods, seed, rs) -> list[list[float]]:
     """Each replicate of ``rs``: its adjusted information at each grid time,
     from one batched statistic call on its grid-time snapshots, then each
-    other method's (``methods[1:]``) at the study end; NaN marks a failure."""
+    other method's (``methods[1:]``) at the study end; NaN marks a failure.
+    The grid-time snapshots are sorted once: the study-end statistics take
+    the last row of the adjusted call's layout."""
     rows = []
     for r in rs:
         cols = generate_columns(scenario, seed, _CALIBRATION_STREAM_OFFSET + r)
         snaps = [snapshot(cols, u) for u in grid]
-        batches = [STATISTICS["adjusted"](snaps, scenario.tau)]
-        batches += [STATISTICS[m](snaps[-1:], scenario.tau) for m in methods[1:]]
+        layout = RiskSetLayout.from_snapshots(snaps)
+        batches = [STATISTICS["adjusted"](snaps, scenario.tau, layout)]
+        if methods[1:]:
+            end = layout.rows([len(grid) - 1])
+            batches += [STATISTICS[m](snaps[-1:], scenario.tau, end) for m in methods[1:]]
         rows.append([
             info if error is None else math.nan
             for batch in batches
@@ -472,7 +503,7 @@ def calibrate_analysis_times(
     smoothed by isotonic regression before inversion.  Total information per
     method is the mean at the study end.
     """
-    methods = tuple(dict.fromkeys(("adjusted",) + tuple(methods)))
+    methods = tuple(dict.fromkeys(("adjusted",) + _check_methods(methods)))
     grid = tuple(np.linspace(scenario.tau, scenario.study_length, _CALIBRATION_GRID_SIZE))
 
     fixed = (scenario, grid, methods, seed)

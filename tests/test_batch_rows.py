@@ -1,6 +1,10 @@
 """The batch-row invariant, as hypothesis properties: each snapshot's row of a
 batched statistic is its batch of one bit for bit, with the same error class
-and message, whatever the other rows are and in whatever order they come."""
+and message, whatever the other rows are and in whatever order they come,
+also when its risk-set layout is taken from a larger batch's."""
+
+import itertools
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from seqsurv import (
     km_compare_batch,
     snapshot,
 )
+from seqsurv.cox import RiskSetLayout
 from seqsurv.sim import COVARIATE_SCHEMES
 
 DAYS = 365.25
@@ -24,23 +29,37 @@ DAYS = 365.25
 
 @st.composite
 def batches(draw):
-    """1-6 snapshots of small trials that share one covariate scheme, and a
+    """1-12 snapshots of small trials that share one covariate scheme, and a
     t0 no later than the earliest look.  Some trials keep one arm only;
-    early looks leave an arm without events; day-rounded times tie."""
+    in some every treated subject outlives every control, or a covariate
+    orders the event times (separation); early looks leave an arm without
+    events; day-rounded times tie."""
     scheme = draw(st.sampled_from(COVARIATE_SCHEMES))
     days = draw(st.booleans())
     snaps = []
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(1, 12))):
         scenario = Scenario(
             n0=draw(st.integers(2, 40)), n1=draw(st.integers(2, 40)), tau=1.0,
             beta_w=draw(st.sampled_from((0.0, -1.0, 1.0))), covariate_scheme=scheme,
             phi=0.5, accrual=2.0,
         )
         cols = generate_columns(scenario, draw(st.integers(0, 2**32 - 1)))
-        one_arm = draw(st.sampled_from((None, None, None, 0, 1)))
-        if one_arm is not None:
-            keep = cols.arm == one_arm
+        kind = draw(st.sampled_from(("both", "both", "both", "separated", "ordered", 0, 1)))
+        if kind in (0, 1):
+            keep = cols.arm == kind
             cols = Columns(tuple(np.array(cols.ids)[keep]), *(c[keep] for c in cols[1:]))
+        elif kind == "separated":
+            # treated subjects enter at 0 and have no event before any look,
+            # so each is followed longer than any control: the Cox-Wald
+            # treatment coefficient runs off towards -inf
+            treated = cols.arm == 1
+            cols = cols._replace(entry=np.where(treated, 0.0, cols.entry),
+                                 time_on_study=np.where(treated, 10.0, cols.time_on_study))
+        elif kind == "ordered" and cols.covariates.shape[1]:
+            # the first covariate falls with the event time: both Cox fits separate
+            z = cols.covariates.copy()
+            z[:, 0] = -3.0 * cols.time_on_study
+            cols = cols._replace(covariates=z)
         if days:
             cols = cols._replace(
                 entry=np.round(cols.entry * DAYS) / DAYS,
@@ -60,8 +79,8 @@ def _error(error) -> tuple | None:
     return None if error is None else (type(error), str(error))
 
 
-def _fit_rows(snaps, t0):
-    batch = fit_mple_batch(snaps)
+def _fit_rows(snaps, t0, layout=None):
+    batch = fit_mple_batch(snaps, layout=layout)
     rows = []
     for b, error in enumerate(batch.errors):
         row = [_bits((batch.beta_hat[b], batch.iterations[b], batch.step_halvings[b])),
@@ -73,8 +92,8 @@ def _fit_rows(snaps, t0):
     return rows
 
 
-def _sp_rows(snaps, t0):
-    batch = compare_sp_batch(snaps, t0)
+def _sp_rows(snaps, t0, layout=None):
+    batch = compare_sp_batch(snaps, t0, layout=layout)
     return [
         [_bits((batch.z[b], batch.info_level[b], batch.sigma2_hat[b])), _error(error),
          None if error is not None else _bits(batch.result(b).s_hat)]
@@ -82,8 +101,8 @@ def _sp_rows(snaps, t0):
     ]
 
 
-def _km_rows(snaps, t0):
-    batch = km_compare_batch(snaps, t0)
+def _km_rows(snaps, t0, layout=None):
+    batch = km_compare_batch(snaps, t0, layout=layout)
     return [
         [_bits((batch.s_hat[b], batch.variance[b], batch.z[b], batch.info_level[b])), _error(error)]
         for b, error in enumerate(batch.errors)
@@ -116,3 +135,39 @@ def test_each_row_is_its_batch_of_one_in_either_order(name, drawn):
     batch = rows(snaps, t0)
     assert batch == [rows([snap], t0)[0] for snap in snaps]
     assert rows(snaps[::-1], t0) == batch[::-1]
+
+
+def _layout_fields(layout) -> list:
+    return [(f.name, getattr(layout, f.name).dtype, getattr(layout, f.name).shape,
+             getattr(layout, f.name).tobytes()) for f in fields(RiskSetLayout)]
+
+
+@given(drawn=batches(), data=st.data())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_rows_of_a_layout_are_the_layout_of_those_snapshots(drawn, data):
+    snaps, _ = drawn
+    layout = RiskSetLayout.from_snapshots(snaps)
+    positions = range(len(snaps))
+    if len(snaps) <= 6:
+        subsets = [list(c) for k in range(1, len(snaps) + 1)
+                   for c in itertools.combinations(positions, k)]
+    else:
+        subsets = [[i] for i in positions] + [list(positions)[1:], list(positions)[:-1]]
+    # any order, repeats allowed
+    subsets.append(data.draw(st.lists(st.sampled_from(positions), min_size=1, max_size=12)))
+    for idx in subsets:
+        expected = RiskSetLayout.from_snapshots([snaps[i] for i in idx])
+        assert _layout_fields(layout.rows(idx)) == _layout_fields(expected), idx
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", ["fit_mple_batch", "compare_sp_batch", "km_compare_batch"])
+@given(drawn=batches(), data=st.data())
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_rows_from_a_larger_layout_are_their_batch_of_one(name, drawn, data):
+    snaps, t0 = drawn
+    idx = data.draw(st.lists(st.sampled_from(range(len(snaps))), min_size=1, max_size=len(snaps)))
+    layout = RiskSetLayout.from_snapshots(snaps).rows(idx)
+    rows = ROWS[name]
+    picked = [snaps[i] for i in idx]
+    assert rows(picked, t0, layout) == [rows([snap], t0)[0] for snap in picked]

@@ -370,6 +370,22 @@ def test_simulate_zero_workers_is_an_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("methods, message", [
+    ("KM", "unknown method 'KM'; choose from ('adjusted', 'km', 'cox')"),
+    ("bogus", "unknown method 'bogus'; choose from ('adjusted', 'km', 'cox')"),
+    ("", "at least one method is required; choose from ('adjusted', 'km', 'cox')"),
+    ("km,km", "method(s) 'km' given more than once"),
+])
+def test_simulate_refuses_a_bad_method_list(tmp_path, capsys, methods, message):
+    scenario_file = tmp_path / "scenario.txt"
+    scenario_file.write_text(scenario_to_text(Scenario(n0=20, n1=20, tau=1.0, accrual=1.0)))
+    out = tmp_path / "oc.csv"
+    code = main(simulate_args(tmp_path, scenario_file, out) + ["--methods", methods])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_simulate_non_finite_scenario_value_is_an_error(tmp_path, capsys):
     scenario_file = tmp_path / "scenario.txt"
     text = scenario_to_text(Scenario(n0=20, n1=20, tau=1.0, accrual=1.0))

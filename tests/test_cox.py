@@ -257,7 +257,7 @@ def test_nonconvergence_carries_last_iterate(hand_snapshot, monkeypatch):
 def test_risk_sets_first_event_and_information_psd(hand_snapshot):
     risk_sets = RiskSets.from_snapshots((hand_snapshot,))
     values = risk_sets.evaluate(np.zeros(1))
-    first0 = risk_sets.groups()[0].start
+    first0 = risk_sets.offsets[0]
     # first stratum-0 event at 0.9 has all three stratum-0 subjects at risk
     assert risk_sets.event_times[first0] == 0.9
     assert values.r0[first0] == pytest.approx(3.0)

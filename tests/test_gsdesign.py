@@ -477,22 +477,27 @@ def test_one_sided_boundaries_solve_and_cross(sides):
 
 
 def test_boundary_solves_stop_at_the_rounding_floor(monkeypatch):
-    crossing, solve = _Propagator._crossing, _Propagator.solve_boundary
+    crossing_at, solve = _Propagator._crossing_at, _Propagator.solve_boundary
     calls = [0]
     solves = []
 
-    def counted_crossing(self, if_k, c):
-        calls[0] += 1
-        return crossing(self, if_k, c)
+    def counted_crossing_at(self, if_k):
+        crossing = crossing_at(self, if_k)
+
+        def counted_crossing(c):
+            calls[0] += 1
+            return crossing(c)
+
+        return counted_crossing
 
     def recorded_solve(self, if_k, increment):
         calls[0] = 0
         c = solve(self, if_k, increment)
         if 0.0 < c < math.inf:
-            solves.append((calls[0], abs(crossing(self, if_k, c)[0] - increment)))
+            solves.append((calls[0], abs(crossing_at(self, if_k)(c)[0] - increment)))
         return c
 
-    monkeypatch.setattr(_Propagator, "_crossing", counted_crossing)
+    monkeypatch.setattr(_Propagator, "_crossing_at", counted_crossing_at)
     monkeypatch.setattr(_Propagator, "solve_boundary", recorded_solve)
     # crossing-hazard null; workers=1 so the patched methods are the ones called
     sc = Scenario(n0=100, n1=100, tau=1.0, alpha0=2.0, alpha1=-1.0,

@@ -5,9 +5,12 @@ import signal
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from seqsurv import (
@@ -242,9 +245,9 @@ def test_run_oc_takes_no_look_after_a_rejection(monkeypatch):
     real = sim.STATISTICS["adjusted"]
     z_first = 50.0
 
-    def statistic(snaps, t0):
+    def statistic(snaps, t0, layout):
         # z_first at the first look; no statistic at any later look
-        batch = real(snaps, t0)
+        batch = real(snaps, t0, layout)
         unavailable = [z_first is None or snap.calendar_time > cal.analysis_times[0] for snap in snaps]
         return batch._replace(
             z=[math.nan if u else z_first for u in unavailable],
@@ -311,6 +314,23 @@ def test_a_replicates_stages_do_not_depend_on_its_block(mixed_block):
     for r in range(64):
         alone = sim._monitor_block(*mixed_block, range(r, r + 1))
         assert alone == [wide[r]] == [_monitor_alone(*mixed_block, r)]
+
+
+@pytest.fixture(scope="module")
+def mixed_alone(mixed_block):
+    return [_monitor_alone(*mixed_block, r) for r in range(9)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(replicates=st.integers(1, 9), workers=st.integers(1, 3), block=st.integers(1, 4))
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_a_replicates_stages_do_not_depend_on_the_block_layout(
+    mixed_block, mixed_alone, replicates, workers, block
+):
+    # the pool is kept across calls, so at most 3 worker processes exist at a time
+    with mock.patch.object(sim, "_BLOCK_REPLICATES", block):
+        stages = sim._map_replicates(sim._monitor_block, mixed_block, replicates, workers)
+    assert stages == mixed_alone[:replicates]
 
 
 def _special_rows():
@@ -479,6 +499,25 @@ def test_calibrate_effect_rejects_unreachable_targets():
         calibrate_effect(sc, 0.8, design, calibration=starved, replicates=40)
 
 
+@pytest.mark.parametrize("methods, message", [
+    ((), "at least one method is required; choose from ('adjusted', 'km', 'cox')"),
+    (("adjusted", "bogus"), "unknown method 'bogus'; choose from ('adjusted', 'km', 'cox')"),
+    (("KM",), "unknown method 'KM'; choose from ('adjusted', 'km', 'cox')"),
+    (("km", "km"), "method(s) 'km' given more than once"),
+    (("adjusted", "km", "adjusted", "km"), "method(s) 'adjusted', 'km' given more than once"),
+])
+def test_simulation_entry_points_refuse_a_bad_method_list(effect_inputs, monkeypatch, methods, message):
+    def no_replicates(*args):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(sim, "_map_replicates", no_replicates)
+    sc, design, cal = effect_inputs
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_oc(sc, design, methods, replicates=4, calibration=cal)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        calibrate_analysis_times(sc, replicates=4, methods=methods)
+
+
 def test_simulation_entry_points_reject_zero_replicates():
     sc, design, cal = _effect_inputs(17)
     with pytest.raises(ValueError, match="replicates"):
@@ -552,9 +591,9 @@ def test_calibration_evaluates_each_method_at_the_study_end_on_its_own(monkeypat
     real = sim.compare_sp_batch
     end_calls = []
 
-    def compare_sp_batch_failing_at_the_end(snaps, t0):
+    def compare_sp_batch_failing_at_the_end(snaps, t0, layout=None):
         # each replicate's batch holds its grid-time snapshots, the study end last
-        batch = real(snaps, t0)
+        batch = real(snaps, t0, layout=layout)
         if snaps[-1].calendar_time == sc.study_length:
             end_calls.append(snaps[-1].calendar_time)
             if len(end_calls) % 2:
