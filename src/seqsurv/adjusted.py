@@ -254,7 +254,8 @@ def compare_sp_batch(
     statistic gets the error ``compare_sp`` raises for it; a ``t0`` that is
     not positive or exceeds a snapshot's calendar time raises ``ValueError``.
     ``layout`` is the snapshots' risk-set layout when the caller has it; the
-    fit takes its rows of the snapshots with both arms present.
+    fit uses it when every snapshot has both arms, and otherwise sorts the
+    snapshots it fits.
     """
     snaps = tuple(snaps)
     n_rows = len(snaps)
@@ -272,9 +273,7 @@ def compare_sp_batch(
     z, info_level, sigma2 = [math.nan] * n_rows, [math.nan] * n_rows, [math.nan] * n_rows
     fits = comps = None
     if fitted:
-        if layout is not None and len(fitted) < n_rows:
-            layout = layout.rows([b for b, k in enumerate(fit_rows) if k >= 0])
-        fits = fit_mple_batch(fitted, layout=layout)
+        fits = fit_mple_batch(fitted, layout=layout if len(fitted) == n_rows else None)
         comps = _components(fits, fitted, t0)
         variances = _sp_variances(comps).tolist()
         sp = comps.adjusted_sp.tolist()

@@ -22,7 +22,15 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cox import STRATA, FitBatch, RiskSetLayout, StratifiedCoxFit, _cat, fit_mple_batch
+from .cox import (
+    STRATA,
+    FitBatch,
+    RiskSetLayout,
+    StratifiedCoxFit,
+    _cat,
+    _layout_of,
+    fit_mple_batch,
+)
 from .cox import fit_mple  # noqa: F401  bench/spans.py wraps seqsurv.comparators.fit_mple
 from .data import Snapshot, check_t0
 from .errors import DegenerateDataError, SeqSurvError
@@ -115,8 +123,7 @@ def km_compare_batch(
     snaps = tuple(snaps)
     for snap in snaps:
         check_t0(t0, snap)
-    if layout is None:
-        layout = RiskSetLayout.from_snapshots(snaps)
+    layout = _layout_of(snaps, layout)
     surv, var = (v.reshape(-1, 2).tolist() for v in _km_at_t0(layout, t0))
     sizes = layout.sizes.tolist()
     # each nonempty arm's longest follow-up: its last subject in sorted order

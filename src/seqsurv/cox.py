@@ -10,10 +10,9 @@ Every quantity comes from one risk-set kernel (Therneau & Grambsch 2000,
 ch. 3) over a batch of snapshots, its rows.  ``RiskSetLayout.from_snapshots``
 sorts each row by (arm, follow-up) with its own ``lexsort`` and groups its
 events; the Kaplan-Meier comparator reads its at-risk counts from that
-layout.  A row's subjects and event groups are contiguous, so
-``RiskSetLayout.rows`` gives the layout of any rows of the batch by slicing
-and re-basing, without sorting again: the simulation sorts a look's
-snapshots once for the adjusted statistic and the Kaplan-Meier comparator.
+layout.  A caller that has the layout of a batch hands it in (``layout=``)
+instead of having it sorted again: the simulation sorts a look's snapshots
+once for the adjusted statistic and the Kaplan-Meier comparator.
 ``RiskSets`` adds the covariate columns, and ``RiskSets.evaluate`` returns
 each row's log likelihood, score, information and risk-set sums at the event
 groups for one coefficient vector per row, with one exp(z.beta) and one
@@ -81,11 +80,6 @@ def _segment_sums(values: np.ndarray, bounds: np.ndarray, nonempty: np.ndarray) 
 def _cat(arrays: list[np.ndarray]) -> np.ndarray:
     """The arrays joined along the first axis (a batch of one is not copied)."""
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The ranges ``starts[i]:starts[i] + counts[i]`` joined, as indices."""
-    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
 
 
 def _linear(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -172,36 +166,19 @@ class RiskSetLayout:
             row_starts=bounds[:-1:2],
         )
 
-    def rows(self, idx: Sequence[int]) -> "RiskSetLayout":
-        """The layout of the rows at positions ``idx``, in that order: equal,
-        field for field, to ``from_snapshots`` of those rows' snapshots.
 
-        Each row's sorted subjects and event groups are contiguous and at
-        risk counts are local to their pair, so the rows' slices are taken and
-        their positions re-based; nothing is sorted again.
-        """
-        idx = np.asarray(idx, dtype=np.intp)
-        if idx.size == 0:
-            raise ValueError("a risk-set batch needs at least one snapshot")
-        starts = self.row_starts[idx]
-        pair_ends = self.pair_ends.reshape(-1, 2)[idx]
-        n = pair_ends[:, 1] - starts
-        shift = np.cumsum(n) - n - starts
-        bounds = self.offsets[2 * idx[:, None] + np.arange(3)]  # each row's lo, mid, hi
-        lo, count = bounds[:, 0], bounds[:, 2] - bounds[:, 0]
-        groups = _ranges(lo, count)
-        return RiskSetLayout(
-            sizes=self.sizes[idx],
-            n_events=self.n_events[idx],
-            offsets=np.append((bounds[:, :2] + (np.cumsum(count) - count - lo)[:, None]).ravel(),
-                              groups.size),
-            event_times=self.event_times[groups],
-            dn=self.dn[groups],
-            at_risk=self.at_risk[groups],
-            order=self.order[_ranges(starts, n)] + np.repeat(shift, n),
-            pair_ends=(pair_ends + shift[:, None]).ravel(),
-            row_starts=starts + shift,
+def _layout_of(snaps: Sequence[Snapshot], layout: RiskSetLayout | None) -> RiskSetLayout:
+    """``layout`` checked to be laid out as ``snaps`` (one row per snapshot,
+    as many subjects), or, when it is None, ``snaps`` sorted into one."""
+    if layout is None:
+        return RiskSetLayout.from_snapshots(snaps)
+    rows, subjects = layout.row_starts.size, layout.order.size
+    if rows != len(snaps) or subjects != sum(s.n for s in snaps):
+        raise ValueError(
+            f"the layout has {rows} rows of {subjects} subjects for "
+            f"{len(snaps)} snapshots of {sum(s.n for s in snaps)}"
         )
+    return layout
 
 
 @dataclass(frozen=True)
@@ -227,14 +204,8 @@ class RiskSets(RiskSetLayout):
         cls, snaps: Sequence[Snapshot], layout: RiskSetLayout | None = None
     ) -> "RiskSets":
         """The risk sets of ``snaps``; ``layout`` is their ``RiskSetLayout``
-        when the caller has it (say, ``rows`` of a larger batch's), else
-        they are sorted here."""
-        if layout is None:
-            layout = RiskSetLayout.from_snapshots(snaps)
-        elif layout.row_starts.size != len(snaps):
-            raise ValueError(
-                f"the layout has {layout.row_starts.size} rows for {len(snaps)} snapshots"
-            )
+        when the caller has it, else they are sorted here."""
+        layout = _layout_of(snaps, layout)
         offsets, at_risk = layout.offsets, layout.at_risk
         per_pair = offsets[1:] - offsets[:-1]
         kept = np.flatnonzero(per_pair)

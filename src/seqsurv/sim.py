@@ -219,20 +219,28 @@ def generate_columns(scenario: Scenario, seed: int, replicate: int = 0) -> Colum
     )
 
 
+def _reads_layout(statistic):
+    """Mark a ``STATISTICS`` entry that reads the snapshots' RiskSetLayout."""
+    statistic.reads_layout = True
+    return statistic
+
+
 # Each method's statistic over a batch of snapshots, ``(snaps, t0, layout)``:
 # its batch, whose rows hold z, info_level and the SeqSurvError the row raised
 # (None when it did not).  ``layout`` is the snapshots' RiskSetLayout, or None
-# to have them sorted; Cox-Wald, which lays out pooled copies, ignores it.
+# to have them sorted; only the entries marked ``reads_layout`` read it
+# (Cox-Wald lays out pooled copies of its own).
 # The entries look the batch functions up in this module when called.
 # run_oc, calibration and the analyze command reach them here; compare_sp,
 # km_compare and cox_wald, their batches of one, are on none of these paths.
 STATISTICS = {
-    "adjusted": lambda snaps, t0, layout: compare_sp_batch(snaps, t0, layout=layout),
-    "km": lambda snaps, t0, layout: km_compare_batch(snaps, t0, layout=layout),
+    "adjusted": _reads_layout(
+        lambda snaps, t0, layout: compare_sp_batch(snaps, t0, layout=layout)
+    ),
+    "km": _reads_layout(lambda snaps, t0, layout: km_compare_batch(snaps, t0, layout=layout)),
     "cox": lambda snaps, t0, layout: cox_wald_batch(snaps),
 }
 METHODS = tuple(STATISTICS)
-_SORTED_METHODS = ("adjusted", "km")  # the methods that read the snapshots' layout
 
 
 def method_statistic(method: str, snap: Snapshot, t0: float) -> tuple[float, float]:
@@ -278,9 +286,10 @@ def _monitor_block(scenario, design, methods, analysis_times, method_totals, see
     whose monitoring of that method is still running; a method whose monitor
     has rejected, accepted or failed takes no later looks in that replicate.
     A row's statistic does not depend on the other rows, so a replicate's
-    stages do not depend on its block.  The snapshots a look's adjusted and
-    KM rows need are sorted once, into one ``RiskSetLayout``, and each of
-    the two takes its rows of it.
+    stages do not depend on its block.  A look sorts each row list that a
+    statistic reading a ``RiskSetLayout`` needs once: the adjusted and KM
+    rows are the same until one of the two stops in some replicate, and
+    then share one layout.
     """
     cols = [generate_columns(scenario, seed, r) for r in rs]
     stages = [dict.fromkeys(methods, 0) for _ in rs]
@@ -291,19 +300,16 @@ def _monitor_block(scenario, design, methods, analysis_times, method_totals, see
         if not live:
             break
         snaps = {i: snapshot(cols[i], u) for i in live}
-        sorted_rows = [i for i in live if any(m in monitors[i] for m in _SORTED_METHODS)]
-        if sorted_rows:
-            look_layout = RiskSetLayout.from_snapshots([snaps[i] for i in sorted_rows])
-            position = {i: j for j, i in enumerate(sorted_rows)}
+        layouts = {}  # this look's RiskSetLayout of each row list a statistic reads
         for m in methods:
-            rows = [i for i in live if m in monitors[i]]
+            rows = tuple(i for i in live if m in monitors[i])
             if not rows:
                 continue
             layout = None
-            if m in _SORTED_METHODS:
-                layout = look_layout
-                if len(rows) < len(sorted_rows):
-                    layout = look_layout.rows([position[i] for i in rows])
+            if getattr(STATISTICS[m], "reads_layout", False):
+                if rows not in layouts:
+                    layouts[rows] = RiskSetLayout.from_snapshots([snaps[i] for i in rows])
+                layout = layouts[rows]
             batch = STATISTICS[m]([snaps[i] for i in rows], scenario.tau, layout)
             for i, z, info, error in zip(rows, batch.z, batch.info_level, batch.errors):
                 decision = "fail"
@@ -467,18 +473,13 @@ class CalibrationResult:
 def _calibration_block(scenario, grid, methods, seed, rs) -> list[list[float]]:
     """Each replicate of ``rs``: its adjusted information at each grid time,
     from one batched statistic call on its grid-time snapshots, then each
-    other method's (``methods[1:]``) at the study end; NaN marks a failure.
-    The grid-time snapshots are sorted once: the study-end statistics take
-    the last row of the adjusted call's layout."""
+    other method's (``methods[1:]``) at the study end; NaN marks a failure."""
     rows = []
     for r in rs:
         cols = generate_columns(scenario, seed, _CALIBRATION_STREAM_OFFSET + r)
         snaps = [snapshot(cols, u) for u in grid]
-        layout = RiskSetLayout.from_snapshots(snaps)
-        batches = [STATISTICS["adjusted"](snaps, scenario.tau, layout)]
-        if methods[1:]:
-            end = layout.rows([len(grid) - 1])
-            batches += [STATISTICS[m](snaps[-1:], scenario.tau, end) for m in methods[1:]]
+        batches = [STATISTICS["adjusted"](snaps, scenario.tau, None)]
+        batches += [STATISTICS[m](snaps[-1:], scenario.tau, None) for m in methods[1:]]
         rows.append([
             info if error is None else math.nan
             for batch in batches

@@ -1,10 +1,7 @@
 """The batch-row invariant, as hypothesis properties: each snapshot's row of a
 batched statistic is its batch of one bit for bit, with the same error class
 and message, whatever the other rows are and in whatever order they come,
-also when its risk-set layout is taken from a larger batch's."""
-
-import itertools
-from dataclasses import fields
+also when the batch's risk-set layout is handed in."""
 
 import numpy as np
 import pytest
@@ -123,6 +120,8 @@ ROWS = {
     "km_compare_batch": _km_rows,
     "cox_wald_batch": _cox_wald_rows,
 }
+# the batch functions that take the snapshots' risk-set layout
+LAYOUT_READERS = ("fit_mple_batch", "compare_sp_batch", "km_compare_batch")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -135,39 +134,18 @@ def test_each_row_is_its_batch_of_one_in_either_order(name, drawn):
     batch = rows(snaps, t0)
     assert batch == [rows([snap], t0)[0] for snap in snaps]
     assert rows(snaps[::-1], t0) == batch[::-1]
+    if name in LAYOUT_READERS:
+        assert rows(snaps, t0, RiskSetLayout.from_snapshots(snaps)) == batch
 
 
-def _layout_fields(layout) -> list:
-    return [(f.name, getattr(layout, f.name).dtype, getattr(layout, f.name).shape,
-             getattr(layout, f.name).tobytes()) for f in fields(RiskSetLayout)]
-
-
-@given(drawn=batches(), data=st.data())
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_rows_of_a_layout_are_the_layout_of_those_snapshots(drawn, data):
-    snaps, _ = drawn
-    layout = RiskSetLayout.from_snapshots(snaps)
-    positions = range(len(snaps))
-    if len(snaps) <= 6:
-        subsets = [list(c) for k in range(1, len(snaps) + 1)
-                   for c in itertools.combinations(positions, k)]
-    else:
-        subsets = [[i] for i in positions] + [list(positions)[1:], list(positions)[:-1]]
-    # any order, repeats allowed
-    subsets.append(data.draw(st.lists(st.sampled_from(positions), min_size=1, max_size=12)))
-    for idx in subsets:
-        expected = RiskSetLayout.from_snapshots([snaps[i] for i in idx])
-        assert _layout_fields(layout.rows(idx)) == _layout_fields(expected), idx
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("name", ["fit_mple_batch", "compare_sp_batch", "km_compare_batch"])
-@given(drawn=batches(), data=st.data())
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_rows_from_a_larger_layout_are_their_batch_of_one(name, drawn, data):
-    snaps, t0 = drawn
-    idx = data.draw(st.lists(st.sampled_from(range(len(snaps))), min_size=1, max_size=len(snaps)))
-    layout = RiskSetLayout.from_snapshots(snaps).rows(idx)
-    rows = ROWS[name]
-    picked = [snaps[i] for i in idx]
-    assert rows(picked, t0, layout) == [rows([snap], t0)[0] for snap in picked]
+@pytest.mark.parametrize("name", LAYOUT_READERS)
+def test_a_layout_of_other_snapshots_is_refused(name):
+    scenario = Scenario(n0=10, n1=10, tau=1.0, accrual=1.0)
+    snaps = [snapshot(generate_columns(scenario, seed), 2.0) for seed in (1, 2)]
+    fewer_rows = RiskSetLayout.from_snapshots(snaps[:1])
+    with pytest.raises(ValueError, match="^the layout has 1 rows of 20 subjects for 2 snapshots of 40$"):
+        ROWS[name](snaps, 0.5, fewer_rows)
+    smaller = RiskSetLayout.from_snapshots([snapshot(generate_columns(Scenario(
+        n0=5, n1=5, tau=1.0, accrual=1.0), 3), 2.0)])
+    with pytest.raises(ValueError, match="^the layout has 1 rows of 10 subjects for 1 snapshots of 20$"):
+        ROWS[name](snaps[:1], 0.5, smaller)
