@@ -384,9 +384,11 @@ class StageResult:
     observed_info_level: float  # the level given to the step
 
 
-class SequentialMonitor:
-    """Error-spending monitor: re-solves each stage's boundary at the observed
-    information fraction, conditional on the boundaries already used.
+@dataclass
+class MonitoringState:
+    """Error-spending monitor and the record of its session: re-solves each
+    stage's boundary at the observed information fraction, conditional on
+    the boundaries already used.
 
     Observed fractions above 1 clamp to 1 and force a final analysis; the
     final stage spends all remaining alpha.  Crossing at exactly the boundary
@@ -394,57 +396,55 @@ class SequentialMonitor:
     over the previous stage's level (saturated follow-up, or estimation
     noise) is raised to that; the stage keeps the level it was given as
     ``observed_info_level``.
+
+    Stages passed to the constructor (and a state file's rows) replay through
+    the admission check and ``_record`` of a live ``step``, so a recorded
+    session is accepted exactly when a live monitor could have taken its
+    looks in that order.  A NaN calendar time marks a look given none.
     """
 
-    def __init__(self, design: GSDesign, total_information: float):
-        if not (math.isfinite(total_information) and total_information > 0):
-            raise ValueError(f"total_information must be finite and positive, got {total_information!r}")
-        self.design = design
-        self.total_information = float(total_information)
-        self.results: list[StageResult] = []
-        self._prop = _Propagator(design.spending.sidedness)
+    design: GSDesign
+    total_information: float
+    calendar_times: list[float] = field(default_factory=list)
+    results: list[StageResult] = field(default_factory=list)
+    method: str = ""
+    _prop: _Propagator = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.total_information) and self.total_information > 0):
+            raise ValueError(
+                f"total_information must be finite and positive, got {self.total_information!r}"
+            )
+        if len(self.calendar_times) != len(self.results):
+            raise ValueError("calendar_times and results must have one entry per stage")
+        recorded = list(zip(self.calendar_times, self.results))
+        self.calendar_times, self.results = [], []
+        self._prop = _Propagator(self.design.spending.sidedness)
+        for calendar_time, result in recorded:
+            self._replay(calendar_time, result)
 
     @property
     def finished(self) -> bool:
         return bool(self.results) and self.results[-1].decision != "continue"
 
-    def step(self, info_level: float, z: float) -> StageResult:
+    def step(self, info_level: float, z: float, calendar_time: float | None = None) -> StageResult:
+        """Take one look: solve its boundary, decide and record the stage."""
         observed = float(info_level)
-        if not (math.isfinite(observed) and observed > 0.0):
-            raise ValueError(f"information level must be finite and positive, got {info_level!r}")
-        if not math.isfinite(z):
-            raise ValueError(f"statistic must be finite, got {z!r}")
-        if self.finished:
-            raise ValueError(
-                f"monitoring already ended with decision {self.results[-1].decision!r}"
-            )
+        time = math.nan if calendar_time is None else float(calendar_time)
         stage = len(self.results) + 1
-        if stage > self.design.n_stages:
-            raise ValueError(f"design has only {self.design.n_stages} stages")
         level = observed
         if self.results:
             level = max(observed, self.results[-1].info_level * _MIN_INFO_GROWTH)
         raw_if = level / self.total_information
         clamped = raw_if >= 1.0
         info_fraction = min(raw_if, 1.0)
-        prev_if = self._prop.prev_if
-        if info_fraction <= prev_if + _MIN_IF_STEP:
-            raise ValueError(
-                f"observed information fraction {info_fraction:g} does not exceed "
-                f"the previous stage's {prev_if:g}"
-            )
+        self._admit(stage, time, observed, z, info_fraction)
         is_final = clamped or stage == self.design.n_stages
         spent = self.results[-1].alpha_spent if self.results else 0.0
         boundary, target = _stage_boundary(
             self._prop, self.design.spending, info_fraction, spent, is_final
         )
-        rejected = self._crossed(z, boundary)
-        if rejected:
-            decision = "reject"
-        elif is_final:
-            decision = "accept"
-        else:
-            decision = "continue"
+        decision = "reject" if self._crossed(z, boundary) else "accept" if is_final else "continue"
         result = StageResult(
             stage=stage,
             info_level=level,
@@ -455,15 +455,49 @@ class SequentialMonitor:
             alpha_spent=target,
             observed_info_level=observed,
         )
-        self._record(result)
+        self._record(time, result)
         return result
 
-    def _record(self, result: StageResult) -> None:
-        """Append a stage's result, moving the continuation density past it
-        when monitoring continues."""
+    def _admit(self, stage: int, calendar_time: float, info_level: float, z: float,
+               info_fraction: float) -> None:
+        """Refuse a look that cannot come next, the same way for a live step
+        and a replayed stage."""
+        if math.isinf(calendar_time):
+            raise ValueError(f"calendar time must be finite, got {calendar_time!r}")
+        given = [t for t in self.calendar_times if not math.isnan(t)]
+        if given and calendar_time <= given[-1]:
+            raise ValueError(
+                f"calendar time must increase across stages ({calendar_time:g} after {given[-1]:g})"
+            )
+        if not (math.isfinite(info_level) and info_level > 0.0):
+            raise ValueError(f"information level must be finite and positive, got {info_level!r}")
+        if not math.isfinite(z):
+            raise ValueError(f"statistic must be finite, got {z!r}")
+        if self.finished:
+            raise ValueError(f"monitoring already ended with decision {self.results[-1].decision!r}")
+        if stage != len(self.results) + 1:
+            raise ValueError(f"stage {stage} is out of sequence; expected stage {len(self.results) + 1}")
+        if stage > self.design.n_stages:
+            raise ValueError(f"stage {stage} exceeds the design's {self.design.n_stages} stages")
+        if info_fraction <= self._prop.prev_if + _MIN_IF_STEP:
+            raise ValueError(
+                f"observed information fraction {info_fraction:g} does not exceed "
+                f"the previous stage's {self._prop.prev_if:g}"
+            )
+
+    def _replay(self, calendar_time: float, result: StageResult) -> None:
+        """Admit and record a stage taken earlier, without re-solving it."""
+        self._admit(result.stage, calendar_time, result.observed_info_level, result.z,
+                    result.info_fraction)
+        self._record(calendar_time, result)
+
+    def _record(self, calendar_time: float, result: StageResult) -> None:
+        """Append a stage, moving the continuation density past it when
+        monitoring continues."""
         if result.decision == "continue":
             self._prop.advance(result.info_fraction, result.boundary)
         self.results.append(result)
+        self.calendar_times.append(calendar_time)
 
     def _crossed(self, z: float, boundary: float) -> bool:
         if not math.isfinite(boundary):
@@ -475,45 +509,19 @@ class SequentialMonitor:
             return z >= boundary
         return z <= -boundary
 
+    def rebuild_monitor(self) -> MonitoringState:
+        """A fresh replay of the recorded stages."""
+        return MonitoringState(self.design, self.total_information, list(self.calendar_times),
+                               list(self.results), self.method)
 
-@dataclass
-class MonitoringState:
-    """Persistent record of a sequential monitoring session.
 
-    Replays cleanly: rebuilding a monitor from the recorded stages reproduces
-    the internal continuation density, so sessions can resume from disk.
-    """
-
-    design: GSDesign
-    total_information: float
-    calendar_times: list[float] = field(default_factory=list)
-    results: list[StageResult] = field(default_factory=list)
-    method: str = ""
-
-    def rebuild_monitor(self) -> SequentialMonitor:
-        mon = SequentialMonitor(self.design, self.total_information)
-        for res in self.results:
-            mon._record(res)
-        return mon
+# the benchmark's tracer looks the monitor up under this name
+SequentialMonitor = MonitoringState
 
 
 def monitor(state: MonitoringState, info_level: float, z: float, *, calendar_time: float | None = None) -> StageResult:
-    """Run one monitoring stage against the state, mutating it.
-
-    Refuses stages after a terminal decision and non-increasing calendar
-    times.  An information level that does not grow is lifted as
-    ``SequentialMonitor.step`` lifts it.
-    """
-    mon = state.rebuild_monitor()
-    if calendar_time is not None and state.calendar_times and calendar_time <= state.calendar_times[-1]:
-        raise ValueError(
-            f"calendar time must increase across stages "
-            f"({calendar_time:g} after {state.calendar_times[-1]:g})"
-        )
-    result = mon.step(info_level, z)
-    state.results.append(result)
-    state.calendar_times.append(float(calendar_time) if calendar_time is not None else float("nan"))
-    return result
+    """Run one monitoring stage against the state, mutating it."""
+    return state.step(info_level, z, calendar_time=calendar_time)
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +574,12 @@ def design_to_text(design: GSDesign) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_kv(text: str) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _parse_kv(text: str, read: Callable[[str, str], object] = lambda key, value: value) -> dict:
+    """``key = value`` lines (``#`` starts a comment) as a dict of ``read(key, value)``.
+    A line that is not ``key = value``, a repeated key and a value that ``read``
+    refuses are errors that name their line."""
+    out: dict = {}
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -575,7 +587,14 @@ def _parse_kv(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = key.strip(), value.strip()
+        if key in seen:
+            raise ValueError(f"line {lineno}: key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
+        try:
+            out[key] = read(key, value)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return out
 
 
@@ -652,22 +671,9 @@ def state_to_text(state: MonitoringState) -> str:
         "design_end",
     ]
     for t, res in zip(state.calendar_times, state.results):
-        lines.append(
-            "stage = "
-            + ",".join(
-                [
-                    str(res.stage),
-                    repr(t),
-                    repr(res.info_level),
-                    repr(res.info_fraction),
-                    repr(res.boundary),
-                    repr(res.z),
-                    res.decision,
-                    repr(res.alpha_spent),
-                    repr(res.observed_info_level),
-                ]
-            )
-        )
+        numbers = map(repr, (t, res.info_level, res.info_fraction, res.boundary, res.z))
+        cells = [str(res.stage), *numbers, res.decision, repr(res.alpha_spent), repr(res.observed_info_level)]
+        lines.append("stage = " + ",".join(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -679,8 +685,8 @@ _STAGE_NUMBERS = (
 )
 
 
-def _stage_from_row(raw: str, expected_stage: int, n_stages: int) -> tuple[float, StageResult]:
-    """One ``stage = ...`` row of a state file, checked against its position.
+def _stage_from_row(raw: str) -> tuple[float, StageResult]:
+    """The calendar time and stage of one ``stage = ...`` row of a state file.
 
     Rows written before the observed level was recorded have 8 columns; their
     observed level is the level used.
@@ -692,10 +698,6 @@ def _stage_from_row(raw: str, expected_stage: int, n_stages: int) -> tuple[float
     if len(parts) not in (8, 9):
         raise ValueError(f"malformed stage row {raw!r}")
     stage = _integer("stage", parts[0])
-    if stage != expected_stage:
-        raise ValueError(f"stage {stage} is out of sequence; expected stage {expected_stage}")
-    if stage > n_stages:
-        raise ValueError(f"stage {stage} exceeds the design's {n_stages} stages")
     decision = parts[6]
     if decision not in _DECISIONS:
         raise ValueError(f"decision must be one of {', '.join(_DECISIONS)}, got {decision!r}")
@@ -710,13 +712,10 @@ def _stage_from_row(raw: str, expected_stage: int, n_stages: int) -> tuple[float
             f"observed_info_level {values['observed_info_level']!r} exceeds "
             f"info_level {values['info_level']!r}"
         )
-    calendar_time, boundary = values.pop("calendar_time"), values["boundary"]
-    # the monitor records an infinite boundary for a stage that spends no
-    # alpha, and a NaN calendar time for a stage run without one
-    if math.isnan(boundary):
+    # the monitor records an infinite boundary for a stage that spends no alpha
+    if math.isnan(values["boundary"]):
         raise ValueError("boundary must not be NaN")
-    if math.isinf(calendar_time):
-        raise ValueError(f"calendar time must be finite, got {calendar_time!r}")
+    calendar_time = values.pop("calendar_time")
     return calendar_time, StageResult(stage=stage, decision=decision, **values)
 
 
@@ -745,9 +744,7 @@ def state_from_text(text: str) -> MonitoringState:
         if not raw.strip():
             continue
         try:
-            calendar_time, result = _stage_from_row(raw, len(state.results) + 1, design.n_stages)
+            state._replay(*_stage_from_row(raw))
         except ValueError as exc:
             raise ValueError(f"state file line {lineno}: {exc}") from None
-        state.calendar_times.append(calendar_time)
-        state.results.append(result)
     return state

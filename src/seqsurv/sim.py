@@ -36,6 +36,10 @@ from .gsdesign import (
     GSDesign,
     SequentialMonitor,
     SpendingFunction,
+    _integer,
+    _number,
+    _numbers,
+    _parse_kv,
     boundaries,
     crossing_probabilities,
 )
@@ -695,20 +699,10 @@ def scenario_to_text(scenario: Scenario) -> str:
 
 
 def scenario_from_text(text: str) -> Scenario:
-    values: dict[str, object] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"scenario file line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SCENARIO_FIELDS:
-            raise ValueError(f"scenario file line {lineno}: unknown key {key!r}")
-        try:
-            values[key] = _parse_scenario_value(key, value)
-        except ValueError as exc:
-            raise ValueError(f"scenario file line {lineno}: {exc}") from None
+    try:
+        values = _parse_kv(text, _parse_scenario_value)
+    except ValueError as exc:
+        raise ValueError(f"scenario file {exc}") from None
     missing = [k for k in ("n0", "n1", "tau") if k not in values]
     if missing:
         raise ValueError(f"scenario file: missing required key(s) {', '.join(missing)}")
@@ -720,17 +714,19 @@ def scenario_from_text(text: str) -> Scenario:
 
 
 def _parse_scenario_value(key: str, value: str):
+    if key not in _SCENARIO_FIELDS:
+        raise ValueError(f"unknown key {key!r}")
     if key in ("n0", "n1", "k_analyses"):
-        return int(value)
+        return _integer(key, value)
     if key in ("covariate_scheme", "sidedness"):
         return value
-    if key == "beta_w":
-        return "null" if value == "null" else float(value)
-    if key == "gamma0":
-        return None if value in ("default", "") else float(value)
+    if key == "beta_w" and value == "null":
+        return value
+    if key == "gamma0" and value in ("default", ""):
+        return None
     if key == "target_info_fractions":
-        return tuple(float(v) for v in value.split(","))
-    return float(value)
+        return _numbers(key, value)
+    return _number(key, value)
 
 
 def oc_to_csv(oc: OperatingCharacteristics) -> str:

@@ -223,6 +223,26 @@ def test_analyze_stage_regression_rejected(tmp_path, capsys):
     assert "calendar" in capsys.readouterr().err
 
 
+def test_analyze_refuses_a_state_file_with_a_stage_after_a_rejection(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    write_csv(data, columns([("a", 0, 0.0, 1.0, True, ()), ("b", 1, 0.0, 1.5, True, ()),
+                             ("c", 0, 0.0, 2.0, False, ()), ("d", 1, 0.0, 2.5, True, ())]))
+    design_file = tmp_path / "design.txt"
+    main(["design", "--alpha", "0.05", "--info-fractions", "0.5,1", "--out", str(design_file)])
+    state = tmp_path / "state.txt"
+    state.write_text(
+        "total_information = 100.0\nmethod = km\ndesign_begin\n" + design_file.read_text()
+        + "design_end\n"
+        + "stage = 1,2.0,50.0,0.5,2.7,5.0,reject,0.00625\n"
+        + "stage = 2,3.0,80.0,0.8,2.0,0.1,continue,0.02\n"
+    )
+    capsys.readouterr()
+    code = main(["analyze", str(data), "--design", str(design_file), "--t0", "0.5",
+                 "--u", "4.0", "--method", "km", "--state", str(state)])
+    assert code == EXIT_ERROR
+    assert "line 14: monitoring already ended with decision 'reject'" in capsys.readouterr().err
+
+
 def test_analyze_method_mismatch_rejected(tmp_path, capsys):
     cols = columns([("a", 0, 0.0, 0.9, True, ()),
                     ("b", 1, 0.0, 1.1, True, ()),

@@ -387,6 +387,104 @@ def test_monitor_refuses_stages_after_reject():
         monitor(state, 80.0, 5.0, calendar_time=3.0)
 
 
+def _state_text_with_rows(*rows):
+    d = boundaries(power3(), [0.5, 1.0])
+    head = state_to_text(MonitoringState(design=d, total_information=100.0))
+    return head + "".join(row + "\n" for row in rows), head.count("\n")
+
+
+def test_state_file_refuses_a_stage_after_a_terminal_decision():
+    text, head = _state_text_with_rows(
+        "stage = 1,2.0,50.0,0.5,2.7,5.0,reject,0.00625",
+        "stage = 2,3.0,80.0,0.8,2.0,0.1,continue,0.02",
+    )
+    with pytest.raises(ValueError, match=f"state file line {head + 2}: monitoring already ended"):
+        state_from_text(text)
+
+
+def test_state_file_refuses_calendar_times_that_go_backwards():
+    text, head = _state_text_with_rows(
+        "stage = 1,2.0,50.0,0.5,2.7,0.1,continue,0.00625",
+        "stage = 2,1.0,80.0,0.8,2.0,0.1,accept,0.05",
+    )
+    with pytest.raises(ValueError, match=f"state file line {head + 2}: calendar time must increase"):
+        state_from_text(text)
+
+
+def test_calendar_times_increase_past_looks_given_none():
+    state = MonitoringState(design=boundaries(power3(), [0.3, 0.6, 1.0]), total_information=100.0)
+    state.step(30.0, 0.1, calendar_time=2.0)
+    state.step(60.0, 0.1)
+    with pytest.raises(ValueError, match=r"calendar time must increase across stages \(1\.5 after 2\)"):
+        state.step(90.0, 0.1, calendar_time=1.5)
+
+
+@pytest.mark.parametrize("calendar_time", [math.inf, -math.inf])
+def test_monitor_refuses_an_infinite_calendar_time(calendar_time):
+    state = MonitoringState(design=boundaries(power3(), [0.5, 1.0]), total_information=100.0)
+    with pytest.raises(ValueError, match="calendar time must be finite"):
+        monitor(state, 50.0, 0.1, calendar_time=calendar_time)
+    assert state.results == [] and state.calendar_times == []
+
+
+@pytest.mark.parametrize("total", [-5.0, 0.0, math.nan, math.inf])
+def test_monitoring_state_refuses_a_bad_total_at_construction(total):
+    with pytest.raises(ValueError, match="total_information must be finite and positive"):
+        MonitoringState(design=boundaries(power3(), [0.5, 1.0]), total_information=total)
+
+
+def test_monitoring_state_replays_the_stages_it_is_given():
+    d = boundaries(power3(), [0.5, 0.75, 1.0])
+    live = MonitoringState(d, 100.0)
+    live.step(50.0, 0.2, calendar_time=1.0)
+    live.step(70.0, 0.4, calendar_time=2.0)
+    resumed = MonitoringState(d, 100.0, list(live.calendar_times), list(live.results))
+    assert resumed == live
+    assert resumed.step(90.0, 1.0) == live.step(90.0, 1.0)
+    assert SequentialMonitor is MonitoringState
+    with pytest.raises(ValueError, match="one entry per stage"):
+        MonitoringState(d, 100.0, [1.0], [])
+    with pytest.raises(ValueError, match="monitoring already ended"):
+        MonitoringState(d, 100.0, [*live.calendar_times, 5.0], live.results + live.results[-1:])
+
+
+# Written before this version: the same session with 8-column rows (no level
+# raised) and with 9-column rows (the second look's level raised from 26.0),
+# each with the next look's boundary, decision and spending target at that version.
+_OLD_STATE_HEAD = """total_information = 100.0
+method = km
+design_begin
+stages = 4
+alpha = 0.05
+sidedness = two_sided
+spending = power:3.0
+info_fractions = 0.25,0.5,0.75,1.0
+critical_values = 3.359353717934327,2.7603969931240324,2.359363409084888,2.02930062301283
+alpha_spent = 0.00078125,0.00625,0.02109375,0.05
+grid = jt:32
+design_end
+stage = 1,1.0,27.0,0.27,3.295019072686863,1.1,continue,0.0009841500000000003"""
+_OLD_STATE_FILES = {
+    "8 columns": (
+        _OLD_STATE_HEAD + "\nstage = 2,2.0,52.0,0.52,2.723993586348896,-0.8,continue,0.007030400000000001\n",
+        2.3310353859097734,
+    ),
+    "9 columns": (
+        _OLD_STATE_HEAD + ",27.0\nstage = 2,2.0,27.134999999999998,0.27135,3.3730567351088547,-0.8,"
+        "continue,0.0009989861842687497,26.0\n",
+        2.2862573122415455,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OLD_STATE_FILES))
+def test_state_files_of_earlier_versions_give_the_same_next_look(name):
+    text, boundary = _OLD_STATE_FILES[name]
+    state = state_from_text(text)
+    res = monitor(state, 77.0, 1.9, calendar_time=3.0)
+    assert (res.boundary, res.decision, res.alpha_spent) == (boundary, "continue", 0.022826650000000004)
+
+
 def test_design_text_roundtrip():
     zero_spend = SpendingFunction(0.05, "custom", table=((0.5, 0.0), (0.75, 0.0), (1.0, 0.05)))
     for sf, fractions in (
@@ -456,6 +554,19 @@ def test_design_text_validates_the_schedule(old, new, message):
     assert old in text
     with pytest.raises(ValueError, match=message):
         design_from_text(text.replace(old, new))
+
+
+def test_design_text_refuses_a_repeated_key():
+    text = design_to_text(boundaries(power3(), [0.5, 1.0]))
+    assert text.startswith("stages = 2\nalpha = 0.05\n")
+    with pytest.raises(ValueError, match="^line 3: key 'alpha' repeats line 2$"):
+        design_from_text(text.replace("alpha = 0.05\n", "alpha = 0.05\nalpha = 0.1\n"))
+
+
+def test_state_text_refuses_a_repeated_header_key():
+    text = state_to_text(MonitoringState(design=boundaries(power3(), [0.5, 1.0]), total_information=150.0))
+    with pytest.raises(ValueError, match="line 2: key 'total_information' repeats line 1"):
+        state_from_text("total_information = 90.0\n" + text)
 
 
 def test_design_text_rejects_garbage():
@@ -700,6 +811,49 @@ def test_property_non_finite_input_always_raises(run, done, bad, bad_is_z):
         else:
             mon.step(bad, 0.0)
     assert mon.results == before
+
+
+@settings(max_examples=40, deadline=None)
+@given(monitoring_runs(), st.data())
+def test_property_replay_admits_what_a_live_step_admits(run, data):
+    design, stages = run
+    state = MonitoringState(design=design, total_information=_TOTAL_INFORMATION)
+    for stage, (info, z) in enumerate(stages, start=1):
+        if state.finished:
+            break
+        state.step(info, z, calendar_time=float(stage))
+    text = state_to_text(state)
+    replayed = state_from_text(text)
+    assert replayed.results == state.results
+    assert replayed.calendar_times == state.calendar_times
+    assert state.finished   # every drawn session runs to a decision
+
+    rows = text.splitlines()
+    first_row = len(rows) - len(state.results)
+    n = len(state.results)
+    if n >= 2 and data.draw(st.booleans(), label="lower a calendar time"):
+        # lower row j's calendar time to at most row j - 1's
+        j = data.draw(st.integers(1, n - 1), label="row")
+        lowered = j - data.draw(st.floats(0.0, 3.0), label="by")
+        cells = rows[first_row + j].split(",")
+        rows[first_row + j] = ",".join([cells[0], repr(lowered), *cells[2:]])
+        live = MonitoringState(design=design, total_information=_TOTAL_INFORMATION)
+        for t, r in zip(state.calendar_times[:j], state.results[:j]):
+            live.step(r.observed_info_level, r.z, calendar_time=t)
+        look = (state.results[j].observed_info_level, state.results[j].z, lowered)
+    else:
+        # a further row after the terminal one
+        last = state.results[-1]
+        rows.append(f"stage = {n + 1},{n + 1.0!r},{last.info_level!r},{last.info_fraction!r},"
+                    f"{last.boundary!r},{last.z!r},continue,{last.alpha_spent!r}")
+        j, live = n, state
+        look = (last.info_level, last.z, n + 1.0)
+    with pytest.raises(ValueError) as replay_error:
+        state_from_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError) as live_error:
+        live.step(look[0], look[1], calendar_time=look[2])
+    lineno = first_row + j + 1
+    assert str(replay_error.value) == f"state file line {lineno}: {live_error.value}"
 
 
 _ANY_FLOAT = st.one_of(

@@ -442,6 +442,21 @@ def test_scenario_text_errors_carry_line_numbers():
         scenario_from_text("n0 = 50\nn1 = 50\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n0 = 5\nn1 = 5\nn0 = 7\ntau = 1.0\n", "^scenario file line 3: key 'n0' repeats line 1$"),
+        ("n0 = 2.5\nn1 = 5\ntau = 1.0\n", "^scenario file line 1: key 'n0': '2.5' is not an integer$"),
+        ("n0 = 5\nn1 = 5\ntau = 1.0\ntarget_info_fractions = 0.5,abc\n",
+         "^scenario file line 4: key 'target_info_fractions': 'abc' is not a number$"),
+        ("n0 = 5\nn1 = 5\ntau = one\n", "^scenario file line 3: key 'tau': 'one' is not a number$"),
+    ],
+)
+def test_scenario_text_errors_name_the_line_and_key(text, message):
+    with pytest.raises(ValueError, match=message):
+        scenario_from_text(text)
+
+
 def _effect_inputs(seed, **overrides):
     sc = base_scenario(n0=80, n1=80, **overrides)
     cal = calibrate_analysis_times(sc, replicates=40, seed=seed)
