@@ -6,9 +6,9 @@ of the arm difference combines a martingale term per stratum (uncertainty in
 the baseline cumulative hazard) with a delta-method term for the shared
 coefficient estimate.
 
-``compare_sp_batch`` computes the statistic for a batch of snapshots: one
-``fit_mple_batch`` (on the caller's risk-set layout, when it hands one in)
-and one vectorised pass of the variance ingredients and the variance.
+``compare_sp_batch`` computes the statistic for a batch of snapshots, or
+for their risk-set layout: one ``fit_mple_batch`` of every row and one
+vectorised pass of the variance ingredients and the variance.
 ``compare_sp`` and ``variance_components`` are its batch of one.  As in the
 fit, each row's sums reduce only its own entries, so a row's bits do not
 depend on its batch.
@@ -27,6 +27,7 @@ from .cox import (
     FitBatch,
     RiskSetLayout,
     StratifiedCoxFit,
+    _as_layout,
     _cat,
     _linear,
     _segment_sums,
@@ -161,8 +162,10 @@ def _sp_variances(c: _Components) -> np.ndarray:
     inverse of the mean information (the delta method); a row whose mean
     information is not finite gets NaN.
     """
-    # (n / n_i) * sensitivity_i**2 * cumhaz_variance_i, summed over the arms
-    by_arm = c.n[:, None] / c.arm_sizes * c.hazard_sensitivity**2 * c.cumhaz_variance
+    # (n / n_i) * sensitivity_i**2 * cumhaz_variance_i, summed over the arms;
+    # NaN for a row with an empty arm
+    with np.errstate(divide="ignore", invalid="ignore"):
+        by_arm = c.n[:, None] / c.arm_sizes * c.hazard_sensitivity**2 * c.cumhaz_variance
     total = by_arm[:, 0] + by_arm[:, 1]
     d = c.sp_diff_beta_gradient
     if d.shape[1]:
@@ -209,26 +212,24 @@ class SPComparison:
 class SPBatch(NamedTuple):
     """``compare_sp_batch``'s outcome: each snapshot's statistic and
     information level, NaN where the row raised the ``SeqSurvError`` in
-    ``errors``.  ``result(b)`` is what ``compare_sp`` returns for row b."""
+    ``errors``.  ``fits`` and ``components`` have one row per snapshot.
+    ``result(b)`` is what ``compare_sp`` returns for row b."""
 
     t0: float
-    snapshots: tuple[Snapshot, ...]
     z: list[float]
     info_level: list[float]
     sigma2_hat: list[float]
     errors: list[SeqSurvError | None]
-    fits: FitBatch | None         # the snapshots with both arms present
-    fit_rows: list[int]           # each snapshot's row in fits, -1 if not fitted
-    components: _Components | None  # one row per row of fits
+    fits: FitBatch
+    components: _Components
 
     def result(self, b: int = 0) -> SPComparison:
         """Row b's comparison; raises the error of a failed row."""
         if self.errors[b] is not None:
             raise self.errors[b]
-        k = self.fit_rows[b]
-        comps = _row(self.components, k)
+        comps = _row(self.components, b)
         s0, s1 = float(comps.adjusted_sp[0]), float(comps.adjusted_sp[1])
-        snap = self.snapshots[b]
+        snap = self.fits.risk_sets.snapshots[b]
         return SPComparison(
             t0=self.t0,
             u=snap.calendar_time,
@@ -239,68 +240,57 @@ class SPBatch(NamedTuple):
             z=self.z[b],
             n=snap.n,
             components=comps,
-            fit=self.fits.fit(k),
+            fit=self.fits.fit(b),
         )
 
 
-def compare_sp_batch(
-    snaps: Sequence[Snapshot], t0: float, layout: RiskSetLayout | None = None
-) -> SPBatch:
+def compare_sp_batch(batch: Sequence[Snapshot] | RiskSetLayout, t0: float) -> SPBatch:
     """Fit the stratified model at each snapshot and standardize its adjusted
     survival probability difference at ``t0``.
 
-    The information level is the reciprocal variance of the (unscaled)
-    difference estimate, ``n / sigma2_hat``.  A row that cannot support the
-    statistic gets the error ``compare_sp`` raises for it; a ``t0`` that is
+    ``batch`` is the snapshots or their risk-set layout.  The information
+    level is the reciprocal variance of the (unscaled) difference estimate,
+    ``n / sigma2_hat``.  Every row is fitted; a row that cannot support the
+    statistic gets the error ``compare_sp`` raises for it, a row without both
+    arms a ``DegenerateDataError`` whatever its fit gave.  A ``t0`` that is
     not positive or exceeds a snapshot's calendar time raises ``ValueError``.
-    ``layout`` is the snapshots' risk-set layout when the caller has it; the
-    fit uses it when every snapshot has both arms, and otherwise sorts the
-    snapshots it fits.
     """
-    snaps = tuple(snaps)
+    layout = _as_layout(batch)
+    snaps = layout.snapshots
+    for snap in snaps:
+        check_t0(t0, snap)
+    fits = fit_mple_batch(layout)
+    comps = _components(fits, snaps, t0)
+    variances = _sp_variances(comps).tolist()
+    sp = comps.adjusted_sp.tolist()
+    sizes = layout.sizes.tolist()
     n_rows = len(snaps)
     errors: list[SeqSurvError | None] = [None] * n_rows
-    fit_rows, fitted = [-1] * n_rows, []
+    z, info_level, sigma2 = [math.nan] * n_rows, [math.nan] * n_rows, [math.nan] * n_rows
     for b, snap in enumerate(snaps):
-        check_t0(t0, snap)
-        if 0 < np.count_nonzero(snap.arm) < snap.n:
-            fit_rows[b] = len(fitted)
-            fitted.append(snap)
-        else:
+        if 0 in sizes[b]:
             errors[b] = DegenerateDataError(
                 "both arms must be present to compare survival probabilities"
             )
-    z, info_level, sigma2 = [math.nan] * n_rows, [math.nan] * n_rows, [math.nan] * n_rows
-    fits = comps = None
-    if fitted:
-        fits = fit_mple_batch(fitted, layout=layout if len(fitted) == n_rows else None)
-        comps = _components(fits, fitted, t0)
-        variances = _sp_variances(comps).tolist()
-        sp = comps.adjusted_sp.tolist()
-        for b, k in enumerate(fit_rows):
-            if k < 0:
-                continue
-            sigma2[b] = s2 = variances[k]
-            if fits.errors[k] is not None:
-                errors[b] = fits.errors[k]
-            elif not (s2 > 0.0 and math.isfinite(s2)):
-                errors[b] = DegenerateDataError(
-                    f"variance estimate is not positive ({s2:g}); "
-                    "no usable events in (0, t0] in either stratum"
-                )
-            else:
-                n = snaps[b].n
-                z[b] = math.sqrt(n) * (sp[k][1] - sp[k][0]) / math.sqrt(s2)
-                info_level[b] = n / s2
+            continue
+        sigma2[b] = s2 = variances[b]
+        if fits.errors[b] is not None:
+            errors[b] = fits.errors[b]
+        elif not (s2 > 0.0 and math.isfinite(s2)):
+            errors[b] = DegenerateDataError(
+                f"variance estimate is not positive ({s2:g}); "
+                "no usable events in (0, t0] in either stratum"
+            )
+        else:
+            z[b] = math.sqrt(snap.n) * (sp[b][1] - sp[b][0]) / math.sqrt(s2)
+            info_level[b] = snap.n / s2
     return SPBatch(
         t0=float(t0),
-        snapshots=snaps,
         z=z,
         info_level=info_level,
         sigma2_hat=sigma2,
         errors=errors,
         fits=fits,
-        fit_rows=fit_rows,
         components=comps,
     )
 

@@ -3,7 +3,7 @@ the Wald test of a treatment coefficient in an unstratified Cox model.
 
 Each comparator computes a batch of snapshots, its rows, in one call:
 ``km_compare_batch`` reads every row's at-risk counts from one risk-set
-layout (sorted here, or handed in by the caller) and computes all rows'
+layout (the batch's, or sorted from its snapshots) and computes all rows'
 estimates in one vectorised pass, and ``cox_wald_batch`` makes one
 ``fit_mple_batch`` over the pooled snapshots.  A row that cannot support
 the statistic gets the error the single-snapshot function raises for it,
@@ -27,8 +27,8 @@ from .cox import (
     FitBatch,
     RiskSetLayout,
     StratifiedCoxFit,
+    _as_layout,
     _cat,
-    _layout_of,
     fit_mple_batch,
 )
 from .cox import fit_mple  # noqa: F401  bench/spans.py wraps seqsurv.comparators.fit_mple
@@ -105,13 +105,11 @@ class KMBatch(NamedTuple):
         )
 
 
-def km_compare_batch(
-    snaps: Sequence[Snapshot], t0: float, layout: RiskSetLayout | None = None
-) -> KMBatch:
+def km_compare_batch(batch: Sequence[Snapshot] | RiskSetLayout, t0: float) -> KMBatch:
     """Difference of per-arm product-limit estimates at ``t0`` for each
     snapshot, standardized by the summed Greenwood variances.  Information is
-    the reciprocal variance.  ``layout`` is the snapshots' risk-set layout
-    when the caller has it, else they are sorted here.
+    the reciprocal variance.  ``batch`` is the snapshots or their risk-set
+    layout.
 
     A row with an arm of no subjects, or with no events by ``t0`` in either
     arm (or both estimates at 0 or 1, so that the variances vanish), has no
@@ -120,10 +118,10 @@ def km_compare_batch(
     warning.  A ``t0`` that is not positive or exceeds a snapshot's calendar
     time raises ``ValueError``.
     """
-    snaps = tuple(snaps)
+    layout = _as_layout(batch)
+    snaps = layout.snapshots
     for snap in snaps:
         check_t0(t0, snap)
-    layout = _layout_of(snaps, layout)
     surv, var = (v.reshape(-1, 2).tolist() for v in _km_at_t0(layout, t0))
     sizes = layout.sizes.tolist()
     # each nonempty arm's longest follow-up: its last subject in sorted order

@@ -9,15 +9,17 @@ cumulative hazard at t0 from them.
 Every quantity comes from one risk-set kernel (Therneau & Grambsch 2000,
 ch. 3) over a batch of snapshots, its rows.  ``RiskSetLayout.from_snapshots``
 sorts each row by (arm, follow-up) with its own ``lexsort`` and groups its
-events; the Kaplan-Meier comparator reads its at-risk counts from that
-layout.  A caller that has the layout of a batch hands it in (``layout=``)
-instead of having it sorted again: the simulation sorts a look's snapshots
-once for the adjusted statistic and the Kaplan-Meier comparator.
-``RiskSets`` adds the covariate columns, and ``RiskSets.evaluate`` returns
-each row's log likelihood, score, information and risk-set sums at the event
-groups for one coefficient vector per row, with one exp(z.beta) and one
-cumulative sum for the whole batch.  ``fit_mple_batch`` runs Newton on all
-rows in lockstep; ``fit_mple`` is its batch of one.
+events; the layout keeps the snapshots it was sorted from.  The functions
+that read a layout (``fit_mple_batch``, ``RiskSets.from_snapshots`` and the
+adjusted and Kaplan-Meier statistics) take their batch either as snapshots,
+which they sort, or as a layout, which they use as it is: the simulation
+sorts a look's snapshots once for the adjusted statistic and the
+Kaplan-Meier comparator.  ``RiskSets`` adds the covariate columns, and
+``RiskSets.evaluate`` returns each row's log likelihood, score, information
+and risk-set sums at the event groups for one coefficient vector per row,
+with one exp(z.beta) and one cumulative sum for the whole batch.
+``fit_mple_batch`` runs Newton on all rows in lockstep; ``fit_mple`` is its
+batch of one.
 
 A row's arithmetic never depends on the other rows of its batch: cumulative
 sums run inside one (row, stratum) pair, a row's totals are reductions over
@@ -105,6 +107,7 @@ class RiskSetLayout:
     ``order``.
     """
 
+    snapshots: tuple[Snapshot, ...]  # (B,) the rows, in batch order
     sizes: np.ndarray        # (B, 2) arm sizes, counting zero-follow-up subjects
     n_events: np.ndarray     # (B, 2) observed events
     offsets: np.ndarray      # (2B + 1,) row b, stratum i: groups offsets[2b + i]:offsets[2b + i + 1]
@@ -117,10 +120,7 @@ class RiskSetLayout:
 
     @classmethod
     def from_snapshots(cls, snaps: Sequence[Snapshot]) -> "RiskSetLayout":
-        return cls(**cls._layout(snaps))
-
-    @staticmethod
-    def _layout(snaps: Sequence[Snapshot]) -> dict:
+        snaps = tuple(snaps)
         if not snaps:
             raise ValueError("a risk-set batch needs at least one snapshot")
         counts = sorted({s.n_covariates for s in snaps})
@@ -154,7 +154,8 @@ class RiskSetLayout:
         bounds = np.array(bounds)
         offsets = np.searchsorted(group_start, bounds)
         pair_ends = bounds[1:]
-        return dict(
+        return cls(
+            snapshots=snaps,
             sizes=(pair_ends - bounds[:-1]).reshape(-1, 2),
             n_events=(first[offsets[1:]] - first[offsets[:-1]]).reshape(-1, 2),
             offsets=offsets,
@@ -167,18 +168,10 @@ class RiskSetLayout:
         )
 
 
-def _layout_of(snaps: Sequence[Snapshot], layout: RiskSetLayout | None) -> RiskSetLayout:
-    """``layout`` checked to be laid out as ``snaps`` (one row per snapshot,
-    as many subjects), or, when it is None, ``snaps`` sorted into one."""
-    if layout is None:
-        return RiskSetLayout.from_snapshots(snaps)
-    rows, subjects = layout.row_starts.size, layout.order.size
-    if rows != len(snaps) or subjects != sum(s.n for s in snaps):
-        raise ValueError(
-            f"the layout has {rows} rows of {subjects} subjects for "
-            f"{len(snaps)} snapshots of {sum(s.n for s in snaps)}"
-        )
-    return layout
+def _as_layout(batch: Sequence[Snapshot] | RiskSetLayout) -> RiskSetLayout:
+    """A batch argument as its risk-set layout: a layout is used as it is,
+    snapshots are sorted into one."""
+    return batch if isinstance(batch, RiskSetLayout) else RiskSetLayout.from_snapshots(batch)
 
 
 @dataclass(frozen=True)
@@ -200,12 +193,10 @@ class RiskSets(RiskSetLayout):
     event_z_total: np.ndarray   # (B, p) covariate total over each row's events
 
     @classmethod
-    def from_snapshots(
-        cls, snaps: Sequence[Snapshot], layout: RiskSetLayout | None = None
-    ) -> "RiskSets":
-        """The risk sets of ``snaps``; ``layout`` is their ``RiskSetLayout``
-        when the caller has it, else they are sorted here."""
-        layout = _layout_of(snaps, layout)
+    def from_snapshots(cls, batch: Sequence[Snapshot] | RiskSetLayout) -> "RiskSets":
+        """The risk sets of a batch of snapshots or of their layout."""
+        layout = _as_layout(batch)
+        snaps = layout.snapshots
         offsets, at_risk = layout.offsets, layout.at_risk
         per_pair = offsets[1:] - offsets[:-1]
         kept = np.flatnonzero(per_pair)
@@ -348,7 +339,6 @@ class FitBatch(NamedTuple):
     ``SeqSurvError`` its fit raised.  ``values`` is the kernel at
     ``beta_hat`` (a failed row's entries are meaningless)."""
 
-    snapshots: tuple[Snapshot, ...]
     risk_sets: RiskSets
     values: RiskSetValues
     beta_hat: np.ndarray          # (B, p)
@@ -365,7 +355,7 @@ class FitBatch(NamedTuple):
         values = rs.row_values(self.values, b)
         sizes, n_events = rs.sizes[b].tolist(), rs.n_events[b].tolist()
         return StratifiedCoxFit(
-            calendar_time=self.snapshots[b].calendar_time,
+            calendar_time=rs.snapshots[b].calendar_time,
             beta_hat=self.beta_hat[b],
             observed_information=values.information,
             iterations=int(self.iterations[b]),
@@ -379,7 +369,7 @@ class FitBatch(NamedTuple):
         )
 
 
-def fit_mple_batch(snaps: Sequence[Snapshot], layout: RiskSetLayout | None = None) -> FitBatch:
+def fit_mple_batch(batch: Sequence[Snapshot] | RiskSetLayout) -> FitBatch:
     """Maximize each snapshot's stratified partial likelihood at its calendar
     time, all rows in lockstep.
 
@@ -391,11 +381,10 @@ def fit_mple_batch(snaps: Sequence[Snapshot], layout: RiskSetLayout | None = Non
     unchanged.  A row that fails gets the error ``fit_mple`` raises for it;
     the other rows go on.  An arm with subjects but no observed events is
     legal (it contributes nothing and gets a flat baseline) but is reported
-    with a warning.  ``layout``, when given, is the snapshots' risk-set
-    layout (see ``RiskSets.from_snapshots``).
+    with a warning.  ``batch`` is the snapshots or their layout.
     """
-    snaps = tuple(snaps)
-    risk_sets = RiskSets.from_snapshots(snaps, layout)
+    risk_sets = RiskSets.from_snapshots(batch)
+    snaps = risk_sets.snapshots
     n_rows, p = risk_sets.event_z_total.shape
     errors: list[SeqSurvError | None] = [None] * n_rows
 
@@ -485,7 +474,6 @@ def fit_mple_batch(snaps: Sequence[Snapshot], layout: RiskSetLayout | None = Non
         active = still
 
     return FitBatch(
-        snapshots=snaps,
         risk_sets=risk_sets,
         values=current,
         beta_hat=beta,

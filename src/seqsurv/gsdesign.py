@@ -398,9 +398,10 @@ class MonitoringState:
     ``observed_info_level``.
 
     Stages passed to the constructor (and a state file's rows) replay through
-    the admission check and ``_record`` of a live ``step``, so a recorded
-    session is accepted exactly when a live monitor could have taken its
-    looks in that order.  A NaN calendar time marks a look given none.
+    the admission check, the decision rule and ``_record`` of a live
+    ``step``, so a recorded session is accepted exactly when a live monitor
+    could have taken its looks in that order and decided them so.  A NaN
+    calendar time marks a look given none.
     """
 
     design: GSDesign
@@ -435,16 +436,14 @@ class MonitoringState:
         level = observed
         if self.results:
             level = max(observed, self.results[-1].info_level * _MIN_INFO_GROWTH)
-        raw_if = level / self.total_information
-        clamped = raw_if >= 1.0
-        info_fraction = min(raw_if, 1.0)
+        info_fraction = min(level / self.total_information, 1.0)
         self._admit(stage, time, observed, z, info_fraction)
-        is_final = clamped or stage == self.design.n_stages
         spent = self.results[-1].alpha_spent if self.results else 0.0
         boundary, target = _stage_boundary(
-            self._prop, self.design.spending, info_fraction, spent, is_final
+            self._prop, self.design.spending, info_fraction, spent,
+            self._is_final(stage, info_fraction),
         )
-        decision = "reject" if self._crossed(z, boundary) else "accept" if is_final else "continue"
+        decision = self._decision(stage, info_fraction, z, boundary)
         result = StageResult(
             stage=stage,
             info_level=level,
@@ -477,8 +476,6 @@ class MonitoringState:
             raise ValueError(f"monitoring already ended with decision {self.results[-1].decision!r}")
         if stage != len(self.results) + 1:
             raise ValueError(f"stage {stage} is out of sequence; expected stage {len(self.results) + 1}")
-        if stage > self.design.n_stages:
-            raise ValueError(f"stage {stage} exceeds the design's {self.design.n_stages} stages")
         if info_fraction <= self._prop.prev_if + _MIN_IF_STEP:
             raise ValueError(
                 f"observed information fraction {info_fraction:g} does not exceed "
@@ -486,9 +483,17 @@ class MonitoringState:
             )
 
     def _replay(self, calendar_time: float, result: StageResult) -> None:
-        """Admit and record a stage taken earlier, without re-solving it."""
-        self._admit(result.stage, calendar_time, result.observed_info_level, result.z,
-                    result.info_fraction)
+        """Admit and record a stage taken earlier, without re-solving it; its
+        decision must be the one a live step takes on its numbers."""
+        r = result
+        self._admit(r.stage, calendar_time, r.observed_info_level, r.z, r.info_fraction)
+        decision = self._decision(r.stage, r.info_fraction, r.z, r.boundary)
+        if r.decision != decision:
+            raise ValueError(
+                f"decision {r.decision!r} does not follow from z = {r.z!r} against boundary "
+                f"{r.boundary!r} at stage {r.stage} of {self.design.n_stages}, information "
+                f"fraction {r.info_fraction!r}: a live look decides {decision!r}"
+            )
         self._record(calendar_time, result)
 
     def _record(self, calendar_time: float, result: StageResult) -> None:
@@ -498,6 +503,15 @@ class MonitoringState:
             self._prop.advance(result.info_fraction, result.boundary)
         self.results.append(result)
         self.calendar_times.append(calendar_time)
+
+    def _is_final(self, stage: int, info_fraction: float) -> bool:
+        """Whether a look ends the session: the design's last stage, or full information."""
+        return stage == self.design.n_stages or info_fraction >= 1.0
+
+    def _decision(self, stage: int, info_fraction: float, z: float, boundary: float) -> str:
+        """Reject on a crossing, else accept at a final look, else continue."""
+        final = self._is_final(stage, info_fraction)
+        return "reject" if self._crossed(z, boundary) else "accept" if final else "continue"
 
     def _crossed(self, z: float, boundary: float) -> bool:
         if not math.isfinite(boundary):
@@ -509,13 +523,14 @@ class MonitoringState:
             return z >= boundary
         return z <= -boundary
 
+    # Only the benchmark's tracer (bench/spans.py) looks up rebuild_monitor and
+    # the SequentialMonitor name below; both go once it wraps MonitoringState.step.
     def rebuild_monitor(self) -> MonitoringState:
         """A fresh replay of the recorded stages."""
         return MonitoringState(self.design, self.total_information, list(self.calendar_times),
                                list(self.results), self.method)
 
 
-# the benchmark's tracer looks the monitor up under this name
 SequentialMonitor = MonitoringState
 
 
@@ -617,7 +632,10 @@ def _numbers(key: str, value: str) -> tuple[float, ...]:
 
 
 def design_from_text(text: str) -> GSDesign:
-    kv = _parse_kv(text)
+    return _design_from_kv(_parse_kv(text))
+
+
+def _design_from_kv(kv: dict) -> GSDesign:
     unknown = sorted(set(kv) - set(_DESIGN_KEYS))
     if unknown:
         raise ValueError(
@@ -726,8 +744,13 @@ def state_from_text(text: str) -> MonitoringState:
         end = lines.index("design_end")
     except ValueError:
         raise ValueError("state file: missing design block") from None
-    design = design_from_text("\n".join(lines[start + 1 : end]))
-    kv = _parse_kv("\n".join(lines[:start]))
+    # blank lines in place of the header keep the design block's line numbers
+    try:
+        kv = _parse_kv("\n".join(lines[:start]))
+        design_kv = _parse_kv("\n" * (start + 1) + "\n".join(lines[start + 1 : end]))
+    except ValueError as exc:
+        raise ValueError(f"state file {exc}") from None
+    design = _design_from_kv(design_kv)
     if "total_information" not in kv:
         raise ValueError("state file is missing key 'total_information'")
     total_information = _number("total_information", kv["total_information"])

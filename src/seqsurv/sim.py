@@ -34,7 +34,7 @@ from .errors import SeqSurvError
 from .gsdesign import (
     ONE_SIDED_LOWER,
     GSDesign,
-    SequentialMonitor,
+    MonitoringState,
     SpendingFunction,
     _integer,
     _number,
@@ -229,20 +229,18 @@ def _reads_layout(statistic):
     return statistic
 
 
-# Each method's statistic over a batch of snapshots, ``(snaps, t0, layout)``:
-# its batch, whose rows hold z, info_level and the SeqSurvError the row raised
-# (None when it did not).  ``layout`` is the snapshots' RiskSetLayout, or None
-# to have them sorted; only the entries marked ``reads_layout`` read it
-# (Cox-Wald lays out pooled copies of its own).
+# Each method's statistic over a batch, ``(batch, t0)``: its batch result,
+# whose rows hold z, info_level and the SeqSurvError the row raised (None when
+# it did not).  ``batch`` is a sequence of snapshots; an entry marked
+# ``reads_layout`` also takes their RiskSetLayout (Cox-Wald lays out pooled
+# copies of its own, so sorting the snapshots for it would be wasted).
 # The entries look the batch functions up in this module when called.
 # run_oc, calibration and the analyze command reach them here; compare_sp,
 # km_compare and cox_wald, their batches of one, are on none of these paths.
 STATISTICS = {
-    "adjusted": _reads_layout(
-        lambda snaps, t0, layout: compare_sp_batch(snaps, t0, layout=layout)
-    ),
-    "km": _reads_layout(lambda snaps, t0, layout: km_compare_batch(snaps, t0, layout=layout)),
-    "cox": lambda snaps, t0, layout: cox_wald_batch(snaps),
+    "adjusted": _reads_layout(lambda batch, t0: compare_sp_batch(batch, t0)),
+    "km": _reads_layout(lambda batch, t0: km_compare_batch(batch, t0)),
+    "cox": lambda batch, t0: cox_wald_batch(batch),
 }
 METHODS = tuple(STATISTICS)
 
@@ -254,7 +252,7 @@ def method_statistic(method: str, snap: Snapshot, t0: float) -> tuple[float, flo
     if method not in STATISTICS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     check_t0(t0)
-    batch = STATISTICS[method]((snap,), t0, None)
+    batch = STATISTICS[method]((snap,), t0)
     if batch.errors[0] is not None:
         raise batch.errors[0]
     return batch.z[0], batch.info_level[0]
@@ -298,7 +296,7 @@ def _monitor_block(scenario, design, methods, analysis_times, method_totals, see
     cols = [generate_columns(scenario, seed, r) for r in rs]
     stages = [dict.fromkeys(methods, 0) for _ in rs]
     # per replicate: each running method's monitor
-    monitors = [{m: SequentialMonitor(design, method_totals[m]) for m in methods} for _ in rs]
+    monitors = [{m: MonitoringState(design, method_totals[m]) for m in methods} for _ in rs]
     for k, u in enumerate(analysis_times, start=1):
         live = [i for i, running in enumerate(monitors) if running]
         if not live:
@@ -309,12 +307,12 @@ def _monitor_block(scenario, design, methods, analysis_times, method_totals, see
             rows = tuple(i for i in live if m in monitors[i])
             if not rows:
                 continue
-            layout = None
+            batch = [snaps[i] for i in rows]
             if getattr(STATISTICS[m], "reads_layout", False):
                 if rows not in layouts:
-                    layouts[rows] = RiskSetLayout.from_snapshots([snaps[i] for i in rows])
-                layout = layouts[rows]
-            batch = STATISTICS[m]([snaps[i] for i in rows], scenario.tau, layout)
+                    layouts[rows] = RiskSetLayout.from_snapshots(batch)
+                batch = layouts[rows]
+            batch = STATISTICS[m](batch, scenario.tau)
             for i, z, info, error in zip(rows, batch.z, batch.info_level, batch.errors):
                 decision = "fail"
                 if error is None:
@@ -482,8 +480,8 @@ def _calibration_block(scenario, grid, methods, seed, rs) -> list[list[float]]:
     for r in rs:
         cols = generate_columns(scenario, seed, _CALIBRATION_STREAM_OFFSET + r)
         snaps = [snapshot(cols, u) for u in grid]
-        batches = [STATISTICS["adjusted"](snaps, scenario.tau, None)]
-        batches += [STATISTICS[m](snaps[-1:], scenario.tau, None) for m in methods[1:]]
+        batches = [STATISTICS["adjusted"](snaps, scenario.tau)]
+        batches += [STATISTICS[m](snaps[-1:], scenario.tau) for m in methods[1:]]
         rows.append([
             info if error is None else math.nan
             for batch in batches

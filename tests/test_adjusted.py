@@ -224,8 +224,8 @@ def test_non_finite_information_is_degenerate(hand_snapshot_8, monkeypatch):
 
     real = adjusted.fit_mple_batch
 
-    def poisoned(snaps, layout=None):
-        fits = real(snaps, layout=layout)
+    def poisoned(batch):
+        fits = real(batch)
         nan = np.full_like(fits.values.information, np.nan)
         return fits._replace(values=fits.values._replace(information=nan))
 

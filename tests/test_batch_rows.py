@@ -1,7 +1,7 @@
 """The batch-row invariant, as hypothesis properties: each snapshot's row of a
 batched statistic is its batch of one bit for bit, with the same error class
 and message, whatever the other rows are and in whatever order they come,
-also when the batch's risk-set layout is handed in."""
+also when the batch is given as its risk-set layout."""
 
 import numpy as np
 import pytest
@@ -76,8 +76,8 @@ def _error(error) -> tuple | None:
     return None if error is None else (type(error), str(error))
 
 
-def _fit_rows(snaps, t0, layout=None):
-    batch = fit_mple_batch(snaps, layout=layout)
+def _fit_rows(snaps, t0):
+    batch = fit_mple_batch(snaps)
     rows = []
     for b, error in enumerate(batch.errors):
         row = [_bits((batch.beta_hat[b], batch.iterations[b], batch.step_halvings[b])),
@@ -89,8 +89,8 @@ def _fit_rows(snaps, t0, layout=None):
     return rows
 
 
-def _sp_rows(snaps, t0, layout=None):
-    batch = compare_sp_batch(snaps, t0, layout=layout)
+def _sp_rows(snaps, t0):
+    batch = compare_sp_batch(snaps, t0)
     return [
         [_bits((batch.z[b], batch.info_level[b], batch.sigma2_hat[b])), _error(error),
          None if error is not None else _bits(batch.result(b).s_hat)]
@@ -98,8 +98,8 @@ def _sp_rows(snaps, t0, layout=None):
     ]
 
 
-def _km_rows(snaps, t0, layout=None):
-    batch = km_compare_batch(snaps, t0, layout=layout)
+def _km_rows(snaps, t0):
+    batch = km_compare_batch(snaps, t0)
     return [
         [_bits((batch.s_hat[b], batch.variance[b], batch.z[b], batch.info_level[b])), _error(error)]
         for b, error in enumerate(batch.errors)
@@ -120,7 +120,7 @@ ROWS = {
     "km_compare_batch": _km_rows,
     "cox_wald_batch": _cox_wald_rows,
 }
-# the batch functions that take the snapshots' risk-set layout
+# the batch functions that also take the snapshots' risk-set layout as the batch
 LAYOUT_READERS = ("fit_mple_batch", "compare_sp_batch", "km_compare_batch")
 
 
@@ -135,17 +135,4 @@ def test_each_row_is_its_batch_of_one_in_either_order(name, drawn):
     assert batch == [rows([snap], t0)[0] for snap in snaps]
     assert rows(snaps[::-1], t0) == batch[::-1]
     if name in LAYOUT_READERS:
-        assert rows(snaps, t0, RiskSetLayout.from_snapshots(snaps)) == batch
-
-
-@pytest.mark.parametrize("name", LAYOUT_READERS)
-def test_a_layout_of_other_snapshots_is_refused(name):
-    scenario = Scenario(n0=10, n1=10, tau=1.0, accrual=1.0)
-    snaps = [snapshot(generate_columns(scenario, seed), 2.0) for seed in (1, 2)]
-    fewer_rows = RiskSetLayout.from_snapshots(snaps[:1])
-    with pytest.raises(ValueError, match="^the layout has 1 rows of 20 subjects for 2 snapshots of 40$"):
-        ROWS[name](snaps, 0.5, fewer_rows)
-    smaller = RiskSetLayout.from_snapshots([snapshot(generate_columns(Scenario(
-        n0=5, n1=5, tau=1.0, accrual=1.0), 3), 2.0)])
-    with pytest.raises(ValueError, match="^the layout has 1 rows of 10 subjects for 1 snapshots of 20$"):
-        ROWS[name](snaps[:1], 0.5, smaller)
+        assert rows(RiskSetLayout.from_snapshots(snaps), t0) == batch

@@ -243,6 +243,35 @@ def test_analyze_refuses_a_state_file_with_a_stage_after_a_rejection(tmp_path, c
     assert "line 14: monitoring already ended with decision 'reject'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows, replace, message", [
+    (("stage = 1,1.0,50.0,0.5,2.7,0.1,reject,0.00625",), None,
+     "line 13: decision 'reject' does not follow"),
+    (("stage = 1,1.0,50.0,0.5,2.7,0.1,continue,0.00625",
+      "stage = 2,2.0,100.0,1.0,2.0,0.1,continue,0.05"), None,
+     "line 14: decision 'continue' does not follow"),
+    (("stage = 1,1.0,50.0,0.5,2.7,3.5,continue,0.00625",), None,
+     "line 13: decision 'continue' does not follow"),
+    ((), ("alpha = 0.05\n", "alpha = 0.05\nalpha = 0.05\n"),
+     "state file line 6: key 'alpha' repeats line 5"),
+])
+def test_analyze_refuses_a_state_file_a_live_monitor_cannot_write(tmp_path, capsys, rows, replace,
+                                                                 message):
+    data = tmp_path / "data.csv"
+    write_csv(data, columns([("a", 0, 0.0, 1.0, True, ()), ("b", 1, 0.0, 1.5, True, ()),
+                             ("c", 0, 0.0, 2.0, False, ()), ("d", 1, 0.0, 2.5, True, ())]))
+    design_file = tmp_path / "design.txt"
+    main(["design", "--alpha", "0.05", "--info-fractions", "0.5,1", "--out", str(design_file)])
+    text = ("total_information = 100.0\nmethod = km\ndesign_begin\n" + design_file.read_text()
+            + "design_end\n" + "".join(row + "\n" for row in rows))
+    state = tmp_path / "state.txt"
+    state.write_text(text.replace(*replace) if replace else text)
+    capsys.readouterr()
+    code = main(["analyze", str(data), "--design", str(design_file), "--t0", "0.5",
+                 "--u", "4.0", "--method", "km", "--state", str(state)])
+    assert code == EXIT_ERROR
+    assert message in capsys.readouterr().err
+
+
 def test_analyze_method_mismatch_rejected(tmp_path, capsys):
     cols = columns([("a", 0, 0.0, 0.9, True, ()),
                     ("b", 1, 0.0, 1.1, True, ()),

@@ -409,10 +409,10 @@ def _tied_snapshots():
 
 def _row_outcome(batch, b):
     """Everything a row's statistic and fit report, for bitwise comparison."""
-    fits, k = batch.fits, batch.fit_rows[b]
+    fits = batch.fits
     return (
-        batch.z[b], batch.info_level[b], fits.beta_hat[k].tolist(),
-        int(fits.iterations[k]), int(fits.step_halvings[k]),
+        batch.z[b], batch.info_level[b], fits.beta_hat[b].tolist(),
+        int(fits.iterations[b]), int(fits.step_halvings[b]),
     )
 
 
@@ -481,6 +481,21 @@ def test_failing_rows_leave_the_other_rows_of_a_batch_alone():
     assert isinstance(batch.errors[1], DegenerateDataError)
     assert isinstance(batch.errors[3], SeparationError)
     assert "both arms" in str(batch.errors[4])
+
+
+def test_a_one_arm_row_is_fitted_without_warnings_and_keeps_the_both_arms_error():
+    grid = _grid_snapshots(seed=2)
+    one_arm = snapshot(columns([
+        ("a", 0, 0.0, 1.0, True, (0.3,)),
+        ("b", 0, 0.0, 2.0, True, (0.1,)),
+        ("c", 0, 0.0, 3.0, False, (0.2,)),
+    ]), 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = compare_sp_batch([grid[3], one_arm], 1.0)
+    assert str(batch.errors[1]) == "both arms must be present to compare survival probabilities"
+    assert math.isnan(batch.sigma2_hat[1]) and math.isnan(batch.z[1])
+    assert _row_outcome(batch, 0) == _row_outcome(compare_sp_batch([grid[3]], 1.0), 0)
 
 
 def test_kernel_keeps_batch_rows_apart_when_relative_risks_differ_by_e30():

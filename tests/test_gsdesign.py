@@ -317,7 +317,8 @@ _GOOD_ROWS = (
         (("stage = 2,2.0,80.0,0.5,2.9626,0.7,continue,0.00625",), 0, "expected stage 1"),
         ((_GOOD_ROWS[0], _GOOD_ROWS[0].replace(",2.0,", ",3.0,")), 1, "expected stage 2"),
         (_GOOD_ROWS + ("stage = 3,4.0,140.0,0.9,2.2,0.2,continue,0.04",
-                       "stage = 4,5.0,150.0,1.0,2.1,0.3,accept,0.05"), 3, "exceeds the design's 3"),
+                       "stage = 4,5.0,150.0,1.0,2.1,0.3,accept,0.05"), 2,
+         "decision 'continue' does not follow .* at stage 3 of 3"),
         ((_GOOD_ROWS[0].replace("80.0", "nan"),), 0, "info_level must be finite"),
         ((_GOOD_ROWS[0].replace(",0.5,", ",inf,"),), 0, "info_fraction must be finite"),
         ((_GOOD_ROWS[0].replace("0.7", "-inf"),), 0, "z must be finite"),
@@ -409,6 +410,42 @@ def test_state_file_refuses_calendar_times_that_go_backwards():
     )
     with pytest.raises(ValueError, match=f"state file line {head + 2}: calendar time must increase"):
         state_from_text(text)
+
+
+_DECISION_ROWS = {
+    "rejection below the boundary": (
+        ("stage = 1,1.0,50.0,0.5,2.7,0.1,reject,0.00625",), 1,
+        "decision 'reject' does not follow from z = 0.1 against boundary 2.7 at stage 1 of 2, "
+        "information fraction 0.5: a live look decides 'continue'",
+    ),
+    "continue at the final stage": (
+        ("stage = 1,1.0,50.0,0.5,2.7,0.1,continue,0.00625",
+         "stage = 2,2.0,100.0,1.0,2.0,0.1,continue,0.05"), 2,
+        "decision 'continue' does not follow from z = 0.1 against boundary 2.0 at stage 2 of 2, "
+        "information fraction 1.0: a live look decides 'accept'",
+    ),
+    "crossing recorded as continue": (
+        ("stage = 1,1.0,50.0,0.5,2.7,3.5,continue,0.00625",), 1,
+        "decision 'continue' does not follow from z = 3.5 against boundary 2.7 at stage 1 of 2, "
+        "information fraction 0.5: a live look decides 'reject'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DECISION_ROWS))
+def test_state_file_refuses_a_row_whose_decision_does_not_follow(case):
+    rows, bad, message = _DECISION_ROWS[case]
+    text, head = _state_text_with_rows(*rows)
+    with pytest.raises(ValueError) as error:
+        state_from_text(text)
+    assert str(error.value) == f"state file line {head + bad}: {message}"
+
+
+def test_state_file_names_its_own_line_of_a_repeated_design_key():
+    text, _ = _state_text_with_rows()
+    assert text.splitlines()[4] == "alpha = 0.05"
+    with pytest.raises(ValueError, match="^state file line 6: key 'alpha' repeats line 5$"):
+        state_from_text(text.replace("alpha = 0.05\n", "alpha = 0.05\nalpha = 0.05\n"))
 
 
 def test_calendar_times_increase_past_looks_given_none():
@@ -854,6 +891,26 @@ def test_property_replay_admits_what_a_live_step_admits(run, data):
         live.step(look[0], look[1], calendar_time=look[2])
     lineno = first_row + j + 1
     assert str(replay_error.value) == f"state file line {lineno}: {live_error.value}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(monitoring_runs(), st.data())
+def test_property_replay_refuses_a_row_with_another_decision(run, data):
+    design, stages = run
+    state = _run_live(design, stages)
+    text = state_to_text(state)
+    rows = text.splitlines()
+    n = len(state.results)
+    j = data.draw(st.integers(0, n - 1), label="row")
+    other = data.draw(st.sampled_from(
+        [d for d in ("continue", "reject", "accept") if d != state.results[j].decision]
+    ), label="decision")
+    first_row = len(rows) - n
+    cells = rows[first_row + j].split(",")
+    cells[6] = other
+    rows[first_row + j] = ",".join(cells)
+    with pytest.raises(ValueError, match=f"^state file line {first_row + j + 1}: decision '{other}' "):
+        state_from_text("\n".join(rows) + "\n")
 
 
 _ANY_FLOAT = st.one_of(

@@ -245,9 +245,9 @@ def test_run_oc_takes_no_look_after_a_rejection(monkeypatch):
     real = sim.STATISTICS["adjusted"]
     z_first = 50.0
 
-    def statistic(snaps, t0, layout):
+    def statistic(snaps, t0):
         # z_first at the first look; no statistic at any later look
-        batch = real(snaps, t0, layout)
+        batch = real(snaps, t0)
         unavailable = [z_first is None or snap.calendar_time > cal.analysis_times[0] for snap in snaps]
         return batch._replace(
             z=[math.nan if u else z_first for u in unavailable],
@@ -290,7 +290,7 @@ def _monitor_alone(scenario, design, methods, analysis_times, method_totals, see
             try:
                 z, info = sim.method_statistic(m, snap, scenario.tau)
                 if monitors[m] is None:
-                    monitors[m] = sim.SequentialMonitor(design, method_totals[m])
+                    monitors[m] = sim.MonitoringState(design, method_totals[m])
                 decision = monitors[m].step(info, z).decision
             except (SeqSurvError, ValueError):
                 stage[m] = -1
@@ -606,9 +606,9 @@ def test_calibration_evaluates_each_method_at_the_study_end_on_its_own(monkeypat
     real = sim.compare_sp_batch
     end_calls = []
 
-    def compare_sp_batch_failing_at_the_end(snaps, t0, layout=None):
+    def compare_sp_batch_failing_at_the_end(snaps, t0):
         # each replicate's batch holds its grid-time snapshots, the study end last
-        batch = real(snaps, t0, layout=layout)
+        batch = real(snaps, t0)
         if snaps[-1].calendar_time == sc.study_length:
             end_calls.append(snaps[-1].calendar_time)
             if len(end_calls) % 2:
