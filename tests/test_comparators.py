@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 
@@ -7,13 +8,14 @@ import pytest
 from seqsurv import (
     DegenerateDataError,
     cox_wald,
+    cox_wald_batch,
     fit_mple,
     km_compare,
     snapshot,
     variance_components,
 )
 from conftest import columns, random_dataset, snapshot_arrays
-from oracles import naive_km
+from oracles import fd_gradient, fd_hessian, naive_km, naive_log_pl
 
 
 def test_km_product_limit_by_hand():
@@ -148,6 +150,68 @@ def test_cox_wald_equals_stratified_machinery_with_indicator(hand_snapshot):
     cov = np.linalg.inv(fit.observed_information)
     assert res.se == pytest.approx(np.sqrt(cov[0, 0]))
     assert res.info_level == pytest.approx(1.0 / cov[0, 0])
+
+
+def _cox_wald_row(snap):
+    """``cox_wald_batch`` on one snapshot, with the texts of the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        batch = cox_wald_batch([snap])
+    return batch, [str(w.message) for w in caught]
+
+
+def test_cox_wald_row_without_events_is_degenerate_and_warns():
+    rows = [("a", 0, 0.0, 1.0, False, (0.5,)), ("b", 0, 0.0, 2.0, False, (-0.3,)),
+            ("c", 1, 0.0, 1.5, False, (1.2,)), ("d", 1, 0.0, 0.7, False, (0.1,))]
+    batch, warned = _cox_wald_row(snapshot(columns(rows), 5.0))
+    assert type(batch.errors[0]) is DegenerateDataError
+    assert str(batch.errors[0]) == "no observed events in any stratum by calendar time 5"
+    assert warned == [
+        "stratum 0 has 4 subjects but no observed events by calendar time 5; "
+        "its baseline hazard estimate is zero"
+    ]
+    assert math.isnan(batch.z[0]) and math.isnan(batch.info_level[0])
+
+
+def test_cox_wald_row_with_an_event_free_arm_is_finite_without_warnings():
+    # the treated arm is at risk at two control events but has none of its
+    # own: its coefficient runs off until the score falls below tolerance
+    rows = [("a", 0, 0.0, 0.9, True, (0.5,)), ("b", 0, 0.0, 1.7, True, (-0.3,)),
+            ("c", 0, 0.0, 2.4, False, (1.2,)), ("d", 1, 0.0, 0.6, False, (0.1,)),
+            ("e", 1, 0.0, 1.1, False, (-1.0,)), ("f", 1, 0.0, 2.0, False, (0.7,))]
+    batch, warned = _cox_wald_row(snapshot(columns(rows), 5.0))
+    assert batch.errors[0] is None
+    assert warned == []
+    assert int(batch.fits.iterations[0]) == 18 and int(batch.fits.step_halvings[0]) == 0
+    assert batch.beta_w_hat[0] == pytest.approx(-19.02307128548388, rel=1e-6)
+    assert batch.z[0] == pytest.approx(-0.001767068057456629, rel=1e-6)
+    assert math.isfinite(batch.info_level[0]) and batch.info_level[0] > 0.0
+
+
+def test_cox_wald_day_rounded_row_with_arms_tied_at_event_times_matches_naive():
+    # whole-day times: both arms have events on days 30 and 60, a censoring
+    # ties an event on day 90, and one arm's first event comes before the other's
+    rows = [
+        ("a", 0, 0.0, 30.0, True, (0.4,)), ("b", 0, 0.0, 30.0, True, (-0.6,)),
+        ("c", 0, 5.0, 60.0, True, (0.9,)), ("d", 0, 0.0, 90.0, True, (0.0,)),
+        ("e", 0, 0.0, 90.0, False, (1.3,)), ("f", 0, 0.0, 200.0, False, (-0.2,)),
+        ("g", 1, 0.0, 12.0, True, (-1.1,)), ("h", 1, 0.0, 30.0, True, (0.3,)),
+        ("i", 1, 0.0, 60.0, True, (0.8,)), ("j", 1, 9.0, 60.0, True, (-0.4,)),
+        ("k", 1, 0.0, 150.0, True, (0.5,)), ("l", 1, 0.0, 240.0, False, (0.2,)),
+    ]
+    snap = snapshot(columns(rows), 365.0)
+    batch, warned = _cox_wald_row(snap)
+    assert batch.errors[0] is None
+    assert warned == []
+    x, d, a, z = snapshot_arrays(snap)
+    pooled = [np.concatenate(([arm], zi)) for arm, zi in zip(a, z)]
+    f = lambda b: naive_log_pl(b, x, d, [0] * len(a), pooled)
+    beta = batch.fits.beta_hat[0]
+    assert fd_gradient(f, beta) == pytest.approx(np.zeros(2), abs=1e-6)
+    information = -fd_hessian(f, beta)
+    var_w = np.linalg.inv(information)[0, 0]
+    assert batch.se[0] == pytest.approx(math.sqrt(var_w), rel=1e-4)
+    assert batch.z[0] == pytest.approx(beta[0] / math.sqrt(var_w), rel=1e-4)
 
 
 def test_cox_wald_detects_effect():
