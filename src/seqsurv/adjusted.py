@@ -26,6 +26,7 @@ import numpy as np
 from .cox import (
     FitBatch,
     RiskSetLayout,
+    RiskSets,
     StratifiedCoxFit,
     _as_layout,
     _cat,
@@ -77,16 +78,14 @@ _FIELDS = tuple(f.name for f in fields(VarianceComponents))
 _Components = namedtuple("_Components", _FIELDS)
 
 
-def _components(
-    fits: FitBatch, snaps: Sequence[Snapshot], t0: float, row: int | None = None
-) -> _Components:
+def _components(fits: FitBatch, t0: float, row: int | None = None) -> _Components:
     """Every variance ingredient of the fitted rows (or of row ``row`` alone)
     at their coefficients, with a leading row axis.
 
     Event sums run over (0, t0], inclusive of events at exactly t0, and reuse
     the risk-set sums the fit carries; pooled averages run over all subjects
-    in ``snaps``, one snapshot per row.  Each sum reduces one row's or one
-    stratum's own entries.
+    of each row's snapshot.  Each sum reduces one row's or one stratum's own
+    entries.
     """
     rs = fits.risk_sets
     offsets = rs.offsets
@@ -95,6 +94,7 @@ def _components(
         rows = slice(row, row + 1)
         groups = slice(offsets[2 * row], offsets[2 * row + 2])
         offsets = offsets[2 * row : 2 * row + 3] - offsets[2 * row]
+    snaps = rs.snapshots[rows]
     beta = fits.beta_hat[rows]
     n_rows, p = beta.shape
     # a successful fit guarantees positive, finite risk-set sums at beta_hat
@@ -181,15 +181,17 @@ def _sp_variances(c: _Components) -> np.ndarray:
     return total
 
 
-def variance_components(fit: StratifiedCoxFit, snap: Snapshot, t0: float) -> VarianceComponents:
+def variance_components(fit: StratifiedCoxFit, t0: float) -> VarianceComponents:
     """Evaluate every variance ingredient at the fitted coefficients: the
-    batched pass on the fit's row, averaging over the subjects of ``snap``,
-    the snapshot the fit was made on."""
+    batched pass on the fit's row, averaging over the subjects of the
+    snapshot the fit was made on."""
+    if not isinstance(fit.batch.risk_sets, RiskSets):
+        raise ValueError("variance components need a treatment-stratified fit, not a Cox-Wald fit")
     if t0 > fit.calendar_time:
         raise ValueError(
             f"survival time {t0:g} exceeds the fit's calendar horizon {fit.calendar_time:g}"
         )
-    return _row(_components(fit.batch, (snap,), t0, row=fit.row), 0)
+    return _row(_components(fit.batch, t0, row=fit.row), 0)
 
 
 @dataclass(frozen=True)
@@ -260,7 +262,7 @@ def compare_sp_batch(batch: Sequence[Snapshot] | RiskSetLayout, t0: float) -> SP
     for snap in snaps:
         check_t0(t0, snap)
     fits = fit_mple_batch(layout)
-    comps = _components(fits, snaps, t0)
+    comps = _components(fits, t0)
     variances = _sp_variances(comps).tolist()
     sp = comps.adjusted_sp.tolist()
     sizes = layout.sizes.tolist()

@@ -25,10 +25,10 @@ import numpy as np
 from .cox import (
     STRATA,
     FitBatch,
+    PooledRiskSets,
     RiskSetLayout,
     StratifiedCoxFit,
     _as_layout,
-    _cat,
     fit_mple_batch,
 )
 from .cox import fit_mple  # noqa: F401  bench/spans.py wraps seqsurv.comparators.fit_mple
@@ -127,8 +127,7 @@ def km_compare_batch(batch: Sequence[Snapshot] | RiskSetLayout, t0: float) -> KM
     # each nonempty arm's longest follow-up: its last subject in sorted order
     longest = np.full(2 * len(snaps), math.inf)
     nonempty = np.flatnonzero(layout.sizes.ravel())
-    follow_up = _cat([s.follow_up for s in snaps])
-    longest[nonempty] = follow_up[layout.order[layout.pair_ends[nonempty] - 1]]
+    longest[nonempty] = layout.follow_up[layout.pair_ends[nonempty] - 1]
     longest = longest.reshape(-1, 2).tolist()
     n_rows = len(snaps)
     errors: list[SeqSurvError | None] = [None] * n_rows
@@ -218,29 +217,18 @@ def _treatment_variance(information: np.ndarray) -> float:
     return float(cov[0, 0])
 
 
-def cox_wald_batch(snaps: Sequence[Snapshot]) -> CoxWaldBatch:
+def cox_wald_batch(batch: Sequence[Snapshot] | RiskSetLayout) -> CoxWaldBatch:
     """Wald test of the treatment coefficient in an unstratified Cox model,
     for each snapshot.
 
     The design matrix is the treatment indicator followed by the snapshot's
-    covariates, fitted with a single baseline hazard by reusing the stratified
-    machinery with every subject in one stratum.  A row whose fit fails gets
-    its error; a row whose treatment variance is not positive gets a
-    ``DegenerateDataError``.
+    covariates, with a single baseline hazard: ``fit_mple_batch`` on the
+    ``PooledRiskSets`` of the batch, which is the snapshots, their layout or
+    their ``RiskSets``.  A row whose fit fails gets its error; a row whose
+    treatment variance is not positive gets a ``DegenerateDataError``.
     """
-    pooled = [
-        Snapshot(
-            calendar_time=snap.calendar_time,
-            ids=snap.ids,
-            arm=np.zeros(snap.n, dtype=np.int8),
-            follow_up=snap.follow_up,
-            event_observed=snap.event_observed,
-            covariates=np.column_stack([snap.arm.astype(np.float64), snap.covariates]),
-        )
-        for snap in snaps
-    ]
-    fits = fit_mple_batch(pooled)
-    n_rows = len(pooled)
+    fits = fit_mple_batch(PooledRiskSets.from_snapshots(batch))
+    n_rows = len(fits.errors)
     errors = list(fits.errors)
     beta_w, se, z, info_level = ([math.nan] * n_rows for _ in range(4))
     for b in range(n_rows):

@@ -115,6 +115,7 @@ class RiskSetLayout:
     dn: np.ndarray           # (q,) number of events in each group
     at_risk: np.ndarray      # (q,) number of subjects at risk at each group
     order: np.ndarray        # (N,) the concatenated snapshots' subjects, sorted
+    follow_up: np.ndarray    # (N,) follow-up of each subject of ``order``
     pair_ends: np.ndarray    # (2B,) end of each pair in ``order``
     row_starts: np.ndarray   # (B,) first subject of each row in the concatenated snapshots
 
@@ -163,6 +164,7 @@ class RiskSetLayout:
             dn=np.subtract(first[1:], first[:-1], dtype=np.float64),
             at_risk=np.repeat(pair_ends, offsets[1:] - offsets[:-1]) - group_start,
             order=order,
+            follow_up=xs,
             pair_ends=pair_ends,
             row_starts=bounds[:-1:2],
         )
@@ -174,82 +176,50 @@ def _as_layout(batch: Sequence[Snapshot] | RiskSetLayout) -> RiskSetLayout:
     return batch if isinstance(batch, RiskSetLayout) else RiskSetLayout.from_snapshots(batch)
 
 
-@dataclass(frozen=True)
-class RiskSets(RiskSetLayout):
-    """The layout with the covariate columns the Cox kernel sums over.
+class _Kernel:
+    """What ``fit_mple_batch``'s Newton loop reads of a risk-set kernel over
+    a batch of snapshots (rows): ``evaluate``, ``row_values`` and
+    ``unusable_error``, and per row its ``snapshots``, arm ``sizes`` and
+    ``n_events`` (B, 2).
 
-    Each pair with events keeps its subjects at its first event group, the
-    largest of its risk sets, in descending follow-up order, so that the
-    risk set of every event group is a prefix of them.  These kept pairs are
-    padded to a common length L and laid out as (G, L); padding follows a
-    pair's subjects and is never read.  ``ends`` is the flat position in that
-    layout of each event group's last subject at risk.
+    A kernel's event groups run row by row, stratum 0 first: row b, stratum
+    i has groups ``offsets[2b + i]:offsets[2b + i + 1]``, each with ``dn``
+    events, and ``event_z_total`` (B, p) is the covariate total over each
+    row's events.  Its subjects sit in kept pairs laid out as (G, L), each a
+    zero slot and then the pair's subjects in descending follow-up order:
+    ``covariates`` (G, L, p) holds their x, and ``products`` their
+    per-arm [1, z, z z^T].  ``_sums(beta)`` gives the risk-set sums of
+    w [1, x, x x^T] (w = exp(beta . x)) at every group, one row of
+    1 + p + p*p per column.
     """
 
-    pair_rows: np.ndarray       # (G,) row of each kept pair
-    ends: np.ndarray            # (q,) flat position in (G, L) of each group's last subject at risk
-    row_has_events: np.ndarray  # (B,)
-    products: np.ndarray        # (1 + p + p*p, G, L) rows [1, z, z z^T] of the kept pairs' subjects
-    event_z_total: np.ndarray   # (B, p) covariate total over each row's events
-
-    @classmethod
-    def from_snapshots(cls, batch: Sequence[Snapshot] | RiskSetLayout) -> "RiskSets":
-        """The risk sets of a batch of snapshots or of their layout."""
-        layout = _as_layout(batch)
-        snaps = layout.snapshots
-        offsets, at_risk = layout.offsets, layout.at_risk
-        per_pair = offsets[1:] - offsets[:-1]
-        kept = np.flatnonzero(per_pair)
-        m = at_risk[offsets[kept]]
-        length = int(m.max()) if m.size else 1
-        last = layout.pair_ends[kept, None] - 1
-        subjects = layout.order[np.maximum(last - np.arange(length), 0)]
-
-        z_all = _cat([s.covariates for s in snaps])
-        p = z_all.shape[1]
-        z = np.take(z_all, subjects, axis=0).transpose(2, 0, 1)
-        products = np.empty((1 + p + p * p,) + z.shape[1:])
-        products[0] = 1.0
-        products[1 : 1 + p] = z
-        np.multiply(z[:, None], z[None, :], out=products[1 + p :].reshape((p, p) + z.shape[1:]))
-        events = _cat([s.event_observed for s in snaps])
-        return cls(
-            **{f.name: getattr(layout, f.name) for f in fields(RiskSetLayout)},
-            pair_rows=kept // 2,
-            ends=np.repeat(np.arange(0, kept.size * length, length), per_pair[kept]) + at_risk - 1,
-            row_has_events=offsets[2::2] > offsets[:-1:2],
-            products=products,
-            event_z_total=np.add.reduceat(z_all * events[:, None], layout.row_starts, axis=0),
-        )
+    def _cumulative_sums(self, beta: np.ndarray) -> np.ndarray:
+        """(1 + p' + p'*p', G, L): each kept pair's cumulative sums of w times
+        its ``products``.  Each pair gets its own cumulative sum, so sums of a
+        low-risk arm never come from a difference of a high-risk arm's
+        totals, nor of another row's."""
+        cols = self.products * np.exp(_linear(self.covariates, beta[self.pair_rows]))
+        np.cumsum(cols, axis=2, out=cols)
+        return cols
 
     def evaluate(self, beta: np.ndarray) -> RiskSetValues:
         """Log likelihood, score, information and event-group sums, one
         coefficient row of ``beta`` (B, p) per row.  A batch of one also takes
-        a vector and returns ``row_values(..., 0)``.
-
-        Each (row, stratum) pair gets its own cumulative sum, so sums of a
-        low-risk arm never come from a difference of a high-risk arm's
-        totals, nor of another row's.
-        """
+        a vector and returns ``row_values(..., 0)``."""
         beta = np.asarray(beta, dtype=np.float64)
         if beta.ndim == 1:
             return self.row_values(self.evaluate(beta[None, :]), 0)
         if beta.shape != self.event_z_total.shape:
             raise ValueError(f"beta must have shape {self.event_z_total.shape}, got {beta.shape}")
         n_rows, p = beta.shape
-        width = self.products.shape[0]
         q = self.dn.size
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            w = np.exp(_linear(self.products[1 : 1 + p].transpose(1, 2, 0), beta[self.pair_rows]))
-            cols = self.products * w
-            np.cumsum(cols, axis=2, out=cols)
-            sums = np.take(cols.reshape(width, -1), self.ends, axis=1)
+            sums = self._sums(beta)
             r0 = sums[0]
             # per event group: dn * [log r0, e, v] with e = r1 / r0 and
             # v = r2 / r0 - e e^T, one row per column, then each row of the
             # batch's totals
-            terms = np.empty((width, q + 1))
-            terms[:, q] = 0.0
+            terms = np.zeros((sums.shape[0], q + 1))
             np.divide(sums, r0, out=terms[:, :q])
             e = terms[1 : 1 + p, :q]
             np.log(r0, out=terms[0, :q])
@@ -289,6 +259,166 @@ class RiskSets(RiskSetLayout):
         return DegenerateDataError(
             f"stratum {int(bad >= mid)}: empty or non-finite risk set at an observed event time"
         )
+
+
+@dataclass(frozen=True)
+class RiskSets(RiskSetLayout, _Kernel):
+    """The treatment-stratified kernel: the layout with the covariate columns
+    the Cox kernel sums over.
+
+    Every pair with subjects is kept, with all of them, so that its risk set
+    at any time is a prefix of its row of (G, L); padding follows a pair's
+    subjects and is never read.  ``ends`` is the flat position in (G, L) of
+    each event group's last subject at risk.
+    """
+
+    pair_rows: np.ndarray       # (G,) row of each kept pair
+    pair_arms: np.ndarray       # (G,) arm of each kept pair
+    ends: np.ndarray            # (q,) flat position in (G, L) of each group's last subject at risk
+    row_has_events: np.ndarray  # (B,)
+    products: np.ndarray        # (1 + p + p*p, G, L) rows [1, z, z z^T], 0 in slot 0
+    covariates: np.ndarray      # (G, L, p) z, a view of ``products``
+    event_z_total: np.ndarray   # (B, p) covariate total over each row's events
+
+    @classmethod
+    def from_snapshots(cls, batch: Sequence[Snapshot] | RiskSetLayout) -> "RiskSets":
+        """The risk sets of a batch of snapshots or of their layout; a
+        ``RiskSets`` is used as it is."""
+        if isinstance(batch, RiskSets):
+            return batch
+        layout = _as_layout(batch)
+        snaps = layout.snapshots
+        offsets, sizes = layout.offsets, layout.sizes.ravel()
+        per_pair = offsets[1:] - offsets[:-1]
+        kept = np.flatnonzero(sizes)
+        length = int(sizes.max()) + 1
+        # slot j >= 1 of a kept pair holds its j-th longest follow-up
+        back = np.arange(-1, length - 1)
+        back[0] = 0
+        subjects = layout.order[np.maximum(layout.pair_ends[kept, None] - 1 - back, 0)]
+
+        z_all = _cat([s.covariates for s in snaps])
+        p = z_all.shape[1]
+        z = np.take(z_all, subjects, axis=0).transpose(2, 0, 1)
+        z[:, :, 0] = 0.0
+        products = np.empty((1 + p + p * p,) + z.shape[1:])
+        products[0] = 1.0
+        products[0, :, 0] = 0.0
+        products[1 : 1 + p] = z
+        np.multiply(z[:, None], z[None, :], out=products[1 + p :].reshape((p, p) + z.shape[1:]))
+        events = _cat([s.event_observed for s in snaps])
+        return cls(
+            **{f.name: getattr(layout, f.name) for f in fields(RiskSetLayout)},
+            pair_rows=kept // 2,
+            pair_arms=kept % 2,
+            ends=np.repeat(np.arange(0, kept.size * length, length), per_pair[kept]) + layout.at_risk,
+            row_has_events=offsets[2::2] > offsets[:-1:2],
+            products=products,
+            covariates=products[1 : 1 + p].transpose(1, 2, 0),
+            event_z_total=np.add.reduceat(z_all * events[:, None], layout.row_starts, axis=0),
+        )
+
+    def _sums(self, beta: np.ndarray) -> np.ndarray:
+        cols = self._cumulative_sums(beta)
+        return np.take(cols.reshape(cols.shape[0], -1), self.ends, axis=1)
+
+
+def _pooled_rows(p: int) -> np.ndarray:
+    """Where each entry of [1, x, x x^T], x = (arm, z), comes from in the
+    per-arm sums of [1, z, z z^T]: row 2c of both arms added or row 2c + 1
+    of the treated arm alone, for product row c.  Entries with the arm are
+    the treated arm's, where x_0 = 1."""
+
+    def row(f, g) -> int:  # factors: None the constant 1, 0 the arm, k >= 1 covariate z_k
+        u, v = f or 0, g or 0
+        c = u + v if u == 0 or v == 0 else p + (u - 1) * p + v
+        return 2 * c + (0 in (f, g))
+
+    x = range(1 + p)
+    return np.array([row(None, None)] + [row(None, j) for j in x] + [row(j, k) for j in x for k in x])
+
+
+@dataclass(frozen=True)
+class PooledRiskSets(_Kernel):
+    """Cox-Wald's kernel: one baseline hazard per row and x = (arm, z), read
+    from the treatment-stratified ``RiskSets`` of the same rows.
+
+    Its event groups are the stratified ones, each now summed over the whole
+    row's risk set; Breslow's term of a time at which both arms have events
+    is the sum of the two groups' terms.  At a group, the treated arm's
+    risk-set sums of w [1, z, z z^T], with w = exp(beta_w + z . beta_z), give
+    its entries of [1, x, x x^T] (x_0 = 1 there), and the control arm's, with
+    w = exp(z . beta_z), add to those without the arm:
+
+        S0 = R0(control) + R0(treated); the arm entries of S1 and S2 are the
+        treated arm's; the z entries add both arms'.
+
+    An arm's sums are its kept pair's cumulative sums: at the group's end for
+    the group's own arm, and after the other arm's count at risk at the
+    group's time for the other (the zero slot when none is).  All of a row's
+    subjects and events count in stratum 0 of ``sizes``, ``n_events`` and
+    ``offsets`` (2B + 1); stratum 1 is empty.
+    """
+
+    snapshots: tuple[Snapshot, ...]  # (B,)
+    sizes: np.ndarray           # (B, 2)
+    n_events: np.ndarray        # (B, 2)
+    offsets: np.ndarray         # (2B + 1,) row b's groups offsets[2b]:offsets[2b + 1]
+    dn: np.ndarray              # (q,)
+    row_has_events: np.ndarray  # (B,)
+    event_z_total: np.ndarray   # (B, 1 + p) treated events, then the covariate totals
+    products: np.ndarray        # (1 + p + p*p, G, L) the stratified kernel's
+    pair_rows: np.ndarray       # (G,)
+    covariates: np.ndarray      # (G, L, 1 + p) the arm, then z
+    positions: np.ndarray       # (2, q) each arm's flat position in (G, L) at each group
+    sum_rows: np.ndarray        # (1 + (1+p) + (1+p)**2,) ``_pooled_rows``
+
+    @classmethod
+    def from_snapshots(cls, batch: Sequence[Snapshot] | RiskSetLayout) -> "PooledRiskSets":
+        """The pooled kernel of a batch of snapshots, of their layout or of
+        their ``RiskSets``."""
+        rs = RiskSets.from_snapshots(batch)
+        n_rows, p = rs.event_z_total.shape
+        kept = 2 * rs.pair_rows + rs.pair_arms
+        first_slot = np.zeros(2 * n_rows, dtype=np.intp)
+        first_slot[kept] = np.arange(kept.size) * rs.products.shape[2]
+        positions = np.zeros((2, rs.dn.size), dtype=np.intp)
+        offsets, sizes, first_slot = rs.offsets.tolist(), rs.sizes.ravel().tolist(), first_slot.tolist()
+        pair_ends = rs.pair_ends.tolist()
+        for pair in range(2 * n_rows):
+            lo, hi = offsets[pair], offsets[pair + 1]
+            if lo == hi:
+                continue
+            arm, other = pair % 2, pair ^ 1
+            positions[arm, lo:hi] = rs.ends[lo:hi]
+            if sizes[other]:
+                follow_up = rs.follow_up[pair_ends[other] - sizes[other] : pair_ends[other]]
+                at_risk = sizes[other] - np.searchsorted(follow_up, rs.event_times[lo:hi])
+                positions[1 - arm, lo:hi] = first_slot[other] + at_risk
+        x = np.empty((1 + p,) + rs.products.shape[1:])
+        np.multiply(rs.products[0], rs.pair_arms[:, None], out=x[0])
+        x[1:] = rs.products[1 : 1 + p]
+        zeros = np.zeros(n_rows, dtype=rs.sizes.dtype)
+        return cls(
+            snapshots=rs.snapshots,
+            sizes=np.column_stack((rs.sizes.sum(axis=1), zeros)),
+            n_events=np.column_stack((rs.n_events.sum(axis=1), zeros)),
+            offsets=np.repeat(rs.offsets[::2], 2)[1:],
+            dn=rs.dn,
+            row_has_events=rs.row_has_events,
+            event_z_total=np.hstack((rs.n_events[:, 1:], rs.event_z_total)),
+            products=rs.products,
+            pair_rows=rs.pair_rows,
+            covariates=x.transpose(1, 2, 0),
+            positions=positions,
+            sum_rows=_pooled_rows(p),
+        )
+
+    def _sums(self, beta: np.ndarray) -> np.ndarray:
+        cols = self._cumulative_sums(beta)
+        arms = np.take(cols.reshape(cols.shape[0], -1), self.positions, axis=1)
+        arms[:, 0] += arms[:, 1]  # (both arms, treated arm) for each product row
+        return np.take(arms.reshape(2 * arms.shape[0], -1), self.sum_rows, axis=0)
 
 
 def solve_stack(matrices: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -336,10 +466,10 @@ class StratifiedCoxFit:
 
 class FitBatch(NamedTuple):
     """``fit_mple_batch``'s outcome: each row's maximizer, or the
-    ``SeqSurvError`` its fit raised.  ``values`` is the kernel at
-    ``beta_hat`` (a failed row's entries are meaningless)."""
+    ``SeqSurvError`` its fit raised.  ``values`` is the kernel ``risk_sets``
+    at ``beta_hat`` (a failed row's entries are meaningless)."""
 
-    risk_sets: RiskSets
+    risk_sets: RiskSets | PooledRiskSets
     values: RiskSetValues
     beta_hat: np.ndarray          # (B, p)
     iterations: np.ndarray        # (B,)
@@ -369,7 +499,7 @@ class FitBatch(NamedTuple):
         )
 
 
-def fit_mple_batch(batch: Sequence[Snapshot] | RiskSetLayout) -> FitBatch:
+def fit_mple_batch(batch: Sequence[Snapshot] | RiskSetLayout | PooledRiskSets) -> FitBatch:
     """Maximize each snapshot's stratified partial likelihood at its calendar
     time, all rows in lockstep.
 
@@ -381,9 +511,11 @@ def fit_mple_batch(batch: Sequence[Snapshot] | RiskSetLayout) -> FitBatch:
     unchanged.  A row that fails gets the error ``fit_mple`` raises for it;
     the other rows go on.  An arm with subjects but no observed events is
     legal (it contributes nothing and gets a flat baseline) but is reported
-    with a warning.  ``batch`` is the snapshots or their layout.
+    with a warning.  ``batch`` is a kernel (``RiskSets`` or
+    ``PooledRiskSets``), or the snapshots or their layout, whose ``RiskSets``
+    it fits.
     """
-    risk_sets = RiskSets.from_snapshots(batch)
+    risk_sets = batch if isinstance(batch, _Kernel) else RiskSets.from_snapshots(batch)
     snaps = risk_sets.snapshots
     n_rows, p = risk_sets.event_z_total.shape
     errors: list[SeqSurvError | None] = [None] * n_rows

@@ -754,15 +754,14 @@ def state_from_text(text: str) -> MonitoringState:
     if "total_information" not in kv:
         raise ValueError("state file is missing key 'total_information'")
     total_information = _number("total_information", kv["total_information"])
-    if not (math.isfinite(total_information) and total_information > 0.0):
-        raise ValueError(
-            f"state file key 'total_information' must be finite and positive, got {total_information!r}"
+    try:
+        state = MonitoringState(
+            design=design,
+            total_information=total_information,
+            method=kv.get("method", ""),
         )
-    state = MonitoringState(
-        design=design,
-        total_information=total_information,
-        method=kv.get("method", ""),
-    )
+    except ValueError as exc:  # a monitor without stages checks only its total
+        raise ValueError(f"state file key 'total_information': {exc}") from None
     for lineno, raw in enumerate(lines[end + 1 :], start=end + 2):
         if not raw.strip():
             continue

@@ -25,7 +25,7 @@ from scipy.optimize import brentq, isotonic_regression
 
 from .adjusted import compare_sp_batch
 from .comparators import cox_wald_batch, km_compare_batch
-from .cox import RiskSetLayout
+from .cox import RiskSets
 # bench/spans.py wraps these three names here; the simulation calls the batch functions
 from .adjusted import compare_sp  # noqa: F401
 from .comparators import cox_wald, km_compare  # noqa: F401
@@ -223,23 +223,16 @@ def generate_columns(scenario: Scenario, seed: int, replicate: int = 0) -> Colum
     )
 
 
-def _reads_layout(statistic):
-    """Mark a ``STATISTICS`` entry that reads the snapshots' RiskSetLayout."""
-    statistic.reads_layout = True
-    return statistic
-
-
 # Each method's statistic over a batch, ``(batch, t0)``: its batch result,
 # whose rows hold z, info_level and the SeqSurvError the row raised (None when
-# it did not).  ``batch`` is a sequence of snapshots; an entry marked
-# ``reads_layout`` also takes their RiskSetLayout (Cox-Wald lays out pooled
-# copies of its own, so sorting the snapshots for it would be wasted).
+# it did not).  ``batch`` is a sequence of snapshots, their RiskSetLayout or
+# their RiskSets; the simulation builds one RiskSets per look for them all.
 # The entries look the batch functions up in this module when called.
 # run_oc, calibration and the analyze command reach them here; compare_sp,
 # km_compare and cox_wald, their batches of one, are on none of these paths.
 STATISTICS = {
-    "adjusted": _reads_layout(lambda batch, t0: compare_sp_batch(batch, t0)),
-    "km": _reads_layout(lambda batch, t0: km_compare_batch(batch, t0)),
+    "adjusted": lambda batch, t0: compare_sp_batch(batch, t0),
+    "km": lambda batch, t0: km_compare_batch(batch, t0),
     "cox": lambda batch, t0: cox_wald_batch(batch),
 }
 METHODS = tuple(STATISTICS)
@@ -288,10 +281,10 @@ def _monitor_block(scenario, design, methods, analysis_times, method_totals, see
     whose monitoring of that method is still running; a method whose monitor
     has rejected, accepted or failed takes no later looks in that replicate.
     A row's statistic does not depend on the other rows, so a replicate's
-    stages do not depend on its block.  A look sorts each row list that a
-    statistic reading a ``RiskSetLayout`` needs once: the adjusted and KM
-    rows are the same until one of the two stops in some replicate, and
-    then share one layout.
+    stages do not depend on its block.  A look builds the ``RiskSets`` of
+    each distinct row list once, and every method with those rows reads it:
+    the methods' rows are the same until one of them stops in some
+    replicate.
     """
     cols = [generate_columns(scenario, seed, r) for r in rs]
     stages = [dict.fromkeys(methods, 0) for _ in rs]
@@ -302,17 +295,14 @@ def _monitor_block(scenario, design, methods, analysis_times, method_totals, see
         if not live:
             break
         snaps = {i: snapshot(cols[i], u) for i in live}
-        layouts = {}  # this look's RiskSetLayout of each row list a statistic reads
+        risk_sets = {}  # this look's RiskSets of each row list
         for m in methods:
             rows = tuple(i for i in live if m in monitors[i])
             if not rows:
                 continue
-            batch = [snaps[i] for i in rows]
-            if getattr(STATISTICS[m], "reads_layout", False):
-                if rows not in layouts:
-                    layouts[rows] = RiskSetLayout.from_snapshots(batch)
-                batch = layouts[rows]
-            batch = STATISTICS[m](batch, scenario.tau)
+            if rows not in risk_sets:
+                risk_sets[rows] = RiskSets.from_snapshots([snaps[i] for i in rows])
+            batch = STATISTICS[m](risk_sets[rows], scenario.tau)
             for i, z, info, error in zip(rows, batch.z, batch.info_level, batch.errors):
                 decision = "fail"
                 if error is None:
@@ -475,13 +465,16 @@ class CalibrationResult:
 def _calibration_block(scenario, grid, methods, seed, rs) -> list[list[float]]:
     """Each replicate of ``rs``: its adjusted information at each grid time,
     from one batched statistic call on its grid-time snapshots, then each
-    other method's (``methods[1:]``) at the study end; NaN marks a failure."""
+    other method's (``methods[1:]``) at the study end, all from one
+    ``RiskSets``; NaN marks a failure."""
     rows = []
     for r in rs:
         cols = generate_columns(scenario, seed, _CALIBRATION_STREAM_OFFSET + r)
         snaps = [snapshot(cols, u) for u in grid]
         batches = [STATISTICS["adjusted"](snaps, scenario.tau)]
-        batches += [STATISTICS[m](snaps[-1:], scenario.tau) for m in methods[1:]]
+        if methods[1:]:
+            end = RiskSets.from_snapshots(snaps[-1:])
+            batches += [STATISTICS[m](end, scenario.tau) for m in methods[1:]]
         rows.append([
             info if error is None else math.nan
             for batch in batches

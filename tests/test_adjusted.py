@@ -7,7 +7,9 @@ from seqsurv import (
     DegenerateDataError,
     compare_sp,
     compare_sp_batch,
+    cox_wald,
     fit_mple,
+    fit_mple_batch,
     snapshot,
     variance_components,
 )
@@ -16,24 +18,38 @@ from oracles import grid_refine_argmax, naive_adjusted_sp, naive_log_pl, naive_v
 
 
 def test_conditional_survival_at_zero_covariates(hand_snapshot):
-    fit = fit_mple(hand_snapshot)
     t = 1.5
     # averaging over subjects whose covariates are all zero leaves exp(-Lambda)
     zeroed = replace(hand_snapshot, covariates=np.zeros_like(hand_snapshot.covariates))
-    comps = variance_components(fit, zeroed, t)
+    fit = fit_mple(zeroed)
+    comps = variance_components(fit, t)
     assert comps.adjusted_sp[0] == pytest.approx(np.exp(-comps.baseline_cumhaz_t0[0]))
 
 
 def test_conditional_survival_before_first_event_is_one(hand_snapshot):
     fit = fit_mple(hand_snapshot)
-    assert variance_components(fit, hand_snapshot, 0.1).adjusted_sp[0] == 1.0
-    assert variance_components(fit, hand_snapshot, 0.3).adjusted_sp[1] == 1.0
+    assert variance_components(fit, 0.1).adjusted_sp[0] == 1.0
+    assert variance_components(fit, 0.3).adjusted_sp[1] == 1.0
 
 
 def test_conditional_survival_beyond_horizon_rejected(hand_snapshot):
     fit = fit_mple(hand_snapshot)
     with pytest.raises(ValueError, match="horizon"):
-        variance_components(fit, hand_snapshot, 6.0)
+        variance_components(fit, 6.0)
+
+
+def test_variance_components_average_over_the_fitted_rows_snapshot(hand_snapshot, hand_snapshot_8):
+    batch = fit_mple_batch([hand_snapshot, hand_snapshot_8])
+    for b, snap in enumerate((hand_snapshot, hand_snapshot_8)):
+        comps = variance_components(batch.fit(b), 2.0)
+        alone = variance_components(fit_mple(snap), 2.0)
+        assert comps.n == snap.n
+        assert comps.adjusted_sp.tobytes() == alone.adjusted_sp.tobytes()
+
+
+def test_variance_components_refuse_a_cox_wald_fit(hand_snapshot):
+    with pytest.raises(ValueError, match="treatment-stratified fit"):
+        variance_components(cox_wald(hand_snapshot).fit, 2.0)
 
 
 def test_conditional_survival_composes_fit_and_baseline(hand_snapshot):
@@ -44,7 +60,7 @@ def test_conditional_survival_composes_fit_and_baseline(hand_snapshot):
     )
     t = 2.0
     expected = naive_adjusted_sp(best, x, d, a, z, 1, t)
-    assert variance_components(fit, hand_snapshot, t).adjusted_sp[1] == pytest.approx(
+    assert variance_components(fit, t).adjusted_sp[1] == pytest.approx(
         expected, abs=1e-6
     )
 
@@ -57,7 +73,7 @@ def test_adjusted_sp_p0_is_baseline_survival():
         ("d", 1, 0.0, 2.5, False, ()),
     ])
     snap = snapshot(recs, 10.0)
-    comps = variance_components(fit_mple(snap), snap, 2.0)
+    comps = variance_components(fit_mple(snap), 2.0)
     for stratum in (0, 1):
         assert comps.adjusted_sp[stratum] == pytest.approx(
             np.exp(-comps.baseline_cumhaz_t0[stratum])
@@ -75,7 +91,7 @@ def test_adjusted_sp_constant_covariates_equals_conditional():
     ])
     snap = snapshot(recs, 10.0)
     fit = fit_mple(snap)
-    comps = variance_components(fit, snap, 2.0)
+    comps = variance_components(fit, 2.0)
     rel_risk = np.exp(fit.beta_hat[0] * 0.8)
     for stratum in (0, 1):
         assert comps.adjusted_sp[stratum] == pytest.approx(
@@ -86,7 +102,7 @@ def test_adjusted_sp_constant_covariates_equals_conditional():
 def test_adjusted_sp_matches_naive_average(hand_snapshot):
     fit = fit_mple(hand_snapshot)
     x, d, a, z = snapshot_arrays(hand_snapshot)
-    comps = variance_components(fit, hand_snapshot, 2.0)
+    comps = variance_components(fit, 2.0)
     for stratum in (0, 1):
         got = comps.adjusted_sp[stratum]
         expected = naive_adjusted_sp(fit.beta_hat, x, d, a, z, stratum, 2.0)
@@ -95,7 +111,7 @@ def test_adjusted_sp_matches_naive_average(hand_snapshot):
 
 def test_variance_components_match_naive_reimplementation(hand_snapshot_8):
     fit = fit_mple(hand_snapshot_8)
-    comps = variance_components(fit, hand_snapshot_8, 2.0)
+    comps = variance_components(fit, 2.0)
     x, d, a, z = snapshot_arrays(hand_snapshot_8)
     naive = naive_variance_pieces(fit.beta_hat, x, d, a, z, 2.0)
     for i in (0, 1):
@@ -140,7 +156,7 @@ def test_no_events_before_t0_zeroes_stratum_components():
     snap = snapshot(recs, 10.0)
     fit = fit_mple(snap)
     # stratum 0's only event lands beyond t0=1: its pieces all vanish
-    comps = variance_components(fit, snap, 1.0)
+    comps = variance_components(fit, 1.0)
     assert comps.cumhaz_variance[0] == 0.0
     assert comps.baseline_cumhaz_t0[0] == 0.0
     assert comps.cumhaz_beta_gradient[0] == pytest.approx(np.zeros(1))
@@ -156,7 +172,7 @@ def test_p0_variance_reduces_to_baseline_form():
     ])
     snap = snapshot(recs, 10.0)
     fit = fit_mple(snap)
-    comps = variance_components(fit, snap, 1.0)
+    comps = variance_components(fit, 1.0)
     assert comps.sp_diff_beta_gradient.size == 0
     n = 4
     lam = comps.baseline_cumhaz_t0
@@ -192,7 +208,7 @@ def test_z_equals_diff_times_sqrt_info(hand_snapshot_8):
 
 def test_sp_nonincreasing_in_t0(hand_snapshot_8):
     fit = fit_mple(hand_snapshot_8)
-    sps = [variance_components(fit, hand_snapshot_8, t).adjusted_sp for t in (0.5, 1.0, 1.5, 2.0, 2.5)]
+    sps = [variance_components(fit, t).adjusted_sp for t in (0.5, 1.0, 1.5, 2.0, 2.5)]
     for stratum in (0, 1):
         values = [sp[stratum] for sp in sps]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))

@@ -1,7 +1,7 @@
 """The batch-row invariant, as hypothesis properties: each snapshot's row of a
 batched statistic is its batch of one bit for bit, with the same error class
 and message, whatever the other rows are and in whatever order they come,
-also when the batch is given as its risk-set layout."""
+also when the batch is given as its risk-set layout or its ``RiskSets``."""
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from seqsurv import (
     km_compare_batch,
     snapshot,
 )
-from seqsurv.cox import RiskSetLayout
+from seqsurv.cox import RiskSetLayout, RiskSets
 from seqsurv.sim import COVARIATE_SCHEMES
 
 DAYS = 365.25
@@ -121,7 +121,7 @@ ROWS = {
     "cox_wald_batch": _cox_wald_rows,
 }
 # the batch functions that also take the snapshots' risk-set layout as the batch
-LAYOUT_READERS = ("fit_mple_batch", "compare_sp_batch", "km_compare_batch")
+LAYOUT_READERS = ("fit_mple_batch", "compare_sp_batch", "km_compare_batch", "cox_wald_batch")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -136,3 +136,14 @@ def test_each_row_is_its_batch_of_one_in_either_order(name, drawn):
     assert rows(snaps[::-1], t0) == batch[::-1]
     if name in LAYOUT_READERS:
         assert rows(RiskSetLayout.from_snapshots(snaps), t0) == batch
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(drawn=batches())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_one_risk_sets_serves_every_batch_function(drawn):
+    # as at a simulated look: one RiskSets, handed to each statistic in turn
+    snaps, t0 = drawn
+    shared = RiskSets.from_snapshots(snaps)
+    for name in LAYOUT_READERS:
+        assert ROWS[name](shared, t0) == ROWS[name](snaps, t0), name

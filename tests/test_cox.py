@@ -20,6 +20,7 @@ from seqsurv import (
     snapshot,
     variance_components,
 )
+from seqsurv.cox import PooledRiskSets
 from conftest import columns, random_dataset, snapshot_arrays
 from oracles import fd_gradient, fd_hessian, grid_refine_argmax, naive_breslow, naive_log_pl
 
@@ -31,9 +32,9 @@ def kernel(snap, beta):
     return values
 
 
-def cumhaz(fit, snap, t):
+def cumhaz(fit, t):
     """Both arms' Breslow baseline cumulative hazards at ``t``."""
-    return variance_components(fit, snap, t).baseline_cumhaz_t0
+    return variance_components(fit, t).baseline_cumhaz_t0
 
 
 def test_score_is_half_for_two_subject_risk_set():
@@ -133,10 +134,10 @@ def test_fit_p0_reduces_to_nelson_aalen():
     fit = fit_mple(snap)
     assert fit.beta_hat.size == 0
     # stratum 0: jumps 1/3 at t=1, 1/2 at t=2
-    assert cumhaz(fit, snap, 0.5)[0] == pytest.approx(0.0)
-    assert cumhaz(fit, snap, 1.0)[0] == pytest.approx(1 / 3)
-    assert cumhaz(fit, snap, 2.7)[0] == pytest.approx(1 / 3 + 1 / 2)
-    assert cumhaz(fit, snap, 1.5)[1] == pytest.approx(1.0)
+    assert cumhaz(fit, 0.5)[0] == pytest.approx(0.0)
+    assert cumhaz(fit, 1.0)[0] == pytest.approx(1 / 3)
+    assert cumhaz(fit, 2.7)[0] == pytest.approx(1 / 3 + 1 / 2)
+    assert cumhaz(fit, 1.5)[1] == pytest.approx(1.0)
 
 
 def test_fit_matches_brute_force_maximizer(hand_snapshot):
@@ -169,7 +170,7 @@ def test_breslow_baseline_matches_naive(hand_snapshot_8):
     fit = fit_mple(hand_snapshot_8)
     x, d, a, z = snapshot_arrays(hand_snapshot_8)
     for t in (0.5, 1.3, 2.0, 4.0):
-        lam = cumhaz(fit, hand_snapshot_8, t)
+        lam = cumhaz(fit, t)
         for stratum in (0, 1):
             assert lam[stratum] == pytest.approx(
                 naive_breslow(fit.beta_hat, x, d, a, z, stratum, t)
@@ -179,7 +180,7 @@ def test_breslow_baseline_matches_naive(hand_snapshot_8):
 def test_baseline_nondecreasing_and_zero_at_origin(hand_snapshot_8):
     fit = fit_mple(hand_snapshot_8)
     grid = np.linspace(0, 5, 50)
-    vals = np.array([cumhaz(fit, hand_snapshot_8, t) for t in grid])   # (50, 2)
+    vals = np.array([cumhaz(fit, t) for t in grid])   # (50, 2)
     assert np.all(vals[0] == 0.0)
     assert np.all(np.diff(vals, axis=0) >= 0)
 
@@ -192,7 +193,7 @@ def test_covariate_shift_invariance(hand_snapshot_8):
     assert fit2.beta_hat == pytest.approx(fit.beta_hat, abs=1e-9)
     scale = np.exp(-fit.beta_hat[0] * shift)
     t = 2.0
-    lam, lam2 = cumhaz(fit, hand_snapshot_8, t), cumhaz(fit2, shifted, t)
+    lam, lam2 = cumhaz(fit, t), cumhaz(fit2, t)
     for stratum in (0, 1):
         assert lam2[stratum] == pytest.approx(lam[stratum] * scale)
 
@@ -219,7 +220,7 @@ def test_stratum_without_events_warns_not_errors():
     with pytest.warns(RuntimeWarning, match="stratum 1"):
         fit = fit_mple(snap)
     assert fit.event_free_strata == (1,)
-    assert cumhaz(fit, snap, 5.0)[1] == 0.0
+    assert cumhaz(fit, 5.0)[1] == 0.0
 
 
 def test_no_events_anywhere_is_degenerate():
@@ -297,11 +298,61 @@ def test_kernel_on_ties_in_both_strata_matches_naive():
     fit = fit_mple(snap)
     assert fit.final_score_norm <= 1e-8
     for t in (0.5, 1.0, 2.0, 2.7, 4.0):
-        lam = cumhaz(fit, snap, t)
+        lam = cumhaz(fit, t)
         for stratum in (0, 1):
             assert lam[stratum] == pytest.approx(
                 naive_breslow(fit.beta_hat, x, d, a, z, stratum, t)
             )
+
+
+def _pooled_oracle(snap):
+    """The naive log partial likelihood of one stratum with the arm as the
+    first covariate: Cox-Wald's model."""
+    x, d, a, z = snapshot_arrays(snap)
+    pooled = [np.concatenate(([arm], zi)) for arm, zi in zip(a, z)]
+    return lambda b: naive_log_pl(b, x, d, [0] * len(a), pooled)
+
+
+def _first_events_apart_columns():
+    # the control arm's events come first; the treated arm's first event
+    # (1.8) comes after a treated censoring (0.9), so treated subjects are at
+    # risk at control events before their own arm's first event
+    rows = [
+        (0, 0.0, 0.3, True, (0.5,)), (0, 0.0, 0.7, True, (-0.4,)), (0, 0.2, 1.2, True, (1.0,)),
+        (0, 0.0, 2.6, False, (0.1,)), (1, 0.0, 0.9, False, (-0.8,)), (1, 0.0, 1.8, True, (0.6,)),
+        (1, 0.1, 2.2, True, (-0.2,)), (1, 0.0, 3.1, False, (0.3,)), (1, 4.7, 0.2, False, (1.4,)),
+    ]
+    return columns((f"s{j}", *row) for j, row in enumerate(rows))
+
+
+@pytest.mark.parametrize("case", ["continuous", "ties", "first_events_apart"])
+def test_pooled_kernel_matches_naive_with_the_arm_as_covariate(case, hand_snapshot):
+    snap = {
+        "continuous": hand_snapshot,
+        "ties": snapshot(_tied_columns(), 5.0),
+        "first_events_apart": snapshot(_first_events_apart_columns(), 5.0),
+    }[case]
+    f = _pooled_oracle(snap)
+    kernel = PooledRiskSets.from_snapshots((snap,))
+    gaps = []
+    for beta in (np.zeros(1 + snap.n_covariates), np.linspace(-0.6, 0.8, 1 + snap.n_covariates)):
+        values = kernel.evaluate(beta)
+        assert values.usable
+        assert values.score == pytest.approx(fd_gradient(f, beta), abs=1e-6)
+        assert values.information == pytest.approx(-fd_hessian(f, beta), rel=1e-4, abs=1e-6)
+        gaps.append(values.loglik - f(beta))
+    assert gaps[1] == pytest.approx(gaps[0])
+
+
+def test_pooled_kernel_score_matches_naive_on_random_data():
+    # criterion 1's score check, on Cox-Wald's model
+    rng = np.random.default_rng(20240802)
+    for _ in range(100):
+        snap = snapshot(random_dataset(rng), 10.0)
+        beta = rng.normal(0, 0.5, 1 + snap.n_covariates)
+        values = PooledRiskSets.from_snapshots((snap,)).evaluate(beta)
+        assert values.usable
+        assert values.score == pytest.approx(fd_gradient(_pooled_oracle(snap), beta), abs=1e-6)
 
 
 def _e30_snapshot(high_arm):

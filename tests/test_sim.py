@@ -245,10 +245,11 @@ def test_run_oc_takes_no_look_after_a_rejection(monkeypatch):
     real = sim.STATISTICS["adjusted"]
     z_first = 50.0
 
-    def statistic(snaps, t0):
+    def statistic(risk_sets, t0):
         # z_first at the first look; no statistic at any later look
-        batch = real(snaps, t0)
-        unavailable = [z_first is None or snap.calendar_time > cal.analysis_times[0] for snap in snaps]
+        batch = real(risk_sets, t0)
+        unavailable = [z_first is None or snap.calendar_time > cal.analysis_times[0]
+                       for snap in risk_sets.snapshots]
         return batch._replace(
             z=[math.nan if u else z_first for u in unavailable],
             info_level=[math.nan if u else info for u, info in zip(unavailable, batch.info_level)],
