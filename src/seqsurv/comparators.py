@@ -1,13 +1,14 @@
 """Reference comparison methods: unadjusted Kaplan-Meier at a fixed time and
 the Wald test of a treatment coefficient in an unstratified Cox model.
 
-Each comparator computes a batch of snapshots, its rows, in one call:
-``km_compare_batch`` reads every row's at-risk counts from one risk-set
-layout (the batch's, or sorted from its snapshots) and computes all rows'
-estimates in one vectorised pass, and ``cox_wald_batch`` makes one
-``fit_mple_batch`` over the pooled snapshots.  A row that cannot support
-the statistic gets the error the single-snapshot function raises for it,
-and the other rows go on.
+Each comparator computes a batch of snapshots, its rows, in one call, and
+takes the batch as its snapshots, their risk-set layout or their
+``RiskSets``: ``km_compare_batch`` reads every row's at-risk counts from the
+layout and computes all rows' estimates in one vectorised pass, and
+``cox_wald_batch`` makes one ``fit_mple_batch`` on the ``PooledRiskSets``
+kernel, which reads the per-arm sums of the batch's ``RiskSets``.  A row
+that cannot support the statistic gets the error the single-snapshot
+function raises for it, and the other rows go on.
 ``km_compare`` and ``cox_wald`` are the batch of one.  A row's arithmetic
 never depends on the other rows, so a snapshot computed alone and at any
 position of a batch gets the same bits.
@@ -185,7 +186,7 @@ class CoxWaldBatch(NamedTuple):
     """``cox_wald_batch``'s outcome: each snapshot's treatment coefficient,
     its standard error, statistic and information level, NaN where the row
     raised the ``SeqSurvError`` in ``errors``.  ``fits`` is the fit of the
-    pooled snapshots.  ``result(b)`` is what ``cox_wald`` returns for row b."""
+    pooled kernel.  ``result(b)`` is what ``cox_wald`` returns for row b."""
 
     beta_w_hat: list[float]
     se: list[float]

@@ -6,20 +6,26 @@ events) is maximized by Newton iteration with step halving.  The fit carries
 the risk-set sums at its maximizer; ``adjusted`` reads each arm's Breslow
 cumulative hazard at t0 from them.
 
-Every quantity comes from one risk-set kernel (Therneau & Grambsch 2000,
-ch. 3) over a batch of snapshots, its rows.  ``RiskSetLayout.from_snapshots``
-sorts each row by (arm, follow-up) with its own ``lexsort`` and groups its
-events; the layout keeps the snapshots it was sorted from.  The functions
-that read a layout (``fit_mple_batch``, ``RiskSets.from_snapshots`` and the
-adjusted and Kaplan-Meier statistics) take their batch either as snapshots,
-which they sort, or as a layout, which they use as it is: the simulation
-sorts a look's snapshots once for the adjusted statistic and the
-Kaplan-Meier comparator.  ``RiskSets`` adds the covariate columns, and
-``RiskSets.evaluate`` returns each row's log likelihood, score, information
-and risk-set sums at the event groups for one coefficient vector per row,
-with one exp(z.beta) and one cumulative sum for the whole batch.
-``fit_mple_batch`` runs Newton on all rows in lockstep; ``fit_mple`` is its
-batch of one.
+Every quantity comes from risk sets over a batch of snapshots, its rows
+(Therneau & Grambsch 2000, ch. 3).  ``RiskSetLayout.from_snapshots`` sorts
+each row by (arm, follow-up) with its own ``lexsort`` and groups its events;
+the layout keeps the snapshots it was sorted from.  ``RiskSets`` adds the
+covariate products [1, z, z z^T] of each (row, arm) pair.  The functions
+that read risk sets (``fit_mple_batch``, ``RiskSets.from_snapshots``, and
+the adjusted, Kaplan-Meier and Cox-Wald statistics) take their batch as
+snapshots, which they sort, or as a layout or ``RiskSets``, which they use
+as it is: the simulation sorts and lays out a look's snapshots once for all
+three statistics.
+
+Two kernels evaluate a partial likelihood: ``RiskSets`` (treatment-
+stratified, x = z) and ``PooledRiskSets`` (one baseline hazard, x =
+(arm, z), for the Cox-Wald comparator), which reads the same per-arm
+cumulative sums and adds the arms at each event time (Kalbfleisch &
+Prentice 2002, ch. 4).  ``evaluate`` returns each row's log likelihood,
+score, information and risk-set sums at the event groups for one
+coefficient vector per row, with one exp(x.beta) and one cumulative sum for
+the whole batch.  ``fit_mple_batch`` runs Newton on all rows of a kernel in
+lockstep; ``fit_mple`` is its batch of one.
 
 A row's arithmetic never depends on the other rows of its batch: cumulative
 sums run inside one (row, stratum) pair, a row's totals are reductions over
@@ -54,11 +60,11 @@ SEPARATION_NORM = 50.0    # |beta|_inf beyond this means monotone likelihood
 class RiskSetValues(NamedTuple):
     """The kernel's output at one coefficient vector per row.
 
-    ``r0`` and ``r1`` are the unnormalized risk-set sums of w and w*z
-    (w = exp(beta . z)) at every event group of the batch, in the layout's
+    ``r0`` and ``r1`` are the unnormalized risk-set sums of w and w*x
+    (w = exp(beta . x)) at every event group of the batch, in the kernel's
     order.  When some risk set of a row is empty or overflows, its ``usable``
     is false and its ``loglik`` is -inf; its other fields are then
-    meaningless.  ``RiskSets.row_values`` gives one row's values with the
+    meaningless.  A kernel's ``row_values`` gives one row's values with the
     leading axis dropped and ``r0``, ``r1`` cut to its event groups.
     """
 
@@ -194,8 +200,8 @@ class _Kernel:
     """
 
     def _cumulative_sums(self, beta: np.ndarray) -> np.ndarray:
-        """(1 + p' + p'*p', G, L): each kept pair's cumulative sums of w times
-        its ``products``.  Each pair gets its own cumulative sum, so sums of a
+        """Each kept pair's cumulative sums of w times its ``products``, in
+        the products' shape.  Each pair gets its own cumulative sum, so sums of a
         low-risk arm never come from a difference of a high-risk arm's
         totals, nor of another row's."""
         cols = self.products * np.exp(_linear(self.covariates, beta[self.pair_rows]))
@@ -500,8 +506,8 @@ class FitBatch(NamedTuple):
 
 
 def fit_mple_batch(batch: Sequence[Snapshot] | RiskSetLayout | PooledRiskSets) -> FitBatch:
-    """Maximize each snapshot's stratified partial likelihood at its calendar
-    time, all rows in lockstep.
+    """Maximize each snapshot's partial likelihood at its calendar time (the
+    treatment-stratified one, or the kernel's), all rows in lockstep.
 
     Per row: Newton steps with step halving on a log-likelihood decrease
     larger than rounding noise, then the separation and usable-risk-set
