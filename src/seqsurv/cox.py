@@ -272,10 +272,11 @@ class RiskSets(RiskSetLayout, _Kernel):
     """The treatment-stratified kernel: the layout with the covariate columns
     the Cox kernel sums over.
 
-    Every pair with subjects is kept, with all of them, so that its risk set
-    at any time is a prefix of its row of (G, L); padding follows a pair's
-    subjects and is never read.  ``ends`` is the flat position in (G, L) of
-    each event group's last subject at risk.
+    A pair keeps its subjects followed at least until its row's first event
+    time in either arm, and is kept when it has any, so that its risk set at
+    any event time of its row is a prefix of its row of (G, L); padding
+    follows a pair's subjects and is never read.  ``ends`` is the flat
+    position in (G, L) of each event group's last subject at risk.
     """
 
     pair_rows: np.ndarray       # (G,) row of each kept pair
@@ -296,8 +297,17 @@ class RiskSets(RiskSetLayout, _Kernel):
         snaps = layout.snapshots
         offsets, sizes = layout.offsets, layout.sizes.ravel()
         per_pair = offsets[1:] - offsets[:-1]
-        kept = np.flatnonzero(sizes)
-        length = int(sizes.max()) + 1
+        # each row's first event time (inf without events), and each pair's
+        # subjects followed at least that long: the last m of the pair
+        first = np.full(sizes.size, np.inf)
+        with_events = np.flatnonzero(per_pair)
+        first[with_events] = layout.event_times[offsets[with_events]]
+        first = first.reshape(-1, 2).min(axis=1)
+        followed = np.zeros(sizes.sum() + 1, dtype=np.intp)
+        np.cumsum(layout.follow_up >= np.repeat(first, layout.sizes.sum(axis=1)), out=followed[1:])
+        m = followed[layout.pair_ends] - followed[layout.pair_ends - sizes]
+        kept = np.flatnonzero(m)
+        length = int(m.max()) + 1
         # slot j >= 1 of a kept pair holds its j-th longest follow-up
         back = np.arange(-1, length - 1)
         back[0] = 0
@@ -388,6 +398,9 @@ class PooledRiskSets(_Kernel):
         kept = 2 * rs.pair_rows + rs.pair_arms
         first_slot = np.zeros(2 * n_rows, dtype=np.intp)
         first_slot[kept] = np.arange(kept.size) * rs.products.shape[2]
+        # each group's flat position in each arm's cumulative sums: its own
+        # arm's end, and the other arm's zero slot plus its count at risk at
+        # the group's time (0, a zero slot, when it has none at risk)
         positions = np.zeros((2, rs.dn.size), dtype=np.intp)
         offsets, sizes, first_slot = rs.offsets.tolist(), rs.sizes.ravel().tolist(), first_slot.tolist()
         pair_ends = rs.pair_ends.tolist()
