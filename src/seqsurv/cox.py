@@ -303,9 +303,9 @@ class RiskSets(RiskSetLayout, _Kernel):
         with_events = np.flatnonzero(per_pair)
         first[with_events] = layout.event_times[offsets[with_events]]
         first = first.reshape(-1, 2).min(axis=1)
-        followed = np.zeros(sizes.sum() + 1, dtype=np.intp)
-        np.cumsum(layout.follow_up >= np.repeat(first, layout.sizes.sum(axis=1)), out=followed[1:])
-        m = followed[layout.pair_ends] - followed[layout.pair_ends - sizes]
+        followed = np.zeros(sizes.sum() + 1, dtype=np.intp)  # a trailing 0 for reduceat
+        np.greater_equal(layout.follow_up, np.repeat(first, layout.sizes.sum(axis=1)), out=followed[:-1])
+        m = np.where(sizes > 0, np.add.reduceat(followed, layout.pair_ends - sizes), 0)
         kept = np.flatnonzero(m)
         length = int(m.max()) + 1
         # slot j >= 1 of a kept pair holds its j-th longest follow-up
