@@ -8,8 +8,9 @@ cumulative hazard at t0 from them.
 
 Every quantity comes from risk sets over a batch of snapshots, its rows
 (Therneau & Grambsch 2000, ch. 3).  ``RiskSetLayout.from_snapshots`` sorts
-each row by (arm, follow-up) with its own ``lexsort`` and groups its events;
-the layout keeps the snapshots it was sorted from.  ``RiskSets`` adds the
+each row by (arm, follow-up), with one ``argsort`` of bit keys per row and
+its ties put back in snapshot order, and groups its events; the layout keeps
+the snapshots it was sorted from.  ``RiskSets`` adds the
 covariate products [1, z, z z^T] of each (row, arm) pair.  The functions
 that read risk sets (``fit_mple_batch``, ``RiskSets.from_snapshots``, and
 the adjusted, Kaplan-Meier and Cox-Wald statistics) take their batch as
@@ -135,23 +136,39 @@ class RiskSetLayout:
             raise ValueError(
                 f"every snapshot of a batch must have the same number of covariates, got {counts}"
             )
+        fu = _cat([s.follow_up for s in snaps])
+        if not (fu >= 0).all():
+            b = next(b for b, s in enumerate(snaps) if not (s.follow_up >= 0).all())
+            raise ValueError(f"snapshot {b} of the batch has a negative or NaN follow-up")
+        # a non-negative double orders as its bits (+ 0.0 makes -0.0 tie with
+        # 0.0); the arm is the top bit, so stratum 0 comes first
+        keys = (fu + 0.0).view(np.uint64) | (_cat([s.arm for s in snaps]).astype(np.uint64) << 63)
         # bounds[2b + i] is where pair (row b, arm i) starts in the sorted order
         orders, bounds, start = [], [], 0
-        for s in snaps:
-            order = np.lexsort((s.follow_up, s.arm))
+        for b, s in enumerate(snaps):
+            if not s.n:
+                raise ValueError(f"snapshot {b} of the batch has no subjects")
+            order = np.argsort(keys[start : start + s.n])
             orders.append(order + start if start else order)
             n1 = int(np.count_nonzero(s.arm))
             bounds += [start, start + s.n - n1]
             start += s.n
         bounds.append(start)
         order = _cat(orders)
-        xs = _cat([s.follow_up for s in snaps])[order]
+        xs = fu[order]
         # first sorted position of each run of equal (pair, follow-up): for an
         # event there, it is the first subject of its pair at risk
         new_run = np.empty(start, dtype=bool)
         new_run[1:] = xs[1:] != xs[:-1]
         new_run[[b for b in bounds[:-1] if b < start]] = True
         run_start = np.maximum.accumulate(np.where(new_run, np.arange(start), 0))
+        # argsort is not stable: put the subjects of each run of two or more
+        # back in snapshot order, by one sort of unique (run, subject) keys,
+        # and read their follow-ups again (-0.0 and 0.0 tie)
+        tied = np.flatnonzero(~(new_run & np.append(new_run[1:], True)))
+        shift = run_start[tied] * start
+        order[tied] = np.sort(shift + order[tied]) - shift
+        xs[tied] = fu[order[tied]]
         ev_run = run_start[_cat([s.event_observed for s in snaps])[order]]
         first = np.flatnonzero(ev_run != np.concatenate(([-1], ev_run[:-1])))
         group_start = ev_run[first]

@@ -2,7 +2,9 @@
 
 Everything here is written with plain per-subject loops, straight from the
 estimator definitions, deliberately sharing no code with the package's
-vectorized paths.
+vectorized paths.  The exception is ``lexsort_layout``: the risk-set layout
+as a stable ``lexsort`` per row builds it, the reference for the package's
+faster sort.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from seqsurv.cox import RiskSetLayout
 
 
 def naive_log_pl(beta, follow_up, event, arm, covariates):
@@ -25,6 +29,51 @@ def naive_log_pl(beta, follow_up, event, arm, covariates):
             denom = sum(math.exp(float(beta @ covariates[l])) for l in risk)
             total += float(beta @ covariates[j]) - math.log(denom)
     return total
+
+
+def lexsort_layout(snaps):
+    """``RiskSetLayout.from_snapshots`` with one stable ``lexsort`` of (arm,
+    follow-up) per row, so ties stay in snapshot order."""
+    snaps = tuple(snaps)
+    # bounds[2b + i] is where pair (row b, arm i) starts in the sorted order
+    orders, bounds, start = [], [], 0
+    for s in snaps:
+        order = np.lexsort((s.follow_up, s.arm))
+        orders.append(order + start if start else order)
+        n1 = int(np.count_nonzero(s.arm))
+        bounds += [start, start + s.n - n1]
+        start += s.n
+    bounds.append(start)
+    order = np.concatenate(orders)
+    xs = np.concatenate([s.follow_up for s in snaps])[order]
+    # first sorted position of each run of equal (pair, follow-up): for an
+    # event there, it is the first subject of its pair at risk
+    new_run = np.empty(start, dtype=bool)
+    new_run[1:] = xs[1:] != xs[:-1]
+    new_run[[b for b in bounds[:-1] if b < start]] = True
+    run_start = np.maximum.accumulate(np.where(new_run, np.arange(start), 0))
+    ev_run = run_start[np.concatenate([s.event_observed for s in snaps])[order]]
+    first = np.flatnonzero(ev_run != np.concatenate(([-1], ev_run[:-1])))
+    group_start = ev_run[first]
+    # first[g]: index of group g's first event among the sorted events
+    first = np.concatenate((first, [ev_run.size]))
+
+    bounds = np.array(bounds)
+    offsets = np.searchsorted(group_start, bounds)
+    pair_ends = bounds[1:]
+    return RiskSetLayout(
+        snapshots=snaps,
+        sizes=(pair_ends - bounds[:-1]).reshape(-1, 2),
+        n_events=(first[offsets[1:]] - first[offsets[:-1]]).reshape(-1, 2),
+        offsets=offsets,
+        event_times=xs[group_start],
+        dn=np.subtract(first[1:], first[:-1], dtype=np.float64),
+        at_risk=np.repeat(pair_ends, offsets[1:] - offsets[:-1]) - group_start,
+        order=order,
+        follow_up=xs,
+        pair_ends=pair_ends,
+        row_starts=bounds[:-1:2],
+    )
 
 
 def fd_gradient(f, beta, step=1e-5):

@@ -1,7 +1,10 @@
 """The batch-row invariant, as hypothesis properties: each snapshot's row of a
 batched statistic is its batch of one bit for bit, with the same error class
 and message, whatever the other rows are and in whatever order they come,
-also when the batch is given as its risk-set layout or its ``RiskSets``."""
+also when the batch is given as its risk-set layout or its ``RiskSets``.
+The layout itself equals the one a stable ``lexsort`` per row builds."""
+
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,7 +22,9 @@ from seqsurv import (
     snapshot,
 )
 from seqsurv.cox import RiskSetLayout, RiskSets
+from seqsurv.data import Snapshot
 from seqsurv.sim import COVARIATE_SCHEMES
+from oracles import lexsort_layout
 
 DAYS = 365.25
 
@@ -150,3 +155,56 @@ def test_one_risk_sets_serves_every_batch_function(drawn):
     for _ in range(2):
         for name in LAYOUT_READERS:
             assert ROWS[name](shared, t0) == alone[name], name
+
+
+@st.composite
+def tied_rows(draw):
+    """1-6 rows of 1-12 subjects whose follow-ups tie: whole numbers 0-3,
+    some of them -0.0.  Some rows keep one arm, and a row may come twice in
+    a row, so that equal (arm, follow-up) keys meet across a row boundary."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, 12))
+        values = st.lists(st.sampled_from((0.0, -0.0, 1.0, 2.0, 3.0)), min_size=n, max_size=n)
+        arms = draw(st.sampled_from(("both", 0, 1)))
+        arm = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)) if arms == "both" else [arms] * n
+        snap = Snapshot(
+            calendar_time=3.0, ids=tuple(map(str, range(n))), arm=np.array(arm, dtype=np.int8),
+            follow_up=np.array(draw(values)),
+            event_observed=np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))),
+            covariates=np.zeros((n, 0)),
+        )
+        rows += [snap] * draw(st.integers(1, 2))
+    return rows
+
+
+@given(snaps=tied_rows())
+@settings(max_examples=100, deadline=None)
+def test_layout_equals_the_lexsort_layout(snaps):
+    layout, oracle = RiskSetLayout.from_snapshots(snaps), lexsort_layout(snaps)
+    assert all(a is b for a, b in zip(layout.snapshots, oracle.snapshots))
+    for field in fields(RiskSetLayout):
+        if field.name == "snapshots":
+            continue
+        got, want = getattr(layout, field.name), getattr(oracle, field.name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), field.name
+
+
+def _no_subjects(snap):
+    return replace(snap, ids=(), arm=snap.arm[:0], follow_up=snap.follow_up[:0],
+                   event_observed=snap.event_observed[:0], covariates=snap.covariates[:0])
+
+
+def _follow_up_at_0(snap, value):
+    return replace(snap, follow_up=np.concatenate(([value], snap.follow_up[1:])))
+
+
+@pytest.mark.parametrize("name", ROWS)
+@pytest.mark.parametrize("bad, message", [
+    (_no_subjects, "snapshot 1 of the batch has no subjects"),
+    (lambda s: _follow_up_at_0(s, -1.0), "snapshot 1 of the batch has a negative or NaN follow-up"),
+    (lambda s: _follow_up_at_0(s, np.nan), "snapshot 1 of the batch has a negative or NaN follow-up"),
+])
+def test_batch_rejects_a_row_it_cannot_sort(name, bad, message, hand_snapshot):
+    with pytest.raises(ValueError, match=message):
+        ROWS[name]([hand_snapshot, bad(hand_snapshot), hand_snapshot], 1.0)
