@@ -8,12 +8,11 @@ cumulative hazard at t0 from them.
 
 Every quantity comes from risk sets over a batch of snapshots, its rows
 (Therneau & Grambsch 2000, ch. 3).  ``RiskSetLayout.from_snapshots`` sorts
-each row by (arm, follow-up), with one ``argsort`` of bit keys per row and
-its ties put back in snapshot order, and groups its events; the layout keeps
-the snapshots it was sorted from.  ``RiskSets`` adds the
-covariate products [1, z, z z^T] of each (row, arm) pair.  The functions
-that read risk sets (``fit_mple_batch``, ``RiskSets.from_snapshots``, and
-the adjusted, Kaplan-Meier and Cox-Wald statistics) take their batch as
+each row by (arm, follow-up) bit keys, ties in snapshot order, and groups
+its events; the layout keeps the snapshots it was sorted from.  ``RiskSets``
+adds the covariate products [1, z, z z^T] of each (row, arm) pair.  The
+functions that read risk sets (``fit_mple_batch``, ``RiskSets.from_snapshots``,
+and the adjusted, Kaplan-Meier and Cox-Wald statistics) take their batch as
 snapshots, which they sort, or as a layout or ``RiskSets``, which they use
 as it is: the simulation sorts and lays out a look's snapshots once for all
 three statistics.
@@ -140,9 +139,10 @@ class RiskSetLayout:
         if not (fu >= 0).all():
             b = next(b for b, s in enumerate(snaps) if not (s.follow_up >= 0).all())
             raise ValueError(f"snapshot {b} of the batch has a negative or NaN follow-up")
-        # a non-negative double orders as its bits (+ 0.0 makes -0.0 tie with
-        # 0.0); the arm is the top bit, so stratum 0 comes first
-        keys = (fu + 0.0).view(np.uint64) | (_cat([s.arm for s in snaps]).astype(np.uint64) << 63)
+        # a non-negative double orders as its bits (adding 0.0 makes -0.0 tie
+        # with 0.0); the arm is the top bit, so stratum 0 comes first
+        arms = _cat([s.arm for s in snaps]).astype(np.uint64)
+        keys = np.add(fu, 0.0, dtype=np.float64).view(np.uint64) | arms << 63
         # bounds[2b + i] is where pair (row b, arm i) starts in the sorted order
         orders, bounds, start = [], [], 0
         for b, s in enumerate(snaps):
@@ -162,9 +162,8 @@ class RiskSetLayout:
         new_run[1:] = xs[1:] != xs[:-1]
         new_run[[b for b in bounds[:-1] if b < start]] = True
         run_start = np.maximum.accumulate(np.where(new_run, np.arange(start), 0))
-        # argsort is not stable: put the subjects of each run of two or more
-        # back in snapshot order, by one sort of unique (run, subject) keys,
-        # and read their follow-ups again (-0.0 and 0.0 tie)
+        # argsort is not stable: sort each run of ties back into snapshot order
+        # by unique (run, subject) keys, and re-read them (-0.0 ties with 0.0)
         tied = np.flatnonzero(~(new_run & np.append(new_run[1:], True)))
         shift = run_start[tied] * start
         order[tied] = np.sort(shift + order[tied]) - shift

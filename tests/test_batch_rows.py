@@ -160,19 +160,23 @@ def test_one_risk_sets_serves_every_batch_function(drawn):
 @st.composite
 def tied_rows(draw):
     """1-6 rows of 1-12 subjects whose follow-ups tie: whole numbers 0-3,
-    some of them -0.0.  Some rows keep one arm, and a row may come twice in
-    a row, so that equal (arm, follow-up) keys meet across a row boundary."""
+    some of them -0.0, and in some rows only 0.0 and -0.0, in float64 or
+    float32.  Some rows keep one arm, and a row may come twice in a row, so
+    that equal follow-ups meet across a row boundary."""
     rows = []
     for _ in range(draw(st.integers(1, 6))):
         n = draw(st.integers(1, 12))
-        values = st.lists(st.sampled_from((0.0, -0.0, 1.0, 2.0, 3.0)), min_size=n, max_size=n)
-        arms = draw(st.sampled_from(("both", 0, 1)))
-        arm = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)) if arms == "both" else [arms] * n
+
+        def each(elements):
+            return np.array(draw(st.lists(elements, min_size=n, max_size=n)))
+
+        arm_of = draw(st.sampled_from((st.integers(0, 1), st.just(0), st.just(1))))
+        values = (0.0, -0.0, 1.0, 2.0, 3.0)[: draw(st.integers(2, 5))]
+        dtype = draw(st.sampled_from((np.float64, np.float32)))
         snap = Snapshot(
-            calendar_time=3.0, ids=tuple(map(str, range(n))), arm=np.array(arm, dtype=np.int8),
-            follow_up=np.array(draw(values)),
-            event_observed=np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))),
-            covariates=np.zeros((n, 0)),
+            calendar_time=3.0, ids=tuple(map(str, range(n))), arm=each(arm_of).astype(np.int8),
+            follow_up=each(st.sampled_from(values)).astype(dtype),
+            event_observed=each(st.booleans()), covariates=np.zeros((n, 0)),
         )
         rows += [snap] * draw(st.integers(1, 2))
     return rows
@@ -187,7 +191,8 @@ def test_layout_equals_the_lexsort_layout(snaps):
         if field.name == "snapshots":
             continue
         got, want = getattr(layout, field.name), getattr(oracle, field.name)
-        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), field.name
+        assert got.dtype == want.dtype and got.shape == want.shape, field.name
+        assert got.tobytes() == want.tobytes(), field.name
 
 
 def _no_subjects(snap):
