@@ -139,10 +139,13 @@ class RiskSetLayout:
         if not (fu >= 0).all():
             b = next(b for b, s in enumerate(snaps) if not (s.follow_up >= 0).all())
             raise ValueError(f"snapshot {b} of the batch has a negative or NaN follow-up")
+        arms = _cat([s.arm for s in snaps])
+        if not ((arms == 0) | (arms == 1)).all():
+            b = next(b for b, s in enumerate(snaps) if not ((s.arm == 0) | (s.arm == 1)).all())
+            raise ValueError(f"snapshot {b} of the batch has an arm other than 0 or 1")
         # a non-negative double orders as its bits (adding 0.0 makes -0.0 tie
         # with 0.0); the arm is the top bit, so stratum 0 comes first
-        arms = _cat([s.arm for s in snaps]).astype(np.uint64)
-        keys = np.add(fu, 0.0, dtype=np.float64).view(np.uint64) | arms << 63
+        keys = np.add(fu, 0.0, dtype=np.float64).view(np.uint64) | arms.astype(np.uint64) << 63
         # bounds[2b + i] is where pair (row b, arm i) starts in the sorted order
         orders, bounds, start = [], [], 0
         for b, s in enumerate(snaps):

@@ -21,7 +21,6 @@ from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq, isotonic_regression
 
 from .adjusted import compare_sp_batch
 from .comparators import cox_wald_batch, km_compare_batch
@@ -499,6 +498,10 @@ def calibrate_analysis_times(
     smoothed by isotonic regression before inversion.  Total information per
     method is the mean at the study end.
     """
+    # scipy.optimize (with scipy.linalg and scipy.sparse) loads here, not at
+    # import: design, analyze and run_oc never need it
+    from scipy.optimize import isotonic_regression
+
     methods = tuple(dict.fromkeys(("adjusted",) + _check_methods(methods)))
     grid = tuple(np.linspace(scenario.tau, scenario.study_length, _CALIBRATION_GRID_SIZE))
 
@@ -620,6 +623,8 @@ def calibrate_effect(
     power.  A target at or below the design's alpha returns the null offset
     uncorrected.
     """
+    from scipy.optimize import brentq  # loaded here, as in calibrate_analysis_times
+
     if not 0.0 < target_power < 1.0:
         raise ValueError("target_power must be in (0, 1)")
     _check_count("replicates", replicates)

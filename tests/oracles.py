@@ -249,6 +249,21 @@ def naive_km(follow_up, event, t0):
     return surv, surv**2 * green
 
 
+def pool_adjacent_violators(values):
+    """Least-squares non-decreasing fit with unit weights: each value opens a
+    block, and a block lower than the one before is pooled into it (block
+    mean) until the blocks rise."""
+    blocks = []  # [mean, count]
+    for v in values:
+        blocks.append([float(v), 1])
+        while len(blocks) > 1 and blocks[-2][0] > blocks[-1][0]:
+            mean, count = blocks.pop()
+            prev_mean, prev_count = blocks[-1]
+            blocks[-1] = [(prev_mean * prev_count + mean * count) / (prev_count + count),
+                          prev_count + count]
+    return [mean for mean, count in blocks for _ in range(count)]
+
+
 def weibull_survival(t, shape, rate):
     return math.exp(-rate * t**shape)
 

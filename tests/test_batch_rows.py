@@ -204,11 +204,18 @@ def _follow_up_at_0(snap, value):
     return replace(snap, follow_up=np.concatenate(([value], snap.follow_up[1:])))
 
 
+def _arm_at_0(snap, value):
+    return replace(snap, arm=np.concatenate(([value], snap.arm[1:])).astype(snap.arm.dtype))
+
+
 @pytest.mark.parametrize("name", ROWS)
 @pytest.mark.parametrize("bad, message", [
     (_no_subjects, "snapshot 1 of the batch has no subjects"),
     (lambda s: _follow_up_at_0(s, -1.0), "snapshot 1 of the batch has a negative or NaN follow-up"),
     (lambda s: _follow_up_at_0(s, np.nan), "snapshot 1 of the batch has a negative or NaN follow-up"),
+    # arm 2 would sort into stratum 0 (its key bit is 0) yet count in stratum 1
+    (lambda s: _arm_at_0(s, 2), "snapshot 1 of the batch has an arm other than 0 or 1"),
+    (lambda s: _arm_at_0(s, -1), "snapshot 1 of the batch has an arm other than 0 or 1"),
 ])
 def test_batch_rejects_a_row_it_cannot_sort(name, bad, message, hand_snapshot):
     with pytest.raises(ValueError, match=message):

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import math
@@ -89,12 +90,47 @@ def test_obf_spending_equals_the_normal_oracle(alpha):
         assert spend(sf, t) == float(2.0 - 2.0 * norm.cdf(za / math.sqrt(t)))
 
 
-def test_importing_seqsurv_leaves_scipy_stats_unloaded():
+# scipy subpackages that no design, analyze or run_oc path needs; scipy.optimize
+# also pulls in scipy.linalg and scipy.sparse
+_COLD_START_UNLOADED = {"stats", "optimize", "linalg", "sparse"}
+_DESIGN = "from seqsurv import cli; assert cli.main(['design', '--info-fractions', '0.5,0.75,1', '--out', 'design.txt']) == 0"
+_TRIAL_CSV = "id,arm,entry,time,event,z1\n" + "".join(
+    f"{arm}{i},{arm},0.0,{t},{d},{z}\n"
+    for i, (t, d, z) in enumerate([(0.7, 1, 0.4), (1.3, 1, -0.2), (2.2, 0, 0.9), (1.6, 1, 0.1)])
+    for arm in (0, 1)
+)
+_SMALL = "seqsurv.Scenario(n0=20, n1=20, tau=1.0, accrual=1.0)"
+
+
+def _scipy_subpackages_after(code, cwd):
+    """The scipy subpackages loaded once ``code`` has run in a fresh interpreter."""
     src = Path(gsdesign.__file__).parents[1]
-    code = "import sys, seqsurv; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    probe = f"{code}\nimport sys\nprint(sorted({{m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}}))"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert run.stdout == "[]\n"
+    run = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=env, capture_output=True,
+                         text=True, check=True)
+    return set(ast.literal_eval(run.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("code", [
+    "import seqsurv",
+    "import seqsurv.cli",
+    _DESIGN,
+    _DESIGN + "; assert cli.main(['analyze', 'trial.csv', '--design', 'design.txt', '--t0', '1.0', "
+              "'--u', '3.0', '--state', 'state.txt', '--total-info', '100']) == 0",
+    f"import seqsurv; sc = {_SMALL}; seqsurv.run_oc(sc, seqsurv.build_design(sc), ('adjusted',), 2, 0, "
+    "calibration=seqsurv.CalibrationResult((1.5, 1.75, 2.0), 20.0, {'adjusted': 20.0}, (), (), False, 0, 0, 0))",
+], ids=["import seqsurv", "import seqsurv.cli", "design", "analyze", "run_oc"])
+def test_cold_paths_leave_scipy_stats_and_optimize_unloaded(code, tmp_path):
+    (tmp_path / "trial.csv").write_text(_TRIAL_CSV)
+    assert not _scipy_subpackages_after(code, tmp_path) & _COLD_START_UNLOADED
+
+
+def test_calibration_loads_scipy_optimize_when_called(tmp_path):
+    code = (f"import seqsurv; cal = seqsurv.calibrate_analysis_times({_SMALL}, replicates=3); "
+            "assert cal.analysis_times[-1] == 2.0 and cal.total_information > 0")
+    loaded = _scipy_subpackages_after(code, tmp_path)
+    assert {"optimize", "linalg"} <= loaded and "stats" not in loaded
 
 
 def test_custom_table_interpolates():

@@ -38,7 +38,7 @@ from seqsurv import (
     snapshot,
 )
 from conftest import PH_ALT_BASE, WORKERS, columns
-from oracles import weibull_survival
+from oracles import pool_adjacent_violators, weibull_survival
 from seqsurv import sim
 
 
@@ -202,6 +202,38 @@ def test_calibration_curve_is_monotone_output():
     sc = base_scenario(n0=60, n1=60)
     cal = calibrate_analysis_times(sc, replicates=30, seed=6)
     assert all(b >= a - 1e-9 for a, b in zip(cal.mean_info, cal.mean_info[1:]))
+
+
+def test_calibration_pools_a_dip_in_mean_information(monkeypatch):
+    # every replicate's adjusted information halves at one grid time, so the
+    # mean curve dips there; the pooled curve is reported and inverted
+    sc = base_scenario(n0=60, n1=60)
+    real = sim.STATISTICS["adjusted"]
+    dip = 6
+    returned = []
+
+    def adjusted_with_a_dip(snaps, t0):
+        batch = real(snaps, t0)
+        info = list(batch.info_level)
+        info[dip] *= 0.5
+        returned.append(info)
+        return batch._replace(info_level=info)
+
+    monkeypatch.setitem(sim.STATISTICS, "adjusted", adjusted_with_a_dip)
+    cal = calibrate_analysis_times(sc, replicates=8, seed=6)
+    assert cal.failures == 0 and len(returned) == 8
+    assert cal.isotonic_applied
+    means = np.mean(returned, axis=0)
+    assert means[dip] < means[dip - 1]
+    pooled = pool_adjacent_violators(means)
+    assert cal.mean_info == pytest.approx(pooled, rel=1e-12, abs=0.0)
+    assert pooled[dip - 2] == pooled[dip]  # the dip pools with the two times before it
+    assert cal.total_information == pytest.approx(means[-1], rel=1e-12, abs=0.0)
+    # the first two looks fall on segments that pooling changed
+    want = [np.interp(f * means[-1], pooled, cal.grid_times) for f in (0.5, 0.75)]
+    assert cal.analysis_times == pytest.approx(want + [sc.study_length], rel=1e-12, abs=0.0)
+    assert cal.grid_times[3] < cal.analysis_times[0] < cal.grid_times[4]
+    assert cal.grid_times[6] < cal.analysis_times[1] < cal.grid_times[7]
 
 
 def test_calibration_identical_across_workers():
