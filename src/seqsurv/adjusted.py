@@ -7,7 +7,7 @@ the baseline cumulative hazard) with a delta-method term for the shared
 coefficient estimate.
 
 ``compare_sp_batch`` computes the statistic for a batch of snapshots, or
-for their risk-set layout: one ``fit_mple_batch`` of every row and one
+for their ``RiskSets``: one ``fit_mple_batch`` of every row and one
 vectorised pass of the variance ingredients and the variance.
 ``compare_sp`` and ``variance_components`` are its batch of one.  As in the
 fit, each row's sums reduce only its own entries, so a row's bits do not
@@ -25,10 +25,8 @@ import numpy as np
 
 from .cox import (
     FitBatch,
-    RiskSetLayout,
     RiskSets,
     StratifiedCoxFit,
-    _as_layout,
     _cat,
     _linear,
     _segment_sums,
@@ -78,9 +76,9 @@ _FIELDS = tuple(f.name for f in fields(VarianceComponents))
 _Components = namedtuple("_Components", _FIELDS)
 
 
-def _components(fits: FitBatch, t0: float, row: int | None = None) -> _Components:
-    """Every variance ingredient of the fitted rows (or of row ``row`` alone)
-    at their coefficients, with a leading row axis.
+def _components(fits: FitBatch, t0: float) -> _Components:
+    """Every variance ingredient of the fitted rows at their coefficients,
+    with a leading row axis.
 
     Event sums run over (0, t0], inclusive of events at exactly t0, and reuse
     the risk-set sums the fit carries; pooled averages run over all subjects
@@ -88,36 +86,29 @@ def _components(fits: FitBatch, t0: float, row: int | None = None) -> _Component
     entries.
     """
     rs = fits.risk_sets
-    offsets = rs.offsets
-    rows = groups = slice(None)
-    if row is not None:
-        rows = slice(row, row + 1)
-        groups = slice(offsets[2 * row], offsets[2 * row + 2])
-        offsets = offsets[2 * row : 2 * row + 3] - offsets[2 * row]
-    snaps = rs.snapshots[rows]
-    beta = fits.beta_hat[rows]
+    beta = fits.beta_hat
     n_rows, p = beta.shape
     # a successful fit guarantees positive, finite risk-set sums at beta_hat
-    r0 = fits.values.r0[groups]
+    r0 = fits.values.r0
     q = r0.size
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # per event group in (0, t0]: the hazard jump, jump / r0 and
         # jump * r1 / r0**2, one row per column, then each stratum's sums
         terms = np.empty((2 + p, q + 1))
         terms[:, q] = 0.0
-        jump = np.divide(rs.dn[groups], r0, out=terms[0, :q])
+        jump = np.divide(rs.dn, r0, out=terms[0, :q])
         rate = np.divide(jump, r0, out=terms[1, :q])
-        np.multiply(rate, fits.values.r1[groups].T, out=terms[2:, :q])
-        terms[:, :q] *= rs.event_times[groups] <= t0
-        by_stratum = _segment_sums(terms, offsets, offsets[1:] > offsets[:-1])
+        np.multiply(rate, fits.values.r1.T, out=terms[2:, :q])
+        terms[:, :q] *= rs.event_times <= t0
+        by_stratum = _segment_sums(terms, rs.offsets, rs.offsets[1:] > rs.offsets[:-1])
         by_stratum = by_stratum.T.reshape(n_rows, 2, 2 + p)
         lam_t0 = by_stratum[..., 0]
         cumhaz_grad = by_stratum[..., 2:]
 
         # per subject: conditional survival in each arm, times the relative
         # risk, times the covariates, one row per column, then each row's means
-        n = np.array([s.n for s in snaps])
-        z = _cat([s.covariates for s in snaps])
+        n = np.array([s.n for s in rs.snapshots])
+        z = _cat([s.covariates for s in rs.snapshots])
         rel_risk = np.exp(_linear(z, np.repeat(beta, n, axis=0)))
         terms = np.empty((4 + 2 * p, rel_risk.size))
         cond_surv = np.exp(-np.repeat(lam_t0.T, n, axis=1) * rel_risk, out=terms[0:2])
@@ -130,16 +121,16 @@ def _components(fits: FitBatch, t0: float, row: int | None = None) -> _Component
 
     return _Components(
         t0=float(t0),
-        cumhaz_variance=rs.sizes[rows] * by_stratum[..., 1],
+        cumhaz_variance=rs.sizes * by_stratum[..., 1],
         cumhaz_beta_gradient=cumhaz_grad,
         hazard_sensitivity=sens,
         hazard_sensitivity_z=sens_z,
-        mean_information=fits.values.information[rows] / n[:, None, None],
+        mean_information=fits.values.information / n[:, None, None],
         sp_beta_gradient=sp_grad,
         sp_diff_beta_gradient=sp_grad[:, 1] - sp_grad[:, 0],
         baseline_cumhaz_t0=lam_t0,
         adjusted_sp=means[:, 0:2],
-        arm_sizes=rs.sizes[rows],
+        arm_sizes=rs.sizes,
         n=n,
     )
 
@@ -183,7 +174,7 @@ def _sp_variances(c: _Components) -> np.ndarray:
 
 def variance_components(fit: StratifiedCoxFit, t0: float) -> VarianceComponents:
     """Evaluate every variance ingredient at the fitted coefficients: the
-    batched pass on the fit's row, averaging over the subjects of the
+    fit's row of the batched pass, averaging over the subjects of the
     snapshot the fit was made on."""
     if not isinstance(fit.batch.risk_sets, RiskSets):
         raise ValueError("variance components need a treatment-stratified fit, not a Cox-Wald fit")
@@ -191,7 +182,7 @@ def variance_components(fit: StratifiedCoxFit, t0: float) -> VarianceComponents:
         raise ValueError(
             f"survival time {t0:g} exceeds the fit's calendar horizon {fit.calendar_time:g}"
         )
-    return _row(_components(fit.batch, t0, row=fit.row), 0)
+    return _row(_components(fit.batch, t0), fit.row)
 
 
 @dataclass(frozen=True)
@@ -246,26 +237,26 @@ class SPBatch(NamedTuple):
         )
 
 
-def compare_sp_batch(batch: Sequence[Snapshot] | RiskSetLayout, t0: float) -> SPBatch:
+def compare_sp_batch(batch: Sequence[Snapshot] | RiskSets, t0: float) -> SPBatch:
     """Fit the stratified model at each snapshot and standardize its adjusted
     survival probability difference at ``t0``.
 
-    ``batch`` is the snapshots or their risk-set layout.  The information
+    ``batch`` is the snapshots or their ``RiskSets``.  The information
     level is the reciprocal variance of the (unscaled) difference estimate,
     ``n / sigma2_hat``.  Every row is fitted; a row that cannot support the
     statistic gets the error ``compare_sp`` raises for it, a row without both
     arms a ``DegenerateDataError`` whatever its fit gave.  A ``t0`` that is
     not positive or exceeds a snapshot's calendar time raises ``ValueError``.
     """
-    layout = _as_layout(batch)
-    snaps = layout.snapshots
+    risk_sets = RiskSets.from_snapshots(batch)
+    snaps = risk_sets.snapshots
     for snap in snaps:
         check_t0(t0, snap)
-    fits = fit_mple_batch(layout)
+    fits = fit_mple_batch(risk_sets)
     comps = _components(fits, t0)
     variances = _sp_variances(comps).tolist()
     sp = comps.adjusted_sp.tolist()
-    sizes = layout.sizes.tolist()
+    sizes = risk_sets.sizes.tolist()
     n_rows = len(snaps)
     errors: list[SeqSurvError | None] = [None] * n_rows
     z, info_level, sigma2 = [math.nan] * n_rows, [math.nan] * n_rows, [math.nan] * n_rows

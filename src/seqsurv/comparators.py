@@ -2,13 +2,13 @@
 the Wald test of a treatment coefficient in an unstratified Cox model.
 
 Each comparator computes a batch of snapshots, its rows, in one call, and
-takes the batch as its snapshots, their risk-set layout or their
-``RiskSets``: ``km_compare_batch`` reads every row's at-risk counts from the
-layout and computes all rows' estimates in one vectorised pass, and
-``cox_wald_batch`` makes one ``fit_mple_batch`` on the ``PooledRiskSets``
-kernel, which reads the per-arm sums of the batch's ``RiskSets``.  A row
-that cannot support the statistic gets the error the single-snapshot
-function raises for it, and the other rows go on.
+takes the batch as its snapshots or their ``RiskSets``: ``km_compare_batch``
+reads every row's at-risk counts from the ``RiskSets`` and computes all
+rows' estimates in one vectorised pass, and ``cox_wald_batch`` makes one
+``fit_mple_batch`` on the ``PooledRiskSets`` kernel, which reads the
+per-arm sums of the batch's ``RiskSets``.  A row that cannot support the
+statistic gets the error the single-snapshot function raises for it, and
+the other rows go on.
 ``km_compare`` and ``cox_wald`` are the batch of one.  A row's arithmetic
 never depends on the other rows, so a snapshot computed alone and at any
 position of a batch gets the same bits.
@@ -27,9 +27,8 @@ from .cox import (
     STRATA,
     FitBatch,
     PooledRiskSets,
-    RiskSetLayout,
+    RiskSets,
     StratifiedCoxFit,
-    _as_layout,
     fit_mple_batch,
 )
 from .cox import fit_mple  # noqa: F401  bench/spans.py wraps seqsurv.comparators.fit_mple
@@ -37,7 +36,7 @@ from .data import Snapshot, check_t0
 from .errors import DegenerateDataError, SeqSurvError
 
 
-def _km_at_t0(layout: RiskSetLayout, t0: float) -> tuple[np.ndarray, np.ndarray]:
+def _km_at_t0(rs: RiskSets, t0: float) -> tuple[np.ndarray, np.ndarray]:
     """Each (row, arm) pair's product-limit estimate at ``t0`` and its
     Greenwood variance, from the at-risk counts of the pair's event groups at
     or before ``t0``; an arm without such groups gets 1 and 0.
@@ -47,12 +46,12 @@ def _km_at_t0(layout: RiskSetLayout, t0: float) -> tuple[np.ndarray, np.ndarray]
     along a pair, and the padding leaves a scan's value unchanged, so a
     pair's bits do not depend on L or on the other pairs.
     """
-    kept = layout.event_times <= t0
+    kept = rs.event_times <= t0
     # kept groups are the first of their pair, its groups ascending in time
     before = np.concatenate(([0], np.cumsum(kept)))
-    counts = before[layout.offsets[1:]] - before[layout.offsets[:-1]]
+    counts = before[rs.offsets[1:]] - before[rs.offsets[:-1]]
     filled = np.arange(max(int(counts.max()), 1)) < counts[:, None]
-    at_risk, dn = layout.at_risk[kept], layout.dn[kept]
+    at_risk, dn = rs.at_risk[kept], rs.dn[kept]
     factors = np.ones(filled.shape)
     factors[filled] = 1.0 - dn / at_risk
     # Greenwood terms blow up when the whole risk set fails; survival is then
@@ -106,11 +105,11 @@ class KMBatch(NamedTuple):
         )
 
 
-def km_compare_batch(batch: Sequence[Snapshot] | RiskSetLayout, t0: float) -> KMBatch:
+def km_compare_batch(batch: Sequence[Snapshot] | RiskSets, t0: float) -> KMBatch:
     """Difference of per-arm product-limit estimates at ``t0`` for each
     snapshot, standardized by the summed Greenwood variances.  Information is
-    the reciprocal variance.  ``batch`` is the snapshots or their risk-set
-    layout.
+    the reciprocal variance.  ``batch`` is the snapshots or their
+    ``RiskSets``.
 
     A row with an arm of no subjects, or with no events by ``t0`` in either
     arm (or both estimates at 0 or 1, so that the variances vanish), has no
@@ -119,16 +118,16 @@ def km_compare_batch(batch: Sequence[Snapshot] | RiskSetLayout, t0: float) -> KM
     warning.  A ``t0`` that is not positive or exceeds a snapshot's calendar
     time raises ``ValueError``.
     """
-    layout = _as_layout(batch)
-    snaps = layout.snapshots
+    risk_sets = RiskSets.from_snapshots(batch)
+    snaps = risk_sets.snapshots
     for snap in snaps:
         check_t0(t0, snap)
-    surv, var = (v.reshape(-1, 2).tolist() for v in _km_at_t0(layout, t0))
-    sizes = layout.sizes.tolist()
+    surv, var = (v.reshape(-1, 2).tolist() for v in _km_at_t0(risk_sets, t0))
+    sizes = risk_sets.sizes.tolist()
     # each nonempty arm's longest follow-up: its last subject in sorted order
     longest = np.full(2 * len(snaps), math.inf)
-    nonempty = np.flatnonzero(layout.sizes.ravel())
-    longest[nonempty] = layout.follow_up[layout.pair_ends[nonempty] - 1]
+    nonempty = np.flatnonzero(risk_sets.sizes.ravel())
+    longest[nonempty] = risk_sets.follow_up[risk_sets.pair_ends[nonempty] - 1]
     longest = longest.reshape(-1, 2).tolist()
     n_rows = len(snaps)
     errors: list[SeqSurvError | None] = [None] * n_rows
@@ -218,14 +217,14 @@ def _treatment_variance(information: np.ndarray) -> float:
     return float(cov[0, 0])
 
 
-def cox_wald_batch(batch: Sequence[Snapshot] | RiskSetLayout) -> CoxWaldBatch:
+def cox_wald_batch(batch: Sequence[Snapshot] | RiskSets) -> CoxWaldBatch:
     """Wald test of the treatment coefficient in an unstratified Cox model,
     for each snapshot.
 
     The design matrix is the treatment indicator followed by the snapshot's
     covariates, with a single baseline hazard: ``fit_mple_batch`` on the
-    ``PooledRiskSets`` of the batch, which is the snapshots, their layout or
-    their ``RiskSets``.  A row whose fit fails gets its error; a row whose
+    ``PooledRiskSets`` of the batch, which is the snapshots or their
+    ``RiskSets``.  A row whose fit fails gets its error; a row whose
     treatment variance is not positive gets a ``DegenerateDataError``.
     """
     fits = fit_mple_batch(PooledRiskSets.from_snapshots(batch))

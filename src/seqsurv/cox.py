@@ -7,15 +7,14 @@ the risk-set sums at its maximizer; ``adjusted`` reads each arm's Breslow
 cumulative hazard at t0 from them.
 
 Every quantity comes from risk sets over a batch of snapshots, its rows
-(Therneau & Grambsch 2000, ch. 3).  ``RiskSetLayout.from_snapshots`` sorts
-each row by (arm, follow-up) bit keys, ties in snapshot order, and groups
-its events; the layout keeps the snapshots it was sorted from.  ``RiskSets``
-adds the covariate products [1, z, z z^T] of each (row, arm) pair.  The
-functions that read risk sets (``fit_mple_batch``, ``RiskSets.from_snapshots``,
-and the adjusted, Kaplan-Meier and Cox-Wald statistics) take their batch as
-snapshots, which they sort, or as a layout or ``RiskSets``, which they use
-as it is: the simulation sorts and lays out a look's snapshots once for all
-three statistics.
+(Therneau & Grambsch 2000, ch. 3).  ``RiskSets.from_snapshots`` sorts each
+row by (arm, follow-up) bit keys, ties in snapshot order, groups its events
+and lays out the covariate products [1, z, z z^T] of each (row, arm) pair;
+the ``RiskSets`` keeps the snapshots it was built from.  The functions that
+read risk sets (``fit_mple_batch`` and the adjusted, Kaplan-Meier and
+Cox-Wald statistics) take their batch as snapshots or as their
+``RiskSets``, which they use as it is: the simulation builds a look's
+``RiskSets`` once for all three statistics.
 
 Two kernels evaluate a partial likelihood: ``RiskSets`` (treatment-
 stratified, x = z) and ``PooledRiskSets`` (one baseline hazard, x =
@@ -37,7 +36,7 @@ the same bits.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -100,105 +99,6 @@ def _linear(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
     for k in range(1, beta.shape[1]):
         out += x[..., k] * beta[:, k].reshape(shape)
     return out
-
-
-@dataclass(frozen=True)
-class RiskSetLayout:
-    """Risk sets and event groups of a batch of snapshots (rows), each row
-    sorted by (arm, follow-up) with ties in snapshot order.
-
-    Event groups (the distinct event times of a (row, stratum) pair, ``q`` in
-    all) run row by row, stratum 0 first, ascending in time within a pair.
-    The subjects at risk at a group are the last ``at_risk`` of its pair in
-    ``order``.
-    """
-
-    snapshots: tuple[Snapshot, ...]  # (B,) the rows, in batch order
-    sizes: np.ndarray        # (B, 2) arm sizes, counting zero-follow-up subjects
-    n_events: np.ndarray     # (B, 2) observed events
-    offsets: np.ndarray      # (2B + 1,) row b, stratum i: groups offsets[2b + i]:offsets[2b + i + 1]
-    event_times: np.ndarray  # (q,)
-    dn: np.ndarray           # (q,) number of events in each group
-    at_risk: np.ndarray      # (q,) number of subjects at risk at each group
-    order: np.ndarray        # (N,) the concatenated snapshots' subjects, sorted
-    follow_up: np.ndarray    # (N,) follow-up of each subject of ``order``
-    pair_ends: np.ndarray    # (2B,) end of each pair in ``order``
-    row_starts: np.ndarray   # (B,) first subject of each row in the concatenated snapshots
-
-    @classmethod
-    def from_snapshots(cls, snaps: Sequence[Snapshot]) -> "RiskSetLayout":
-        snaps = tuple(snaps)
-        if not snaps:
-            raise ValueError("a risk-set batch needs at least one snapshot")
-        counts = sorted({s.n_covariates for s in snaps})
-        if len(counts) > 1:
-            raise ValueError(
-                f"every snapshot of a batch must have the same number of covariates, got {counts}"
-            )
-        fu = _cat([s.follow_up for s in snaps])
-        if not (fu >= 0).all():
-            b = next(b for b, s in enumerate(snaps) if not (s.follow_up >= 0).all())
-            raise ValueError(f"snapshot {b} of the batch has a negative or NaN follow-up")
-        arms = _cat([s.arm for s in snaps])
-        if not ((arms == 0) | (arms == 1)).all():
-            b = next(b for b, s in enumerate(snaps) if not ((s.arm == 0) | (s.arm == 1)).all())
-            raise ValueError(f"snapshot {b} of the batch has an arm other than 0 or 1")
-        # a non-negative double orders as its bits (adding 0.0 makes -0.0 tie
-        # with 0.0); the arm is the top bit, so stratum 0 comes first
-        keys = np.add(fu, 0.0, dtype=np.float64).view(np.uint64) | arms.astype(np.uint64) << 63
-        # bounds[2b + i] is where pair (row b, arm i) starts in the sorted order
-        orders, bounds, start = [], [], 0
-        for b, s in enumerate(snaps):
-            if not s.n:
-                raise ValueError(f"snapshot {b} of the batch has no subjects")
-            order = np.argsort(keys[start : start + s.n])
-            orders.append(order + start if start else order)
-            n1 = int(np.count_nonzero(s.arm))
-            bounds += [start, start + s.n - n1]
-            start += s.n
-        bounds.append(start)
-        order = _cat(orders)
-        xs = fu[order]
-        # first sorted position of each run of equal (pair, follow-up): for an
-        # event there, it is the first subject of its pair at risk
-        new_run = np.empty(start, dtype=bool)
-        new_run[1:] = xs[1:] != xs[:-1]
-        new_run[[b for b in bounds[:-1] if b < start]] = True
-        run_start = np.maximum.accumulate(np.where(new_run, np.arange(start), 0))
-        # argsort is not stable: sort each run of ties back into snapshot order
-        # by unique (run, subject) keys, and re-read them (-0.0 ties with 0.0)
-        tied = np.flatnonzero(~(new_run & np.append(new_run[1:], True)))
-        shift = run_start[tied] * start
-        order[tied] = np.sort(shift + order[tied]) - shift
-        xs[tied] = fu[order[tied]]
-        ev_run = run_start[_cat([s.event_observed for s in snaps])[order]]
-        first = np.flatnonzero(ev_run != np.concatenate(([-1], ev_run[:-1])))
-        group_start = ev_run[first]
-        # first[g]: index of group g's first event among the sorted events
-        first = np.concatenate((first, [ev_run.size]))
-
-        bounds = np.array(bounds)
-        offsets = np.searchsorted(group_start, bounds)
-        pair_ends = bounds[1:]
-        return cls(
-            snapshots=snaps,
-            sizes=(pair_ends - bounds[:-1]).reshape(-1, 2),
-            n_events=(first[offsets[1:]] - first[offsets[:-1]]).reshape(-1, 2),
-            offsets=offsets,
-            event_times=xs[group_start],
-            dn=np.subtract(first[1:], first[:-1], dtype=np.float64),
-            at_risk=np.repeat(pair_ends, offsets[1:] - offsets[:-1]) - group_start,
-            order=order,
-            follow_up=xs,
-            pair_ends=pair_ends,
-            row_starts=bounds[:-1:2],
-        )
-
-
-def _as_layout(batch: Sequence[Snapshot] | RiskSetLayout) -> RiskSetLayout:
-    """A batch argument as its risk-set layout: a layout is used as it is,
-    snapshots are sorted into one."""
-    return batch if isinstance(batch, RiskSetLayout) else RiskSetLayout.from_snapshots(batch)
 
 
 class _Kernel:
@@ -287,9 +187,15 @@ class _Kernel:
 
 
 @dataclass(frozen=True)
-class RiskSets(RiskSetLayout, _Kernel):
-    """The treatment-stratified kernel: the layout with the covariate columns
-    the Cox kernel sums over.
+class RiskSets(_Kernel):
+    """The treatment-stratified kernel: the risk sets and event groups of a
+    batch of snapshots (rows), each row sorted by (arm, follow-up) with ties
+    in snapshot order, and the covariate columns the Cox kernel sums over.
+
+    Event groups (the distinct event times of a (row, stratum) pair, ``q`` in
+    all) run row by row, stratum 0 first, ascending in time within a pair.
+    The subjects at risk at a group are the last ``at_risk`` of its pair in
+    ``order``.
 
     A pair keeps its subjects followed at least until its row's first event
     time in either arm, and is kept when it has any, so that its risk set at
@@ -298,6 +204,16 @@ class RiskSets(RiskSetLayout, _Kernel):
     position in (G, L) of each event group's last subject at risk.
     """
 
+    snapshots: tuple[Snapshot, ...]  # (B,) the rows, in batch order
+    sizes: np.ndarray           # (B, 2) arm sizes, counting zero-follow-up subjects
+    n_events: np.ndarray        # (B, 2) observed events
+    offsets: np.ndarray         # (2B + 1,) row b, stratum i: groups offsets[2b + i]:offsets[2b + i + 1]
+    event_times: np.ndarray     # (q,)
+    dn: np.ndarray              # (q,) number of events in each group
+    at_risk: np.ndarray         # (q,) number of subjects at risk at each group
+    order: np.ndarray           # (N,) the concatenated snapshots' subjects, sorted
+    follow_up: np.ndarray       # (N,) follow-up of each subject of ``order``
+    pair_ends: np.ndarray       # (2B,) end of each pair in ``order``
     pair_rows: np.ndarray       # (G,) row of each kept pair
     pair_arms: np.ndarray       # (G,) arm of each kept pair
     ends: np.ndarray            # (q,) flat position in (G, L) of each group's last subject at risk
@@ -307,30 +223,84 @@ class RiskSets(RiskSetLayout, _Kernel):
     event_z_total: np.ndarray   # (B, p) covariate total over each row's events
 
     @classmethod
-    def from_snapshots(cls, batch: Sequence[Snapshot] | RiskSetLayout) -> "RiskSets":
-        """The risk sets of a batch of snapshots or of their layout; a
-        ``RiskSets`` is used as it is."""
+    def from_snapshots(cls, batch: Sequence[Snapshot] | RiskSets) -> RiskSets:
+        """The risk sets of a batch of snapshots; a ``RiskSets`` is used as
+        it is."""
         if isinstance(batch, RiskSets):
             return batch
-        layout = _as_layout(batch)
-        snaps = layout.snapshots
-        offsets, sizes = layout.offsets, layout.sizes.ravel()
+        snaps = tuple(batch)
+        if not snaps:
+            raise ValueError("a risk-set batch needs at least one snapshot")
+        counts = sorted({s.n_covariates for s in snaps})
+        if len(counts) > 1:
+            raise ValueError(
+                f"every snapshot of a batch must have the same number of covariates, got {counts}"
+            )
+        fu = _cat([s.follow_up for s in snaps])
+        if not (fu >= 0).all():
+            b = next(b for b, s in enumerate(snaps) if not (s.follow_up >= 0).all())
+            raise ValueError(f"snapshot {b} of the batch has a negative or NaN follow-up")
+        arms = _cat([s.arm for s in snaps])
+        if not ((arms == 0) | (arms == 1)).all():
+            b = next(b for b, s in enumerate(snaps) if not ((s.arm == 0) | (s.arm == 1)).all())
+            raise ValueError(f"snapshot {b} of the batch has an arm other than 0 or 1")
+        # a non-negative double orders as its bits (adding 0.0 makes -0.0 tie
+        # with 0.0); the arm is the top bit, so stratum 0 comes first
+        keys = np.add(fu, 0.0, dtype=np.float64).view(np.uint64) | arms.astype(np.uint64) << 63
+        # bounds[2b + i] is where pair (row b, arm i) starts in the sorted order
+        orders, bounds, start = [], [], 0
+        for b, s in enumerate(snaps):
+            if not s.n:
+                raise ValueError(f"snapshot {b} of the batch has no subjects")
+            order = np.argsort(keys[start : start + s.n])
+            orders.append(order + start if start else order)
+            n1 = int(np.count_nonzero(s.arm))
+            bounds += [start, start + s.n - n1]
+            start += s.n
+        bounds.append(start)
+        order = _cat(orders)
+        xs = fu[order]
+        # first sorted position of each run of equal (pair, follow-up): for an
+        # event there, it is the first subject of its pair at risk
+        new_run = np.empty(start, dtype=bool)
+        new_run[1:] = xs[1:] != xs[:-1]
+        new_run[[b for b in bounds[:-1] if b < start]] = True
+        run_start = np.maximum.accumulate(np.where(new_run, np.arange(start), 0))
+        # argsort is not stable: sort each run of ties back into snapshot order
+        # by unique (run, subject) keys, and re-read them (-0.0 ties with 0.0)
+        tied = np.flatnonzero(~(new_run & np.append(new_run[1:], True)))
+        shift = run_start[tied] * start
+        order[tied] = np.sort(shift + order[tied]) - shift
+        xs[tied] = fu[order[tied]]
+        events = _cat([s.event_observed for s in snaps])
+        ev_run = run_start[events[order]]
+        first = np.flatnonzero(ev_run != np.concatenate(([-1], ev_run[:-1])))
+        group_start = ev_run[first]
+        # first[g]: index of group g's first event among the sorted events
+        first = np.concatenate((first, [ev_run.size]))
+
+        bounds = np.array(bounds)
+        offsets = np.searchsorted(group_start, bounds)
+        pair_ends = bounds[1:]
+        sizes = pair_ends - bounds[:-1]
         per_pair = offsets[1:] - offsets[:-1]
+        event_times = xs[group_start]
+        at_risk = np.repeat(pair_ends, per_pair) - group_start
         # each row's first event time (inf without events), and each pair's
         # subjects followed at least that long: the last m of the pair
-        first = np.full(sizes.size, np.inf)
+        row_first = np.full(sizes.size, np.inf)
         with_events = np.flatnonzero(per_pair)
-        first[with_events] = layout.event_times[offsets[with_events]]
-        first = first.reshape(-1, 2).min(axis=1)
-        followed = np.zeros(sizes.sum() + 1, dtype=np.intp)  # a trailing 0 for reduceat
-        np.greater_equal(layout.follow_up, np.repeat(first, layout.sizes.sum(axis=1)), out=followed[:-1])
-        m = np.where(sizes > 0, np.add.reduceat(followed, layout.pair_ends - sizes), 0)
+        row_first[with_events] = event_times[offsets[with_events]]
+        row_first = row_first.reshape(-1, 2).min(axis=1)
+        followed = np.zeros(start + 1, dtype=np.intp)  # a trailing 0 for reduceat
+        np.greater_equal(xs, np.repeat(row_first, [s.n for s in snaps]), out=followed[:-1])
+        m = np.where(sizes > 0, np.add.reduceat(followed, bounds[:-1]), 0)
         kept = np.flatnonzero(m)
         length = int(m.max()) + 1
         # slot j >= 1 of a kept pair holds its j-th longest follow-up
         back = np.arange(-1, length - 1)
         back[0] = 0
-        subjects = layout.order[np.maximum(layout.pair_ends[kept, None] - 1 - back, 0)]
+        subjects = order[np.maximum(pair_ends[kept, None] - 1 - back, 0)]
 
         z_all = _cat([s.covariates for s in snaps])
         p = z_all.shape[1]
@@ -341,16 +311,24 @@ class RiskSets(RiskSetLayout, _Kernel):
         products[0, :, 0] = 0.0
         products[1 : 1 + p] = z
         np.multiply(z[:, None], z[None, :], out=products[1 + p :].reshape((p, p) + z.shape[1:]))
-        events = _cat([s.event_observed for s in snaps])
         return cls(
-            **{f.name: getattr(layout, f.name) for f in fields(RiskSetLayout)},
+            snapshots=snaps,
+            sizes=sizes.reshape(-1, 2),
+            n_events=(first[offsets[1:]] - first[offsets[:-1]]).reshape(-1, 2),
+            offsets=offsets,
+            event_times=event_times,
+            dn=np.subtract(first[1:], first[:-1], dtype=np.float64),
+            at_risk=at_risk,
+            order=order,
+            follow_up=xs,
+            pair_ends=pair_ends,
             pair_rows=kept // 2,
             pair_arms=kept % 2,
-            ends=np.repeat(np.arange(0, kept.size * length, length), per_pair[kept]) + layout.at_risk,
+            ends=np.repeat(np.arange(0, kept.size * length, length), per_pair[kept]) + at_risk,
             row_has_events=offsets[2::2] > offsets[:-1:2],
             products=products,
             covariates=products[1 : 1 + p].transpose(1, 2, 0),
-            event_z_total=np.add.reduceat(z_all * events[:, None], layout.row_starts, axis=0),
+            event_z_total=np.add.reduceat(z_all * events[:, None], bounds[:-1:2], axis=0),
         )
 
     def _sums(self, beta: np.ndarray) -> np.ndarray:
@@ -409,9 +387,8 @@ class PooledRiskSets(_Kernel):
     sum_rows: np.ndarray        # (1 + (1+p) + (1+p)**2,) ``_pooled_rows``
 
     @classmethod
-    def from_snapshots(cls, batch: Sequence[Snapshot] | RiskSetLayout) -> "PooledRiskSets":
-        """The pooled kernel of a batch of snapshots, of their layout or of
-        their ``RiskSets``."""
+    def from_snapshots(cls, batch: Sequence[Snapshot] | RiskSets) -> PooledRiskSets:
+        """The pooled kernel of a batch of snapshots or of their ``RiskSets``."""
         rs = RiskSets.from_snapshots(batch)
         n_rows, p = rs.event_z_total.shape
         kept = 2 * rs.pair_rows + rs.pair_arms
@@ -486,7 +463,7 @@ def solve_stack(matrices: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, 
 @dataclass(frozen=True)
 class StratifiedCoxFit:
     """The maximizer at one snapshot: row ``row`` of the fitted ``batch``.
-    The adjusted-SP variance and the Cox-Wald test read the layout and the
+    The adjusted-SP variance and the Cox-Wald test read the risk sets and the
     kernel values at ``beta_hat`` from the batch."""
 
     calendar_time: float
@@ -537,7 +514,7 @@ class FitBatch(NamedTuple):
         )
 
 
-def fit_mple_batch(batch: Sequence[Snapshot] | RiskSetLayout | PooledRiskSets) -> FitBatch:
+def fit_mple_batch(batch: Sequence[Snapshot] | RiskSets | PooledRiskSets) -> FitBatch:
     """Maximize each snapshot's partial likelihood at its calendar time (the
     treatment-stratified one, or the kernel's), all rows in lockstep.
 
@@ -550,10 +527,9 @@ def fit_mple_batch(batch: Sequence[Snapshot] | RiskSetLayout | PooledRiskSets) -
     the other rows go on.  An arm with subjects but no observed events is
     legal (it contributes nothing and gets a flat baseline) but is reported
     with a warning.  ``batch`` is a kernel (``RiskSets`` or
-    ``PooledRiskSets``), or the snapshots or their layout, whose ``RiskSets``
-    it fits.
+    ``PooledRiskSets``), or the snapshots, whose ``RiskSets`` it fits.
     """
-    risk_sets = batch if isinstance(batch, _Kernel) else RiskSets.from_snapshots(batch)
+    risk_sets = batch if isinstance(batch, PooledRiskSets) else RiskSets.from_snapshots(batch)
     snaps = risk_sets.snapshots
     n_rows, p = risk_sets.event_z_total.shape
     errors: list[SeqSurvError | None] = [None] * n_rows

@@ -16,7 +16,7 @@ import numbers
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
 from typing import Sequence
 
@@ -224,8 +224,8 @@ def generate_columns(scenario: Scenario, seed: int, replicate: int = 0) -> Colum
 
 # Each method's statistic over a batch, ``(batch, t0)``: its batch result,
 # whose rows hold z, info_level and the SeqSurvError the row raised (None when
-# it did not).  ``batch`` is a sequence of snapshots, their RiskSetLayout or
-# their RiskSets; the simulation builds one RiskSets per look for them all.
+# it did not).  ``batch`` is a sequence of snapshots or their RiskSets; the
+# simulation builds one RiskSets per look for them all.
 # The entries look the batch functions up in this module when called.
 # run_oc, calibration and the analyze command reach them here; compare_sp,
 # km_compare and cox_wald, their batches of one, are on none of these paths.
@@ -675,11 +675,7 @@ def calibrate_effect(
 # ---------------------------------------------------------------------------
 # plain-text scenario files and CSV results
 
-_SCENARIO_FIELDS = (
-    "n0", "n1", "tau", "alpha0", "alpha1", "gamma0", "beta_w", "covariate_scheme",
-    "phi", "accrual", "censor_rate", "k_analyses", "total_alpha", "spending_rho",
-    "sidedness", "target_info_fractions",
-)
+_SCENARIO_FIELDS = tuple(f.name for f in fields(Scenario))
 
 
 def scenario_to_text(scenario: Scenario) -> str:

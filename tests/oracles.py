@@ -2,18 +2,17 @@
 
 Everything here is written with plain per-subject loops, straight from the
 estimator definitions, deliberately sharing no code with the package's
-vectorized paths.  The exception is ``lexsort_layout``: the risk-set layout
-as a stable ``lexsort`` per row builds it, the reference for the package's
-faster sort.
+vectorized paths.  The exception is ``lexsort_layout``: the sorted risk
+sets and event groups as a stable ``lexsort`` per row builds them, the
+reference for the package's faster sort.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
-
-from seqsurv.cox import RiskSetLayout
 
 
 def naive_log_pl(beta, follow_up, event, arm, covariates):
@@ -32,8 +31,9 @@ def naive_log_pl(beta, follow_up, event, arm, covariates):
 
 
 def lexsort_layout(snaps):
-    """``RiskSetLayout.from_snapshots`` with one stable ``lexsort`` of (arm,
-    follow-up) per row, so ties stay in snapshot order."""
+    """The sort and event-group fields of ``RiskSets.from_snapshots``, with
+    one stable ``lexsort`` of (arm, follow-up) per row, so ties stay in
+    snapshot order."""
     snaps = tuple(snaps)
     # bounds[2b + i] is where pair (row b, arm i) starts in the sorted order
     orders, bounds, start = [], [], 0
@@ -61,7 +61,7 @@ def lexsort_layout(snaps):
     bounds = np.array(bounds)
     offsets = np.searchsorted(group_start, bounds)
     pair_ends = bounds[1:]
-    return RiskSetLayout(
+    return SimpleNamespace(
         snapshots=snaps,
         sizes=(pair_ends - bounds[:-1]).reshape(-1, 2),
         n_events=(first[offsets[1:]] - first[offsets[:-1]]).reshape(-1, 2),
@@ -72,7 +72,6 @@ def lexsort_layout(snaps):
         order=order,
         follow_up=xs,
         pair_ends=pair_ends,
-        row_starts=bounds[:-1:2],
     )
 
 

@@ -1,10 +1,11 @@
 """The batch-row invariant, as hypothesis properties: each snapshot's row of a
 batched statistic is its batch of one bit for bit, with the same error class
 and message, whatever the other rows are and in whatever order they come,
-also when the batch is given as its risk-set layout or its ``RiskSets``.
-The layout itself equals the one a stable ``lexsort`` per row builds."""
+also when the batch is given as its ``RiskSets``.  The sort and event
+groups of a ``RiskSets`` equal the ones a stable ``lexsort`` per row
+builds."""
 
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from seqsurv import (
     km_compare_batch,
     snapshot,
 )
-from seqsurv.cox import RiskSetLayout, RiskSets
+from seqsurv.cox import RiskSets
 from seqsurv.data import Snapshot
 from seqsurv.sim import COVARIATE_SCHEMES
 from oracles import lexsort_layout
@@ -125,8 +126,6 @@ ROWS = {
     "km_compare_batch": _km_rows,
     "cox_wald_batch": _cox_wald_rows,
 }
-# the batch functions that also take the snapshots' risk-set layout as the batch
-LAYOUT_READERS = ("fit_mple_batch", "compare_sp_batch", "km_compare_batch", "cox_wald_batch")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -139,8 +138,6 @@ def test_each_row_is_its_batch_of_one_in_either_order(name, drawn):
     batch = rows(snaps, t0)
     assert batch == [rows([snap], t0)[0] for snap in snaps]
     assert rows(snaps[::-1], t0) == batch[::-1]
-    if name in LAYOUT_READERS:
-        assert rows(RiskSetLayout.from_snapshots(snaps), t0) == batch
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -151,9 +148,9 @@ def test_one_risk_sets_serves_every_batch_function(drawn):
     # the second round sees whatever the first left in it
     snaps, t0 = drawn
     shared = RiskSets.from_snapshots(snaps)
-    alone = {name: ROWS[name](snaps, t0) for name in LAYOUT_READERS}
+    alone = {name: rows(snaps, t0) for name, rows in ROWS.items()}
     for _ in range(2):
-        for name in LAYOUT_READERS:
+        for name in ROWS:
             assert ROWS[name](shared, t0) == alone[name], name
 
 
@@ -185,14 +182,12 @@ def tied_rows(draw):
 @given(snaps=tied_rows())
 @settings(max_examples=100, deadline=None)
 def test_layout_equals_the_lexsort_layout(snaps):
-    layout, oracle = RiskSetLayout.from_snapshots(snaps), lexsort_layout(snaps)
-    assert all(a is b for a, b in zip(layout.snapshots, oracle.snapshots))
-    for field in fields(RiskSetLayout):
-        if field.name == "snapshots":
-            continue
-        got, want = getattr(layout, field.name), getattr(oracle, field.name)
-        assert got.dtype == want.dtype and got.shape == want.shape, field.name
-        assert got.tobytes() == want.tobytes(), field.name
+    risk_sets, oracle = RiskSets.from_snapshots(snaps), vars(lexsort_layout(snaps))
+    assert all(a is b for a, b in zip(risk_sets.snapshots, oracle.pop("snapshots")))
+    for name, want in oracle.items():
+        got = getattr(risk_sets, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
 
 
 def _no_subjects(snap):
