@@ -161,7 +161,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     csv_text = oc_to_csv(oc)
     header = (
         f"# scenario sha256 = {_sha256(scenario_path)}\n"
-        f"# seed = {args.seed}, replicates = {args.replicates}\n"
+        f"# seed = {args.seed}, replicates = {args.replicates}, "
+        f"calibration replicates = {args.calibration_replicates}\n"
         f"# analysis times = {','.join(repr(t) for t in oc.analysis_times)}\n"
         f"# total information = {','.join(f'{m}:{oc.method_totals[m]!r}' for m in methods)}\n"
         f"# seqsurv version = {__version__}\n"

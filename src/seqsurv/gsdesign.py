@@ -85,7 +85,8 @@ class SpendingFunction:
 
 
 def spend(sf: SpendingFunction, info_fraction: float) -> float:
-    """Cumulative alpha allowed at the given information fraction."""
+    """Cumulative alpha allowed at the given information fraction, at most
+    ``total_alpha``."""
     if not info_fraction >= 0:   # NaN fails this too
         raise ValueError(f"information fraction must be >= 0, got {info_fraction!r}")
     t = min(float(info_fraction), 1.0)
@@ -94,15 +95,19 @@ def spend(sf: SpendingFunction, info_fraction: float) -> float:
     if t == 1.0:
         return sf.total_alpha
     if sf.family == "power":
-        return sf.total_alpha * t**sf.rho
-    if sf.family == "obf_like":
+        value = sf.total_alpha * t**sf.rho
+    elif sf.family == "obf_like":
         za = ndtri(1.0 - sf.total_alpha / 2.0)
-        return float(2.0 - 2.0 * ndtr(za / math.sqrt(t)))
-    if sf.family == "pocock_like":
-        return sf.total_alpha * math.log(1.0 + (math.e - 1.0) * t)
-    fracs = np.array([0.0] + [f for f, _ in sf.table])
-    alphas = np.array([0.0] + [a for _, a in sf.table])
-    return float(np.interp(t, fracs, alphas))
+        value = float(2.0 - 2.0 * ndtr(za / math.sqrt(t)))
+    elif sf.family == "pocock_like":
+        value = sf.total_alpha * math.log(1.0 + (math.e - 1.0) * t)
+    else:
+        fracs = np.array([0.0] + [f for f, _ in sf.table])
+        alphas = np.array([0.0] + [a for _, a in sf.table])
+        value = float(np.interp(t, fracs, alphas))
+    # rounding (obf_like at a total_alpha near 1) or a custom table that ends
+    # up to 1e-12 above total_alpha can overshoot the budget
+    return min(value, sf.total_alpha)
 
 
 def _jt_offsets(r: int) -> np.ndarray:

@@ -363,11 +363,13 @@ def simulate_args(tmp_path, scenario_file, out, seed="7", workers="1"):
 def test_simulate_deterministic_byte_identical(tmp_path, capsys):
     scenario_file = tmp_path / "scenario.txt"
     scenario_file.write_text(scenario_to_text(Scenario(n0=40, n1=40, tau=1.0, accrual=1.0)))
-    out1 = tmp_path / "oc1.csv"
-    out2 = tmp_path / "oc2.csv"
-    assert main(simulate_args(tmp_path, scenario_file, out1)) == EXIT_OK
-    assert main(simulate_args(tmp_path, scenario_file, out2)) == EXIT_OK
-    assert out1.read_bytes() == out2.read_bytes()
+    outs = [tmp_path / f"oc{k}.csv" for k in range(3)]
+    for out, workers in zip(outs, ("1", "1", "2")):
+        args = simulate_args(tmp_path, scenario_file, out, workers=workers)
+        assert main(args + ["--methods", "adjusted,km,cox"]) == EXIT_OK
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+    header = outs[0].read_text().splitlines()
+    assert header[1] == "# seed = 7, replicates = 40, calibration replicates = 20"
     capsys.readouterr()
 
 

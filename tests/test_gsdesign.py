@@ -1006,6 +1006,9 @@ def _check_design(design):
 @given(spending_fields(), _fraction_lists())
 @example(dict(total_alpha=0.05, rho=math.nan), [0.5, 1.0])
 @example(dict(total_alpha=0.05, family="custom", table=((0.5, math.nan), (1.0, 0.05))), [0.5, 1.0])
+@example(dict(total_alpha=0.9999999999999999, family="obf_like"), [0.5, 1.0])
+@example(dict(total_alpha=0.05, family="custom", table=((0.5, 0.05 + 1e-13), (1.0, 0.05 + 1e-13))),
+         [0.5, 1.0])
 def test_property_spending_fields_build_a_design_or_raise_value_error(fields, fractions):
     try:
         design = boundaries(SpendingFunction(**fields), fractions)

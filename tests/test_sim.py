@@ -366,6 +366,52 @@ def test_a_replicates_stages_do_not_depend_on_the_block_layout(
     assert stages == mixed_alone[:replicates]
 
 
+# study-end KM and Cox-Wald fail at replicates 2, 5, 6, 9 and 11 of seed 5
+_TINY = Scenario(n0=4, n1=4, tau=1.0, beta_w=-3.0, covariate_scheme="normal1", phi=0.5,
+                 accrual=2.0)
+
+
+def _calibration_alone(scenario, grid, methods, seed, r):
+    """Replicate r's calibration row from one method_statistic per grid time
+    and, at the study end, per other method; NaN where the statistic raised."""
+    cols = generate_columns(scenario, seed, sim._CALIBRATION_STREAM_OFFSET + r)
+    looks = [("adjusted", u) for u in grid] + [(m, grid[-1]) for m in methods[1:]]
+    row = []
+    for m, u in looks:
+        try:
+            row.append(sim.method_statistic(m, snapshot(cols, u), scenario.tau)[1])
+        except SeqSurvError:
+            row.append(math.nan)
+    return row
+
+
+@pytest.fixture(scope="module")
+def tiny_calibration():
+    grid = tuple(np.linspace(_TINY.tau, _TINY.study_length, sim._CALIBRATION_GRID_SIZE))
+    fixed = (_TINY, grid, sim.METHODS, 5)
+    alone = np.array([_calibration_alone(*fixed, r) for r in range(12)])
+    failed = np.isnan(alone[:, len(grid):]).any(axis=1)
+    assert list(np.flatnonzero(failed)) == [2, 5, 6, 9, 11]  # failed study-end rows to align
+    return fixed, alone
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(replicates=st.integers(1, 12), workers=st.integers(1, 3), block=st.integers(1, 4),
+       end_rows=st.integers(1, 4))
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_a_replicates_calibration_row_does_not_depend_on_its_block_or_group(
+    tiny_calibration, replicates, workers, block, end_rows
+):
+    fixed, alone = tiny_calibration
+    # a forked worker keeps the group size it was forked with
+    if workers > 1:
+        end_rows = sim._END_BATCH_ROWS
+    with mock.patch.object(sim, "_BLOCK_REPLICATES", block), \
+            mock.patch.object(sim, "_END_BATCH_ROWS", end_rows):
+        rows = sim._map_replicates(sim._calibration_block, fixed, replicates, workers)
+    assert np.array_equal(np.array(rows), alone[:replicates], equal_nan=True)
+
+
 def _special_rows():
     """A KM zero-variance row, a one-arm row (Cox-Wald's treatment variance
     is 0) and a row with no events (the Cox fits fail)."""
