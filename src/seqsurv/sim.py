@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -52,7 +53,14 @@ _COVARIATE_LAW_DRAWS = 1 << 16
 _EFFECT_SEARCH_WIDTH = 4.0            # calibrate_effect searches [null - 4, null]
 _MAX_FAILURE_FRACTION = 0.005         # run_oc refuses to report rates beyond this
 _CALIBRATION_GRID_SIZE = 13           # calendar times on which calibration estimates information
-_BLOCK_REPLICATES = 32                # most replicates in one simulation block
+# Most replicates in one simulation block, and most rows in one of
+# _monitor_block's statistic calls: a block of fewer replicates sends several
+# consecutive looks in one call.  On the bench scenario (400 per arm, 2 shared
+# vCPUs) a 2-replicate block's statistic calls took 3.6-3.9 ms as three calls
+# per method, one per look, and 2.1-2.2 ms as one 6-row call per method.  A
+# full block still takes one look per call, so a call's rows, and its memory,
+# never exceed a block's.
+_BLOCK_REPLICATES = 32
 # Most study-end snapshots in one calibration batch of the methods after
 # "adjusted".  On the bench scenario (400 per arm, 2 shared vCPUs) the
 # study-end KM and Cox-Wald with their RiskSets cost 0.74-0.82 ms per
@@ -69,6 +77,12 @@ _END_BATCH_ROWS = 8
 _FLOAT_FIELDS = (
     "tau", "alpha0", "alpha1", "gamma0", "beta_w", "phi", "accrual", "censor_rate",
     "total_alpha", "spending_rho",
+)
+# Logs of the smallest and largest positive normal float64
+_LOG_FLOAT_MIN = math.log(sys.float_info.min)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_FLOAT_RANGE = (
+    f"float64's positive normal range [exp({_LOG_FLOAT_MIN:.1f}), exp({_LOG_FLOAT_MAX:.1f})]"
 )
 
 
@@ -133,6 +147,28 @@ class Scenario:
             raise ValueError("target_info_fractions must be strictly increasing and positive")
         if abs(fracs[-1] - 1.0) > 1e-9:
             raise ValueError("target_info_fractions must end at 1")
+        # generate_columns draws with the rates gamma0 and gamma0 * exp(beta_w),
+        # which float64 must hold as positive normal numbers (an overflow gives
+        # every subject an event at time 0, an underflow events at time inf).
+        # Checked in log space: the default gamma0 = log 2 / tau**alpha0 can
+        # itself overflow or divide by zero.
+        if self.gamma0 is None:
+            log_gamma0 = math.log(math.log(2.0)) - self.alpha0 * math.log(self.tau)
+            if not _LOG_FLOAT_MIN <= log_gamma0 <= _LOG_FLOAT_MAX:
+                raise ValueError(
+                    f"tau = {self.tau!r} and alpha0 = {self.alpha0!r} put the default "
+                    f"gamma0 = log 2 / tau**alpha0 outside {_FLOAT_RANGE}"
+                )
+        else:
+            log_gamma0 = math.log(self.gamma0)
+            if not _LOG_FLOAT_MIN <= log_gamma0 <= _LOG_FLOAT_MAX:
+                raise ValueError(f"gamma0 = {self.gamma0!r} is outside {_FLOAT_RANGE}")
+        if not (_LOG_FLOAT_MIN <= self.beta_w <= _LOG_FLOAT_MAX
+                and _LOG_FLOAT_MIN <= log_gamma0 + self.beta_w <= _LOG_FLOAT_MAX):
+            raise ValueError(
+                f"beta_w = {self.beta_w!r} puts exp(beta_w) or the treatment rate "
+                f"gamma0 * exp(beta_w) outside {_FLOAT_RANGE}"
+            )
 
     @property
     def n_covariates(self) -> int:
@@ -235,7 +271,8 @@ def generate_columns(scenario: Scenario, seed: int, replicate: int = 0) -> Colum
 # Each method's statistic over a batch, ``(batch, t0)``: its batch result,
 # whose rows hold z, info_level and the SeqSurvError the row raised (None when
 # it did not).  ``batch`` is a sequence of snapshots or their RiskSets; the
-# simulation builds one RiskSets per look for them all.
+# simulation builds one RiskSets per chunk of looks (_monitor_block) or per
+# group of snapshots (_calibration_block) for them all.
 # The entries look the batch functions up in this module when called.
 # run_oc, calibration and the analyze command reach them here; compare_sp,
 # km_compare and cox_wald, their batches of one, are on none of these paths.
@@ -285,34 +322,46 @@ def _monitor_block(scenario, design, methods, analysis_times, method_totals, see
     """Each method's first rejection stage in each replicate of ``rs``:
     1-based, 0 when it never rejected, -1 when its statistic or monitor failed.
 
-    The block is monitored look by look.  At each look every method makes one
-    batched statistic call, whose rows are the snapshots of the replicates
-    whose monitoring of that method is still running; a method whose monitor
-    has rejected, accepted or failed takes no later looks in that replicate.
+    The block is monitored in chunks of consecutive looks.  A chunk starts at
+    the first look not yet taken and holds as many looks as keep (replicates
+    still running) x (looks) within ``_BLOCK_REPLICATES`` rows, and at least
+    one look: a small block sends all its looks at once, a full block one
+    look at a time.  In a chunk every method makes one batched statistic
+    call, whose rows, look-major, are the snapshots of the replicates whose
+    monitoring of that method was running at the chunk's start; each
+    replicate's monitor then steps through its rows in look order.  A method
+    whose monitor has rejected, accepted or failed takes no later looks in
+    that replicate, so the rows of its later looks in the same chunk are
+    computed and dropped unread (a tiny trial can warn about such a row).
     A row's statistic does not depend on the other rows, so a replicate's
-    stages do not depend on its block.  A look builds the ``RiskSets`` of
-    each distinct row list once, and every method with those rows reads it:
-    the methods' rows are the same until one of them stops in some
-    replicate.
+    stages do not depend on its block or chunk.  A chunk builds the
+    ``RiskSets`` of each distinct row list once, and every method with those
+    rows reads it: the methods' rows are the same until one of them stops in
+    some replicate.
     """
     cols = [generate_columns(scenario, seed, r) for r in rs]
     stages = [dict.fromkeys(methods, 0) for _ in rs]
     # per replicate: each running method's monitor
     monitors = [{m: MonitoringState(design, method_totals[m]) for m in methods} for _ in rs]
-    for k, u in enumerate(analysis_times, start=1):
+    start, n_looks = 0, len(analysis_times)
+    while start < n_looks:
         live = [i for i, running in enumerate(monitors) if running]
         if not live:
             break
-        snaps = {i: snapshot(cols[i], u) for i in live}
-        risk_sets = {}  # this look's RiskSets of each row list
+        looks = range(start, min(n_looks, start + max(1, _BLOCK_REPLICATES // len(live))))
+        start = looks.stop
+        snaps = {(k, i): snapshot(cols[i], analysis_times[k]) for k in looks for i in live}
+        risk_sets = {}  # this chunk's RiskSets of each row list
         for m in methods:
-            rows = tuple(i for i in live if m in monitors[i])
+            rows = tuple((k, i) for k in looks for i in live if m in monitors[i])
             if not rows:
                 continue
             if rows not in risk_sets:
-                risk_sets[rows] = RiskSets.from_snapshots([snaps[i] for i in rows])
+                risk_sets[rows] = RiskSets.from_snapshots([snaps[row] for row in rows])
             batch = STATISTICS[m](risk_sets[rows], scenario.tau)
-            for i, z, info, error in zip(rows, batch.z, batch.info_level, batch.errors):
+            for (k, i), z, info, error in zip(rows, batch.z, batch.info_level, batch.errors):
+                if m not in monitors[i]:  # stopped at an earlier look of this chunk
+                    continue
                 decision = "fail"
                 if error is None:
                     try:
@@ -321,7 +370,7 @@ def _monitor_block(scenario, design, methods, analysis_times, method_totals, see
                         pass
                 if decision != "continue":
                     del monitors[i][m]
-                    stages[i][m] = {"reject": k, "accept": 0, "fail": -1}[decision]
+                    stages[i][m] = {"reject": k + 1, "accept": 0, "fail": -1}[decision]
     return [tuple(stage[m] for m in methods) for stage in stages]
 
 
@@ -411,9 +460,13 @@ def run_oc(
 
     Each replicate is generated and monitored look by look at the calibrated
     analysis times: every requested method whose monitoring has not ended
-    computes its statistic at the look's snapshot and takes an error-spending
-    step against that method's total information.  Results are deterministic
-    in (scenario, seed, replicates) regardless of ``workers``.
+    takes an error-spending step against that method's total information with
+    its statistic at the look's snapshot.  A block of replicates computes the
+    statistics of several consecutive looks in one batch, up to 32 rows (see
+    ``_monitor_block``); rows of looks after a monitor stopped are computed
+    and dropped, so a tiny trial can print a ``RuntimeWarning`` for a row no
+    monitor reads.  Results are deterministic in (scenario, seed, replicates)
+    regardless of ``workers``.
     """
     methods = _check_methods(methods)
     totals = _method_totals(calibration, methods)
@@ -724,10 +777,19 @@ def scenario_from_text(text: str) -> Scenario:
     if missing:
         raise ValueError(f"scenario file: missing required key(s) {', '.join(missing)}")
     beta_w = values.pop("beta_w", 0.0)
-    scenario = Scenario(**values)  # type: ignore[arg-type]
-    if beta_w == "null":
-        return replace(scenario, beta_w=null_beta_w(scenario))
-    return replace(scenario, beta_w=float(beta_w))  # type: ignore[arg-type]
+    try:
+        scenario = Scenario(**values)  # type: ignore[arg-type]
+        return replace(scenario, beta_w=null_beta_w(scenario) if beta_w == "null" else beta_w)
+    except ValueError as exc:
+        # Scenario's errors start with the field they name: point at its line
+        lines = {}
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            key, eq, _ = raw.split("#", 1)[0].partition("=")
+            if eq:
+                lines[key.strip()] = lineno
+        field = str(exc).split(" ", 1)[0]
+        where = f" line {lines[field]}" if field in lines else ""
+        raise ValueError(f"scenario file{where}: {exc}") from None
 
 
 def _parse_scenario_value(key: str, value: str):

@@ -90,6 +90,31 @@ def test_scenario_rejects_non_finite_fields(field, value):
         Scenario(**{"n0": 20, "n1": 20, "tau": 1.0, field: value})
 
 
+@pytest.mark.parametrize("fields, message", [
+    # exp(800) overflows (every treated event at time 0), exp(-800) is 0 (never an event)
+    ({"beta_w": 800.0}, "^beta_w = 800.0 puts exp"),
+    ({"beta_w": -800.0}, "^beta_w = -800.0 puts exp"),
+    # gamma0 is small enough that gamma0 * exp(750) is finite, but exp(750) is not
+    ({"gamma0": 1e-300, "beta_w": 750.0}, "^beta_w = 750.0 puts exp"),
+    ({"gamma0": 1e-320}, "^gamma0 = 1e-320 is outside float64's"),
+    # the default gamma0 = log 2 / tau**alpha0: tau**alpha0 overflows, or is 0
+    ({"tau": 1e300, "alpha0": 5.0}, "^tau = 1e\\+300 and alpha0 = 5.0 put the default gamma0"),
+    ({"tau": 1e-300, "alpha0": 5.0}, "^tau = 1e-300 and alpha0 = 5.0 put the default gamma0"),
+])
+def test_scenario_refuses_a_rate_float64_cannot_hold(fields, message):
+    with pytest.raises(ValueError, match=message):
+        Scenario(**{"n0": 20, "n1": 20, "tau": 1.0, **fields})
+
+
+def test_scenario_text_names_the_line_of_a_rate_float64_cannot_hold():
+    text = "n0 = 20\nn1 = 20\ntau = 1.0\n# effect\nbeta_w = {}\n"
+    with pytest.raises(ValueError, match="^scenario file line 5: beta_w = 800.0 puts exp"):
+        scenario_from_text(text.format(800))
+    # near the edge of the range every drawn time is still finite
+    sc = scenario_from_text(text.format(700))
+    assert np.all(np.isfinite(generate_columns(sc, seed=1).time_on_study))
+
+
 def test_null_beta_w_values():
     assert null_beta_w(base_scenario(tau=1.0, alpha0=2.0, alpha1=-1.0)) == 0.0
     assert null_beta_w(base_scenario(tau=3.0, alpha0=2.0, alpha1=-1.0)) == pytest.approx(
@@ -364,6 +389,61 @@ def test_a_replicates_stages_do_not_depend_on_the_block_layout(
     with mock.patch.object(sim, "_BLOCK_REPLICATES", block):
         stages = sim._map_replicates(sim._monitor_block, mixed_block, replicates, workers)
     assert stages == mixed_alone[:replicates]
+
+
+def _recording_statistics(monkeypatch):
+    """Wrap every STATISTICS entry; each call appends (method, rows, looks)."""
+    calls = []
+
+    def recording(m, real):
+        def statistic(risk_sets, t0):
+            times = {snap.calendar_time for snap in risk_sets.snapshots}
+            calls.append((m, len(risk_sets.snapshots), len(times)))
+            return real(risk_sets, t0)
+        return statistic
+
+    for m, real in list(sim.STATISTICS.items()):
+        monkeypatch.setitem(sim.STATISTICS, m, recording(m, real))
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_small_block_sends_consecutive_looks_in_one_call(monkeypatch, mixed_block, mixed_alone):
+    calls = _recording_statistics(monkeypatch)
+    # 2 replicates x 3 looks fit in 32 rows: one call per method
+    assert sim._monitor_block(*mixed_block, range(2)) == mixed_alone[:2]
+    assert calls == [(m, 6, 3) for m in sim.METHODS]
+    # a full block takes one look per call
+    calls.clear()
+    sim._monitor_block(*mixed_block, range(32))
+    assert calls[:3] == [(m, 32, 1) for m in sim.METHODS]
+    assert all(looks == 1 for _, _, looks in calls)
+    # no call holds more than _BLOCK_REPLICATES rows, whatever the block size
+    for block in (1, 2, 3, 4):
+        calls.clear()
+        with mock.patch.object(sim, "_BLOCK_REPLICATES", block):
+            stages = sim._map_replicates(sim._monitor_block, mixed_block, 9, 1)
+        assert stages == mixed_alone
+        assert max(rows for _, rows, _ in calls) <= block
+
+
+# _MIXED with six looks: block sizes 1, 5, 10, 16 and 32 monitor it in chunks
+# of 6, 6, 3 + 3, 2 + 2 + 2 and 1 look while every replicate runs, and some
+# monitors stop inside a chunk
+_MIXED_SIX = replace(_MIXED, k_analyses=6, target_info_fractions=tuple(k / 6 for k in range(1, 7)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_chunks_that_split_a_designs_looks_give_each_replicates_stages():
+    cal = calibrate_analysis_times(_MIXED_SIX, replicates=40, seed=3, methods=sim.METHODS)
+    fixed = (_MIXED_SIX, build_design(_MIXED_SIX), sim.METHODS, cal.analysis_times,
+             cal.method_totals, 5)
+    alone = [_monitor_alone(*fixed, r) for r in range(32)]
+    stages = {s for row in alone for s in row}
+    assert {-1, 0, 1, 4, 5, 6} <= stages  # stops inside 6-look, 3-look and 2-look chunks
+    for block in (1, 5, 10, 16, 32):
+        blocks = [range(start, min(start + block, 32)) for start in range(0, 32, block)]
+        assert [row for rs in blocks for row in sim._monitor_block(*fixed, rs)] == alone
 
 
 # study-end KM and Cox-Wald fail at replicates 2, 5, 6, 9 and 11 of seed 5
