@@ -236,8 +236,10 @@ def _draw_covariates(rng: np.random.Generator, scheme: str, n: int) -> np.ndarra
 
 def generate_columns(scenario: Scenario, seed: int, replicate: int = 0) -> Columns:
     """Array-valued trial draw, in the columnar form :func:`~seqsurv.data.ingest_csv`
-    also returns.  It is valid by construction, so the simulation loops
-    snapshot it without validating it.
+    also returns.  The simulation loops snapshot it without validating it:
+    every subject's rate and event time is checked positive and finite here,
+    and a draw that fails (a large ``phi`` overflows the covariate term)
+    raises ``ValueError``.
 
     Draw order per replicate stream: entry times, covariates, event uniforms,
     then censoring times (only when the censor rate is positive).
@@ -250,10 +252,18 @@ def generate_columns(scenario: Scenario, seed: int, replicate: int = 0) -> Colum
     entry = rng.uniform(0.0, scenario.accrual, n) if scenario.accrual > 0 else np.zeros(n)
     z = _draw_covariates(rng, scenario.covariate_scheme, n)
     shape = scenario.alpha0 + scenario.alpha1 * arm
-    rate = scenario.gamma0_value * np.exp(
-        scenario.beta_w * arm + z @ scenario.covariate_effects
-    )
-    t_event = (-np.log1p(-rng.random(n)) / rate) ** (1.0 / shape)
+    with np.errstate(over="ignore", divide="ignore"):  # refused below instead
+        rate = scenario.gamma0_value * np.exp(
+            scenario.beta_w * arm + z @ scenario.covariate_effects
+        )
+        t_event = (-np.log1p(-rng.random(n)) / rate) ** (1.0 / shape)
+    held = (rate > 0) & (rate < np.inf) & (t_event > 0) & (t_event < np.inf)
+    if not held.all():
+        raise ValueError(
+            f"phi = {scenario.phi!r} gives a subject an event rate or event time of 0 "
+            f"or infinity at seed {seed}, replicate {replicate}; float64 cannot hold "
+            f"the draw"
+        )
     if scenario.censor_rate > 0:
         t_censor = rng.exponential(1.0 / scenario.censor_rate, n)
     else:
@@ -560,6 +570,45 @@ def _calibration_block(scenario, grid, methods, seed, rs) -> list[list[float]]:
     return rows
 
 
+def _pool_adjacent_violators(y: np.ndarray) -> np.ndarray:
+    """Least-squares non-decreasing fit of ``y`` with unit weights.
+
+    Busing's (2022) Algorithm 1 as ``scipy.optimize.isotonic_regression``
+    implements it, so the two agree bit for bit: a block pools while the
+    previous block's mean is ``>=`` the next value, keeping the running sums
+    ``sb += w * x`` and ``wb += w``, and its mean is ``sb / wb``.  ``x[b]``
+    and ``w[b]`` hold block b's mean and weight once b is closed, and
+    ``ends[b]`` the index one past its last value.
+    """
+    x = [float(v) for v in y]
+    n = len(x)
+    w = [1.0] * n
+    ends = [1] * n
+    b = 0
+    i = 1
+    while i < n:
+        b += 1
+        xb, wb = x[i], w[i]
+        if x[b - 1] >= xb:
+            b -= 1
+            sb = w[b] * x[b] + wb * xb
+            wb += w[b]
+            xb = sb / wb
+            while i < n - 1 and xb >= x[i + 1]:
+                i += 1
+                sb += w[i] * x[i]
+                wb += w[i]
+                xb = sb / wb
+            while b > 0 and x[b - 1] >= xb:
+                b -= 1
+                sb += w[b] * x[b]
+                wb += w[b]
+                xb = sb / wb
+        x[b], w[b], ends[b] = xb, wb, i + 1
+        i += 1
+    return np.repeat(x[: b + 1], np.diff([0] + ends[: b + 1]))
+
+
 def calibrate_analysis_times(
     scenario: Scenario,
     replicates: int = 400,
@@ -573,13 +622,12 @@ def calibrate_analysis_times(
 
     The information curve is estimated on a uniform calendar grid of 13 times
     from the comparison time to the study end; a non-monotone estimate is
-    smoothed by isotonic regression before inversion.  Total information per
+    smoothed by isotonic regression before inversion, the unit-weight
+    pool-adjacent-violators algorithm (Barlow, Bartholomew, Bremner & Brunk
+    1972, ch. 1) in Busing's O(n) form (2022, J. Stat. Softw. 102, Code
+    Snippet 1; see :func:`_pool_adjacent_violators`).  Total information per
     method is the mean at the study end.
     """
-    # scipy.optimize (with scipy.linalg and scipy.sparse) loads here, not at
-    # import: design, analyze and run_oc never need it
-    from scipy.optimize import isotonic_regression
-
     methods = tuple(dict.fromkeys(("adjusted",) + _check_methods(methods)))
     grid = tuple(np.linspace(scenario.tau, scenario.study_length, _CALIBRATION_GRID_SIZE))
 
@@ -593,7 +641,7 @@ def calibrate_analysis_times(
     mean_info = np.nansum(info, axis=0) / info_count
 
     isotonic_applied = bool(np.any(np.diff(mean_info) < 0))
-    curve = isotonic_regression(mean_info).x if isotonic_applied else mean_info
+    curve = _pool_adjacent_violators(mean_info) if isotonic_applied else mean_info
 
     method_totals = {}
     # the adjusted column at the study end, then the other methods' columns
@@ -701,7 +749,9 @@ def calibrate_effect(
     power.  A target at or below the design's alpha returns the null offset
     uncorrected.
     """
-    from scipy.optimize import brentq  # loaded here, as in calibrate_analysis_times
+    # scipy.optimize (with scipy.linalg and scipy.sparse) loads here, not at
+    # import: nothing else in the package needs it
+    from scipy.optimize import brentq
 
     if not 0.0 < target_power < 1.0:
         raise ValueError("target_power must be in (0, 1)")

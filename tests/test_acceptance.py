@@ -22,9 +22,11 @@ from seqsurv import (
     build_design,
     calibrate_analysis_times,
     compare_sp,
+    compare_sp_batch,
     crossing_probabilities,
     fit_mple,
     generate_columns,
+    km_compare_batch,
     run_oc,
     snapshot,
 )
@@ -228,6 +230,55 @@ def test_criterion_5_cox_breakdown_nph(nph_null_oc):
         f"final cumulative type I error {final:.4f} >= 0.70",
     )
     assert ok
+
+
+@pytest.fixture(scope="module")
+def nph_null_two_time_statistics():
+    """Criterion 3's recipe under the crossing-hazard null: a 2-look
+    calibration, then each method's (z, information) at both looks of 2000
+    replicates, 16 replicates' looks to one ``RiskSets``."""
+    cal = calibrate_analysis_times(
+        replace(NPH_NULL, k_analyses=2, target_info_fractions=(0.5, 1.0)),
+        replicates=300, seed=101, workers=WORKERS,
+    )
+    reps, group = 2000, 16
+    out = {m: (np.zeros((reps, 2)), np.zeros((reps, 2))) for m in ("adjusted", "km")}
+    for start in range(0, reps, group):
+        snaps = []  # rows (replicate, look) in replicate order
+        for r in range(start, start + group):
+            cols = generate_columns(NPH_NULL, 2024, r)
+            snaps += [snapshot(cols, u) for u in cal.analysis_times]
+        risk_sets = RiskSets.from_snapshots(snaps)
+        for statistic, (z, info) in zip((compare_sp_batch, km_compare_batch), out.values()):
+            batch = statistic(risk_sets, NPH_NULL.tau)
+            assert not any(batch.errors)
+            z[start : start + group] = np.reshape(batch.z, (group, 2))
+            info[start : start + group] = np.reshape(batch.info_level, (group, 2))
+    return out
+
+
+@pytest.mark.parametrize("method", ["adjusted", "km"])
+def test_canonical_distribution_structure_under_crossing_hazards(nph_null_two_time_statistics, method):
+    # criterion 3's bounds where the paper's Markov claim matters most:
+    # corr(Z1, Z2) against sqrt(I1 / I2), and Cov(D1, D2) against Var(D2)
+    # within 3 bootstrap SEs
+    z, info = nph_null_two_time_statistics[method]
+    corr = float(np.corrcoef(z[:, 0], z[:, 1])[0, 1])
+    predicted = float(np.mean(np.sqrt(info[:, 0] / info[:, 1])))
+    gap = abs(corr - predicted)
+
+    d1, d2 = (z / np.sqrt(info) * math.sqrt(NPH_NULL.n_total)).T
+    cov_gap = float(np.cov(d1, d2)[0, 1] - np.var(d2, ddof=1))
+    rng = np.random.default_rng(55)
+    boots = np.zeros(200)
+    for b in range(200):
+        idx = rng.integers(0, len(d1), len(d1))
+        boots[b] = np.cov(d1[idx], d2[idx])[0, 1] - np.var(d2[idx], ddof=1)
+    bound = 3 * float(np.std(boots, ddof=1))
+    print(f"\nNPH canonical structure, {method}: corr {corr:.3f} vs predicted {predicted:.3f} "
+          f"(gap {gap:.3f}); cov-var gap {cov_gap:.4f} within 3 bootstrap SE {bound:.4f}")
+    assert gap <= 0.05
+    assert abs(cov_gap) <= bound
 
 
 # -- criterion 6 -------------------------------------------------------------

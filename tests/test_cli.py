@@ -448,6 +448,18 @@ def test_simulate_non_finite_scenario_value_is_an_error(tmp_path, capsys):
     assert err.startswith("error: ") and "tau must be finite, got nan" in err
 
 
+def test_simulate_refuses_a_draw_float64_cannot_hold(tmp_path, capsys):
+    scenario_file = tmp_path / "scenario.txt"
+    scenario = Scenario(n0=20, n1=20, tau=1.0, covariate_scheme="normal1", phi=800.0)
+    scenario_file.write_text(scenario_to_text(scenario))
+    out = tmp_path / "oc.csv"
+    code = main(simulate_args(tmp_path, scenario_file, out))
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: phi = 800.0 gives a subject an event rate or event time of 0 or infinity at seed 7")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["design", "--alpha", "abc", "--info-fractions", "0.5,1"], "argument --alpha: invalid float value: 'abc'"),
     (["design", "--alpha", "0.05", "--info-fractions", "0.5,abc"], "argument --info-fractions: '0.5,abc'"),

@@ -17,7 +17,6 @@ from seqsurv import (
     GSDesign,
     MonitoringState,
     Scenario,
-    SequentialMonitor,
     SpendingFunction,
     boundaries,
     build_design,
@@ -120,17 +119,15 @@ def _scipy_subpackages_after(code, cwd):
               "'--u', '3.0', '--state', 'state.txt', '--total-info', '100']) == 0",
     f"import seqsurv; sc = {_SMALL}; seqsurv.run_oc(sc, seqsurv.build_design(sc), ('adjusted',), 2, 0, "
     "calibration=seqsurv.CalibrationResult((1.5, 1.75, 2.0), 20.0, {'adjusted': 20.0}, (), (), False, 0, 0, 0))",
-], ids=["import seqsurv", "import seqsurv.cli", "design", "analyze", "run_oc"])
+    f"import seqsurv; cal = seqsurv.calibrate_analysis_times({_SMALL}, replicates=3); "
+    "assert cal.analysis_times[-1] == 2.0 and cal.total_information > 0",
+    f"import seqsurv; from seqsurv import cli; open('scenario.txt', 'w').write(seqsurv.scenario_to_text({_SMALL})); "
+    "assert cli.main(['simulate', 'scenario.txt', '--replicates', '4', '--calibration-replicates', '3', "
+    "'--methods', 'adjusted,km,cox', '--out', 'oc.csv']) == 0",
+], ids=["import seqsurv", "import seqsurv.cli", "design", "analyze", "run_oc", "calibrate", "simulate"])
 def test_cold_paths_leave_scipy_stats_and_optimize_unloaded(code, tmp_path):
     (tmp_path / "trial.csv").write_text(_TRIAL_CSV)
     assert not _scipy_subpackages_after(code, tmp_path) & _COLD_START_UNLOADED
-
-
-def test_calibration_loads_scipy_optimize_when_called(tmp_path):
-    code = (f"import seqsurv; cal = seqsurv.calibrate_analysis_times({_SMALL}, replicates=3); "
-            "assert cal.analysis_times[-1] == 2.0 and cal.total_information > 0")
-    loaded = _scipy_subpackages_after(code, tmp_path)
-    assert {"optimize", "linalg"} <= loaded and "stats" not in loaded
 
 
 def test_custom_table_interpolates():
@@ -254,7 +251,7 @@ def test_nonincreasing_fractions_rejected():
 
 def test_monitor_continue_below_boundary():
     d = boundaries(power3(), [0.5, 0.75, 1.0])
-    mon = SequentialMonitor(d, total_information=100.0)
+    mon = MonitoringState(d, total_information=100.0)
     res = mon.step(50.0, 0.4)
     assert res.decision == "continue"
     assert res.boundary == pytest.approx(norm.ppf(1 - 0.003125), abs=1e-9)
@@ -262,7 +259,7 @@ def test_monitor_continue_below_boundary():
 
 def test_monitor_exact_boundary_rejects():
     d = boundaries(power3(), [0.5, 1.0])
-    mon = SequentialMonitor(d, total_information=100.0)
+    mon = MonitoringState(d, total_information=100.0)
     c1 = mon.step(50.0, norm.ppf(1 - 0.003125)).boundary  # exactly at the boundary
     assert mon.results[0].decision == "reject"
     assert mon.results[0].z == pytest.approx(c1)
@@ -270,7 +267,7 @@ def test_monitor_exact_boundary_rejects():
 
 def test_monitor_matches_design_when_observed_equals_planned():
     d = boundaries(power3(), [0.5, 0.75, 1.0])
-    mon = SequentialMonitor(d, total_information=200.0)
+    mon = MonitoringState(d, total_information=200.0)
     for frac, c in zip(d.info_fractions, d.critical_values):
         res = mon.step(200.0 * frac, 0.0)
         assert res.boundary == c  # bit for bit
@@ -278,7 +275,7 @@ def test_monitor_matches_design_when_observed_equals_planned():
 
 def test_monitor_overrun_clamps_and_finalizes():
     d = boundaries(power3(), [0.5, 0.75, 1.0])
-    mon = SequentialMonitor(d, total_information=100.0)
+    mon = MonitoringState(d, total_information=100.0)
     mon.step(50.0, 0.1)
     res = mon.step(120.0, 0.2)  # IF > 1 at stage 2: clamp, spend the rest
     assert res.info_fraction == 1.0
@@ -290,7 +287,7 @@ def test_monitor_overrun_clamps_and_finalizes():
 
 def test_monitor_underrun_final_spends_remaining_alpha():
     d = boundaries(power3(), [0.5, 0.75, 1.0])
-    mon = SequentialMonitor(d, total_information=100.0)
+    mon = MonitoringState(d, total_information=100.0)
     mon.step(50.0, 0.1)
     mon.step(75.0, 0.2)
     res = mon.step(90.0, 0.3)  # final stage despite IF = 0.9
@@ -301,14 +298,14 @@ def test_monitor_underrun_final_spends_remaining_alpha():
 @pytest.mark.parametrize("observed", [50.0, 49.0])
 def test_monitor_raises_information_that_does_not_grow(observed):
     d = boundaries(power3(), [0.5, 0.75, 1.0])
-    mon = SequentialMonitor(d, total_information=100.0)
+    mon = MonitoringState(d, total_information=100.0)
     first = mon.step(50.0, 0.0)
     assert first.info_level == first.observed_info_level == 50.0
     res = mon.step(observed, 0.0)
     assert res.info_level == 50.0 * 1.005
     assert res.observed_info_level == observed
     assert res.info_fraction == 50.0 * 1.005 / 100.0
-    planned = SequentialMonitor(d, total_information=100.0)
+    planned = MonitoringState(d, total_information=100.0)
     planned.step(50.0, 0.0)
     assert res.boundary == planned.step(50.0 * 1.005, 0.0).boundary
 
@@ -318,7 +315,7 @@ def test_monitor_all_alpha_spent_means_infinite_final_boundary():
         0.05, "custom", table=((0.5, 0.05), (1.0, 0.05)), sidedness="two_sided"
     )
     d = boundaries(sf, [0.5, 1.0])
-    mon = SequentialMonitor(d, total_information=100.0)
+    mon = MonitoringState(d, total_information=100.0)
     mon.step(50.0, 1.0)
     res = mon.step(100.0, 5.0)
     assert math.isinf(res.boundary)
@@ -514,7 +511,7 @@ def test_monitoring_state_replays_the_stages_it_is_given():
     resumed = MonitoringState(d, 100.0, list(live.calendar_times), list(live.results))
     assert resumed == live
     assert resumed.step(90.0, 1.0) == live.step(90.0, 1.0)
-    assert SequentialMonitor is MonitoringState
+    assert gsdesign.SequentialMonitor is MonitoringState  # the alias bench/spans.py wraps
     with pytest.raises(ValueError, match="one entry per stage"):
         MonitoringState(d, 100.0, [1.0], [])
     with pytest.raises(ValueError, match="monitoring already ended"):
@@ -590,7 +587,7 @@ def test_design_text_rejects_other_grid_rules(legacy, key):
     [(100.0, math.nan), (math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (-5.0, 1.0), (50.0, -math.inf)],
 )
 def test_monitor_rejects_non_finite_input(info_level, z):
-    mon = SequentialMonitor(boundaries(power3(), [0.5, 0.75, 1.0]), total_information=100.0)
+    mon = MonitoringState(boundaries(power3(), [0.5, 0.75, 1.0]), total_information=100.0)
     with pytest.raises(ValueError, match="finite"):
         mon.step(info_level, z)
     assert mon.results == []
@@ -757,7 +754,7 @@ def test_half_mesh_monitor_steps_match_the_full_mesh(full_mesh, name):
     observed = [0.9 * f + 0.03 * k for k, f in enumerate(fractions)]
 
     def run():
-        mon = SequentialMonitor(design, _TOTAL_INFORMATION)
+        mon = MonitoringState(design, _TOTAL_INFORMATION)
         for f in observed:
             mon.step(f * _TOTAL_INFORMATION, 0.25)
         return mon.results
@@ -821,7 +818,7 @@ def monitoring_runs(draw):
 
 
 def _run_live(design, stages):
-    mon = SequentialMonitor(design, _TOTAL_INFORMATION)
+    mon = MonitoringState(design, _TOTAL_INFORMATION)
     for info, z in stages:
         if mon.finished:
             break
@@ -857,7 +854,7 @@ def test_property_reject_iff_statistic_crosses_boundary(run):
 @given(monitoring_runs())
 def test_property_state_replayed_from_text_matches_live_monitor(run):
     design, stages = run
-    live = SequentialMonitor(design, _TOTAL_INFORMATION)
+    live = MonitoringState(design, _TOTAL_INFORMATION)
     state = MonitoringState(design=design, total_information=_TOTAL_INFORMATION)
     for stage, (info, z) in enumerate(stages, start=1):
         if live.finished:

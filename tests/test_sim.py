@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import isotonic_regression  # the reference; seqsurv never imports it
 from scipy.stats import kstest
 
 from seqsurv import (
@@ -113,6 +114,15 @@ def test_scenario_text_names_the_line_of_a_rate_float64_cannot_hold():
     # near the edge of the range every drawn time is still finite
     sc = scenario_from_text(text.format(700))
     assert np.all(np.isfinite(generate_columns(sc, seed=1).time_on_study))
+
+
+@pytest.mark.parametrize("scheme", ["normal1", "bernoulli2"])
+def test_a_draw_float64_cannot_hold_names_phi_seed_and_replicate(scheme):
+    # e^(800 z) overflows for some subjects (event time 0) and is 0 for
+    # others (event time inf); Scenario cannot see this before the draw
+    sc = base_scenario(covariate_scheme=scheme, phi=800.0)
+    with pytest.raises(ValueError, match=r"^phi = 800\.0 gives .* at seed 1, replicate 4;"):
+        generate_columns(sc, seed=1, replicate=4)
 
 
 def test_null_beta_w_values():
@@ -259,6 +269,19 @@ def test_calibration_pools_a_dip_in_mean_information(monkeypatch):
     assert cal.analysis_times == pytest.approx(want + [sc.study_length], rel=1e-12, abs=0.0)
     assert cal.grid_times[3] < cal.analysis_times[0] < cal.grid_times[4]
     assert cal.grid_times[6] < cal.analysis_times[1] < cal.grid_times[7]
+
+
+_PAVA_RUN = st.tuples(
+    st.sampled_from([0.0, 1.0, 2.5]) | st.floats(-1e6, 1e6),    # start; the small set makes ties
+    st.sampled_from([0.0, -1.0, 0.5]) | st.floats(-10.0, 10.0),  # step: plateau, descending, rising
+    st.integers(1, 6),                                          # run length
+)
+
+
+@given(runs=st.lists(_PAVA_RUN, min_size=1, max_size=20))
+def test_pool_adjacent_violators_equals_scipys_isotonic_regression(runs):
+    y = np.array([start + k * step for start, step, length in runs for k in range(length)][:20])
+    assert np.array_equal(sim._pool_adjacent_violators(y), isotonic_regression(y).x)
 
 
 def test_calibration_identical_across_workers():
