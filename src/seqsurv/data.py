@@ -14,6 +14,7 @@ rather than checked.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -176,13 +177,14 @@ def ingest_csv(path) -> Columns:
 
     Covariate columns are recognized by the ``z`` prefix; a file with no such
     columns yields a valid zero-covariate dataset.  Blank rows are skipped.  A
-    malformed field is reported with its line, the first such line in the
-    file; a dataset-level fault (duplicate id, negative time, ...) names the
-    first offending subject.  A UTF-8 byte order mark is ignored.
+    malformed record is reported with the line on which it starts, the first
+    such record in the file; a dataset-level fault (duplicate id, negative
+    time, ...) names the first offending subject.  A UTF-8 byte order mark is
+    ignored.
 
     A well-formed file is parsed in one :func:`numpy.loadtxt` pass.  Any file
-    that pass declines goes to the row reader, which accepts the same files
-    with the same values and reports the errors.
+    that pass declines goes to the one-pass row reader :func:`_ingest_rows`,
+    which accepts the same files with the same values and reports the errors.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -262,81 +264,58 @@ def _load_well_formed(path, width: int, col, zcols) -> Columns | None:
 
 
 def _ingest_rows(path) -> Columns:
-    """:func:`ingest_csv` with one Python row per line: the reference reader,
-    which accepts every form ``float()`` and ``int()`` accept and names the
-    first bad line."""
+    """:func:`ingest_csv` with one Python row per CSV record: the reference
+    reader, which accepts every form ``float()`` and ``int()`` accept and
+    names the line on which the first bad record starts.
+
+    Each record is checked where it is read, in this order: field count, arm,
+    event, entry, time, covariates by index.  Lines are counted at ``\\n``,
+    ``\\r`` and ``\\r\\n`` breaks, inside quoted fields too.
+    """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header, col, zcols = _read_header(reader, path)
-            rows: list[list[str]] = []
-            lines: list[int] = []
-            for lineno, row in enumerate(reader, start=2):
-                if "".join(row).strip():
-                    rows.append(row)
-                    lines.append(lineno)
+            text = fh.read()
     except UnicodeDecodeError:
         raise _decode_error(path) from None
-    if not rows:
-        raise ValidationError("dataset is empty")
-    if any(len(row) != len(header) for row in rows):
-        _raise_first_line_error(path, header, rows, lines, col, zcols)
-    cells = list(zip(*rows))
-    del rows  # the cells hold the same strings; drop the per-row lists early
-    n, p = len(lines), len(zcols)
-    try:
-        arm = list(map(int, cells[col["arm"]]))
-        event = list(map(int, cells[col["event"]]))
-        if not {0, 1}.issuperset(arm) or not {0, 1}.issuperset(event):
-            raise ValueError
-        entry = np.fromiter(map(float, cells[col["entry"]]), np.float64, n)
-        time_on_study = np.fromiter(map(float, cells[col["time"]]), np.float64, n)
-        covariates = np.empty((n, p))
-        for j, (_, idx) in enumerate(zcols):
-            covariates[:, j] = np.fromiter(map(float, cells[idx]), np.float64, n)
-    except ValueError:
-        _raise_first_line_error(path, header, zip(*cells), lines, col, zcols)
-        raise  # not reached: the scan repeats the check that failed
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header, col, zcols = _read_header(reader, path)
+    ids, arm, event, entry, time_on_study, covariates = [], [], [], [], [], []
+    end = reader.line_num
+    for row in reader:
+        lineno, end = end + 1, reader.line_num
+        if not "".join(row).strip():
+            continue
+        if len(row) != len(header):
+            raise ValidationError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+        ids.append(row[col["id"]].strip())
+        arm.append(_parse_flag(row[col["arm"]], path, lineno, "arm"))
+        event.append(_parse_flag(row[col["event"]], path, lineno, "event"))
+        entry.append(_parse_float(row[col["entry"]], path, lineno, "entry"))
+        time_on_study.append(_parse_float(row[col["time"]], path, lineno, "time"))
+        covariates.append([_parse_float(row[idx], path, lineno, name) for name, idx in zcols])
     cols = Columns(
-        ids=tuple(map(str.strip, cells[col["id"]])),
+        ids=tuple(ids),
         arm=np.array(arm, dtype=np.int8),
-        entry=entry,
-        time_on_study=time_on_study,
+        entry=np.array(entry, dtype=np.float64),
+        time_on_study=np.array(time_on_study, dtype=np.float64),
         event=np.array(event, dtype=bool),
-        covariates=covariates,
+        covariates=np.array(covariates, dtype=np.float64),
     )
     validate_dataset(cols)
     return cols
 
 
 def _decode_error(path) -> ValidationError:
-    """The error naming the first line of ``path`` that is not UTF-8 (a line
-    break byte never occurs inside a multi-byte UTF-8 character)."""
+    """The error naming the first line of ``path`` that is not UTF-8, with
+    lines broken as :func:`_ingest_rows` counts them (a line break byte never
+    occurs inside a multi-byte UTF-8 character)."""
     with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(fh.read().splitlines(), start=1):
             try:
                 line.decode("utf-8")
             except UnicodeDecodeError as exc:
                 return ValidationError(f"{path}:{lineno}: not UTF-8 at byte {exc.start + 1}")
     return ValidationError(f"{path}: not UTF-8 text")
-
-
-def _raise_first_line_error(path, header, rows, lines, col, zcols) -> None:
-    """Raise the error of the first malformed row, checking each row's fields
-    in this order: field count, arm, event, entry, time, covariates by index."""
-    for lineno, row in zip(lines, rows):
-        if len(row) != len(header):
-            raise ValidationError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-        arm = _parse_int(row[col["arm"]], path, lineno, "arm")
-        if arm not in (0, 1):
-            raise ValidationError(f"{path}:{lineno}: arm must be 0 or 1, got {arm}")
-        event = _parse_int(row[col["event"]], path, lineno, "event")
-        if event not in (0, 1):
-            raise ValidationError(f"{path}:{lineno}: event must be 0 or 1, got {event}")
-        _parse_float(row[col["entry"]], path, lineno, "entry")
-        _parse_float(row[col["time"]], path, lineno, "time")
-        for name, idx in zcols:
-            _parse_float(row[idx], path, lineno, name)
 
 
 def _z_index(name: str, path) -> int:
@@ -353,8 +332,12 @@ def _parse_float(text: str, path, lineno: int, name: str) -> float:
         raise ValidationError(f"{path}:{lineno}: field {name!r} is not numeric: {text!r}") from None
 
 
-def _parse_int(text: str, path, lineno: int, name: str) -> int:
+def _parse_flag(text: str, path, lineno: int, name: str) -> int:
+    """``text`` as the integer 0 or 1."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise ValidationError(f"{path}:{lineno}: field {name!r} is not an integer: {text!r}") from None
+    if value not in (0, 1):
+        raise ValidationError(f"{path}:{lineno}: {name} must be 0 or 1, got {value}")
+    return value

@@ -1,4 +1,5 @@
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -366,7 +367,12 @@ def test_simulate_deterministic_byte_identical(tmp_path, capsys):
     outs = [tmp_path / f"oc{k}.csv" for k in range(3)]
     for out, workers in zip(outs, ("1", "1", "2")):
         args = simulate_args(tmp_path, scenario_file, out, workers=workers)
-        assert main(args + ["--methods", "adjusted,km,cox"]) == EXIT_OK
+        # KM runs out of subjects at t0 in some replicates; workers = 2 warns
+        # inside the pool's processes
+        km_warns = (pytest.warns(RuntimeWarning, match="carrying the last Kaplan-Meier value forward")
+                    if workers == "1" else nullcontext())
+        with km_warns:
+            assert main(args + ["--methods", "adjusted,km,cox"]) == EXIT_OK
     assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
     header = outs[0].read_text().splitlines()
     assert header[1] == "# seed = 7, replicates = 40, calibration replicates = 20"

@@ -268,13 +268,31 @@ def test_ingest_ignores_a_byte_order_mark(tmp_path):
     (b"id,arm,entry,time,event\nJos\xe9,0,0,1,1\np2,1,0,2,0\n", 2, 4),
     (b"id,arm,entry,time,event\nJos\xc3\xa9,0,0,1,1\np\xff,1,0,2,0\n", 3, 2),
     (b"id,arm,entry,time,event,z\xb9\n", 1, 26),
-], ids=["latin1-id", "after-a-utf8-line", "header"])
+    # lines break at \r\n and \r as well
+    (b"id,arm,entry,time,event\r\np1,0,0,1,1\r\np2,1,0,2\xff,0\r\n", 3, 9),
+    (b"id,arm,entry,time,event\rp1,0,0,1,1\rp2,1,0,2\xff,0\r", 3, 9),
+], ids=["latin1-id", "after-a-utf8-line", "header", "crlf-endings", "cr-endings"])
 def test_ingest_names_the_line_of_a_non_utf8_byte(tmp_path, read, text, lineno, column):
     path = tmp_path / "data.csv"
     path.write_bytes(text)
     message = f"{re.escape(str(path))}:{lineno}: not UTF-8 at byte {column}$"
     with pytest.raises(ValidationError, match=f"^{message}"):
         read(path)
+
+
+@pytest.mark.parametrize("read", [ingest_csv, data._ingest_rows], ids=["ingest_csv", "rows"])
+@pytest.mark.parametrize("brk", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("template, lineno", [
+    ('id,arm,entry,time,event\np1,0,0,1,1\n"a{brk}b",0,0,1,1\np3,5,0,1,1\n', 5),
+    ('id,arm,entry,"time{brk}",event\np1,0,0,1,1\np3,5,0,1,1\n', 4),
+], ids=["quoted-id", "two-line-header"])
+def test_error_names_the_line_where_its_record_starts(tmp_path, read, brk, template, lineno):
+    # a line break inside a quoted field moves every later record down a line
+    path = tmp_path / "data.csv"
+    path.write_text(template.format(brk=brk), encoding="utf-8", newline="")
+    with pytest.raises(ValidationError) as err:
+        read(path)
+    assert str(err.value) == f"{path}:{lineno}: arm must be 0 or 1, got 5"
 
 
 def _bits(cols):
