@@ -201,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_design = sub.add_parser("design", help="compute spending boundaries for a schedule")
     p_design.add_argument("--alpha", type=float, default=None, help="total type I error (default 0.05)")
     p_design.add_argument("--sides", default="2", help="2, 1, one_sided_upper, one_sided_lower")
-    p_design.add_argument("--spending", default="power:3", help="power:RHO, obf, pocock, custom:IF:A;...")
+    p_design.add_argument("--spending", default="power:3",
+                          help="power (rho 3), power:RHO, obf, pocock, custom:IF:A;IF:A;...")
     p_design.add_argument("--info-fractions", type=_fractions, required=True,
                           help="comma-separated, increasing, ending at 1")
     p_design.add_argument("--out", default=None, help="write the design file here")

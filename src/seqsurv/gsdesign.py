@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 TWO_SIDED = "two_sided"
 ONE_SIDED_UPPER = "one_sided_upper"
@@ -97,6 +96,8 @@ def spend(sf: SpendingFunction, info_fraction: float) -> float:
     if sf.family == "power":
         value = sf.total_alpha * t**sf.rho
     elif sf.family == "obf_like":
+        from scipy.special import ndtr, ndtri
+
         za = ndtri(1.0 - sf.total_alpha / 2.0)
         value = float(2.0 - 2.0 * ndtr(za / math.sqrt(t)))
     elif sf.family == "pocock_like":
@@ -189,6 +190,10 @@ class _Propagator:
         as a function of the boundary magnitude ``c``, with its derivative in
         ``c`` (minus the continuation density at the boundary).  The arrays
         that do not depend on ``c`` are built here, once per stage."""
+        # scipy.special loads at the first boundary solve, not at import:
+        # calibration never needs it
+        from scipy.special import ndtr
+
         centre, sd, root = self._increment(if_k)
         wg = self._wg
         fold = self._fold
@@ -225,6 +230,8 @@ class _Propagator:
         """
         if increment <= 0.0 or self.dead:
             return math.inf
+        from scipy.special import ndtri
+
         tail = increment / 2.0 if self.sidedness == TWO_SIDED else increment
         quantile = float(ndtri(1.0 - tail))
         if self.prev_if == 0.0 and self.drift == 0.0:
@@ -318,8 +325,12 @@ def _validate_fractions(info_fractions: Sequence[float]) -> tuple[float, ...]:
         raise ValueError(f"information fractions must be finite, got {fracs}")
     if fracs[0] <= 0.0 or fracs[-1] > 1.0 + 1e-12:
         raise ValueError("information fractions must lie in (0, 1]")
-    if any(b - a < _MIN_IF_STEP for a, b in zip(fracs, fracs[1:])):
-        raise ValueError("information fractions must be strictly increasing")
+    # the propagator's own test, counting the first step from 0
+    if any(b <= a + _MIN_IF_STEP for a, b in zip((0.0,) + fracs, fracs)):
+        raise ValueError(
+            f"information fractions must be strictly increasing, each by more than {_MIN_IF_STEP:g} "
+            f"from the previous one (or from 0), got {fracs}"
+        )
     return fracs
 
 
@@ -558,7 +569,7 @@ def spending_to_text(sf: SpendingFunction) -> str:
 
 def spending_from_text(text: str, total_alpha: float, sidedness: str) -> SpendingFunction:
     text = text.strip()
-    if text.startswith("power"):
+    if text == "power" or text.startswith("power:"):
         rho = _number("spending", text.split(":", 1)[1]) if ":" in text else 3.0
         return SpendingFunction(total_alpha, "power", rho=rho, sidedness=sidedness)
     if text in ("obf", "obf_like"):
@@ -571,7 +582,10 @@ def spending_from_text(text: str, total_alpha: float, sidedness: str) -> Spendin
             raise ValueError(f"custom spending {text!r} is not of the form custom:IF:ALPHA;IF:ALPHA")
         table = tuple((_number("spending", f), _number("spending", a)) for f, a in pairs)
         return SpendingFunction(total_alpha, "custom", sidedness=sidedness, table=table)
-    raise ValueError(f"unknown spending specification {text!r}")
+    raise ValueError(
+        f"unknown spending specification {text!r}; expected power, power:RHO, obf, pocock "
+        "or custom:IF:ALPHA;IF:ALPHA"
+    )
 
 
 _DESIGN_KEYS = (

@@ -70,6 +70,9 @@ def test_design_rejects_nan_fraction(capsys):
     assert "information fractions must be finite" in capsys.readouterr().err
 
 
+_SPENDING_FORMS = "expected power, power:RHO, obf, pocock or custom:IF:ALPHA;IF:ALPHA"
+
+
 @pytest.mark.parametrize("spec, message", [
     ("power:nan", "rho must be finite, got nan"),
     ("power:inf", "rho must be finite, got inf"),
@@ -79,11 +82,30 @@ def test_design_rejects_nan_fraction(capsys):
      "custom spending table fractions must lie in (0, 1], got ((-0.5, 0.01), (1.0, 0.05))"),
     ("custom:0:0.01;1:0.05",
      "custom spending table fractions must lie in (0, 1], got ((0.0, 0.01), (1.0, 0.05))"),
+    # text that only starts with "power" once designed with rho = 3
+    ("power2", f"unknown spending specification 'power2'; {_SPENDING_FORMS}\n"),
+    ("powerful", f"unknown spending specification 'powerful'; {_SPENDING_FORMS}\n"),
 ])
 def test_design_rejects_a_bad_spending_spec(capsys, spec, message):
     code = main(["design", "--alpha", "0.05", f"--spending={spec}", "--info-fractions", "0.5,1"])
     assert code == EXIT_ERROR
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("spec, rho", [("power", 3.0), ("power:2", 2.0)])
+def test_design_reads_power_and_power_rho(tmp_path, spec, rho):
+    out = tmp_path / "design.txt"
+    assert main(["design", f"--spending={spec}", "--info-fractions", "0.5,1", "--out", str(out)]) == EXIT_OK
+    text = out.read_text()
+    assert f"spending = power:{rho!r}" in text
+    assert design_from_text(text).alpha_spent[0] == 0.05 * 0.5**rho
+
+
+@pytest.mark.parametrize("fractions", ["1e-12,1", "0.5,0.500000001,1"])
+def test_design_refuses_fractions_closer_than_the_minimum_step(capsys, fractions):
+    code = main(["design", "--info-fractions", fractions])
+    assert code == EXIT_ERROR
+    assert "information fractions must be strictly increasing, each by more than 1e-09" in capsys.readouterr().err
 
 
 def test_analyze_mirrored_arms_continue(tmp_path, capsys):

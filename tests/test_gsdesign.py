@@ -111,16 +111,27 @@ def _scipy_subpackages_after(code, cwd):
     return set(ast.literal_eval(run.stdout.splitlines()[-1]))
 
 
+_ANALYZE = _DESIGN + (
+    "; assert cli.main(['analyze', 'trial.csv', '--design', 'design.txt', '--t0', '1.0', "
+    "'--u', '3.0', '--state', 'state.txt', '--total-info', '100']) == 0"
+)
+_RUN_OC = (
+    f"import seqsurv; sc = {_SMALL}; seqsurv.run_oc(sc, seqsurv.build_design(sc), ('adjusted',), 2, 0, "
+    "calibration=seqsurv.CalibrationResult((1.5, 1.75, 2.0), 20.0, {'adjusted': 20.0}, (), (), False, 0, 0, 0))"
+)
+_CALIBRATE = (
+    f"import seqsurv; cal = seqsurv.calibrate_analysis_times({_SMALL}, replicates=3); "
+    "assert cal.analysis_times[-1] == 2.0 and cal.total_information > 0"
+)
+
+
 @pytest.mark.parametrize("code", [
     "import seqsurv",
     "import seqsurv.cli",
     _DESIGN,
-    _DESIGN + "; assert cli.main(['analyze', 'trial.csv', '--design', 'design.txt', '--t0', '1.0', "
-              "'--u', '3.0', '--state', 'state.txt', '--total-info', '100']) == 0",
-    f"import seqsurv; sc = {_SMALL}; seqsurv.run_oc(sc, seqsurv.build_design(sc), ('adjusted',), 2, 0, "
-    "calibration=seqsurv.CalibrationResult((1.5, 1.75, 2.0), 20.0, {'adjusted': 20.0}, (), (), False, 0, 0, 0))",
-    f"import seqsurv; cal = seqsurv.calibrate_analysis_times({_SMALL}, replicates=3); "
-    "assert cal.analysis_times[-1] == 2.0 and cal.total_information > 0",
+    _ANALYZE,
+    _RUN_OC,
+    _CALIBRATE,
     f"import seqsurv; from seqsurv import cli; open('scenario.txt', 'w').write(seqsurv.scenario_to_text({_SMALL})); "
     "assert cli.main(['simulate', 'scenario.txt', '--replicates', '4', '--calibration-replicates', '3', "
     "'--methods', 'adjusted,km,cox', '--out', 'oc.csv']) == 0",
@@ -128,6 +139,24 @@ def _scipy_subpackages_after(code, cwd):
 def test_cold_paths_leave_scipy_stats_and_optimize_unloaded(code, tmp_path):
     (tmp_path / "trial.csv").write_text(_TRIAL_CSV)
     assert not _scipy_subpackages_after(code, tmp_path) & _COLD_START_UNLOADED
+
+
+@pytest.mark.parametrize("code, solves_a_boundary", [
+    ("import seqsurv", False),
+    ("import seqsurv.cli", False),
+    (_CALIBRATE, False),
+    (_DESIGN, True),
+    (_ANALYZE, True),
+    (_RUN_OC, True),
+], ids=["import seqsurv", "import seqsurv.cli", "calibrate", "design", "analyze", "run_oc"])
+def test_scipy_loads_only_where_a_boundary_is_solved(code, solves_a_boundary, tmp_path):
+    (tmp_path / "trial.csv").write_text(_TRIAL_CSV)
+    loaded = _scipy_subpackages_after(code, tmp_path)
+    if solves_a_boundary:
+        assert "special" in loaded
+    else:
+        # importing scipy itself loads scipy._lib, so an empty set means no scipy at all
+        assert loaded == set()
 
 
 def test_custom_table_interpolates():
@@ -593,6 +622,13 @@ def test_monitor_rejects_non_finite_input(info_level, z):
     assert mon.results == []
 
 
+@pytest.mark.parametrize("fractions", [[1e-12, 1.0], [1e-9, 1.0], [0.5, 0.5 + 1e-9, 1.0]])
+def test_boundaries_reject_a_step_the_propagator_would_refuse(fractions):
+    # the first step counts from information fraction 0
+    with pytest.raises(ValueError, match="strictly increasing, each by more than 1e-09"):
+        boundaries(power3(), fractions)
+
+
 @pytest.mark.parametrize("fractions", [[math.nan, 0.75, 1.0], [0.5, math.nan, 1.0], [0.5, math.inf]])
 def test_boundaries_reject_non_finite_fractions(fractions):
     with pytest.raises(ValueError, match="finite"):
@@ -605,6 +641,8 @@ def test_boundaries_reject_non_finite_fractions(fractions):
         ("stages = 3", "stages = 5", "stages = 5"),
         ("info_fractions = 0.5,0.75,1.0", "info_fractions = 0.5,nan,1.0", "finite"),
         ("info_fractions = 0.5,0.75,1.0", "info_fractions = 0.75,0.5,1.0", "strictly increasing"),
+        ("info_fractions = 0.5,0.75,1.0", "info_fractions = 1e-12,0.75,1.0", "each by more than 1e-09"),
+        ("info_fractions = 0.5,0.75,1.0", "info_fractions = 0.5,0.500000001,1.0", "each by more than 1e-09"),
         # the trailing "#" comments out the values the design wrote
         ("critical_values = ", "critical_values = nan,nan,nan #", "key 'critical_values' must be >= 0"),
         ("critical_values = ", "critical_values = 2.7,-1.0,2.0 #", "key 'critical_values' must be >= 0"),
@@ -616,6 +654,7 @@ def test_boundaries_reject_non_finite_fractions(fractions):
         ("alpha_spent = ", "alpha_spent = 0.00625,0.02,0.06 #", "key 'alpha_spent' must be nondecreasing"),
         ("stages = 3", "stages = x", "^key 'stages': 'x' is not an integer$"),
         ("spending = power:3.0", "spending = power:abc", "^key 'spending': 'abc' is not a number$"),
+        ("spending = power:3.0", "spending = power3", "^unknown spending specification 'power3'; expected power,"),
         ("spending = power:3.0", "spending = custom:0.5:x;1:0.05", "^key 'spending': 'x' is not a number$"),
     ],
 )
