@@ -10,24 +10,26 @@ boundaries.
 __version__ = "0.1.0"
 
 from .adjusted import (
-    SPBatch,
-    SPComparison,
     VarianceComponents,
     compare_sp,
     compare_sp_batch,
     variance_components,
 )
 from .comparators import (
-    CoxWaldBatch,
-    CoxWaldResult,
-    KMBatch,
-    KMComparison,
     cox_wald,
     cox_wald_batch,
     km_compare,
     km_compare_batch,
 )
-from .cox import FitBatch, RiskSets, StratifiedCoxFit, fit_mple, fit_mple_batch
+from .cox import (
+    FitBatch,
+    RiskSets,
+    Statistic,
+    StatisticBatch,
+    StratifiedCoxFit,
+    fit_mple,
+    fit_mple_batch,
+)
 from .data import (
     Columns,
     Snapshot,

@@ -8,10 +8,12 @@ coefficient estimate.
 
 ``compare_sp_batch`` computes the statistic for a batch of snapshots, or
 for their ``RiskSets``: one ``fit_mple_batch`` of every row and one
-vectorised pass of the variance ingredients and the variance.
-``compare_sp`` and ``variance_components`` are its batch of one.  As in the
-fit, each row's sums reduce only its own entries, so a row's bits do not
-depend on its batch.
+vectorised pass of the variance ingredients and the variance.  It returns
+the ``StatisticBatch`` every method returns: the per-arm probabilities, their
+difference with its standard error, z, the information level and the fits.
+``compare_sp`` (a ``Statistic``) and ``variance_components`` are its batch
+of one.  As in the fit, each row's sums reduce only its own entries, so a
+row's bits do not depend on its batch.
 """
 
 from __future__ import annotations
@@ -19,13 +21,15 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, fields
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .cox import (
     FitBatch,
     RiskSets,
+    Statistic,
+    StatisticBatch,
     StratifiedCoxFit,
     _cat,
     _linear,
@@ -185,65 +189,14 @@ def variance_components(fit: StratifiedCoxFit, t0: float) -> VarianceComponents:
     return _row(_components(fit.batch, t0), fit.row)
 
 
-@dataclass(frozen=True)
-class SPComparison:
-    """Adjusted survival probabilities, their difference, and the standardized
-    statistic at one calendar analysis time."""
-
-    t0: float
-    u: float
-    s_hat: tuple[float, float]
-    diff: float
-    sigma2_hat: float
-    info_level: float
-    z: float
-    n: int
-    components: VarianceComponents
-    fit: StratifiedCoxFit
-
-
-class SPBatch(NamedTuple):
-    """``compare_sp_batch``'s outcome: each snapshot's statistic and
-    information level, NaN where the row raised the ``SeqSurvError`` in
-    ``errors``.  ``fits`` and ``components`` have one row per snapshot.
-    ``result(b)`` is what ``compare_sp`` returns for row b."""
-
-    t0: float
-    z: list[float]
-    info_level: list[float]
-    sigma2_hat: list[float]
-    errors: list[SeqSurvError | None]
-    fits: FitBatch
-    components: _Components
-
-    def result(self, b: int = 0) -> SPComparison:
-        """Row b's comparison; raises the error of a failed row."""
-        if self.errors[b] is not None:
-            raise self.errors[b]
-        comps = _row(self.components, b)
-        s0, s1 = float(comps.adjusted_sp[0]), float(comps.adjusted_sp[1])
-        snap = self.fits.risk_sets.snapshots[b]
-        return SPComparison(
-            t0=self.t0,
-            u=snap.calendar_time,
-            s_hat=(s0, s1),
-            diff=s1 - s0,
-            sigma2_hat=self.sigma2_hat[b],
-            info_level=self.info_level[b],
-            z=self.z[b],
-            n=snap.n,
-            components=comps,
-            fit=self.fits.fit(b),
-        )
-
-
-def compare_sp_batch(batch: Sequence[Snapshot] | RiskSets, t0: float) -> SPBatch:
+def compare_sp_batch(batch: Sequence[Snapshot] | RiskSets, t0: float) -> StatisticBatch:
     """Fit the stratified model at each snapshot and standardize its adjusted
     survival probability difference at ``t0``.
 
-    ``batch`` is the snapshots or their ``RiskSets``.  The information
-    level is the reciprocal variance of the (unscaled) difference estimate,
-    ``n / sigma2_hat``.  Every row is fitted; a row that cannot support the
+    ``batch`` is the snapshots or their ``RiskSets``.  The estimate is
+    S1(t0) - S0(t0); with sigma2 the variance of its root-n scaled form, its
+    standard error is sqrt(sigma2 / n) and its information level
+    n / sigma2.  Every row is fitted; a row that cannot support the
     statistic gets the error ``compare_sp`` raises for it, a row without both
     arms a ``DegenerateDataError`` whatever its fit gave.  A ``t0`` that is
     not positive or exceeds a snapshot's calendar time raises ``ValueError``.
@@ -259,15 +212,15 @@ def compare_sp_batch(batch: Sequence[Snapshot] | RiskSets, t0: float) -> SPBatch
     sizes = risk_sets.sizes.tolist()
     n_rows = len(snaps)
     errors: list[SeqSurvError | None] = [None] * n_rows
-    z, info_level, sigma2 = [math.nan] * n_rows, [math.nan] * n_rows, [math.nan] * n_rows
+    estimate, se, z, info_level = ([math.nan] * n_rows for _ in range(4))
+    s_hat = [(math.nan, math.nan)] * n_rows
     for b, snap in enumerate(snaps):
+        s2 = variances[b]
         if 0 in sizes[b]:
             errors[b] = DegenerateDataError(
                 "both arms must be present to compare survival probabilities"
             )
-            continue
-        sigma2[b] = s2 = variances[b]
-        if fits.errors[b] is not None:
+        elif fits.errors[b] is not None:
             errors[b] = fits.errors[b]
         elif not (s2 > 0.0 and math.isfinite(s2)):
             errors[b] = DegenerateDataError(
@@ -275,21 +228,15 @@ def compare_sp_batch(batch: Sequence[Snapshot] | RiskSets, t0: float) -> SPBatch
                 "no usable events in (0, t0] in either stratum"
             )
         else:
-            z[b] = math.sqrt(snap.n) * (sp[b][1] - sp[b][0]) / math.sqrt(s2)
+            s0, s1 = sp[b]
+            s_hat[b], estimate[b], se[b] = (s0, s1), s1 - s0, math.sqrt(s2 / snap.n)
+            z[b] = math.sqrt(snap.n) * (s1 - s0) / math.sqrt(s2)
             info_level[b] = snap.n / s2
-    return SPBatch(
-        t0=float(t0),
-        z=z,
-        info_level=info_level,
-        sigma2_hat=sigma2,
-        errors=errors,
-        fits=fits,
-        components=comps,
-    )
+    return StatisticBatch(estimate, se, z, info_level, errors, s_hat, fits)
 
 
-def compare_sp(snap: Snapshot, t0: float) -> SPComparison:
+def compare_sp(snap: Snapshot, t0: float) -> Statistic:
     """Fit the stratified model at the snapshot and standardize the adjusted
     survival probability difference at ``t0``: ``compare_sp_batch`` on a
     batch of one.  Raises the row's error."""
-    return compare_sp_batch((snap,), t0).result(0)
+    return compare_sp_batch((snap,), t0).row(0)

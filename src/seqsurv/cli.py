@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from pathlib import Path
 
 from . import __version__
+from .cox import Statistic
 from .data import ingest_csv, snapshot
 from .errors import SeqSurvError
 from .gsdesign import (
@@ -80,6 +82,21 @@ def _cmd_design(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _statistic_provenance(stat: Statistic) -> list[str]:
+    """The estimate behind z, and the Newton fit it came from if any."""
+    if stat.s_hat is None:
+        lines = [f"estimate = beta_w = {stat.estimate!r}, se = {stat.se!r}, "
+                 f"hazard ratio = {math.exp(stat.estimate)!r}"]
+    else:
+        lines = [f"estimate = S1(t0) - S0(t0) = {stat.estimate!r}, se = {stat.se!r}",
+                 f"S(t0) = {stat.s_hat[0]!r} (arm 0), {stat.s_hat[1]!r} (arm 1)"]
+    if stat.fit is not None:
+        fit = stat.fit
+        lines.append(f"fit: {fit.iterations} Newton iterations, {fit.step_halvings} step halvings, "
+                     f"singular_information = {fit.singular_information}")
+    return lines
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     data_path = Path(args.data)
     design = design_from_text(Path(args.design).read_text(encoding="utf-8"))
@@ -114,8 +131,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         state = MonitoringState(design=design, total_information=args.total_info, method=args.method)
 
     snap = snapshot(ingest_csv(data_path), args.u)
-    z, info = method_statistic(args.method, snap, args.t0)
-    result = monitor(state, info, z, calendar_time=args.u)
+    stat = method_statistic(args.method, snap, args.t0)
+    result = monitor(state, stat.info_level, stat.z, calendar_time=args.u)
     if state_path:
         state_path.write_text(state_to_text(state), encoding="utf-8")
 
@@ -128,6 +145,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     print("# provenance")
     print(f"#   data sha256 = {_sha256(data_path)}")
     print(f"#   method = {args.method}, t0 = {args.t0}, u = {args.u}")
+    for line in _statistic_provenance(stat):
+        print(f"#   {line}")
     if result.info_level != result.observed_info_level:
         print(
             f"#   information level raised from the observed {result.observed_info_level!r} "

@@ -8,27 +8,29 @@ rows' estimates in one vectorised pass, and ``cox_wald_batch`` makes one
 ``fit_mple_batch`` on the ``PooledRiskSets`` kernel, which reads the
 per-arm sums of the batch's ``RiskSets``.  A row that cannot support the
 statistic gets the error the single-snapshot function raises for it, and
-the other rows go on.
-``km_compare`` and ``cox_wald`` are the batch of one.  A row's arithmetic
-never depends on the other rows, so a snapshot computed alone and at any
-position of a batch gets the same bits.
+the other rows go on.  Both return a ``StatisticBatch``: for Kaplan-Meier
+the per-arm estimates, their difference and its Greenwood standard error
+(no fits); for Cox-Wald the treatment coefficient, its Wald standard error
+and the fits (no per-arm estimates).  ``km_compare`` and ``cox_wald`` are
+the batch of one, a ``Statistic``.  A row's arithmetic never depends on the
+other rows, so a snapshot computed alone and at any position of a batch gets
+the same bits.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .cox import (
     STRATA,
-    FitBatch,
     PooledRiskSets,
     RiskSets,
-    StratifiedCoxFit,
+    Statistic,
+    StatisticBatch,
     fit_mple_batch,
 )
 from .cox import fit_mple  # noqa: F401  bench/spans.py wraps seqsurv.comparators.fit_mple
@@ -64,48 +66,7 @@ def _km_at_t0(rs: RiskSets, t0: float) -> tuple[np.ndarray, np.ndarray]:
     return surv, np.where(surv != 0.0, var, 0.0)
 
 
-@dataclass(frozen=True)
-class KMComparison:
-    t0: float
-    u: float
-    s_hat: tuple[float, float]
-    diff: float
-    se: float
-    z: float
-    info_level: float
-
-
-class KMBatch(NamedTuple):
-    """``km_compare_batch``'s outcome: each snapshot's per-arm estimates,
-    summed Greenwood variance, statistic and information level, NaN where the
-    row raised the ``SeqSurvError`` in ``errors``.  ``result(b)`` is what
-    ``km_compare`` returns for row b."""
-
-    t0: float
-    snapshots: tuple[Snapshot, ...]
-    s_hat: list[tuple[float, float]]
-    variance: list[float]
-    z: list[float]
-    info_level: list[float]
-    errors: list[SeqSurvError | None]
-
-    def result(self, b: int = 0) -> KMComparison:
-        """Row b's comparison; raises the error of a failed row."""
-        if self.errors[b] is not None:
-            raise self.errors[b]
-        s0, s1 = self.s_hat[b]
-        return KMComparison(
-            t0=self.t0,
-            u=self.snapshots[b].calendar_time,
-            s_hat=(s0, s1),
-            diff=s1 - s0,
-            se=float(np.sqrt(self.variance[b])),
-            z=self.z[b],
-            info_level=self.info_level[b],
-        )
-
-
-def km_compare_batch(batch: Sequence[Snapshot] | RiskSets, t0: float) -> KMBatch:
+def km_compare_batch(batch: Sequence[Snapshot] | RiskSets, t0: float) -> StatisticBatch:
     """Difference of per-arm product-limit estimates at ``t0`` for each
     snapshot, standardized by the summed Greenwood variances.  Information is
     the reciprocal variance.  ``batch`` is the snapshots or their
@@ -132,7 +93,7 @@ def km_compare_batch(batch: Sequence[Snapshot] | RiskSets, t0: float) -> KMBatch
     n_rows = len(snaps)
     errors: list[SeqSurvError | None] = [None] * n_rows
     s_hat = [(math.nan, math.nan)] * n_rows
-    variance, z, info_level = [math.nan] * n_rows, [math.nan] * n_rows, [math.nan] * n_rows
+    estimate, se, z, info_level = ([math.nan] * n_rows for _ in range(4))
     for b in range(n_rows):
         for i in STRATA:
             if sizes[b][i] == 0:
@@ -159,52 +120,17 @@ def km_compare_batch(batch: Sequence[Snapshot] | RiskSets, t0: float) -> KMBatch
                 f"Kaplan-Meier comparison at t0 = {t0:g} has zero variance: {cause}"
             )
             continue
-        s_hat[b], variance[b] = (s0, s1), total_var
-        z[b] = (s1 - s0) / float(np.sqrt(total_var))
+        s_hat[b], estimate[b], se[b] = (s0, s1), s1 - s0, math.sqrt(total_var)
+        z[b] = (s1 - s0) / se[b]
         info_level[b] = 1.0 / total_var
-    return KMBatch(float(t0), snaps, s_hat, variance, z, info_level, errors)
+    return StatisticBatch(estimate, se, z, info_level, errors, s_hat, None)
 
 
-def km_compare(snap: Snapshot, t0: float) -> KMComparison:
+def km_compare(snap: Snapshot, t0: float) -> Statistic:
     """Difference of per-arm product-limit estimates at ``t0``:
     ``km_compare_batch`` on a batch of one.  Raises the row's error, a
     ``DegenerateDataError`` when there is no statistic."""
-    return km_compare_batch((snap,), t0).result(0)
-
-
-@dataclass(frozen=True)
-class CoxWaldResult:
-    beta_w_hat: float
-    se: float
-    z: float
-    info_level: float
-    fit: StratifiedCoxFit
-
-
-class CoxWaldBatch(NamedTuple):
-    """``cox_wald_batch``'s outcome: each snapshot's treatment coefficient,
-    its standard error, statistic and information level, NaN where the row
-    raised the ``SeqSurvError`` in ``errors``.  ``fits`` is the fit of the
-    pooled kernel.  ``result(b)`` is what ``cox_wald`` returns for row b."""
-
-    beta_w_hat: list[float]
-    se: list[float]
-    z: list[float]
-    info_level: list[float]
-    errors: list[SeqSurvError | None]
-    fits: FitBatch
-
-    def result(self, b: int = 0) -> CoxWaldResult:
-        """Row b's test; raises the error of a failed row."""
-        if self.errors[b] is not None:
-            raise self.errors[b]
-        return CoxWaldResult(
-            beta_w_hat=self.beta_w_hat[b],
-            se=self.se[b],
-            z=self.z[b],
-            info_level=self.info_level[b],
-            fit=self.fits.fit(b),
-        )
+    return km_compare_batch((snap,), t0).row(0)
 
 
 def _treatment_variance(information: np.ndarray) -> float:
@@ -217,7 +143,7 @@ def _treatment_variance(information: np.ndarray) -> float:
     return float(cov[0, 0])
 
 
-def cox_wald_batch(batch: Sequence[Snapshot] | RiskSets) -> CoxWaldBatch:
+def cox_wald_batch(batch: Sequence[Snapshot] | RiskSets) -> StatisticBatch:
     """Wald test of the treatment coefficient in an unstratified Cox model,
     for each snapshot.
 
@@ -230,7 +156,7 @@ def cox_wald_batch(batch: Sequence[Snapshot] | RiskSets) -> CoxWaldBatch:
     fits = fit_mple_batch(PooledRiskSets.from_snapshots(batch))
     n_rows = len(fits.errors)
     errors = list(fits.errors)
-    beta_w, se, z, info_level = ([math.nan] * n_rows for _ in range(4))
+    estimate, se, z, info_level = ([math.nan] * n_rows for _ in range(4))
     for b in range(n_rows):
         if errors[b] is not None:
             continue
@@ -238,14 +164,14 @@ def cox_wald_batch(batch: Sequence[Snapshot] | RiskSets) -> CoxWaldBatch:
         if var_w <= 0.0:
             errors[b] = DegenerateDataError("treatment coefficient variance is not positive")
             continue
-        beta_w[b] = float(fits.beta_hat[b, 0])
-        se[b] = float(np.sqrt(var_w))
-        z[b] = beta_w[b] / se[b]
+        estimate[b] = float(fits.beta_hat[b, 0])
+        se[b] = math.sqrt(var_w)
+        z[b] = estimate[b] / se[b]
         info_level[b] = 1.0 / var_w
-    return CoxWaldBatch(beta_w, se, z, info_level, errors, fits)
+    return StatisticBatch(estimate, se, z, info_level, errors, None, fits)
 
 
-def cox_wald(snap: Snapshot) -> CoxWaldResult:
+def cox_wald(snap: Snapshot) -> Statistic:
     """Wald test of the treatment coefficient in an unstratified Cox model:
     ``cox_wald_batch`` on a batch of one.  Raises the row's error."""
-    return cox_wald_batch((snap,)).result(0)
+    return cox_wald_batch((snap,)).row(0)

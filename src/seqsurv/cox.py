@@ -514,6 +514,51 @@ class FitBatch(NamedTuple):
         )
 
 
+@dataclass(frozen=True)
+class Statistic:
+    """One snapshot's statistic, whatever the method: what
+    ``StatisticBatch.row`` builds for a row that did not fail."""
+
+    estimate: float
+    se: float
+    z: float
+    info_level: float
+    s_hat: tuple[float, float] | None
+    fit: StratifiedCoxFit | None
+
+
+class StatisticBatch(NamedTuple):
+    """A statistic's outcome over a batch of snapshots, one entry per row.
+
+    ``estimate`` is S1(t0) - S0(t0) (adjusted, Kaplan-Meier) or the
+    treatment coefficient (Cox-Wald), ``se`` its standard error, and
+    ``info_level`` the reciprocal variance of the estimate.  ``s_hat`` holds
+    the per-arm survival probabilities at t0 (``None`` for Cox-Wald), and
+    ``fits`` the batch's fit (``None`` for Kaplan-Meier).  A row that raised
+    the ``SeqSurvError`` in ``errors`` has NaN in every number."""
+
+    estimate: list[float]
+    se: list[float]
+    z: list[float]
+    info_level: list[float]
+    errors: list[SeqSurvError | None]
+    s_hat: list[tuple[float, float]] | None
+    fits: FitBatch | None
+
+    def row(self, b: int = 0) -> Statistic:
+        """Row b's statistic; raises the error of a failed row."""
+        if self.errors[b] is not None:
+            raise self.errors[b]
+        return Statistic(
+            estimate=self.estimate[b],
+            se=self.se[b],
+            z=self.z[b],
+            info_level=self.info_level[b],
+            s_hat=None if self.s_hat is None else self.s_hat[b],
+            fit=None if self.fits is None else self.fits.fit(b),
+        )
+
+
 def fit_mple_batch(batch: Sequence[Snapshot] | RiskSets | PooledRiskSets) -> FitBatch:
     """Maximize each snapshot's partial likelihood at its calendar time (the
     treatment-stratified one, or the kernel's), all rows in lockstep.
@@ -528,6 +573,9 @@ def fit_mple_batch(batch: Sequence[Snapshot] | RiskSets | PooledRiskSets) -> Fit
     legal (it contributes nothing and gets a flat baseline) but is reported
     with a warning.  ``batch`` is a kernel (``RiskSets`` or
     ``PooledRiskSets``), or the snapshots, whose ``RiskSets`` it fits.
+    ``singular_information`` marks a row whose Newton step, or whose
+    information at its maximizer, needed the pseudo-inverse; such a row is
+    flagged, not failed.
     """
     risk_sets = batch if isinstance(batch, PooledRiskSets) else RiskSets.from_snapshots(batch)
     snaps = risk_sets.snapshots
@@ -618,6 +666,14 @@ def fit_mple_batch(batch: Sequence[Snapshot] | RiskSets | PooledRiskSets) -> Fit
             else:
                 still.append(b)
         active = still
+
+    # a converged row whose information at beta_hat is singular (a flat
+    # likelihood converges there after 0 iterations) is flagged too
+    converged = [b for b in range(n_rows) if errors[b] is None]
+    if p > 0 and converged:
+        _, pinv_used = solve_stack(current.information[converged], current.score[converged])
+        for i in pinv_used:
+            singular[converged[i]] = True
 
     return FitBatch(
         risk_sets=risk_sets,

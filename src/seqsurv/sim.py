@@ -25,7 +25,7 @@ import numpy as np
 
 from .adjusted import compare_sp_batch
 from .comparators import cox_wald_batch, km_compare_batch
-from .cox import RiskSets
+from .cox import RiskSets, Statistic
 # bench/spans.py wraps these three names here; the simulation calls the batch functions
 from .adjusted import compare_sp  # noqa: F401
 from .comparators import cox_wald, km_compare  # noqa: F401
@@ -278,7 +278,7 @@ def generate_columns(scenario: Scenario, seed: int, replicate: int = 0) -> Colum
     )
 
 
-# Each method's statistic over a batch, ``(batch, t0)``: its batch result,
+# Each method's statistic over a batch, ``(batch, t0)``: a StatisticBatch,
 # whose rows hold z, info_level and the SeqSurvError the row raised (None when
 # it did not).  ``batch`` is a sequence of snapshots or their RiskSets; the
 # simulation builds one RiskSets per chunk of looks (_monitor_block) or per
@@ -294,17 +294,14 @@ STATISTICS = {
 METHODS = tuple(STATISTICS)
 
 
-def method_statistic(method: str, snap: Snapshot, t0: float) -> tuple[float, float]:
-    """(z, information) of one method at one snapshot, its statistic on a
-    batch of one; raises ``SeqSurvError`` when the data cannot support the
+def method_statistic(method: str, snap: Snapshot, t0: float) -> Statistic:
+    """One method's ``Statistic`` at one snapshot, its statistic on a batch
+    of one; raises ``SeqSurvError`` when the data cannot support the
     statistic, ``ValueError`` for a bad ``t0``."""
     if method not in STATISTICS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     check_t0(t0)
-    batch = STATISTICS[method]((snap,), t0)
-    if batch.errors[0] is not None:
-        raise batch.errors[0]
-    return batch.z[0], batch.info_level[0]
+    return STATISTICS[method]((snap,), t0).row(0)
 
 
 def _check_methods(methods: Sequence[str]) -> tuple[str, ...]:

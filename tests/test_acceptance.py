@@ -122,9 +122,10 @@ def ph_null_two_time_runs():
     for r in range(reps):
         cols = generate_columns(PH_NULL, 2024, r)
         for j, u in enumerate((u1, u2)):
-            res = compare_sp(snapshot(cols, u), PH_NULL.tau)
-            out["diff"][r, j] = res.diff
-            out["sigma"][r, j] = math.sqrt(res.sigma2_hat)
+            snap = snapshot(cols, u)
+            res = compare_sp(snap, PH_NULL.tau)
+            out["diff"][r, j] = res.estimate
+            out["sigma"][r, j] = math.sqrt(snap.n * res.se**2)
             out["z"][r, j] = res.z
     return out
 

@@ -130,7 +130,7 @@ def test_variance_components_match_naive_reimplementation(hand_snapshot_8):
         assert comps.adjusted_sp[i] == pytest.approx(naive["sp"][i], abs=1e-10)
     assert comps.mean_information == pytest.approx(naive["sigma"], abs=1e-10)
     assert comps.sp_diff_beta_gradient == pytest.approx(naive["d"], abs=1e-10)
-    sigma2 = compare_sp_batch((hand_snapshot_8,), 2.0).sigma2_hat[0]
+    sigma2 = hand_snapshot_8.n * compare_sp_batch((hand_snapshot_8,), 2.0).se[0] ** 2
     assert sigma2 == pytest.approx(naive["var_inverse"], abs=1e-10)
 
 
@@ -146,7 +146,7 @@ def test_variance_matches_naive_on_random_data(seed):
     t0 = float(np.median(snap.follow_up))
     x, d, a, z = snapshot_arrays(snap)
     naive = naive_variance_pieces(fit.beta_hat, x, d, a, z, t0)
-    sigma2 = compare_sp_batch((snap,), t0).sigma2_hat[0]
+    sigma2 = snap.n * compare_sp_batch((snap,), t0).se[0] ** 2
     assert sigma2 == pytest.approx(naive["var_inverse"], rel=1e-9)
 
 
@@ -186,7 +186,7 @@ def test_p0_variance_reduces_to_baseline_form():
         (n / 2) * np.exp(-lam[i]) ** 2 * comps.cumhaz_variance[i]
         for i in (0, 1)
     )
-    assert compare_sp_batch((snap,), 1.0).sigma2_hat[0] == pytest.approx(expected)
+    assert snap.n * compare_sp_batch((snap,), 1.0).se[0] ** 2 == pytest.approx(expected)
     # the hazard sensitivity collapses to the baseline survival itself
     for i in (0, 1):
         assert comps.hazard_sensitivity[i] == pytest.approx(np.exp(-lam[i]))
@@ -200,15 +200,16 @@ def test_mirrored_arms_give_zero_statistic():
         rows.append((f"t{i}", 1, 0.0, t, d, (z,)))
     snap = snapshot(columns(rows), 10.0)
     res = compare_sp(snap, 2.0)
-    assert res.diff == pytest.approx(0.0, abs=1e-14)
+    assert res.estimate == pytest.approx(0.0, abs=1e-14)
     assert res.z == pytest.approx(0.0, abs=1e-12)
-    assert res.sigma2_hat > 0
+    assert snap.n * res.se**2 > 0
 
 
 def test_z_equals_diff_times_sqrt_info(hand_snapshot_8):
     res = compare_sp(hand_snapshot_8, 2.0)
-    assert res.z == pytest.approx(res.diff * np.sqrt(res.info_level))
-    assert res.info_level == pytest.approx(res.n / res.sigma2_hat)
+    assert res.z == pytest.approx(res.estimate * np.sqrt(res.info_level))
+    n = hand_snapshot_8.n
+    assert n / res.info_level == pytest.approx(n * res.se**2)
     assert 0.0 <= res.s_hat[0] <= 1.0 and 0.0 <= res.s_hat[1] <= 1.0
 
 
@@ -237,7 +238,8 @@ def test_covariate_shift_leaves_comparison_unchanged(hand_snapshot_8):
     shifted = replace(hand_snapshot_8, covariates=hand_snapshot_8.covariates + shift)
     res2 = compare_sp(shifted, 2.0)
     assert res2.s_hat == pytest.approx(res.s_hat, abs=1e-10)
-    assert res2.sigma2_hat == pytest.approx(res.sigma2_hat, rel=1e-9)
+    n = hand_snapshot_8.n
+    assert n * res2.se**2 == pytest.approx(n * res.se**2, rel=1e-9)
     assert res2.z == pytest.approx(res.z, rel=1e-9)
 
 
@@ -267,9 +269,10 @@ def test_variance_estimate_matches_monte_carlo_spread_no_covariates():
     diffs = np.zeros(reps)
     sigmas = np.zeros(reps)
     for r in range(reps):
-        res = compare_sp(snapshot(generate_columns(sc, 313, r), 3.0), 1.0)
-        diffs[r] = res.diff
-        sigmas[r] = np.sqrt(res.sigma2_hat)
+        snap = snapshot(generate_columns(sc, 313, r), 3.0)
+        res = compare_sp(snap, 1.0)
+        diffs[r] = res.estimate
+        sigmas[r] = np.sqrt(snap.n * res.se**2)
     ratio = np.std(diffs, ddof=1) / (sigmas.mean() / np.sqrt(sc.n_total))
     assert 0.9 <= ratio <= 1.1
 

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from seqsurv import (
     Columns,
     Scenario,
+    Statistic,
+    StatisticBatch,
     compare_sp_batch,
     cox_wald_batch,
     fit_mple_batch,
@@ -95,36 +97,28 @@ def _fit_rows(snaps, t0):
     return rows
 
 
-def _sp_rows(snaps, t0):
-    batch = compare_sp_batch(snaps, t0)
-    return [
-        [_bits((batch.z[b], batch.info_level[b], batch.sigma2_hat[b])), _error(error),
-         None if error is not None else _bits(batch.result(b).s_hat)]
-        for b, error in enumerate(batch.errors)
-    ]
+def _statistic_rows(statistic):
+    """Each row's numbers and error, for a statistic ``(snaps, t0)``."""
+    def rows(snaps, t0):
+        batch = statistic(snaps, t0)
+        s_hat = batch.s_hat or [()] * len(batch.errors)
+        return [
+            [_bits((batch.estimate[b], batch.se[b], batch.z[b], batch.info_level[b], s_hat[b])),
+             _error(error)]
+            for b, error in enumerate(batch.errors)
+        ]
+    return rows
 
 
-def _km_rows(snaps, t0):
-    batch = km_compare_batch(snaps, t0)
-    return [
-        [_bits((batch.s_hat[b], batch.variance[b], batch.z[b], batch.info_level[b])), _error(error)]
-        for b, error in enumerate(batch.errors)
-    ]
+STATISTICS = {
+    "compare_sp_batch": compare_sp_batch,
+    "km_compare_batch": km_compare_batch,
+    "cox_wald_batch": lambda snaps, t0: cox_wald_batch(snaps),
+}
 
 
-def _cox_wald_rows(snaps, t0):
-    batch = cox_wald_batch(snaps)
-    return [
-        [_bits((batch.beta_w_hat[b], batch.se[b], batch.z[b], batch.info_level[b])), _error(error)]
-        for b, error in enumerate(batch.errors)
-    ]
-
-
-ROWS = {
-    "fit_mple_batch": _fit_rows,
-    "compare_sp_batch": _sp_rows,
-    "km_compare_batch": _km_rows,
-    "cox_wald_batch": _cox_wald_rows,
+ROWS = {"fit_mple_batch": _fit_rows} | {
+    name: _statistic_rows(statistic) for name, statistic in STATISTICS.items()
 }
 
 
@@ -152,6 +146,18 @@ def test_one_risk_sets_serves_every_batch_function(drawn):
     for _ in range(2):
         for name in ROWS:
             assert ROWS[name](shared, t0) == alone[name], name
+
+
+@pytest.mark.parametrize("name", STATISTICS)
+def test_every_statistic_has_one_result_shape(name, hand_snapshot):
+    batch = STATISTICS[name]([hand_snapshot, hand_snapshot], 1.0)
+    assert isinstance(batch, StatisticBatch)
+    row = batch.row(1)
+    assert isinstance(row, Statistic)
+    assert (row.s_hat is None) == (batch.s_hat is None) == (name == "cox_wald_batch")
+    assert (row.fit is None) == (batch.fits is None) == (name == "km_compare_batch")
+    assert (row.estimate, row.se, row.z, row.info_level) == (
+        batch.estimate[1], batch.se[1], batch.z[1], batch.info_level[1])
 
 
 @st.composite

@@ -10,11 +10,13 @@ from seqsurv import (
     compare_sp,
     design_from_text,
     generate_columns,
+    ingest_csv,
     null_beta_w,
     scenario_to_text,
     snapshot,
 )
 from seqsurv.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECT, main
+from seqsurv.sim import method_statistic
 from conftest import columns
 
 
@@ -538,3 +540,30 @@ def test_analyze_raises_a_look_whose_information_did_not_grow(tmp_path, capsys):
     assert len(row) == 9
     assert float(row[2]) == 64.90384615384612 * 1.005
     assert float(row[8]) == 64.90384615384612
+
+
+@pytest.mark.parametrize("method", ["adjusted", "km", "cox"])
+def test_analyze_prints_the_estimate_behind_z(tmp_path, capsys, method):
+    data = tmp_path / "data.csv"
+    write_csv(data, generate_columns(Scenario(n0=40, n1=40, tau=0.5, covariate_scheme="normal1",
+                                              phi=0.3, accrual=1.0), seed=4))
+    design_file = tmp_path / "design.txt"
+    main(["design", "--info-fractions", "0.5,1", "--out", str(design_file)])
+    capsys.readouterr()
+    code = main(["analyze", str(data), "--design", str(design_file), "--t0", "0.5",
+                 "--u", "1.5", "--method", method, "--total-info", "500"])
+    assert code == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    stat = method_statistic(method, snapshot(ingest_csv(data), 1.5), 0.5)
+    provenance = out[out.index("# provenance") + 3:-1]
+    if method == "cox":
+        expected = [f"#   estimate = beta_w = {stat.estimate!r}, se = {stat.se!r}, "
+                    f"hazard ratio = {math.exp(stat.estimate)!r}"]
+    else:
+        expected = [f"#   estimate = S1(t0) - S0(t0) = {stat.estimate!r}, se = {stat.se!r}",
+                    f"#   S(t0) = {stat.s_hat[0]!r} (arm 0), {stat.s_hat[1]!r} (arm 1)"]
+    if method != "km":
+        assert stat.fit.iterations > 0
+        expected.append(f"#   fit: {stat.fit.iterations} Newton iterations, "
+                        f"{stat.fit.step_halvings} step halvings, singular_information = False")
+    assert provenance == expected

@@ -120,7 +120,7 @@ def test_km_z_form():
     rng = np.random.default_rng(21)
     recs = random_dataset(rng, n=12)
     res = km_compare(snapshot(recs, 10.0), 1.0)
-    assert res.z == pytest.approx(res.diff / res.se)
+    assert res.z == pytest.approx(res.estimate / res.se)
     assert res.info_level == pytest.approx(1.0 / res.se**2)
 
 
@@ -131,7 +131,7 @@ def test_cox_wald_symmetric_arms_zero():
         rows.append((f"c{i}", 0, 0.0, t, d, ()))
         rows.append((f"t{i}", 1, 0.0, t, d, ()))
     res = cox_wald(snapshot(columns(rows), 10.0))
-    assert res.beta_w_hat == pytest.approx(0.0, abs=1e-9)
+    assert res.estimate == pytest.approx(0.0, abs=1e-9)
     assert res.z == pytest.approx(0.0, abs=1e-9)
 
 
@@ -145,7 +145,7 @@ def test_cox_wald_equals_stratified_machinery_with_indicator(hand_snapshot):
         covariates=np.column_stack([hand_snapshot.arm, hand_snapshot.covariates]),
     )
     fit = fit_mple(merged)
-    assert res.beta_w_hat == pytest.approx(fit.beta_hat[0], rel=1e-10)
+    assert res.estimate == pytest.approx(fit.beta_hat[0], rel=1e-10)
     assert res.fit.beta_hat == pytest.approx(fit.beta_hat, rel=1e-10)
     cov = np.linalg.inv(fit.observed_information)
     assert res.se == pytest.approx(np.sqrt(cov[0, 0]), rel=1e-10)
@@ -183,7 +183,7 @@ def test_cox_wald_row_with_an_event_free_arm_is_finite_without_warnings():
     assert batch.errors[0] is None
     assert warned == []
     assert int(batch.fits.iterations[0]) == 18 and int(batch.fits.step_halvings[0]) == 0
-    assert batch.beta_w_hat[0] == pytest.approx(-19.02307128548388, rel=1e-6)
+    assert batch.estimate[0] == pytest.approx(-19.02307128548388, rel=1e-6)
     assert batch.z[0] == pytest.approx(-0.001767068057456629, rel=1e-6)
     assert math.isfinite(batch.info_level[0]) and batch.info_level[0] > 0.0
 
@@ -223,7 +223,7 @@ def test_cox_wald_detects_effect():
         t = float(rng.exponential(1.0) * (0.5 if arm else 1.0))
         rows.append((f"s{j}", arm, 0.0, t, True, ()))
     res = cox_wald(snapshot(columns(rows), 100.0))
-    assert res.beta_w_hat > 0.4  # hazard ratio 2 means log-rate near 0.69
+    assert res.estimate > 0.4  # hazard ratio 2 means log-rate near 0.69
     assert res.z > 3.0
 
 

@@ -244,6 +244,23 @@ def test_separation_detected():
         fit_mple(snap)
 
 
+def test_a_flat_partial_likelihood_is_flagged_singular():
+    # each event is the last subject at risk in its arm, so the stratified
+    # partial likelihood is constant: beta_hat = 0 after 0 iterations, with
+    # a zero information that only the pseudo-inverse can solve
+    snap = snapshot(columns([
+        ("a", 0, 0.0, 1.0, True, (0.3,)),
+        ("b", 0, 0.0, 0.5, False, (-0.2,)),
+        ("c", 1, 0.0, 2.0, True, (0.7,)),
+        ("d", 1, 0.0, 1.5, False, (0.1,)),
+    ]), 10.0)
+    fit = fit_mple(snap)
+    assert (fit.iterations, fit.beta_hat.tolist()) == (0, [0.0])
+    assert fit.observed_information.tolist() == [[0.0]]
+    assert fit.singular_information
+    assert compare_sp(snap, 1.0).fit.singular_information
+
+
 def test_nonconvergence_carries_last_iterate(hand_snapshot, monkeypatch):
     from seqsurv import ConvergenceError, cox
 
@@ -525,7 +542,7 @@ def test_failing_rows_leave_the_other_rows_of_a_batch_alone():
             assert str(batch.errors[b]) == str(alone.value)
             assert math.isnan(batch.z[b]) and math.isnan(batch.info_level[b])
             with pytest.raises(type(alone.value)):
-                batch.result(b)
+                batch.row(b)
         else:
             assert batch.errors[b] is None
             assert _row_outcome(batch, b) == _row_outcome(compare_sp_batch([snap], 1.0), 0)
@@ -545,7 +562,7 @@ def test_a_one_arm_row_is_fitted_without_warnings_and_keeps_the_both_arms_error(
         warnings.simplefilter("error")
         batch = compare_sp_batch([grid[3], one_arm], 1.0)
     assert str(batch.errors[1]) == "both arms must be present to compare survival probabilities"
-    assert math.isnan(batch.sigma2_hat[1]) and math.isnan(batch.z[1])
+    assert math.isnan(batch.se[1]) and math.isnan(batch.z[1])
     assert _row_outcome(batch, 0) == _row_outcome(compare_sp_batch([grid[3]], 1.0), 0)
 
 

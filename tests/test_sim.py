@@ -369,10 +369,10 @@ def _monitor_alone(scenario, design, methods, analysis_times, method_totals, see
         snap = snapshot(cols, u)
         for m in [m for m in methods if m in monitors]:
             try:
-                z, info = sim.method_statistic(m, snap, scenario.tau)
+                stat = sim.method_statistic(m, snap, scenario.tau)
                 if monitors[m] is None:
                     monitors[m] = sim.MonitoringState(design, method_totals[m])
-                decision = monitors[m].step(info, z).decision
+                decision = monitors[m].step(stat.info_level, stat.z).decision
             except (SeqSurvError, ValueError):
                 stage[m] = -1
                 del monitors[m]
@@ -482,7 +482,7 @@ def _calibration_alone(scenario, grid, methods, seed, r):
     row = []
     for m, u in looks:
         try:
-            row.append(sim.method_statistic(m, snapshot(cols, u), scenario.tau)[1])
+            row.append(sim.method_statistic(m, snapshot(cols, u), scenario.tau).info_level)
         except SeqSurvError:
             row.append(math.nan)
     return row
@@ -554,7 +554,8 @@ def test_batch_statistic_rows_equal_their_batch_of_one(method):
         assert type(batch.errors[b]) is type(alone.errors[0])
         assert str(batch.errors[b]) == str(alone.errors[0])
         if batch.errors[b] is None:
-            assert (batch.z[b], batch.info_level[b]) == sim.method_statistic(method, snap, 1.0)
+            stat = sim.method_statistic(method, snap, 1.0)
+            assert (batch.z[b], batch.info_level[b]) == (stat.z, stat.info_level)
         else:
             failed += 1
             with pytest.raises(type(batch.errors[b]), match=re.escape(str(batch.errors[b]))):
